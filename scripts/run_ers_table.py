@@ -5,7 +5,7 @@ Reproduces the counterparty-risk study table: the models are calibrated to
 the 2009-09-16 bid/ask strip, then the fair ERS spread is computed at
 rho in {-1, -0.2, 0, 0.5, 1} with 10^5 paths at the default seed.  The
 intensity model is correlation-blind and serves as the independence
-anchor.  Takes a couple of minutes; pass e.g. --paths 20000 to go faster.
+anchor.  Takes a few seconds; pass e.g. --paths 1000000 for tighter errors.
 """
 
 import sys

@@ -10,13 +10,12 @@ from .calibration import (CalibrationReport, bootstrap_intensity,
 from .cds import (CdsContract, SurvivalCurveHandle, cds_price,
                   cds_price_exact, cds_price_postponed, fair_spread)
 from .curves import DiscountCurve, PaymentSchedule, make_schedule
-from .errors import (CalibrationError, ConfigurationError,
+from .errors import (CalibrationError, ConfigurationError, ConvergenceError,
                      DegenerateInputError, DomainError)
 from .mc import (CvaEstimate, ErsContract, ErsPricingResult, PathRecords,
                  SimulationConfig, ers_cva_term, ers_fair_spread,
                  ers_fair_spread_from_paths, ers_npv_at_default,
-                 ers_npv_at_default_termwise,
-                 intensity_ers_check, make_ers_contract,
+                 ers_npv_at_default_termwise, make_ers_contract,
                  simulate_intensity_paths, simulate_joint_paths)
 from .presets import preset_checksum, preset_strip
 from .quotes import CdsQuote, CdsQuoteStrip, read_quote_csv, write_quote_csv

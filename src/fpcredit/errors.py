@@ -20,5 +20,9 @@ class CalibrationError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
+class ConvergenceError(CalibrationError):
+    """An iteration stopped short of its tolerance; the diagnostics carry its trace."""
+
+
 class DegenerateInputError(ValueError):
     """The requested quantity is undefined for this input (e.g. fair spread with zero annuity)."""

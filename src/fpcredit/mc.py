@@ -1,29 +1,55 @@
-"""Joint firm-value / equity simulation and counterparty-risk pricing of an
+"""Joint firm-value / equity sampling and counterparty-risk pricing of an
 equity return swap (ERS).
 
-The counterparty's firm value and the underlying equity evolve as
-correlated GBMs with exact per-step Gaussian increments.  Default is a
-first passage of the firm value to its barrier: on the simulation grid,
-plus (with the bridge correction on) an intra-step hit sampled from the
-Brownian-bridge crossing probability, which removes the discrete
-monitoring bias.
+Working variable for the firm is x = log(V / H(t)).  The rate and payout
+drifts cancel between V and the barrier, so in the variance clock
+v = int_0^t sigma^2 du, x is a Brownian motion with drift -nu, nu = 1/2 - B,
+started at x0 = log(V0 / H); default is its first passage to 0.
 
-Working variable for the firm is x_t = log(V_t / H(t)).  Both the rate
-and payout drifts cancel between V and the barrier, leaving
-dx = (B - 1/2) sigma^2 dt + sigma dW, with default when x <= 0.
+The sampler is exact and uses no time grid:
+
+- The first-passage variance v* is inverse Gaussian for nu > 0 and Levy
+  for nu = 0.  For nu < 0 it is finite with probability exp(2 nu x0) and
+  then inverse Gaussian with drift |nu|.  The default time inverts the
+  piecewise-linear cumulative variance.
+- Given v*, x on [0, v*] is a 3-d Bessel bridge from x0 to 0 whatever the
+  drift (Williams' path decomposition).  It is drawn at the vol-bucket ends
+  before v* as the norm of a 3-d Brownian bridge, which gives the firm's
+  Brownian motion at default exactly, bucket by bucket.
+- The equity at default then takes one Gaussian draw per defaulted path.
+
+Firm and equity variates come from separate child streams of the seed, so
+default times and the firm's Brownian motion do not depend on the
+correlation, and paths pair across correlations at a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curves import DiscountCurve, PaymentSchedule, make_schedule
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .survival import (At1pParams, HazardCurve, SbtvParams, at1p_survival,
                        intensity_survival, sbtv_survival)
+
+
+def _require_finite(obj, *names):
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not math.isfinite(value):
+            raise DomainError(f"{name} must be a finite number, got {value!r}")
+
+
+def _require_integer(obj, *names):
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +66,8 @@ class ErsContract:
     spread: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "s0", "equity_vol", "dividend_yield", "recovery", "rho",
+                        "stock_count", "spread")
         if self.s0 <= 0 or self.equity_vol <= 0:
             raise DomainError("initial price and equity volatility must be positive")
         if not -1.0 <= self.rho <= 1.0:
@@ -59,17 +87,15 @@ class ErsContract:
 @dataclass(frozen=True)
 class SimulationConfig:
     n_paths: int = 100_000
-    steps_per_year: int = 52
     rng_seed: int = 20090916
-    bridge_correction: bool = True
     control_variate: bool = True
-    antithetic: bool = False
 
     def __post_init__(self):
+        _require_integer(self, "n_paths", "rng_seed")
         if self.n_paths < 2:
             raise DomainError("need at least 2 paths")
-        if self.steps_per_year < 12:
-            raise DomainError("need at least 12 steps per year")
+        if self.rng_seed < 0:
+            raise DomainError("rng_seed must be non-negative")
 
 
 @dataclass
@@ -80,7 +106,6 @@ class PathRecords:
     tau: np.ndarray                # default time; +inf where not defaulted
     s_tau: np.ndarray              # equity at default; nan where not defaulted
     default_prob_closed_form: float
-    s_at_schedule: np.ndarray | None = None   # (n_paths, n_dates)
     scenario: np.ndarray | None = None        # SBTV scenario index per path
     diagnostics: dict = field(default_factory=dict)
 
@@ -130,18 +155,6 @@ def make_ers_contract(s0=20.0, equity_vol=0.20, dividend_yield=0.008, maturity=5
                        stock_count=stock_count, spread=spread)
 
 
-def _simulation_grid(model, ers: ErsContract, cfg: SimulationConfig):
-    """Uniform grid refined with vol bucket ends and schedule dates."""
-    T = ers.maturity
-    base = np.linspace(0.0, T, round(T * cfg.steps_per_year) + 1)
-    extra = np.concatenate((np.asarray(model.vols.bucket_ends, dtype=float),
-                            ers.schedule.dates))
-    extra = extra[extra <= T + 1e-12]
-    grid = np.unique(np.round(np.concatenate((base, extra)), 12))
-    n_inserted = grid.size - base.size
-    return grid, n_inserted
-
-
 def model_survival(model, t):
     if isinstance(model, At1pParams):
         return at1p_survival(model, t)
@@ -152,117 +165,98 @@ def model_survival(model, t):
     raise DomainError(f"unknown model type {type(model).__name__}")
 
 
+def _first_passage_variance(rng, x0, nu):
+    """First time, in the variance clock, that x0 - nu*v + W(v) reaches 0;
+    +inf on paths that never reach it."""
+    if nu > 0:
+        return rng.wald(x0 / nu, x0 * x0)
+    if nu == 0:
+        return x0 * x0 / rng.standard_normal(x0.size) ** 2
+    v_star = rng.wald(x0 / -nu, x0 * x0)
+    return np.where(rng.random(x0.size) < np.exp(2.0 * nu * x0), v_star, np.inf)
+
+
+def _firm_bm_at_default(rng, v_star, x0, nu, knot_v, sigmas):
+    """The firm's calendar-time Brownian motion W1 at default.
+
+    In the variance clock W1 runs as b(v) = x(v) - x0 + nu*v, and
+    dW1 = db / sigma inside a vol bucket.  `knot_v` holds 0, the bucket-end
+    variances and the maturity's; `sigmas` the vol of each piece between
+    them.  At the bucket ends before v*, x is the norm of a 3-d Brownian
+    bridge from (x0, 0, 0) to the origin on [0, v*]; at v* it is 0.
+    """
+    b_end = nu * v_star - x0
+    y = np.zeros((v_star.size, 3))
+    y[:, 0] = x0
+    b_prev = np.zeros(v_star.size)
+    w1 = np.zeros(v_star.size)
+    v_prev = 0.0
+    for v_k, sigma in zip(knot_v[1:-1], sigmas):
+        live = v_k < v_star
+        shrink = (v_star[live] - v_k) / (v_star[live] - v_prev)
+        sd = np.sqrt((v_k - v_prev) * shrink)
+        y[live] = (y[live] * shrink[:, None]
+                   + sd[:, None] * rng.standard_normal((shrink.size, 3)))
+        b_k = b_end.copy()
+        b_k[live] = np.linalg.norm(y[live], axis=1) - x0[live] + nu * v_k
+        w1 += (b_k - b_prev) / sigma
+        b_prev, v_prev = b_k, v_k
+    return w1 + (b_end - b_prev) / sigmas[-1]
+
+
+def _equity_at_default(tau, shock, ers: ErsContract, curve: DiscountCurve):
+    """S_tau given the value at tau of the Brownian motion driving the equity."""
+    sig = ers.equity_vol
+    r_int = -np.log(np.asarray(curve.discount(tau)))
+    return ers.s0 * np.exp(r_int - (ers.dividend_yield + 0.5 * sig * sig) * tau + sig * shock)
+
+
 def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
                          cfg: SimulationConfig) -> PathRecords:
-    """Correlated firm/equity paths with first-passage default detection.
+    """Exact joint draw of the first-passage default time and the equity at
+    default.
 
-    For the scenario-barrier model a barrier scenario is drawn per path,
-    independently of the Brownian drivers, before path generation.  A fixed
-    set of random draws is consumed per step regardless of how many paths
-    are still alive, so runs with the same seed stay path-aligned across
-    different correlations.
+    For the scenario-barrier model a barrier scenario is drawn per path
+    first.  Every firm variate comes from one child stream of the seed and
+    every equity variate from another, so default times are identical
+    across correlations at a fixed seed.
     """
-    rng = np.random.default_rng(cfg.rng_seed)
+    firm_rng, equity_rng = (np.random.default_rng(s)
+                            for s in np.random.SeedSequence(cfg.rng_seed).spawn(2))
     n = cfg.n_paths
-    grid, n_inserted = _simulation_grid(model, ers, cfg)
-    rho = ers.rho
-    rho_c = math.sqrt(max(0.0, 1.0 - rho * rho))
-    sigma_s = ers.equity_vol
-    q_div = ers.dividend_yield
-
     if isinstance(model, SbtvParams):
         probs = np.array([p for _, p in model.scenarios])
-        scenario = rng.choice(len(probs), size=n, p=probs)
-        x = -np.log(np.array([h for h, _ in model.scenarios]))[scenario]
-        b_exp = model.b
+        scenario = firm_rng.choice(len(probs), size=n, p=probs)
+        x0 = -np.log(np.array([h for h, _ in model.scenarios]))[scenario]
     elif isinstance(model, At1pParams):
         scenario = None
-        x = np.full(n, -math.log(model.h_over_v0))
-        b_exp = model.b
+        x0 = np.full(n, -math.log(model.h_over_v0))
     else:
         raise DomainError("joint simulation needs a first-passage model (use "
                           "simulate_intensity_paths for the hazard model)")
+    nu = 0.5 - model.b
+    v_star = _first_passage_variance(firm_rng, x0, nu)
 
-    log_s = np.full(n, math.log(ers.s0))
-    alive = np.ones(n, dtype=bool)
+    vols = model.vols
+    knot_t = np.append(vols._knot_t[vols._knot_t < ers.maturity], ers.maturity)
+    knot_v = np.asarray(vols.cumulative_variance(knot_t))
+    sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
+    defaulted = v_star <= knot_v[-1]
+    v_def = v_star[defaulted]
+    w1 = _firm_bm_at_default(firm_rng, v_def, x0[defaulted], nu, knot_v, sigmas)
+
     tau = np.full(n, np.inf)
     s_tau = np.full(n, np.nan)
-    sched_dates = ers.schedule.dates
-    s_at_schedule = np.empty((n, sched_dates.size))
-    sched_seen = 0
-
-    cumvar = np.asarray(model.vols.cumulative_variance(grid))
-    for k in range(grid.size - 1):
-        t0, t1 = grid[k], grid[k + 1]
-        dt = t1 - t0
-        dvar = cumvar[k + 1] - cumvar[k]
-        sd_v = math.sqrt(dvar)
-        r_int = curve.forward_integral(t0, t1)
-        drift_x = (b_exp - 0.5) * dvar
-        drift_s = r_int - q_div * dt - 0.5 * sigma_s * sigma_s * dt
-        sd_s = sigma_s * math.sqrt(dt)
-
-        if cfg.antithetic:
-            half = n // 2
-            z1 = np.empty(n); z2 = np.empty(n)
-            z1[:half] = rng.standard_normal(half); z1[half:2 * half] = -z1[:half]
-            z2[:half] = rng.standard_normal(half); z2[half:2 * half] = -z2[:half]
-            if n % 2:
-                z1[-1] = rng.standard_normal(); z2[-1] = rng.standard_normal()
-        else:
-            z1 = rng.standard_normal(n)
-            z2 = rng.standard_normal(n)
-        u = rng.random(n) if cfg.bridge_correction else None
-        z3 = rng.standard_normal(n) if cfg.bridge_correction else None
-
-        x_old = x.copy()
-        log_s_old = log_s.copy()
-        x = x + drift_x + sd_v * z1
-        log_s = log_s + drift_s + sd_s * (rho * z1 + rho_c * z2)
-
-        hit_grid = alive & (x <= 0.0)
-        tau[hit_grid] = t1
-        s_tau[hit_grid] = np.exp(log_s[hit_grid])
-
-        if cfg.bridge_correction:
-            candidate = alive & ~hit_grid
-            if np.any(candidate):
-                # bridge crossing probability for a path strictly above the
-                # barrier at both step endpoints
-                p_hit = np.exp(-2.0 * x_old[candidate] * x[candidate] / dvar)
-                hit_mid = np.zeros(n, dtype=bool)
-                hit_mid[candidate] = u[candidate] < p_hit
-                if np.any(hit_mid):
-                    t_mid = t0 + 0.5 * dt
-                    tau[hit_mid] = t_mid
-                    # log S at the midpoint conditional on both endpoint pairs
-                    # and on the firm sitting at the barrier (x = 0) there
-                    mean_x = 0.5 * (x_old[hit_mid] + x[hit_mid])
-                    mean_s = 0.5 * (log_s_old[hit_mid] + log_s[hit_mid])
-                    bridge_sd_x = 0.5 * sd_v
-                    bridge_sd_s = 0.5 * sd_s
-                    cond_mean = mean_s + rho * (bridge_sd_s / bridge_sd_x) * (0.0 - mean_x)
-                    cond_sd = bridge_sd_s * rho_c
-                    s_tau[hit_mid] = np.exp(cond_mean + cond_sd * z3[hit_mid])
-                alive = alive & ~hit_grid & ~hit_mid
-            else:
-                alive = alive & ~hit_grid
-        else:
-            alive = alive & ~hit_grid
-
-        if sched_seen < sched_dates.size and abs(t1 - sched_dates[sched_seen]) < 1e-9:
-            s_at_schedule[:, sched_seen] = np.exp(log_s)
-            sched_seen += 1
-
-    defaulted = np.isfinite(tau)
+    tau_def = np.interp(v_def, knot_v, knot_t)
+    rho = ers.rho
+    w2 = np.sqrt(tau_def) * equity_rng.standard_normal(v_def.size)
+    tau[defaulted] = tau_def
+    s_tau[defaulted] = _equity_at_default(
+        tau_def, rho * w1 + math.sqrt(1.0 - rho * rho) * w2, ers, curve)
     pd_closed = 1.0 - float(model_survival(model, ers.maturity))
     return PathRecords(defaulted=defaulted, tau=tau, s_tau=s_tau,
-                       default_prob_closed_form=pd_closed,
-                       s_at_schedule=s_at_schedule, scenario=scenario,
-                       diagnostics={"grid_points": int(grid.size),
-                                    "grid_points_inserted": int(n_inserted),
-                                    "bridge_correction": cfg.bridge_correction,
-                                    "seed": cfg.rng_seed})
+                       default_prob_closed_form=pd_closed, scenario=scenario,
+                       diagnostics={"seed": cfg.rng_seed})
 
 
 def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract, curve: DiscountCurve,
@@ -292,11 +286,8 @@ def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract, curve: Disco
     s_tau = np.full(n, np.nan)
     if np.any(defaulted):
         td = tau[defaulted]
-        r_int = -np.log(np.asarray(curve.discount(td)))
-        z = rng.standard_normal(td.size)
-        sig = ers.equity_vol
-        s_tau[defaulted] = ers.s0 * np.exp(
-            r_int - ers.dividend_yield * td - 0.5 * sig * sig * td + sig * np.sqrt(td) * z)
+        s_tau[defaulted] = _equity_at_default(
+            td, np.sqrt(td) * rng.standard_normal(td.size), ers, curve)
     pd_closed = 1.0 - float(intensity_survival(hazard, ers.maturity))
     return PathRecords(defaulted=defaulted, tau=tau, s_tau=s_tau,
                        default_prob_closed_form=pd_closed,
@@ -420,12 +411,15 @@ def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract, curve: Disc
             converged = True
             break
     if not converged:
-        raise RuntimeError(f"fair-spread iteration did not converge; |dX| trace (bp): {trace}")
+        raise ConvergenceError(f"fair-spread iteration did not converge in {max_iter} "
+                               f"steps; |dX| trace (bp): {trace}",
+                               {"delta_x_trace_bp": trace})
     if len(trace) > 2:
         shrink_violations = [i for i in range(2, len(trace)) if trace[i] > trace[i - 1] + 1e-12]
         if shrink_violations:
-            raise RuntimeError(f"fair-spread iteration stopped contracting at steps "
-                               f"{shrink_violations}; |dX| trace (bp): {trace}")
+            raise ConvergenceError(f"fair-spread iteration stopped contracting at steps "
+                                   f"{shrink_violations}; |dX| trace (bp): {trace}",
+                                   {"delta_x_trace_bp": trace})
     pd_mc = float(np.mean(paths.defaulted))
     se_bp = est.std_error / denom * 1e4
     diag = {
@@ -456,8 +450,3 @@ def ers_fair_spread(model, ers: ErsContract, curve: DiscountCurve,
         paths = simulate_joint_paths(model, ers, curve, cfg)
     return ers_fair_spread_from_paths(paths, ers, curve, cfg)
 
-
-def intensity_ers_check(hazard: HazardCurve, ers: ErsContract, curve: DiscountCurve,
-                        cfg: SimulationConfig) -> ErsPricingResult:
-    """Fair spread under credit/equity independence; the rho = 0 anchor."""
-    return ers_fair_spread(hazard, ers, curve, cfg)

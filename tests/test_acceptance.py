@@ -65,7 +65,7 @@ def ers_sweep(ers_calibrations, flat_curve):
     Both the control-variate and the plain estimator are evaluated on the
     same paths so the variance-reduction criterion uses a paired design.
     """
-    cfg = SimulationConfig(n_paths=100_000, steps_per_year=52, rng_seed=20090916)
+    cfg = SimulationConfig(n_paths=100_000, rng_seed=20090916)
     t0 = time.perf_counter()
     out = {"cfg": cfg, "results": {}, "estimates": {}}
     for model_name in ("at1p", "sbtv"):
@@ -175,7 +175,7 @@ class TestCriterion5McVsClosedForm:
     def test_default_probability_within_three_standard_errors(
             self, ers_calibrations, lehman_calibrations, flat_curve):
         t0 = time.perf_counter()
-        cfg = SimulationConfig(n_paths=100_000, steps_per_year=52, rng_seed=20090916)
+        cfg = SimulationConfig(n_paths=100_000, rng_seed=20090916)
         ers = make_ers_contract(rho=0.0)
         cases = [("at1p flat 20%", At1pParams(
             0.4, 0.0, VolatilityTermStructure((30.0,), (0.20,))))]

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -147,6 +148,16 @@ class TestPriceErsCommand:
         assert code == 2
         doc = json.loads((outdir / "ers_pricing.json").read_text())
         assert doc["results"]["at1p"]["1.0"]["diagnostics"]["low_statistics"]
+
+    def test_fixed_point_failure_exits_with_message(self, capsys, outdir, monkeypatch):
+        from fpcredit import mc
+        monkeypatch.setattr(mc, "ers_fair_spread_from_paths",
+                            functools.partial(mc.ers_fair_spread_from_paths, max_iter=1))
+        code, _, err = run(capsys, "price-ers", "--preset", "ers-paper-2009-09-16",
+                           "--models", "at1p", "--rho", "0.5", "--paths", "5000",
+                           "--seed", "7")
+        assert code == 1
+        assert err.startswith("error: fair-spread iteration did not converge")
 
     def test_deterministic_reruns(self, capsys, outdir):
         args = ("price-ers", "--preset", "ers-paper-2009-09-16", "--models",

@@ -2,19 +2,46 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import norm
 
-from fpcredit import (At1pParams, DiscountCurve, DomainError, HazardCurve,
-                      SbtvParams, SimulationConfig, VolatilityTermStructure,
-                      at1p_survival, ers_cva_term, ers_fair_spread,
-                      ers_fair_spread_from_paths, ers_npv_at_default,
-                      ers_npv_at_default_termwise, intensity_ers_check,
-                      make_ers_contract, simulate_intensity_paths,
+from fpcredit import (At1pParams, CalibrationError, ConvergenceError,
+                      DiscountCurve, DomainError, HazardCurve, SbtvParams,
+                      SimulationConfig, VolatilityTermStructure, at1p_survival,
+                      ers_cva_term, ers_fair_spread, ers_fair_spread_from_paths,
+                      ers_npv_at_default, ers_npv_at_default_termwise,
+                      make_ers_contract, sbtv_survival, simulate_intensity_paths,
                       simulate_joint_paths)
+
+# three buckets and a flat tail: the 5y maturity lies past the last bucket
+THREE_BUCKETS = VolatilityTermStructure((1.0, 2.0, 4.0), (0.35, 0.25, 0.30))
 
 
 def flat_at1p(h=0.4, sigma=0.25, b=0.0, end=30.0):
     return At1pParams(h_over_v0=h, b=b,
                       vols=VolatilityTermStructure((end,), (sigma,)))
+
+
+def killed_density(y, x0, mu, v):
+    """Density at y > 0 of x0 + mu*v + W(v) on the paths that stayed above 0."""
+    sd = math.sqrt(v)
+    return (norm.pdf((y - x0 - mu * v) / sd)
+            - math.exp(-2.0 * mu * x0) * norm.pdf((y + x0 - mu * v) / sd)) / sd
+
+
+def equity_ratio(paths, ers, curve):
+    """P(0,tau) e^{q tau} S_tau / s0 on defaulted paths, 0 on the others."""
+    d = paths.defaulted
+    out = np.zeros(paths.n_paths)
+    out[d] = (np.asarray(curve.discount(paths.tau[d])) * np.exp(ers.dividend_yield * paths.tau[d])
+              * paths.s_tau[d] / ers.s0)
+    return out
+
+
+def survival_from(y, mu, v):
+    """Probability that y + mu*s + W(s) stays above 0 for s <= v."""
+    sd = math.sqrt(v)
+    return norm.cdf((y + mu * v) / sd) - math.exp(-2.0 * mu * y) * norm.cdf((-y + mu * v) / sd)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +59,21 @@ class TestConfig:
         with pytest.raises(DomainError):
             SimulationConfig(n_paths=1)
         with pytest.raises(DomainError):
-            SimulationConfig(steps_per_year=4)
+            SimulationConfig(rng_seed=-1)
+        assert SimulationConfig(n_paths=np.int64(10), rng_seed=np.uint32(3)).n_paths == 10
+
+    @pytest.mark.parametrize("value", [True, 1000.0, math.nan, "1000", None])
+    @pytest.mark.parametrize("name", ["n_paths", "rng_seed"])
+    def test_config_rejects_non_integers(self, name, value):
+        with pytest.raises(DomainError):
+            SimulationConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["s0", "equity_vol", "dividend_yield", "recovery",
+                                      "rho", "stock_count", "spread"])
+    def test_contract_rejects_non_finite(self, name, value):
+        with pytest.raises(DomainError):
+            make_ers_contract(**{name: value})
 
     def test_contract_validation(self):
         with pytest.raises(DomainError):
@@ -44,24 +85,13 @@ class TestConfig:
 class TestDefaultSampling:
     def test_default_prob_matches_closed_form_with_bridge(self, curve, ers):
         model = flat_at1p(sigma=0.25)
-        cfg = SimulationConfig(n_paths=60_000, steps_per_year=52, rng_seed=7)
+        cfg = SimulationConfig(n_paths=60_000, rng_seed=7)
         paths = simulate_joint_paths(model, ers, curve, cfg)
         pd_cf = 1.0 - at1p_survival(model, ers.maturity)
         pd_mc = paths.defaulted.mean()
         se = math.sqrt(pd_cf * (1 - pd_cf) / cfg.n_paths)
         assert abs(pd_mc - pd_cf) < 3.5 * se
         assert paths.default_prob_closed_form == pytest.approx(pd_cf)
-
-    def test_bridge_off_undershoots_default_probability(self, curve, ers):
-        model = flat_at1p(sigma=0.25)
-        on = simulate_joint_paths(model, ers, curve,
-                                  SimulationConfig(n_paths=60_000, rng_seed=7))
-        off = simulate_joint_paths(model, ers, curve,
-                                   SimulationConfig(n_paths=60_000, rng_seed=7,
-                                                    bridge_correction=False))
-        pd_cf = 1.0 - at1p_survival(model, ers.maturity)
-        assert off.defaulted.mean() < on.defaulted.mean()
-        assert off.defaulted.mean() < pd_cf
 
     def test_remote_barrier_produces_no_defaults(self, curve, ers):
         model = flat_at1p(h=1e-6, sigma=0.15)
@@ -90,21 +120,15 @@ class TestDefaultSampling:
         frac = np.mean(paths.scenario == 0)
         assert frac == pytest.approx(0.7, abs=3 * math.sqrt(0.7 * 0.3 / 50_000))
 
-    def test_equity_martingale_at_maturity(self, curve, ers):
-        model = flat_at1p(h=0.05, sigma=0.2)  # near-riskless firm
-        cfg = SimulationConfig(n_paths=80_000, rng_seed=5)
-        paths = simulate_joint_paths(model, ers, curve, cfg)
-        s_T = paths.s_at_schedule[:, -1]
-        expected = ers.s0 * math.exp((0.03 - ers.dividend_yield) * ers.maturity)
-        se = s_T.std(ddof=1) / math.sqrt(cfg.n_paths)
-        assert abs(s_T.mean() - expected) < 4 * se
-
-    def test_grid_refinement_diagnostic(self, curve, ers):
-        vols = VolatilityTermStructure((0.37, 30.0), (0.3, 0.2))
-        model = At1pParams(0.4, 0.0, vols)
-        paths = simulate_joint_paths(model, ers, curve,
-                                     SimulationConfig(n_paths=100, rng_seed=1))
-        assert paths.diagnostics["grid_points_inserted"] >= 1
+    def test_equity_martingale_at_default(self, curve):
+        # at rho = 0 the equity is independent of the firm, so its
+        # discounted, dividend-adjusted value at default has mean s0
+        ers = make_ers_contract(rho=0.0)
+        paths = simulate_joint_paths(At1pParams(0.4, 0.0, THREE_BUCKETS), ers, curve,
+                                     SimulationConfig(n_paths=80_000, rng_seed=5))
+        ratio = equity_ratio(paths, ers, curve)[paths.defaulted]
+        se = ratio.std(ddof=1) / math.sqrt(ratio.size)
+        assert abs(ratio.mean() - 1.0) < 4 * se
 
     def test_seed_determinism(self, curve, ers):
         model = flat_at1p(sigma=0.3)
@@ -112,10 +136,62 @@ class TestDefaultSampling:
         a = simulate_joint_paths(model, ers, curve, cfg)
         b = simulate_joint_paths(model, ers, curve, cfg)
         assert np.array_equal(a.tau, b.tau)
-        assert np.array_equal(a.s_at_schedule, b.s_at_schedule)
+        assert np.array_equal(a.s_tau, b.s_tau, equal_nan=True)
         c = simulate_joint_paths(model, ers, curve,
                                  SimulationConfig(n_paths=3_000, rng_seed=43))
         assert not np.array_equal(a.tau, c.tau)
+
+
+class TestExactSampler:
+    @pytest.mark.parametrize("model, survival", [
+        (At1pParams(0.4, 0.0, THREE_BUCKETS), at1p_survival),
+        (At1pParams(0.4, 0.5, THREE_BUCKETS), at1p_survival),
+        (At1pParams(0.4, 0.8, THREE_BUCKETS), at1p_survival),
+        (SbtvParams(((0.3, 0.6), (0.7, 0.4)), 0.0, THREE_BUCKETS), sbtv_survival),
+    ], ids=["b=0", "b=0.5", "b=0.8", "sbtv"])
+    def test_default_time_matches_closed_form(self, curve, model, survival):
+        # one case per first-passage branch: inverse Gaussian (B < 1/2),
+        # Levy (B = 1/2) and the defective law (B > 1/2)
+        cfg = SimulationConfig(n_paths=200_000, rng_seed=29)
+        paths = simulate_joint_paths(model, make_ers_contract(rho=0.5), curve, cfg)
+        for t in (1.0, 3.0, 5.0):
+            pd_cf = 1.0 - survival(model, t)
+            se = math.sqrt(pd_cf * (1 - pd_cf) / cfg.n_paths)
+            assert abs(np.mean(paths.tau <= t) - pd_cf) < 3.5 * se
+
+    @pytest.mark.parametrize("rho", [-0.6, 0.8])
+    def test_firm_brownian_at_default_has_girsanov_law(self, curve, rho):
+        # With Y = P(0,tau) e^{q tau} S_tau / s0 = exp(a W1(tau) - a^2 tau / 2) * (an
+        # independent mean-one factor), a = sigma_S rho, optional stopping gives
+        # E[Y; tau <= T] = Q(tau <= T) with the firm's variance-clock drift shifted
+        # by a / sigma in each bucket.  Two unequal buckets make W1 depend on the
+        # Bessel-bridge draw at the bucket end.
+        h, t1, s1, s2 = 0.4, 1.5, 0.4, 0.2
+        model = At1pParams(h, 0.0, VolatilityTermStructure((t1, 30.0), (s1, s2)))
+        ers = make_ers_contract(rho=rho)
+        paths = simulate_joint_paths(model, ers, curve,
+                                     SimulationConfig(n_paths=200_000, rng_seed=37))
+        y = equity_ratio(paths, ers, curve)
+        a = ers.equity_vol * rho
+        x0, v1, v2 = -math.log(h), s1 ** 2 * t1, s2 ** 2 * (ers.maturity - t1)
+        survived, _ = quad(lambda z: (killed_density(z, x0, -0.5 + a / s1, v1)
+                                      * survival_from(z, -0.5 + a / s2, v2)),
+                           0.0, x0 + 20.0 * math.sqrt(v1))
+        se = y.std(ddof=1) / math.sqrt(y.size)
+        assert abs(y.mean() - (1.0 - survived)) < 4 * se
+
+    def test_splitting_a_flat_bucket_leaves_paths_unchanged(self, curve):
+        # the bridge terms telescope when both pieces share one vol
+        one = At1pParams(0.4, 0.0, VolatilityTermStructure((30.0,), (0.3,)))
+        two = At1pParams(0.4, 0.0, VolatilityTermStructure((2.3, 30.0), (0.3, 0.3)))
+        ers = make_ers_contract(rho=0.7)
+        cfg = SimulationConfig(n_paths=20_000, rng_seed=31)
+        a = simulate_joint_paths(one, ers, curve, cfg)
+        b = simulate_joint_paths(two, ers, curve, cfg)
+        assert a.defaulted.any()
+        assert np.array_equal(a.defaulted, b.defaulted)
+        np.testing.assert_allclose(b.tau[b.defaulted], a.tau[a.defaulted], rtol=1e-12)
+        np.testing.assert_allclose(b.s_tau[b.defaulted], a.s_tau[a.defaulted], rtol=1e-12)
 
 
 class TestIntensityPaths:
@@ -129,8 +205,8 @@ class TestIntensityPaths:
 
     def test_zero_hazard_gives_zero_spread(self, curve, ers):
         hazard = HazardCurve((30.0,), (0.0,))
-        result = intensity_ers_check(hazard, ers, curve,
-                                     SimulationConfig(n_paths=2_000, rng_seed=1))
+        result = ers_fair_spread(hazard, ers, curve,
+                                 SimulationConfig(n_paths=2_000, rng_seed=1))
         assert result.fair_spread_bp == 0.0
         assert result.default_prob_mc == 0.0
 
@@ -225,17 +301,12 @@ class TestCvaAndFairSpread:
         assert spreads[-1] > 0
         assert spreads[0] == pytest.approx(0.0, abs=0.5)
 
-    def test_step_refinement_stability(self, curve):
-        model = flat_at1p(sigma=0.3)
-        ers = make_ers_contract(rho=-0.5)
-        coarse = ers_fair_spread(model, ers, curve,
-                                 SimulationConfig(n_paths=50_000, steps_per_year=26,
-                                                  rng_seed=23))
-        fine = ers_fair_spread(model, ers, curve,
-                               SimulationConfig(n_paths=50_000, steps_per_year=52,
-                                                rng_seed=23))
-        tol = 3 * math.hypot(coarse.std_error_bp, fine.std_error_bp) + 1.0
-        assert abs(coarse.fair_spread_bp - fine.fair_spread_bp) < tol
+    def test_non_convergence_raises_typed_error(self, curve, crisis_paths):
+        _, ers, cfg, paths = crisis_paths
+        with pytest.raises(ConvergenceError) as info:
+            ers_fair_spread_from_paths(paths, ers, curve, cfg, max_iter=1)
+        assert isinstance(info.value, CalibrationError)
+        assert len(info.value.diagnostics["delta_x_trace_bp"]) == 1
 
     def test_result_serializes(self, curve, crisis_paths):
         import json
