@@ -5,13 +5,11 @@ counterparty-risk pricing of equity return swaps.
 __version__ = "0.1.0"
 
 from .calibration import (CalibrationReport, bootstrap_intensity,
-                          calibrate_at1p, calibrate_sbtv, implied_survivals,
-                          survival_handle)
-from .cds import (CdsContract, SurvivalCurveHandle, cds_price,
-                  cds_price_exact, cds_price_postponed, fair_spread)
+                          calibrate_at1p, calibrate_sbtv)
+from .cds import CdsContract, cds_legs, cds_price, fair_spread
 from .curves import DiscountCurve, PaymentSchedule, make_schedule
 from .errors import (CalibrationError, ConfigurationError, ConvergenceError,
-                     DegenerateInputError, DomainError)
+                     DegenerateInputError, DomainError, FpcreditError)
 from .mc import (CvaEstimate, ErsContract, ErsPricingResult, PathRecords,
                  SimulationConfig, ers_cva_term, ers_fair_spread,
                  ers_fair_spread_from_paths, ers_npv_at_default,

@@ -1,12 +1,13 @@
 """Bootstrap calibrators: piecewise intensity, barrier-model volatilities,
 and the two-step scenario-barrier fit.
 
-All three calibrators share the same structure: walk the quote strip from
-the shortest tenor outwards and, for each pillar, solve a 1D root-finding
-problem in that pillar's bucket parameter so the pillar CDS reprices to
-zero at its quoted spread, holding earlier buckets fixed.  The scenario
-model needs a preliminary best-fit of (H2, p1, sigma_bar) on the first
-three quotes before its volatility bootstrap.
+All three calibrators run one bootstrap loop, `_bootstrap`: walk the quote
+strip from the shortest tenor outwards and, for each pillar, solve a 1D
+root-finding problem in that pillar's bucket parameter so the pillar CDS
+reprices to zero at its quoted spread, holding earlier buckets fixed.  They
+differ only in the model family, the bracket and the reported parameters.
+The scenario model needs a preliminary best-fit of (H2, p1, sigma_bar) on
+the first three quotes before its volatility bootstrap.
 """
 
 from __future__ import annotations
@@ -17,18 +18,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .cds import CdsContract, SurvivalCurveHandle, cds_price, fair_spread
+from .cds import CdsContract, cds_legs, cds_price
 from .curves import DiscountCurve, make_schedule
 from .errors import CalibrationError, DomainError
 from .quotes import CdsQuoteStrip
 from .survival import (At1pParams, HazardCurve, SbtvParams,
-                       VolatilityTermStructure, at1p_survival,
-                       intensity_survival, sbtv_survival)
+                       VolatilityTermStructure, survival)
 
 PRICE_TOL = 1e-12
 SIGMA_LO, SIGMA_HI = 1e-4, 5.0
 LAMBDA_LO, LAMBDA_HI = 0.0, 10.0
 CDS_FREQUENCY = 4
+STEP1_POLISH_STARTS = 4
 
 
 @dataclass
@@ -65,55 +66,10 @@ def pillar_contract(tenor: float, spread_bp: float, recovery: float) -> CdsContr
     return CdsContract(schedule=schedule, spread=spread_bp * 1e-4, recovery=recovery)
 
 
-def _pillar_price(surv, tenor, spread_bp, curve, recovery, convention) -> float:
-    return cds_price(pillar_contract(tenor, spread_bp, recovery), curve, surv, convention)
-
-
-def _check_monotone_survival(tenors, surv, warnings):
-    q = [float(surv(t)) for t in tenors]
-    if any(b > a + 1e-12 for a, b in zip(q, q[1:])):
-        warnings.append("non-monotone pillar survivals: quote strip admits arbitrage")
-
-
 def bootstrap_intensity(strip: CdsQuoteStrip, curve: DiscountCurve,
                         convention: str = "postponed") -> tuple[HazardCurve, CalibrationReport]:
     """Sequentially solve each bucket's constant intensity so the pillar CDS reprices."""
-    tenors = strip.tenors
-    lambdas: list[float] = []
-    iterations = []
-    for tenor, quote in zip(tenors, strip.quotes):
-        def price_at(lam: float) -> float:
-            hc = HazardCurve(bucket_ends=tuple(tenors[: len(lambdas) + 1]),
-                             lambdas=tuple(lambdas + [lam]))
-            surv = SurvivalCurveHandle("intensity", lambda t, hc=hc: intensity_survival(hc, t))
-            return _pillar_price(surv, tenor, quote.spread_bp, curve, strip.recovery, convention)
-
-        lo, hi = price_at(LAMBDA_LO), price_at(LAMBDA_HI)
-        if abs(lo) < PRICE_TOL:
-            lambdas.append(LAMBDA_LO)
-            iterations.append(0)
-            continue
-        if lo * hi > 0:
-            raise CalibrationError(
-                f"no intensity in [{LAMBDA_LO}, {LAMBDA_HI}] reprices the {tenor}y quote",
-                diagnostics={"tenor": tenor, "price_lo": lo, "price_hi": hi})
-        res = brentq(price_at, LAMBDA_LO, LAMBDA_HI, xtol=1e-16, rtol=8.9e-16, full_output=True)[1]
-        lambdas.append(res.root)
-        iterations.append(res.iterations)
-    hazard = HazardCurve(bucket_ends=tuple(tenors), lambdas=tuple(lambdas))
-    surv = SurvivalCurveHandle("intensity", lambda t: intensity_survival(hazard, t))
-    warnings: list[str] = []
-    _check_monotone_survival(tenors, surv, warnings)
-    report = CalibrationReport(
-        model="intensity",
-        parameters={"bucket_ends": tenors, "lambdas": lambdas},
-        repricing_errors_bp=_repricing_errors_bp(strip, curve, surv, convention),
-        pillar_survivals=[float(surv(t)) for t in tenors],
-        diagnostics={"solver": "brentq", "iterations": iterations,
-                     "bracket": [LAMBDA_LO, LAMBDA_HI]},
-        warnings=warnings,
-    )
-    return hazard, report
+    return _bootstrap(strip, curve, convention, "intensity", HazardCurve, (LAMBDA_LO, LAMBDA_HI))
 
 
 def calibrate_at1p(strip: CdsQuoteStrip, curve: DiscountCurve, h_over_v0: float = 0.4,
@@ -121,28 +77,24 @@ def calibrate_at1p(strip: CdsQuoteStrip, curve: DiscountCurve, h_over_v0: float 
     """Bootstrap one volatility bucket per quote with the barrier fixed exogenously."""
     if not 0 < h_over_v0 < 1:
         raise DomainError("H/V0 must lie in (0, 1)")
-    sigmas, report = _bootstrap_volatilities(
-        strip, curve, convention, model="at1p",
-        surv_factory=lambda vols: _at1p_handle(h_over_v0, b, vols))
-    params = At1pParams(h_over_v0=h_over_v0, b=b, vols=_vols(strip.tenors, sigmas))
-    report.parameters = {"h_over_v0": h_over_v0, "b": b,
-                         "bucket_ends": strip.tenors, "sigmas": sigmas}
-    return params, report
+
+    def family(tenors, sigmas):
+        return At1pParams(h_over_v0=h_over_v0, b=b, vols=VolatilityTermStructure(tenors, sigmas))
+
+    return _bootstrap(strip, curve, convention, "at1p", family, (SIGMA_LO, SIGMA_HI))
 
 
 def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
-                   b: float = 0.0, convention: str = "postponed",
-                   n_scenarios: int = 2) -> tuple[SbtvParams, CalibrationReport]:
-    """Two-step scenario-barrier calibration.
+                   b: float = 0.0, convention: str = "postponed") -> tuple[SbtvParams, CalibrationReport]:
+    """Two-step scenario-barrier calibration with two barrier scenarios.
 
     Step 1 best-fits (H2, p1, sigma_bar) to the first three quotes with a
     flat volatility, by deterministic multi-start Nelder-Mead on the sum of
     squared spread errors in bp.  Step 2 freezes (H2, p1) and bootstraps
     every bucket volatility to an exact fit.
     """
-    if n_scenarios != 2:
-        raise DomainError("only two barrier scenarios are supported: "
-                          "additional scenarios do not add calibration power")
+    if not 0 < h1 < 1:
+        raise DomainError("H1/V0 must lie in (0, 1)")
     if len(strip.quotes) < 3:
         raise DomainError("SBTV requires at least 3 quotes")
     h2, p1, sigma_bar, step1 = _sbtv_step1(strip, curve, h1, b, convention)
@@ -150,155 +102,102 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
     if step1["rms_bp"] > 5.0:
         warnings.append("step-1 RMS above 5 bp: scenario structure cannot represent this strip")
 
-    def surv_factory(vols):
-        params = SbtvParams(scenarios=((h1, p1), (h2, 1.0 - p1)), b=b, vols=vols)
-        return SurvivalCurveHandle("sbtv", lambda t: sbtv_survival(params, t))
+    def family(tenors, sigmas):
+        return SbtvParams(scenarios=((h1, p1), (h2, 1.0 - p1)), b=b,
+                          vols=VolatilityTermStructure(tenors, sigmas))
 
-    sigmas, report = _bootstrap_volatilities(strip, curve, convention, model="sbtv",
-                                             surv_factory=surv_factory)
-    refinement = max(abs(s - sigma_bar) for s in sigmas[:3])
+    params, report = _bootstrap(strip, curve, convention, "sbtv", family, (SIGMA_LO, SIGMA_HI))
+    refinement = max(abs(s - sigma_bar) for s in params.vols.sigmas[:3])
     if refinement >= 0.02:
         warnings.append(f"step-2 moved the first volatilities {refinement:.4f} from "
                         "the step-1 flat value; step-1 fit was poor")
-    params = SbtvParams(scenarios=((h1, p1), (h2, 1.0 - p1)), b=b,
-                        vols=_vols(strip.tenors, sigmas))
-    report.parameters = {"scenarios": [[h1, p1], [h2, 1.0 - p1]], "b": b,
-                         "bucket_ends": strip.tenors, "sigmas": sigmas}
     report.diagnostics["step1"] = step1
     report.diagnostics["step2_refinement_of_flat_sigma"] = refinement
     report.warnings = warnings + report.warnings
     return params, report
 
 
-def implied_survivals(surv, pillars) -> list[float]:
-    """Pillar survival probabilities for cross-model comparison tables."""
-    return [float(surv(t)) for t in pillars]
-
-
-def survival_handle(params) -> SurvivalCurveHandle:
-    """Wrap any calibrated parameter set as a tagged survival curve."""
-    if isinstance(params, At1pParams):
-        return _at1p_handle(params.h_over_v0, params.b, params.vols)
-    if isinstance(params, SbtvParams):
-        return SurvivalCurveHandle("sbtv", lambda t: sbtv_survival(params, t))
-    if isinstance(params, HazardCurve):
-        return SurvivalCurveHandle("intensity", lambda t: intensity_survival(params, t))
-    raise DomainError(f"unknown parameter type {type(params).__name__}")
-
-
 # -- internals ---------------------------------------------------------------
 
-def _vols(tenors, sigmas) -> VolatilityTermStructure:
-    return VolatilityTermStructure(bucket_ends=tuple(tenors), sigmas=tuple(sigmas))
+def _bootstrap(strip, curve, convention, model_name, family, bracket):
+    """Walk the strip outwards and root-find each pillar's bucket parameter so
+    its CDS reprices, earlier buckets frozen.
 
-
-def _at1p_handle(h, b, vols) -> SurvivalCurveHandle:
-    params = At1pParams(h_over_v0=h, b=b, vols=vols)
-    return SurvivalCurveHandle("at1p", lambda t: at1p_survival(params, t))
-
-
-def _repricing_errors_bp(strip, curve, surv, convention) -> list[float]:
-    return [
-        _pillar_price(surv, q.tenor, q.spread_bp, curve, strip.recovery, convention) * 1e4
-        for q in strip.quotes
-    ]
-
-
-def _bootstrap_volatilities(strip, curve, convention, model, surv_factory):
-    """Shared volatility bootstrap: one sigma per quote, earlier buckets frozen."""
+    `family(tenors_so_far, xs)` builds the model whose buckets end at the
+    tenors so far and carry the parameters `xs`; `bracket` bounds each root.
+    """
     tenors = strip.tenors
-    sigmas: list[float] = []
+    contracts = [pillar_contract(q.tenor, q.spread_bp, strip.recovery) for q in strip.quotes]
+    lo_x, hi_x = bracket
+    xs: list[float] = []
     iterations = []
     flagged = []
-    for tenor, quote in zip(tenors, strip.quotes):
-        def price_at(sigma: float) -> float:
-            vols = _vols(tenors[: len(sigmas) + 1], sigmas + [sigma])
-            return _pillar_price(surv_factory(vols), tenor, quote.spread_bp, curve,
-                                 strip.recovery, convention)
+    for tenor, contract in zip(tenors, contracts):
+        def price_at(x: float) -> float:
+            return cds_price(contract, curve, family(tenors[: len(xs) + 1], xs + [x]), convention)
 
-        lo, hi = price_at(SIGMA_LO), price_at(SIGMA_HI)
+        lo, hi = price_at(lo_x), price_at(hi_x)
         if abs(lo) < PRICE_TOL:
-            # no diffusion needed: the quote is repriced at the bracket floor
+            # the quote is repriced at the bracket floor (no diffusion, no hazard)
             flagged.append(tenor)
-            sigmas.append(SIGMA_LO)
+            xs.append(lo_x)
             iterations.append(0)
             continue
         if lo * hi > 0:
             raise CalibrationError(
-                f"{model}: no volatility in [{SIGMA_LO}, {SIGMA_HI}] reprices the "
-                f"{tenor}y quote (bucket {len(sigmas) + 1})",
+                f"{model_name}: no bucket parameter in [{lo_x}, {hi_x}] reprices the "
+                f"{tenor}y quote (bucket {len(xs) + 1})",
                 diagnostics={"tenor": tenor, "price_lo": lo, "price_hi": hi,
-                             "fixed_sigmas": list(sigmas)})
-        res = brentq(price_at, SIGMA_LO, SIGMA_HI, xtol=1e-16, rtol=8.9e-16, full_output=True)[1]
-        sigma = res.root
-        if sigma < SIGMA_LO * 1.01 or sigma > SIGMA_HI * 0.99:
+                             "fixed_parameters": list(xs)})
+        res = brentq(price_at, lo_x, hi_x, xtol=1e-16, rtol=8.9e-16, full_output=True)[1]
+        if res.root < lo_x * 1.01 or res.root > hi_x * 0.99:
             flagged.append(tenor)
-        sigmas.append(sigma)
+        xs.append(res.root)
         iterations.append(res.iterations)
-    surv = surv_factory(_vols(tenors, sigmas))
+    model = family(tenors, xs)
     warnings: list[str] = []
     if flagged:
-        warnings.append(f"volatility at bracket bound for tenors {flagged}")
-    _check_monotone_survival(tenors, surv, warnings)
+        warnings.append(f"bucket parameter at bracket bound for tenors {flagged}")
+    pillar_survivals = [float(q) for q in survival(model, np.asarray(tenors))]
+    if any(b > a + 1e-12 for a, b in zip(pillar_survivals, pillar_survivals[1:])):
+        warnings.append("non-monotone pillar survivals: quote strip admits arbitrage")
     report = CalibrationReport(
-        model=model,
-        parameters={},
-        repricing_errors_bp=_repricing_errors_bp(strip, curve, surv, convention),
-        pillar_survivals=[float(surv(t)) for t in tenors],
-        diagnostics={"solver": "brentq", "iterations": iterations,
-                     "bracket": [SIGMA_LO, SIGMA_HI]},
+        model=model_name,
+        parameters=model.to_dict(),
+        repricing_errors_bp=[cds_price(c, curve, model, convention) * 1e4 for c in contracts],
+        pillar_survivals=pillar_survivals,
+        diagnostics={"solver": "brentq", "iterations": iterations, "bracket": [lo_x, hi_x]},
         warnings=warnings,
     )
-    return sigmas, report
+    return model, report
 
 
-def _sbtv_step1(strip, curve, h1, b, convention, n_polish: int = 4):
+def _sbtv_step1(strip, curve, h1, b, convention):
     """Best-fit (H2, p1, sigma_bar) to the first three quotes, flat volatility.
 
     The objective is evaluated at every point of a fixed 3x3x3 start grid
     and a bounded Nelder-Mead polish is run from the best few; ties are
-    broken by the smaller H2 so the result is deterministic.
+    broken by the smaller H2 so the result is deterministic.  The three
+    pillar schedules are prefixes of the third one, so one `cds_legs` call
+    on it prices all three fair spreads.
     """
     head = strip.quotes[:3]
-    schedules = [make_schedule(0.0, q.tenor, CDS_FREQUENCY) for q in head]
+    schedule = make_schedule(0.0, head[-1].tenor, CDS_FREQUENCY)
+    last_payment = [make_schedule(0.0, q.tenor, CDS_FREQUENCY).dates.size - 1 for q in head]
     lgd = 1.0 - strip.recovery
 
-    if convention == "postponed":
-        # quarterly schedules share a common grid: price all three pillar
-        # fair spreads from prefix sums of one survival evaluation
-        grid = schedules[-1].dates
-        df = np.asarray(curve.discount(grid))
-        accr = schedules[-1].accruals
-        n_pay = [s.dates.size for s in schedules]
-
-        def objective(x) -> float:
-            h2, p1, sigma_bar = x
-            if not (h1 < h2 < 1.0 and 0.0 <= p1 <= 1.0 and sigma_bar > 0):
-                return 1e12
-            vols = VolatilityTermStructure(bucket_ends=(head[-1].tenor,), sigmas=(sigma_bar,))
-            params = SbtvParams(scenarios=((h1, p1), (h2, 1.0 - p1)), b=b, vols=vols)
-            q = np.asarray(sbtv_survival(params, grid))
-            q_prev = np.concatenate(([1.0], q[:-1]))
-            protection = np.cumsum(df * (q_prev - q))
-            annuity = np.cumsum(df * accr * q)
-            err = 0.0
-            for quote, n in zip(head, n_pay):
-                model_bp = lgd * protection[n - 1] / annuity[n - 1] * 1e4
-                err += (model_bp - quote.spread_bp) ** 2
-            return err
-    else:
-        def objective(x) -> float:
-            h2, p1, sigma_bar = x
-            if not (h1 < h2 < 1.0 and 0.0 <= p1 <= 1.0 and sigma_bar > 0):
-                return 1e12
-            vols = VolatilityTermStructure(bucket_ends=(head[-1].tenor,), sigmas=(sigma_bar,))
-            params = SbtvParams(scenarios=((h1, p1), (h2, 1.0 - p1)), b=b, vols=vols)
-            surv = SurvivalCurveHandle("sbtv", lambda t: sbtv_survival(params, t))
-            err = 0.0
-            for q, sched in zip(head, schedules):
-                model_bp = fair_spread(sched, curve, surv, strip.recovery, convention) * 1e4
-                err += (model_bp - q.spread_bp) ** 2
-            return err
+    def objective(x) -> float:
+        h2, p1, sigma_bar = x
+        if not (h1 < h2 < 1.0 and 0.0 <= p1 <= 1.0 and sigma_bar > 0):
+            return 1e12
+        vols = VolatilityTermStructure(bucket_ends=(head[-1].tenor,), sigmas=(sigma_bar,))
+        params = SbtvParams(scenarios=((h1, p1), (h2, 1.0 - p1)), b=b, vols=vols)
+        protection, premium = cds_legs(schedule, curve, params, convention)
+        err = 0.0
+        for quote, i in zip(head, last_payment):
+            model_bp = lgd * protection[i] / premium[i] * 1e4
+            err += (model_bp - quote.spread_bp) ** 2
+        return err
 
     h2_starts = [h1 + 0.15, h1 + 0.3, h1 + 0.45]
     p1_starts = [0.35, 0.65, 0.95]
@@ -308,7 +207,7 @@ def _sbtv_step1(strip, curve, h1, b, convention, n_polish: int = 4):
     ranked = sorted(starts, key=lambda x0: (objective(x0), x0[0]))
     best = None
     evaluations = len(starts)
-    for x0 in ranked[:n_polish]:
+    for x0 in ranked[:STEP1_POLISH_STARTS]:
         res = minimize(objective, x0, method="Nelder-Mead", bounds=bounds,
                        options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": 2000})
         evaluations += res.nfev

@@ -1,15 +1,21 @@
-"""Running CDS pricing off an arbitrary survival curve.
+"""Running CDS pricing under any calibrated survival model.
 
 Prices are per unit notional from the protection buyer's viewpoint, with
 positive = value received by the buyer.  Under this sign convention the
 fair spread makes the price zero and a higher running spread lowers the
 buyer's value.
 
-Two payoff conventions are implemented:
+One routine, `cds_legs`, values both legs as prefix sums over the payment
+dates, so entry i is the value of the same contract cut at the (i+1)-th
+date: the quarterly schedules of shorter pillars are prefixes of a longer
+one.  `cds_price` and `fair_spread` read the last entry.  Two payoff
+conventions are implemented:
 
 - ``exact``: premium accrual and protection paid at the default time,
-  with the Stieltjes integrals discretized on a fine grid (per-step
-  survival differences times the step-midpoint discount factor).
+  with the Stieltjes integrals discretized on a grid of
+  ``GRID_STEPS_PER_YEAR`` steps, subdivided per accrual period so that
+  every payment date is a grid node (per-step survival differences times
+  the step-midpoint discount factor).
 - ``postponed``: protection paid at the first schedule date after default
   and the accrual term dropped.  This is the convention used for all
   calibrations here.
@@ -18,15 +24,15 @@ Two payoff conventions are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .curves import DiscountCurve, PaymentSchedule
-from .errors import ConfigurationError, DegenerateInputError, DomainError
+from .errors import (ConfigurationError, DegenerateInputError, DomainError,
+                     require_finite)
+from .survival import survival
 
-CONVENTIONS = ("exact", "postponed")
-DEFAULT_GRID_STEPS_PER_YEAR = 365
+GRID_STEPS_PER_YEAR = 365
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,7 @@ class CdsContract:
     recovery: float
 
     def __post_init__(self):
+        require_finite(self, "spread", "recovery")
         if self.spread < 0:
             raise DomainError("running spread must be non-negative")
         if not 0 <= self.recovery < 1:
@@ -50,85 +57,54 @@ class CdsContract:
         return 1.0 - self.recovery
 
 
-@dataclass(frozen=True)
-class SurvivalCurveHandle:
-    """An evaluable survival curve t -> Q(tau > t), tagged with its model kind."""
-
-    kind: str
-    fn: Callable
-
-    def __call__(self, t):
-        return self.fn(t)
-
-
-def _legs_postponed(schedule: PaymentSchedule, curve: DiscountCurve, surv) -> tuple[float, float, float]:
-    """(protection-per-unit-LGD, premium annuity, accrual=0) in the postponed convention."""
-    dates = schedule.dates
-    q = np.asarray(surv(dates), dtype=float)
-    q_prev = np.concatenate(([float(surv(schedule.start))], q[:-1]))
-    df = np.asarray(curve.discount(dates), dtype=float)
-    protection = float(np.sum(df * (q_prev - q)))
-    annuity = float(np.sum(df * schedule.accruals * q))
-    return protection, annuity, 0.0
-
-
-def _legs_exact(schedule: PaymentSchedule, curve: DiscountCurve, surv,
-                grid_steps_per_year: int) -> tuple[float, float, float]:
-    """(protection-per-unit-LGD, premium annuity, accrual annuity) with a fine default grid."""
-    freq = round(1.0 / float(np.min(schedule.accruals)))
-    if grid_steps_per_year < freq:
-        raise ConfigurationError("pricing grid is coarser than the payment schedule")
-    # subdivide each accrual period so grid nodes always align with payment dates
+def _exact_grid(schedule: PaymentSchedule):
+    """Default grid from the start to the last payment date, and the index of
+    each payment date among its nodes."""
     nodes = [np.array([schedule.start])]
     prev = schedule.start
     for d in schedule.dates:
-        n_sub = max(1, round((d - prev) * grid_steps_per_year))
+        n_sub = max(1, round((d - prev) * GRID_STEPS_PER_YEAR))
         nodes.append(np.linspace(prev, d, n_sub + 1)[1:])
         prev = d
-    grid = np.concatenate(nodes)
-    q = np.asarray(surv(grid), dtype=float)
-    dq = q[:-1] - q[1:]  # probability of default in each step
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    df_mid = np.asarray(curve.discount(mid), dtype=float)
-    protection = float(np.sum(df_mid * dq))
-    accrual = float(np.sum(df_mid * (mid - schedule.previous_date(mid)) * dq))
+    return np.concatenate(nodes), np.cumsum([n.size for n in nodes])[1:] - 1
+
+
+def cds_legs(schedule: PaymentSchedule, curve: DiscountCurve, model,
+             convention: str = "postponed") -> tuple[np.ndarray, np.ndarray]:
+    """Per-payment-date prefix sums (protection per unit LGD, premium per unit spread).
+
+    The premium is the premium annuity plus, under the exact convention,
+    the accrual paid at default.
+    """
     dates = schedule.dates
-    annuity = float(np.sum(np.asarray(curve.discount(dates)) * schedule.accruals
-                           * np.asarray(surv(dates), dtype=float)))
-    return protection, annuity, accrual
-
-
-def _legs(schedule, curve, surv, convention, grid_steps_per_year):
+    df = np.asarray(curve.discount(dates), dtype=float)
     if convention == "postponed":
-        return _legs_postponed(schedule, curve, surv)
+        q = survival(model, np.concatenate(([schedule.start], dates)))
+        protection = np.cumsum(df * (q[:-1] - q[1:]))
+        return protection, np.cumsum(df * schedule.accruals * q[1:])
     if convention == "exact":
-        return _legs_exact(schedule, curve, surv, grid_steps_per_year)
+        grid, ends = _exact_grid(schedule)
+        q = survival(model, grid)
+        dq = q[:-1] - q[1:]  # probability of default in each step
+        mid = 0.5 * (grid[:-1] + grid[1:])
+        df_mid = np.asarray(curve.discount(mid), dtype=float)
+        protection = np.cumsum(df_mid * dq)[ends - 1]
+        accrual = np.cumsum(df_mid * (mid - schedule.previous_date(mid)) * dq)[ends - 1]
+        return protection, np.cumsum(df * schedule.accruals * q[ends]) + accrual
     raise ConfigurationError(f"unknown convention {convention!r}")
 
 
-def cds_price(contract: CdsContract, curve: DiscountCurve, surv, convention: str = "postponed",
-              grid_steps_per_year: int = DEFAULT_GRID_STEPS_PER_YEAR) -> float:
+def cds_price(contract: CdsContract, curve: DiscountCurve, model,
+              convention: str = "postponed") -> float:
     """Buyer value: LGD * protection leg - R * (premium annuity + premium accrual)."""
-    protection, annuity, accrual = _legs(contract.schedule, curve, surv, convention,
-                                         grid_steps_per_year)
-    return contract.lgd * protection - contract.spread * (annuity + accrual)
+    protection, premium = cds_legs(contract.schedule, curve, model, convention)
+    return contract.lgd * float(protection[-1]) - contract.spread * float(premium[-1])
 
 
-def cds_price_exact(contract: CdsContract, curve: DiscountCurve, surv,
-                    grid_steps_per_year: int = DEFAULT_GRID_STEPS_PER_YEAR) -> float:
-    return cds_price(contract, curve, surv, "exact", grid_steps_per_year)
-
-
-def cds_price_postponed(contract: CdsContract, curve: DiscountCurve, surv) -> float:
-    return cds_price(contract, curve, surv, "postponed")
-
-
-def fair_spread(schedule: PaymentSchedule, curve: DiscountCurve, surv, recovery: float,
-                convention: str = "postponed",
-                grid_steps_per_year: int = DEFAULT_GRID_STEPS_PER_YEAR) -> float:
+def fair_spread(schedule: PaymentSchedule, curve: DiscountCurve, model, recovery: float,
+                convention: str = "postponed") -> float:
     """The unique R with zero price; closed form since the price is affine in R."""
-    protection, annuity, accrual = _legs(schedule, curve, surv, convention, grid_steps_per_year)
-    denom = annuity + accrual
-    if denom <= 1e-300:
+    protection, premium = cds_legs(schedule, curve, model, convention)
+    if premium[-1] <= 1e-300:
         raise DegenerateInputError("zero premium annuity: fair spread undefined")
-    return (1.0 - recovery) * protection / denom
+    return (1.0 - recovery) * float(protection[-1]) / float(premium[-1])

@@ -19,19 +19,19 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .calibration import (bootstrap_intensity, calibrate_at1p, calibrate_sbtv,
-                          implied_survivals, survival_handle)
-from .cds import cds_price, fair_spread
+from .calibration import bootstrap_intensity, calibrate_at1p, calibrate_sbtv
+from .cds import CdsContract, cds_price, fair_spread
 from .curves import DiscountCurve, make_schedule
-from .errors import CalibrationError, DomainError
+from .errors import DomainError, FpcreditError
 from .mc import (ErsPricingResult, SimulationConfig, ers_fair_spread,
                  make_ers_contract)
 from .presets import (ERS_CONTRACT_TERMS, ERS_PRESET_NAME, PRESET_VERSION,
                       STRIP_PRESETS, preset_checksum, preset_strip)
 from .quotes import read_quote_csv
-from .survival import At1pParams, HazardCurve, SbtvParams, VolatilityTermStructure
+from .survival import At1pParams, HazardCurve, SbtvParams
 
-CALIBRATION_MODELS = ("intensity", "at1p", "sbtv")
+PARAMETER_CLASSES = {"intensity": HazardCurve, "at1p": At1pParams, "sbtv": SbtvParams}
+CALIBRATION_MODELS = tuple(PARAMETER_CLASSES)
 
 
 @dataclass
@@ -86,18 +86,26 @@ def _write_report(report: dict, path: Path | None):
         print(f"report written to {path}")
 
 
-def _params_from_json(model: str, parameters: dict):
-    if model == "intensity":
-        return HazardCurve(bucket_ends=tuple(parameters["bucket_ends"]),
-                           lambdas=tuple(parameters["lambdas"]))
-    vols = VolatilityTermStructure(bucket_ends=tuple(parameters["bucket_ends"]),
-                                   sigmas=tuple(parameters["sigmas"]))
-    if model == "at1p":
-        return At1pParams(h_over_v0=parameters["h_over_v0"], b=parameters["b"], vols=vols)
-    if model == "sbtv":
-        return SbtvParams(scenarios=tuple(tuple(s) for s in parameters["scenarios"]),
-                          b=parameters["b"], vols=vols)
-    raise DomainError(f"unknown model {model!r}")
+def _load_calibration(path: Path, model: str):
+    """A model's parameters and the run configuration from a saved calibration report."""
+    if not path.exists():
+        raise DomainError(f"parameter file not found: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DomainError(f"{path} is not a JSON file: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("schema_version") != "1" \
+            or doc.get("kind") != "calibration":
+        raise DomainError(f'{path} is not a calibration report with schema_version "1"')
+    models = doc.get("models")
+    if not isinstance(models, dict) or model not in models:
+        raise DomainError(f"model {model!r} not present in {path}")
+    try:
+        params = PARAMETER_CLASSES[model].from_dict(models[model]["parameters"])
+        config = RunConfig(**doc["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"{path}: malformed calibration report ({exc!r})") from None
+    return params, config
 
 
 def _calibrate_one(model: str, strip, curve, config: RunConfig):
@@ -144,27 +152,15 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_price_cds(args) -> int:
-    report_path = Path(args.params)
-    if not report_path.exists():
-        print(f"parameter file not found: {report_path}", file=sys.stderr)
-        return 1
-    doc = json.loads(report_path.read_text(encoding="utf-8"))
-    if args.model not in doc["models"]:
-        print(f"model {args.model!r} not present in {report_path}", file=sys.stderr)
-        return 1
-    section = doc["models"][args.model]
-    params = _params_from_json(args.model, section["parameters"])
-    config = RunConfig(**doc["config"])
+    params, config = _load_calibration(Path(args.params), args.model)
     curve = config.curve()
-    surv = survival_handle(params)
     schedule = make_schedule(0.0, args.tenor, 4)
-    fair = fair_spread(schedule, curve, surv, config.recovery, config.convention)
-    from .cds import CdsContract
+    fair = fair_spread(schedule, curve, params, config.recovery, config.convention)
     contract = CdsContract(schedule=schedule, spread=args.spread_bp * 1e-4,
                            recovery=config.recovery)
     print(f"model {args.model}, tenor {args.tenor}y, spread {args.spread_bp} bp")
     for convention in ("postponed", "exact"):
-        price = cds_price(contract, curve, surv, convention)
+        price = cds_price(contract, curve, params, convention)
         print(f"  price ({convention}): {price * 1e4:.4f} bp of notional")
     print(f"  fair spread ({config.convention}): {fair * 1e4:.4f} bp")
     return 0
@@ -249,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, CalibrationError) as exc:
+    except FpcreditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

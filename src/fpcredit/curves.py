@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 VALID_FREQUENCIES = (1, 2, 4, 12)
 
@@ -35,20 +35,22 @@ class DiscountCurve:
 
     flat_rate: float | None = None
     pillars: tuple[tuple[float, float], ...] | None = None
-    valuation_date: str | None = None
 
     def __post_init__(self):
         if (self.flat_rate is None) == (self.pillars is None):
             raise DomainError("provide exactly one of flat_rate or pillars")
-        if self.pillars is not None:
+        if self.flat_rate is not None:
+            require_finite(self, "flat_rate")
+        else:
             pts = tuple((float(t), float(df)) for t, df in self.pillars)
+            object.__setattr__(self, "pillars", pts)
+            require_finite(self, "pillars")
             times = [t for t, _ in pts]
             dfs = [df for _, df in pts]
             if any(t <= 0 for t in times) or times != sorted(set(times)):
                 raise DomainError("pillar times must be positive and strictly increasing")
             if any(df <= 0 or df > 1 for df in dfs):
                 raise DomainError("pillar discount factors must lie in (0, 1]")
-            object.__setattr__(self, "pillars", pts)
             knot_t = np.concatenate(([0.0], np.array(times)))
             knot_logdf = np.concatenate(([0.0], np.log(dfs)))
             object.__setattr__(self, "_knot_t", knot_t)
@@ -93,8 +95,9 @@ class PaymentSchedule:
 
     def __post_init__(self):
         dates = np.asarray(self.dates, dtype=float)
-        if dates.size == 0 or np.any(np.diff(dates) <= 0) or dates[0] <= self.start:
-            raise DomainError("payment dates must be strictly increasing and after start")
+        if dates.size == 0 or not np.all(np.isfinite(dates)) or np.any(np.diff(dates) <= 0) \
+                or not -math.inf < self.start < dates[0]:
+            raise DomainError("payment dates must be finite, strictly increasing and after start")
         object.__setattr__(self, "dates", dates)
         if self.accruals is None:
             prev = np.concatenate(([self.start], dates[:-1]))
@@ -123,15 +126,12 @@ class PaymentSchedule:
         return padded[idx]
 
 
-def make_schedule(start: float, end: float, frequency: int,
-                  day_count: str = "ACT/365-equal") -> PaymentSchedule:
+def make_schedule(start: float, end: float, frequency: int) -> PaymentSchedule:
     """Evenly spaced payment grid with accruals 1/frequency; final date equals end."""
-    if end <= start:
-        raise DomainError("schedule end must be after start")
+    if not -math.inf < start < end < math.inf:
+        raise DomainError("schedule start and end must be finite, with end after start")
     if frequency not in VALID_FREQUENCIES:
         raise DomainError(f"frequency must be one of {VALID_FREQUENCIES}")
-    if day_count != "ACT/365-equal":
-        raise DomainError("only the idealized ACT/365-equal convention is supported")
     step = 1.0 / frequency
     n = round((end - start) * frequency)
     if n < 1 or abs(start + n * step - end) > 1e-9:

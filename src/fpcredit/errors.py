@@ -1,15 +1,22 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the finite-input check."""
+
+import math
+import numbers
 
 
-class DomainError(ValueError):
+class FpcreditError(Exception):
+    """Base of every error the library raises on purpose."""
+
+
+class DomainError(FpcreditError, ValueError):
     """An input is outside the mathematical domain of an operation."""
 
 
-class ConfigurationError(ValueError):
-    """A configuration value is inconsistent (e.g. pricing grid coarser than the schedule)."""
+class ConfigurationError(FpcreditError, ValueError):
+    """A configuration value is inconsistent (e.g. an unknown payoff convention)."""
 
 
-class CalibrationError(RuntimeError):
+class CalibrationError(FpcreditError, RuntimeError):
     """A bootstrap or best-fit step could not be completed.
 
     Carries solver diagnostics so failures are actionable.
@@ -24,5 +31,27 @@ class ConvergenceError(CalibrationError):
     """An iteration stopped short of its tolerance; the diagnostics carry its trace."""
 
 
-class DegenerateInputError(ValueError):
+class DegenerateInputError(FpcreditError, ValueError):
     """The requested quantity is undefined for this input (e.g. fair spread with zero annuity)."""
+
+
+def _is_finite_number(value) -> bool:
+    if type(value) is float:  # the common case, without the slow ABC check
+        return math.isfinite(value)
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_finite(name, value):
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            _check_finite(name, item)
+    elif not _is_finite_number(value):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+
+
+def require_finite(obj, *names):
+    """Raise DomainError unless each named attribute of `obj` is a finite real
+    number, or a tuple or list (possibly nested) of them."""
+    for name in names:
+        _check_finite(name, getattr(obj, name))

@@ -32,17 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import DiscountCurve, PaymentSchedule, make_schedule
-from .errors import ConvergenceError, DomainError
-from .survival import (At1pParams, HazardCurve, SbtvParams, at1p_survival,
-                       intensity_survival, sbtv_survival)
-
-
-def _require_finite(obj, *names):
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                or not math.isfinite(value):
-            raise DomainError(f"{name} must be a finite number, got {value!r}")
+from .errors import ConvergenceError, DomainError, require_finite
+from .survival import At1pParams, HazardCurve, SbtvParams, survival
 
 
 def _require_integer(obj, *names):
@@ -66,8 +57,8 @@ class ErsContract:
     spread: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, "s0", "equity_vol", "dividend_yield", "recovery", "rho",
-                        "stock_count", "spread")
+        require_finite(self, "s0", "equity_vol", "dividend_yield", "recovery", "rho",
+                       "stock_count", "spread")
         if self.s0 <= 0 or self.equity_vol <= 0:
             raise DomainError("initial price and equity volatility must be positive")
         if not -1.0 <= self.rho <= 1.0:
@@ -153,16 +144,6 @@ def make_ers_contract(s0=20.0, equity_vol=0.20, dividend_yield=0.008, maturity=5
     return ErsContract(s0=s0, equity_vol=equity_vol, dividend_yield=dividend_yield,
                        schedule=schedule, recovery=recovery, rho=rho,
                        stock_count=stock_count, spread=spread)
-
-
-def model_survival(model, t):
-    if isinstance(model, At1pParams):
-        return at1p_survival(model, t)
-    if isinstance(model, SbtvParams):
-        return sbtv_survival(model, t)
-    if isinstance(model, HazardCurve):
-        return intensity_survival(model, t)
-    raise DomainError(f"unknown model type {type(model).__name__}")
 
 
 def _first_passage_variance(rng, x0, nu):
@@ -253,7 +234,7 @@ def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
     tau[defaulted] = tau_def
     s_tau[defaulted] = _equity_at_default(
         tau_def, rho * w1 + math.sqrt(1.0 - rho * rho) * w2, ers, curve)
-    pd_closed = 1.0 - float(model_survival(model, ers.maturity))
+    pd_closed = 1.0 - survival(model, ers.maturity)
     return PathRecords(defaulted=defaulted, tau=tau, s_tau=s_tau,
                        default_prob_closed_form=pd_closed, scenario=scenario,
                        diagnostics={"seed": cfg.rng_seed})
@@ -288,7 +269,7 @@ def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract, curve: Disco
         td = tau[defaulted]
         s_tau[defaulted] = _equity_at_default(
             td, np.sqrt(td) * rng.standard_normal(td.size), ers, curve)
-    pd_closed = 1.0 - float(intensity_survival(hazard, ers.maturity))
+    pd_closed = 1.0 - survival(hazard, ers.maturity)
     return PathRecords(defaulted=defaulted, tau=tau, s_tau=s_tau,
                        default_prob_closed_form=pd_closed,
                        diagnostics={"seed": cfg.rng_seed, "model": "intensity"})

@@ -11,7 +11,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,8 @@ class CdsQuote:
     ask_bp: float | None = None
 
     def __post_init__(self):
+        require_finite(self, "tenor", "spread_bp",
+                       *(name for name in ("bid_bp", "ask_bp") if getattr(self, name) is not None))
         if self.tenor <= 0:
             raise DomainError("quote tenor must be positive")
         if self.spread_bp < 0:

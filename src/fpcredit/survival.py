@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .curves import DiscountCurve
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,25 @@ class VolatilityTermStructure:
         sigs = tuple(float(s) for s in self.sigmas)
         if len(ends) != len(sigs) or not ends:
             raise DomainError("bucket_ends and sigmas must be non-empty and equal length")
+        object.__setattr__(self, "bucket_ends", ends)
+        object.__setattr__(self, "sigmas", sigs)
+        require_finite(self, "bucket_ends", "sigmas")
         if any(s <= 0 for s in sigs):
             raise DomainError("volatilities must be positive")
         if list(ends) != sorted(set(ends)) or ends[0] <= 0:
             raise DomainError("bucket_ends must be positive and strictly increasing")
-        object.__setattr__(self, "bucket_ends", ends)
-        object.__setattr__(self, "sigmas", sigs)
         knot_t = np.concatenate(([0.0], np.array(ends)))
         var = np.array(sigs) ** 2 * np.diff(knot_t)
         knot_cv = np.concatenate(([0.0], np.cumsum(var)))
         object.__setattr__(self, "_knot_t", knot_t)
         object.__setattr__(self, "_knot_cv", knot_cv)
+
+    def to_dict(self) -> dict:
+        return {"bucket_ends": list(self.bucket_ends), "sigmas": list(self.sigmas)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> VolatilityTermStructure:
+        return cls(bucket_ends=tuple(d["bucket_ends"]), sigmas=tuple(d["sigmas"]))
 
     def sigma(self, t: float) -> float:
         """Instantaneous volatility at time t (right-continuous, flat tail)."""
@@ -75,8 +83,16 @@ class At1pParams:
     vols: VolatilityTermStructure
 
     def __post_init__(self):
+        require_finite(self, "h_over_v0", "b")
         if not 0 < self.h_over_v0 < 1:
             raise DomainError("H/V0 must lie in (0, 1): the firm must start above the barrier")
+
+    def to_dict(self) -> dict:
+        return {"h_over_v0": self.h_over_v0, "b": self.b, **self.vols.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> At1pParams:
+        return cls(h_over_v0=d["h_over_v0"], b=d["b"], vols=VolatilityTermStructure.from_dict(d))
 
 
 @dataclass(frozen=True)
@@ -91,6 +107,8 @@ class SbtvParams:
         scen = tuple((float(h), float(p)) for h, p in self.scenarios)
         if not scen:
             raise DomainError("at least one barrier scenario is required")
+        object.__setattr__(self, "scenarios", scen)
+        require_finite(self, "scenarios", "b")
         hs = [h for h, _ in scen]
         ps = [p for _, p in scen]
         if any(not 0 < h < 1 for h in hs):
@@ -99,7 +117,15 @@ class SbtvParams:
             raise DomainError("scenario barriers must be strictly increasing")
         if any(not 0 <= p <= 1 for p in ps) or abs(sum(ps) - 1.0) > 1e-12:
             raise DomainError("scenario probabilities must lie in [0, 1] and sum to one")
-        object.__setattr__(self, "scenarios", scen)
+
+    def to_dict(self) -> dict:
+        return {"scenarios": [list(s) for s in self.scenarios], "b": self.b,
+                **self.vols.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> SbtvParams:
+        return cls(scenarios=tuple(tuple(s) for s in d["scenarios"]), b=d["b"],
+                   vols=VolatilityTermStructure.from_dict(d))
 
     def scenario_params(self):
         return [At1pParams(h_over_v0=h, b=self.b, vols=self.vols) for h, _ in self.scenarios]
@@ -117,16 +143,24 @@ class HazardCurve:
         lams = tuple(float(x) for x in self.lambdas)
         if len(ends) != len(lams) or not ends:
             raise DomainError("bucket_ends and lambdas must be non-empty and equal length")
+        object.__setattr__(self, "bucket_ends", ends)
+        object.__setattr__(self, "lambdas", lams)
+        require_finite(self, "bucket_ends", "lambdas")
         if list(ends) != sorted(set(ends)) or ends[0] <= 0:
             raise DomainError("bucket_ends must be positive and strictly increasing")
         if any(lam < 0 for lam in lams):
             raise DomainError("intensities must be non-negative")
-        object.__setattr__(self, "bucket_ends", ends)
-        object.__setattr__(self, "lambdas", lams)
         knot_t = np.concatenate(([0.0], np.array(ends)))
         knot_cum = np.concatenate(([0.0], np.cumsum(np.array(lams) * np.diff(knot_t))))
         object.__setattr__(self, "_knot_t", knot_t)
         object.__setattr__(self, "_knot_cum", knot_cum)
+
+    def to_dict(self) -> dict:
+        return {"bucket_ends": list(self.bucket_ends), "lambdas": list(self.lambdas)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> HazardCurve:
+        return cls(bucket_ends=tuple(d["bucket_ends"]), lambdas=tuple(d["lambdas"]))
 
     def cumulative_hazard(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -151,22 +185,20 @@ def at1p_survival(params: At1pParams, t):
     log space so extreme volatilities probed by the calibrator cannot
     overflow; S = 0 returns 1 exactly (the firm starts above the barrier).
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise DomainError("time must be non-negative")
-    h = params.h_over_v0
     a = 2.0 * params.b - 1.0
-    log_h = math.log(h)
-    cv = np.asarray(params.vols.cumulative_variance(t_arr), dtype=float)
+    log_h = math.log(params.h_over_v0)
+    # raises DomainError for negative times
+    cv = np.asarray(params.vols.cumulative_variance(np.asarray(t, dtype=float)))
     out = np.ones_like(cv)
     pos = cv > 0
     if np.any(pos):
-        sd = np.sqrt(cv[pos])
-        first = ndtr((-log_h + 0.5 * a * cv[pos]) / sd)
+        s = cv[pos]
+        sd = np.sqrt(s)
+        first = ndtr((-log_h + 0.5 * a * s) / sd)
         # (H/V0)^(2B-1) * Phi(arg2) computed as exp(a*log h + log Phi)
-        second = np.exp(a * log_h + log_ndtr((log_h + 0.5 * a * cv[pos]) / sd))
+        second = np.exp(a * log_h + log_ndtr((log_h + 0.5 * a * s) / sd))
         out[pos] = np.clip(first - second, 0.0, 1.0)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def barrier_level(params: At1pParams, curve: DiscountCurve, t, payout_rate: float = 0.0):
@@ -188,10 +220,24 @@ def sbtv_survival(params: SbtvParams, t):
     parts = [p * np.asarray(at1p_survival(sp, t))
              for (_, p), sp in zip(params.scenarios, params.scenario_params())]
     out = sum(parts)
-    return float(out) if np.isscalar(t) else out
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def intensity_survival(hazard: HazardCurve, t):
     """exp(-cumulative hazard), evaluated exactly on the piecewise-constant buckets."""
     out = np.exp(-np.asarray(hazard.cumulative_hazard(t)))
-    return float(out) if np.isscalar(t) else out
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def survival(model, t):
+    """Q(tau > t) under a calibrated model: At1pParams, SbtvParams or HazardCurve.
+
+    A float for scalar or 0-d t, an array otherwise.
+    """
+    if isinstance(model, At1pParams):
+        return at1p_survival(model, t)
+    if isinstance(model, SbtvParams):
+        return sbtv_survival(model, t)
+    if isinstance(model, HazardCurve):
+        return intensity_survival(model, t)
+    raise DomainError(f"no survival curve for {type(model).__name__}")

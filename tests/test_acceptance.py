@@ -18,11 +18,12 @@ from fpcredit import (At1pParams, DiscountCurve, SimulationConfig,
                       ers_cva_term, ers_fair_spread, ers_fair_spread_from_paths,
                       ers_npv_at_default, ers_npv_at_default_termwise,
                       fair_spread, make_ers_contract, make_schedule,
-                      sbtv_survival, simulate_joint_paths, survival_handle)
+                      sbtv_survival, simulate_joint_paths)
 from fpcredit.calibration import pillar_contract
-from fpcredit.cds import cds_price_postponed, CdsContract
+from fpcredit.cds import cds_price, CdsContract
 from fpcredit.cli import main as cli_main
 from fpcredit.presets import preset_strip
+from fpcredit.survival import survival
 
 LEHMAN_PRESETS = ("lehman-2007-07-10", "lehman-2008-06-12", "lehman-2008-09-12")
 MODELS = ("intensity", "at1p", "sbtv")
@@ -269,8 +270,8 @@ class TestCriterion8Properties:
         ok = True
         for name in LEHMAN_PRESETS:
             for model in MODELS:
-                q = np.asarray(survival_handle(
-                    lehman_calibrations[name][model][0])(ts), dtype=float)
+                q = np.asarray(survival(
+                    lehman_calibrations[name][model][0], ts), dtype=float)
                 ok = ok and q[0] == 1.0 and np.all(np.diff(q) <= 1e-15)
                 ok = ok and np.all((0.0 <= q) & (q <= 1.0))
         report_line("criterion 8 (survival curves)", ok,
@@ -304,11 +305,11 @@ class TestCriterion8Properties:
         assert ok
 
     def test_cds_price_affine_in_spread(self, lehman_calibrations, flat_curve):
-        surv = survival_handle(lehman_calibrations["lehman-2008-06-12"]["at1p"][0])
+        surv = lehman_calibrations["lehman-2008-06-12"]["at1p"][0]
         sched = make_schedule(0.0, 5.0, 4)
-        p0 = cds_price_postponed(CdsContract(sched, 0.0, 0.4), flat_curve, surv)
-        p1 = cds_price_postponed(CdsContract(sched, 0.01, 0.4), flat_curve, surv)
-        worst = max(abs(cds_price_postponed(CdsContract(sched, r, 0.4), flat_curve, surv)
+        p0 = cds_price(CdsContract(sched, 0.0, 0.4), flat_curve, surv, "postponed")
+        p1 = cds_price(CdsContract(sched, 0.01, 0.4), flat_curve, surv, "postponed")
+        worst = max(abs(cds_price(CdsContract(sched, r, 0.4), flat_curve, surv, "postponed")
                         - (p0 + (p1 - p0) * r / 0.01))
                     for r in (0.0005, 0.0277, 0.15))
         ok = worst < 1e-12

@@ -1,0 +1,40 @@
+"""The benchmark in perfbench/ reaches into fpcredit by name, and its tracer
+skips names it cannot find, so a rename would silently zero its per-layer
+metrics.  These tests read the names from perfbench's sources (without
+importing or writing anything there) and resolve each one on fpcredit."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import fpcredit
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def module_constant(filename: str, name: str):
+    tree = ast.parse((PERFBENCH / filename).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not found in perfbench/{filename}")
+
+
+TRACED = [(module, attr) for module, attrs in module_constant("spans.py", "TRACED").items()
+          for attr in attrs]
+
+
+@pytest.mark.parametrize("module, attr", TRACED, ids=[f"{m}.{a}" for m, a in TRACED])
+def test_traced_name_resolves(module, attr):
+    owner = importlib.import_module(f"fpcredit.{module}")
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+@pytest.mark.parametrize("name", sorted(module_constant("workloads.py", "CALIBRATORS").values()))
+def test_calibrator_resolves(name):
+    assert callable(getattr(fpcredit, name))

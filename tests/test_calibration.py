@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from fpcredit import (CalibrationError, CdsQuote, CdsQuoteStrip, DiscountCurve,
                       DomainError, bootstrap_intensity, calibrate_at1p,
-                      calibrate_sbtv, cds_price, implied_survivals,
-                      survival_handle)
+                      calibrate_sbtv, cds_price)
 from fpcredit.calibration import pillar_contract
 from fpcredit.presets import preset_strip
+from fpcredit.survival import At1pParams, HazardCurve, SbtvParams, survival
 
 # published calibration outputs for the three dated strips
 PUBLISHED = {
@@ -151,11 +153,6 @@ class TestSbtvCalibration:
         with pytest.raises(DomainError, match="3 quotes"):
             calibrate_sbtv(strip, flat_curve)
 
-    def test_rejects_extra_scenarios(self, flat_curve):
-        strip = small_strip([50.0, 80.0, 100.0])
-        with pytest.raises(DomainError, match="scenario"):
-            calibrate_sbtv(strip, flat_curve, n_scenarios=3)
-
     def test_deterministic(self, flat_curve):
         strip = preset_strip("lehman-2007-07-10")
         pa, _ = calibrate_sbtv(strip, flat_curve)
@@ -169,7 +166,7 @@ class TestImpliedSurvivals:
         for name in sorted(PUBLISHED):
             for model in ("intensity", "at1p", "sbtv"):
                 params, _ = lehman_calibrations[name][model]
-                assert implied_survivals(survival_handle(params), [0.0]) == [1.0]
+                assert survival(params, 0.0) == 1.0
 
     def test_at1p_vs_intensity_pre_crisis(self, lehman_calibrations):
         # at moderate spreads the implied pillar survivals are essentially
@@ -190,8 +187,16 @@ class TestImpliedSurvivals:
         entry = lehman_calibrations[name]
         strip = entry["strip"]
         for model in ("intensity", "at1p", "sbtv"):
-            surv = survival_handle(entry[model][0])
             for quote in strip.quotes:
                 contract = pillar_contract(quote.tenor, quote.spread_bp, strip.recovery)
-                price = cds_price(contract, flat_curve, surv, "postponed")
+                price = cds_price(contract, flat_curve, entry[model][0], "postponed")
                 assert abs(price) * 1e4 < 0.01
+
+
+class TestParameterDicts:
+    @pytest.mark.parametrize("model, cls", [
+        ("intensity", HazardCurve), ("at1p", At1pParams), ("sbtv", SbtvParams)])
+    def test_report_parameters_round_trip(self, model, cls, lehman_calibrations):
+        params, report = lehman_calibrations["lehman-2008-09-12"][model]
+        assert report.parameters == params.to_dict()
+        assert cls.from_dict(json.loads(json.dumps(report.parameters))) == params

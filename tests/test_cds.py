@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpcredit import (CdsContract, ConfigurationError, DegenerateInputError,
-                      DiscountCurve, HazardCurve, SurvivalCurveHandle,
-                      cds_price, cds_price_exact, cds_price_postponed,
-                      fair_spread, intensity_survival, make_schedule,
-                      survival_handle)
+                      DiscountCurve, HazardCurve, cds_legs, cds_price,
+                      fair_spread, make_schedule)
 
 
 def riskless():
-    return SurvivalCurveHandle("intensity", lambda t: np.ones_like(np.asarray(t, dtype=float)))
+    return HazardCurve((30.0,), (0.0,))
 
 
-def hazard_handle(lam, ends=(30.0,)):
-    return survival_handle(HazardCurve(ends, (lam,) * len(ends)))
+def hazard(lam, ends=(30.0,)):
+    return HazardCurve(ends, (lam,) * len(ends))
 
 
 class TestPriceConventions:
@@ -25,41 +23,35 @@ class TestPriceConventions:
         sched = make_schedule(0.0, 5.0, 4)
         contract = CdsContract(sched, spread=0.01, recovery=0.4)
         annuity = sum(math.exp(-0.03 * t) * 0.25 for t in sched.dates)
-        for price_fn in (cds_price_postponed, lambda c, cv, s: cds_price_exact(c, cv, s)):
-            assert price_fn(contract, curve, riskless()) == pytest.approx(-0.01 * annuity, rel=1e-12)
+        for convention in ("postponed", "exact"):
+            assert cds_price(contract, curve, riskless(), convention) == pytest.approx(
+                -0.01 * annuity, rel=1e-12)
 
     def test_zero_spread_is_positive_protection_value(self):
         curve = DiscountCurve(flat_rate=0.03)
         contract = CdsContract(make_schedule(0.0, 5.0, 4), spread=0.0, recovery=0.4)
-        surv = hazard_handle(0.02)
-        assert cds_price_postponed(contract, curve, surv) > 0
-        assert cds_price_exact(contract, curve, surv) > 0
+        surv = hazard(0.02)
+        assert cds_price(contract, curve, surv, "postponed") > 0
+        assert cds_price(contract, curve, surv, "exact") > 0
 
     def test_one_period_postponed_closed_form(self):
         curve = DiscountCurve(flat_rate=0.0)
         sched = make_schedule(0.0, 1.0, 1)
         q = 0.93
-        surv = SurvivalCurveHandle("intensity",
-                                   lambda t: np.where(np.asarray(t) > 0, q, 1.0))
+        surv = HazardCurve((1.0,), (-math.log(q),))
         contract = CdsContract(sched, spread=0.02, recovery=0.4)
         expected = -0.02 * 1.0 * q + 0.6 * (1.0 - q)
-        assert cds_price_postponed(contract, curve, surv) == pytest.approx(expected, rel=1e-12)
+        assert cds_price(contract, curve, surv, "postponed") == pytest.approx(expected, rel=1e-12)
 
     def test_fair_spread_makes_price_zero_and_higher_spread_hurts_buyer(self):
         curve = DiscountCurve(flat_rate=0.03)
         sched = make_schedule(0.0, 5.0, 4)
-        surv = hazard_handle(0.03)
+        surv = hazard(0.03)
         fair = fair_spread(sched, curve, surv, recovery=0.4)
-        at_fair = cds_price_postponed(CdsContract(sched, fair, 0.4), curve, surv)
+        at_fair = cds_price(CdsContract(sched, fair, 0.4), curve, surv, "postponed")
         assert abs(at_fair) < 1e-15
-        above = cds_price_postponed(CdsContract(sched, fair + 0.001, 0.4), curve, surv)
+        above = cds_price(CdsContract(sched, fair + 0.001, 0.4), curve, surv, "postponed")
         assert above < at_fair
-
-    def test_grid_coarser_than_schedule_rejected(self):
-        curve = DiscountCurve(flat_rate=0.03)
-        contract = CdsContract(make_schedule(0.0, 1.0, 12), spread=0.01, recovery=0.4)
-        with pytest.raises(ConfigurationError):
-            cds_price_exact(contract, curve, hazard_handle(0.02), grid_steps_per_year=4)
 
     def test_forward_start_rejected(self):
         with pytest.raises(Exception):
@@ -76,7 +68,7 @@ class TestFairSpread:
         hazard = HazardCurve((1.0, 3.0, 5.0, 7.0, 10.0),
                              (0.06563, 0.04440, 0.03411, 0.03207, 0.02907))
         curve = DiscountCurve(flat_rate=0.03)
-        fair = fair_spread(make_schedule(0.0, 5.0, 4), curve, survival_handle(hazard), 0.4)
+        fair = fair_spread(make_schedule(0.0, 5.0, 4), curve, hazard, 0.4)
         assert fair * 1e4 == pytest.approx(277.0, abs=2.0)
 
     def test_sept_2008_scenario_mixture_one_year_spread(self):
@@ -85,13 +77,12 @@ class TestFairSpread:
                                        (0.196, 0.196, 0.196, 0.218, 0.237))
         params = SbtvParams(((0.4, 0.5), (0.8427, 0.5)), 0.0, vols)
         curve = DiscountCurve(flat_rate=0.03)
-        fair = fair_spread(make_schedule(0.0, 1.0, 4), curve, survival_handle(params), 0.4)
+        fair = fair_spread(make_schedule(0.0, 1.0, 4), curve, params, 0.4)
         assert fair * 1e4 == pytest.approx(1437.0, abs=15.0)
 
     def test_sure_immediate_default_is_degenerate(self):
         curve = DiscountCurve(flat_rate=0.03)
-        dead = SurvivalCurveHandle("intensity",
-                                   lambda t: np.where(np.asarray(t, dtype=float) > 0, 0.0, 1.0))
+        dead = HazardCurve((30.0,), (1e4,))  # Q underflows to 0 by the first date
         with pytest.raises(DegenerateInputError):
             fair_spread(make_schedule(0.0, 5.0, 4), curve, dead, 0.4)
 
@@ -100,7 +91,7 @@ class TestFairSpread:
         curve = DiscountCurve(flat_rate=0.03)
         sched = make_schedule(0.0, 5.0, 4)
         for lam in (0.01, 0.05, 0.10):
-            fair = fair_spread(sched, curve, hazard_handle(lam), 0.4, "exact")
+            fair = fair_spread(sched, curve, hazard(lam), 0.4, "exact")
             assert fair == pytest.approx(lam * 0.6, rel=0.02)
 
     @given(lam=st.floats(0.001, 0.3), r=st.floats(0.0, 0.08))
@@ -108,23 +99,62 @@ class TestFairSpread:
     def test_affinity_two_point_recovery(self, lam, r):
         curve = DiscountCurve(flat_rate=r)
         sched = make_schedule(0.0, 5.0, 4)
-        surv = hazard_handle(lam)
-        p0 = cds_price_postponed(CdsContract(sched, 0.0, 0.4), curve, surv)
-        p1 = cds_price_postponed(CdsContract(sched, 0.01, 0.4), curve, surv)
+        surv = hazard(lam)
+        p0 = cds_price(CdsContract(sched, 0.0, 0.4), curve, surv, "postponed")
+        p1 = cds_price(CdsContract(sched, 0.01, 0.4), curve, surv, "postponed")
         two_point = 0.01 * p0 / (p0 - p1)
         assert two_point == pytest.approx(fair_spread(sched, curve, surv, 0.4), abs=1e-12)
+
+
+class TestLegs:
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    def test_prefix_sums_price_the_shorter_pillars(self, convention):
+        # step 1 of the SBTV fit reads the 1y and 3y pillars off the 5y legs
+        from fpcredit import SbtvParams, VolatilityTermStructure
+        curve = DiscountCurve(flat_rate=0.03)
+        params = SbtvParams(((0.4, 0.6), (0.8, 0.4)), 0.0,
+                            VolatilityTermStructure((5.0,), (0.2,)))
+        protection, premium = cds_legs(make_schedule(0.0, 5.0, 4), curve, params, convention)
+        for tenor in (1.0, 3.0, 5.0):
+            sched = make_schedule(0.0, tenor, 4)
+            i = sched.dates.size - 1
+            fair = fair_spread(sched, curve, params, 0.4, convention)
+            assert 0.6 * protection[i] / premium[i] == pytest.approx(fair, rel=0, abs=1e-14)
+            price = cds_price(CdsContract(sched, 0.02, 0.4), curve, params, convention)
+            assert 0.6 * protection[i] - 0.02 * premium[i] == pytest.approx(
+                price, rel=0, abs=1e-14)
+
+    def test_exact_legs_match_continuous_time_closed_form(self):
+        # flat hazard lam and rate r, k = lam + r: protection to T is
+        # lam/k (1 - e^{-kT}); the accrual over [a, a + alpha] is
+        # lam e^{-ka} (1 - e^{-k alpha} (1 + k alpha)) / k^2
+        lam, r = 0.05, 0.03
+        k = lam + r
+        sched = make_schedule(0.0, 3.0, 4)
+        protection, premium = cds_legs(sched, DiscountCurve(flat_rate=r), hazard(lam), "exact")
+        starts = sched.dates - sched.accruals
+        accrual = lam * np.exp(-k * starts) * (
+            1.0 - np.exp(-k * sched.accruals) * (1.0 + k * sched.accruals)) / k ** 2
+        annuity = np.exp(-k * sched.dates) * sched.accruals
+        assert protection == pytest.approx(lam / k * (1.0 - np.exp(-k * sched.dates)), rel=1e-6)
+        assert premium == pytest.approx(np.cumsum(annuity + accrual), rel=1e-6)
+
+    def test_unknown_convention_rejected(self):
+        with pytest.raises(ConfigurationError):
+            cds_legs(make_schedule(0.0, 1.0, 4), DiscountCurve(flat_rate=0.03),
+                     riskless(), "midpoint")
 
 
 class TestConventionAgreement:
     def test_convergence_with_payment_frequency(self):
         curve = DiscountCurve(flat_rate=0.03)
-        surv = hazard_handle(0.04)
+        surv = hazard(0.04)
         gaps = []
         for freq in (1, 4, 12):
             sched = make_schedule(0.0, 5.0, freq)
             contract = CdsContract(sched, spread=0.024, recovery=0.4)
-            gaps.append(abs(cds_price_exact(contract, curve, surv)
-                            - cds_price_postponed(contract, curve, surv)))
+            gaps.append(abs(cds_price(contract, curve, surv, "exact")
+                            - cds_price(contract, curve, surv, "postponed")))
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_quarterly_fair_spreads_close(self):
@@ -133,25 +163,15 @@ class TestConventionAgreement:
         curve = DiscountCurve(flat_rate=0.03)
         sched = make_schedule(0.0, 5.0, 4)
         for lam in (0.005, 0.05, 0.25):
-            exact = fair_spread(sched, curve, hazard_handle(lam), 0.4, "exact")
-            post = fair_spread(sched, curve, hazard_handle(lam), 0.4, "postponed")
+            exact = fair_spread(sched, curve, hazard(lam), 0.4, "exact")
+            post = fair_spread(sched, curve, hazard(lam), 0.4, "postponed")
             assert abs(exact - post) / exact < 0.03
-
-    def test_model_independence_of_pricing(self):
-        # identical survival values => identical prices, whatever the tag
-        hazard = HazardCurve((2.0, 5.0), (0.03, 0.05))
-        curve = DiscountCurve(flat_rate=0.03)
-        a = SurvivalCurveHandle("intensity", lambda t: intensity_survival(hazard, t))
-        b = SurvivalCurveHandle("at1p", lambda t: intensity_survival(hazard, t))
-        contract = CdsContract(make_schedule(0.0, 5.0, 4), spread=0.02, recovery=0.4)
-        for fn in (cds_price_postponed, cds_price_exact):
-            assert fn(contract, curve, a) == fn(contract, curve, b)
 
     @given(lam=st.floats(0.005, 0.2), scale=st.floats(1.01, 3.0))
     @settings(max_examples=40)
     def test_fair_spread_monotone_in_default_risk(self, lam, scale):
         curve = DiscountCurve(flat_rate=0.03)
         sched = make_schedule(0.0, 5.0, 4)
-        low = fair_spread(sched, curve, hazard_handle(lam), 0.4)
-        high = fair_spread(sched, curve, hazard_handle(lam * scale), 0.4)
+        low = fair_spread(sched, curve, hazard(lam), 0.4)
+        high = fair_spread(sched, curve, hazard(lam * scale), 0.4)
         assert high >= low

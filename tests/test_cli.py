@@ -122,6 +122,56 @@ class TestPriceCdsCommand:
         assert "not present" in err
 
 
+class TestBadInputsExitWithMessage:
+    """Each probe ends in exit 1 and one `error:` line, never a traceback."""
+
+    def check(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_nan_spread_in_quotes_file(self, capsys, tmp_path):
+        f = tmp_path / "q.csv"
+        f.write_text("tenor_years,spread_bp\n1.0,50\n3.0,nan\n5.0,100\n")
+        assert "spread_bp" in self.check(capsys, "calibrate", "--quotes", str(f))
+
+    def test_nan_flat_rate(self, capsys):
+        assert "flat_rate" in self.check(capsys, "calibrate", "--preset", "lehman-2007-07-10",
+                                         "--flat-rate", "nan")
+
+    def test_nan_barrier_exponent(self, capsys):
+        assert "b must be" in self.check(capsys, "calibrate", "--preset", "lehman-2007-07-10",
+                                         "--model", "at1p", "--b", "nan")
+
+    @pytest.mark.parametrize("model", ["at1p", "sbtv"])
+    @pytest.mark.parametrize("h1", ["nan", "1.5"])
+    def test_barrier_outside_unit_interval(self, capsys, model, h1):
+        assert "(0, 1)" in self.check(capsys, "calibrate", "--preset", "lehman-2007-07-10",
+                                      "--model", model, "--h1", h1)
+
+    @pytest.mark.parametrize("content", [
+        '{"bucket_ends": [1.0]}',
+        '{"schema_version": "1", "kind": "ers-pricing", "models": {}}',
+        "not json",
+        "[1, 2]"])
+    def test_foreign_report(self, capsys, tmp_path, content):
+        f = tmp_path / "r.json"
+        f.write_text(content)
+        self.check(capsys, "price-cds", "--params", str(f), "--model", "at1p",
+                   "--tenor", "5", "--spread-bp", "100")
+
+    @pytest.mark.parametrize("drop", ["bucket_ends", "sigmas", "h_over_v0"])
+    def test_report_with_missing_keys(self, capsys, outdir, drop):
+        run(capsys, "calibrate", "--preset", "lehman-2008-06-12", "--model", "at1p")
+        path = outdir / "calibration.json"
+        doc = json.loads(path.read_text())
+        del doc["models"]["at1p"]["parameters"][drop]
+        path.write_text(json.dumps(doc))
+        assert drop in self.check(capsys, "price-cds", "--params", str(path),
+                                  "--model", "at1p", "--tenor", "5", "--spread-bp", "100")
+
+
 class TestPriceErsCommand:
     def test_small_run_report_shape(self, capsys, outdir):
         code, out, _ = run(capsys, "price-ers", "--preset", "ers-paper-2009-09-16",

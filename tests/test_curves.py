@@ -81,8 +81,6 @@ class TestSchedule:
             make_schedule(1.0, 0.5, 4)
         with pytest.raises(DomainError):
             make_schedule(0.0, 5.0, 3)
-        with pytest.raises(DomainError):
-            make_schedule(0.0, 5.0, 4, day_count="ACT/360")
 
     @given(t=st.floats(0.0, 4.999))
     def test_beta_brackets_time(self, t):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fpcredit import (At1pParams, DiscountCurve, DomainError, HazardCurve,
                       SbtvParams, VolatilityTermStructure, at1p_survival,
                       barrier_level, intensity_survival, sbtv_survival)
+from fpcredit.survival import survival
 
 LEHMAN_2007_VOLS = VolatilityTermStructure(
     bucket_ends=(1.0, 3.0, 5.0, 7.0, 10.0),
@@ -212,3 +213,23 @@ class TestIntensitySurvival:
         q = intensity_survival(hazard, t)
         assert 0.0 < q <= 1.0
         assert intensity_survival(hazard, 0.0) == 1.0
+
+
+class TestSurvivalDispatch:
+    MODELS = (At1pParams(0.4, 0.0, LEHMAN_2007_VOLS),
+              SbtvParams(((0.4, 0.9), (0.7, 0.1)), 0.0, LEHMAN_2007_VOLS),
+              HazardCurve((1.0, 5.0), (0.01, 0.02)))
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_matches_closed_form_and_returns_float_for_scalars(self, model):
+        closed_form = {At1pParams: at1p_survival, SbtvParams: sbtv_survival,
+                       HazardCurve: intensity_survival}[type(model)]
+        ts = np.array([0.0, 0.5, 3.0, 12.0])
+        assert np.array_equal(survival(model, ts), closed_form(model, ts))
+        for t in (2.0, np.float64(2.0), np.array(2.0)):
+            q = survival(model, t)
+            assert type(q) is float and q == closed_form(model, 2.0)
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(DomainError):
+            survival(LEHMAN_2007_VOLS, 1.0)
