@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .calibration import (CalibrationReport, bootstrap_intensity,
                           calibrate_at1p, calibrate_sbtv)
-from .cds import CdsContract, cds_legs, cds_price, fair_spread
+from .cds import CdsContract, cds_legs, cds_price, fair_spread, leg_grid
 from .curves import DiscountCurve, PaymentSchedule, make_schedule
 from .errors import (CalibrationError, ConfigurationError, ConvergenceError,
                      DegenerateInputError, DomainError, FpcreditError)

@@ -13,17 +13,18 @@ the first three quotes before its volatility bootstrap.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .cds import CdsContract, cds_legs, cds_price
+from .cds import CdsContract, cds_price, leg_grid
 from .curves import DiscountCurve, make_schedule
 from .errors import CalibrationError, DomainError
 from .quotes import CdsQuoteStrip
 from .survival import (At1pParams, HazardCurve, SbtvParams,
-                       VolatilityTermStructure, survival)
+                       VolatilityTermStructure, first_passage_survival, survival)
 
 PRICE_TOL = 1e-12
 SIGMA_LO, SIGMA_HI = 1e-4, 5.0
@@ -95,6 +96,8 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
     """
     if not 0 < h1 < 1:
         raise DomainError("H1/V0 must lie in (0, 1)")
+    if not math.isfinite(b):
+        raise DomainError(f"b must be a finite number, got {b!r}")
     if len(strip.quotes) < 3:
         raise DomainError("SBTV requires at least 3 quotes")
     h2, p1, sigma_bar, step1 = _sbtv_step1(strip, curve, h1, b, convention)
@@ -128,13 +131,15 @@ def _bootstrap(strip, curve, convention, model_name, family, bracket):
     """
     tenors = strip.tenors
     contracts = [pillar_contract(q.tenor, q.spread_bp, strip.recovery) for q in strip.quotes]
+    grids = [leg_grid(c.schedule, curve, convention) for c in contracts]
     lo_x, hi_x = bracket
     xs: list[float] = []
     iterations = []
     flagged = []
-    for tenor, contract in zip(tenors, contracts):
+    for tenor, contract, grid in zip(tenors, contracts, grids):
         def price_at(x: float) -> float:
-            return cds_price(contract, curve, family(tenors[: len(xs) + 1], xs + [x]), convention)
+            model = family(tenors[: len(xs) + 1], xs + [x])
+            return contract.value(*grid.legs(survival(model, grid.times)))
 
         lo, hi = price_at(lo_x), price_at(hi_x)
         if abs(lo) < PRICE_TOL:
@@ -178,21 +183,23 @@ def _sbtv_step1(strip, curve, h1, b, convention):
     The objective is evaluated at every point of a fixed 3x3x3 start grid
     and a bounded Nelder-Mead polish is run from the best few; ties are
     broken by the smaller H2 so the result is deterministic.  The three
-    pillar schedules are prefixes of the third one, so one `cds_legs` call
-    on it prices all three fair spreads.
+    pillar schedules are prefixes of the third one, whose leg grid, built
+    once, prices all three; a flat volatility has cumulative variance
+    sigma_bar^2 t, so an evaluation is one kernel call and builds no model.
     """
     head = strip.quotes[:3]
-    schedule = make_schedule(0.0, head[-1].tenor, CDS_FREQUENCY)
+    grid = leg_grid(make_schedule(0.0, head[-1].tenor, CDS_FREQUENCY), curve, convention)
     last_payment = [make_schedule(0.0, q.tenor, CDS_FREQUENCY).dates.size - 1 for q in head]
     lgd = 1.0 - strip.recovery
+    log_h1 = math.log(h1)
 
     def objective(x) -> float:
         h2, p1, sigma_bar = x
         if not (h1 < h2 < 1.0 and 0.0 <= p1 <= 1.0 and sigma_bar > 0):
             return 1e12
-        vols = VolatilityTermStructure(bucket_ends=(head[-1].tenor,), sigmas=(sigma_bar,))
-        params = SbtvParams(scenarios=((h1, p1), (h2, 1.0 - p1)), b=b, vols=vols)
-        protection, premium = cds_legs(schedule, curve, params, convention)
+        q = first_passage_survival(np.array([[log_h1], [math.log(h2)]]), b,
+                                   sigma_bar ** 2 * grid.times)
+        protection, premium = grid.legs(p1 * q[0] + (1.0 - p1) * q[1])
         err = 0.0
         for quote, i in zip(head, last_payment):
             model_bp = lgd * protection[i] / premium[i] * 1e4

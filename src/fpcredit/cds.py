@@ -5,11 +5,13 @@ positive = value received by the buyer.  Under this sign convention the
 fair spread makes the price zero and a higher running spread lowers the
 buyer's value.
 
-One routine, `cds_legs`, values both legs as prefix sums over the payment
-dates, so entry i is the value of the same contract cut at the (i+1)-th
-date: the quarterly schedules of shorter pillars are prefixes of a longer
-one.  `cds_price` and `fair_spread` read the last entry.  Two payoff
-conventions are implemented:
+Both legs are prefix sums over the payment dates: entry i values the same
+contract cut at the (i+1)-th date, so the quarterly schedules of shorter
+pillars are prefixes of a longer one.  `leg_grid` computes once per
+schedule, curve and convention the times where survival is read and the
+discounted leg weights; `LegGrid.legs` applies them to a survival vector.
+`cds_legs` does both, and `cds_price` and `fair_spread` read its last entry.
+Two payoff conventions are implemented:
 
 - ``exact``: premium accrual and protection paid at the default time,
   with the Stieltjes integrals discretized on a grid of
@@ -56,49 +58,65 @@ class CdsContract:
     def lgd(self) -> float:
         return 1.0 - self.recovery
 
+    def value(self, protection, premium) -> float:
+        """Buyer value from the legs' per-date prefix sums, read at the last date."""
+        return self.lgd * float(protection[-1]) - self.spread * float(premium[-1])
 
-def _exact_grid(schedule: PaymentSchedule):
-    """Default grid from the start to the last payment date, and the index of
-    each payment date among its nodes."""
-    nodes = [np.array([schedule.start])]
-    prev = schedule.start
-    for d in schedule.dates:
-        n_sub = max(1, round((d - prev) * GRID_STEPS_PER_YEAR))
-        nodes.append(np.linspace(prev, d, n_sub + 1)[1:])
-        prev = d
-    return np.concatenate(nodes), np.cumsum([n.size for n in nodes])[1:] - 1
+
+@dataclass(frozen=True)
+class LegGrid:
+    """Survival read `times`; per step between them, the discount factor paid on
+    default and the accrual-at-default weight (zero when postponed) as the rows
+    of `steps`; per payment date, its index `ends` in `times` and its `premium`."""
+
+    times: np.ndarray
+    steps: np.ndarray
+    premium: np.ndarray
+    ends: np.ndarray
+
+    def legs(self, q) -> tuple[np.ndarray, np.ndarray]:
+        """Per-payment-date prefix sums of both legs, from survival q read at `times`."""
+        dq = q[:-1] - q[1:]  # probability of default in each step
+        protection, accrual = (self.steps * dq).cumsum(axis=1)[:, self.ends - 1]
+        return protection, (self.premium * q[self.ends]).cumsum() + accrual
+
+
+def leg_grid(schedule: PaymentSchedule, curve: DiscountCurve,
+             convention: str = "postponed") -> LegGrid:
+    """The survival read times and the discounted leg weights of one schedule."""
+    dates = schedule.dates
+    df = np.asarray(curve.discount(dates), dtype=float)
+    premium = df * schedule.accruals
+    if convention == "postponed":
+        return LegGrid(np.concatenate(([schedule.start], dates)),
+                       np.stack((df, np.zeros_like(df))), premium, np.arange(1, dates.size + 1))
+    if convention == "exact":
+        nodes = [np.array([schedule.start])]
+        prev = schedule.start
+        for d in dates:
+            n_sub = max(1, round((d - prev) * GRID_STEPS_PER_YEAR))
+            nodes.append(np.linspace(prev, d, n_sub + 1)[1:])
+            prev = d
+        times = np.concatenate(nodes)
+        mid = 0.5 * (times[:-1] + times[1:])
+        df_mid = np.asarray(curve.discount(mid), dtype=float)
+        return LegGrid(times, np.stack((df_mid, df_mid * (mid - schedule.previous_date(mid)))),
+                       premium, np.cumsum([n.size for n in nodes])[1:] - 1)
+    raise ConfigurationError(f"unknown convention {convention!r}")
 
 
 def cds_legs(schedule: PaymentSchedule, curve: DiscountCurve, model,
              convention: str = "postponed") -> tuple[np.ndarray, np.ndarray]:
-    """Per-payment-date prefix sums (protection per unit LGD, premium per unit spread).
-
-    The premium is the premium annuity plus, under the exact convention,
-    the accrual paid at default.
-    """
-    dates = schedule.dates
-    df = np.asarray(curve.discount(dates), dtype=float)
-    if convention == "postponed":
-        q = survival(model, np.concatenate(([schedule.start], dates)))
-        protection = np.cumsum(df * (q[:-1] - q[1:]))
-        return protection, np.cumsum(df * schedule.accruals * q[1:])
-    if convention == "exact":
-        grid, ends = _exact_grid(schedule)
-        q = survival(model, grid)
-        dq = q[:-1] - q[1:]  # probability of default in each step
-        mid = 0.5 * (grid[:-1] + grid[1:])
-        df_mid = np.asarray(curve.discount(mid), dtype=float)
-        protection = np.cumsum(df_mid * dq)[ends - 1]
-        accrual = np.cumsum(df_mid * (mid - schedule.previous_date(mid)) * dq)[ends - 1]
-        return protection, np.cumsum(df * schedule.accruals * q[ends]) + accrual
-    raise ConfigurationError(f"unknown convention {convention!r}")
+    """Per-payment-date prefix sums (protection per unit LGD, premium per unit
+    spread); the premium includes the accrual paid at default when exact."""
+    grid = leg_grid(schedule, curve, convention)
+    return grid.legs(survival(model, grid.times))
 
 
 def cds_price(contract: CdsContract, curve: DiscountCurve, model,
               convention: str = "postponed") -> float:
     """Buyer value: LGD * protection leg - R * (premium annuity + premium accrual)."""
-    protection, premium = cds_legs(contract.schedule, curve, model, convention)
-    return contract.lgd * float(protection[-1]) - contract.spread * float(premium[-1])
+    return contract.value(*cds_legs(contract.schedule, curve, model, convention))
 
 
 def fair_spread(schedule: PaymentSchedule, curve: DiscountCurve, model, recovery: float,

@@ -76,7 +76,10 @@ def _out_path(path_arg: str | None, default_name: str) -> Path | None:
     if path_arg is None and "FPCREDIT_OUT_DIR" not in os.environ:
         return None
     out_dir = Path(os.environ.get("FPCREDIT_OUT_DIR", "."))
-    return Path(path_arg) if path_arg else out_dir / default_name
+    path = Path(path_arg) if path_arg else out_dir / default_name
+    if not path.parent.is_dir():
+        raise DomainError(f"output directory does not exist: {path.parent}")
+    return path
 
 
 def _write_report(report: dict, path: Path | None):
@@ -121,6 +124,7 @@ def _calibrate_one(model: str, strip, curve, config: RunConfig):
 def cmd_calibrate(args) -> int:
     config = RunConfig(flat_rate=args.flat_rate, h1=args.h1, b=args.b,
                        recovery=args.recovery, convention=args.convention)
+    out_path = _out_path(args.out, "calibration.json")
     strip = _load_strip(args, config)
     curve = config.curve()
     models = CALIBRATION_MODELS if args.model == "all" else (args.model,)
@@ -145,7 +149,7 @@ def cmd_calibrate(args) -> int:
         for i, t in enumerate(tenors):
             row = " ".join(f"{sections[m]['pillar_survivals'][i]:10.4%}" for m in models)
             print(f"{t:6.1f} {row}")
-    _write_report(doc, _out_path(args.out, "calibration.json"))
+    _write_report(doc, out_path)
     if any(not sections[m]["exact"] for m in models):
         return 1
     return 2 if warnings else 0
@@ -172,9 +176,13 @@ def cmd_price_ers(args) -> int:
     config = RunConfig(flat_rate=args.flat_rate, h1=args.h1, b=args.b,
                        recovery=args.recovery, convention=args.convention,
                        simulation=asdict(sim))
+    out_path = _out_path(args.out, "ers_pricing.json")
+    try:
+        rhos = [float(r) for r in args.rho.split(",")]
+    except ValueError:
+        raise DomainError(f"--rho must be comma-separated numbers, got {args.rho!r}") from None
     strip = _load_strip(args, config)
     curve = config.curve()
-    rhos = [float(r) for r in args.rho.split(",")]
     models = [m.strip() for m in args.models.split(",")]
     terms = dict(ERS_CONTRACT_TERMS)
     terms.pop("quote_date", None)
@@ -195,7 +203,7 @@ def cmd_price_ers(args) -> int:
         print(f"{rho:6.2f} " + " ".join(f"{cell:>16}" for cell in row))
     doc = {"schema_version": "1", "kind": "ers-pricing", "config": asdict(config),
            "contract": terms, "rhos": rhos, "results": table}
-    _write_report(doc, _out_path(args.out, "ers_pricing.json"))
+    _write_report(doc, out_path)
     return 2 if low_stats else 0
 
 
@@ -245,7 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FpcreditError as exc:
+    except (FpcreditError, OSError, UnicodeDecodeError) as exc:  # bad input or file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import DiscountCurve, PaymentSchedule, make_schedule
-from .errors import ConvergenceError, DomainError, require_finite
+from .errors import ConvergenceError, DegenerateInputError, DomainError, require_finite
 from .survival import At1pParams, HazardCurve, SbtvParams, survival
 
 
@@ -378,6 +378,8 @@ def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract, curve: Disc
     """
     sched = ers.schedule
     annuity = float(np.sum(np.asarray(curve.discount(sched.dates)) * sched.accruals))
+    if annuity <= 1e-300:
+        raise DegenerateInputError("zero premium annuity: fair ERS spread undefined")
     denom = ers.stock_count * ers.s0 * annuity
     x = 0.0
     trace = []

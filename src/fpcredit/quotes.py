@@ -68,13 +68,17 @@ def _parse_float(text: str, line: int, column: str) -> float:
 
 def read_quote_csv(text: str, recovery: float = 0.40, quote_date: str | None = None) -> CdsQuoteStrip:
     """Parse a quote strip; errors name the offending line and column."""
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(text), restval="")  # short rows: empty cells
+    try:
+        fields = set(reader.fieldnames or ())
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise DomainError(f"line {reader.line_num}: malformed CSV ({exc})") from None
     required = {"tenor_years"}
-    fields = set(reader.fieldnames or ())
     if not required <= fields:
         raise DomainError(f"CSV header must contain {sorted(required)}; got {reader.fieldnames}")
     quotes = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in rows:
         tenor = _parse_float(row["tenor_years"], lineno, "tenor_years")
         bid = ask = None
         if row.get("bid_bp") not in (None, ""):

@@ -51,13 +51,6 @@ class VolatilityTermStructure:
     def from_dict(cls, d: dict) -> VolatilityTermStructure:
         return cls(bucket_ends=tuple(d["bucket_ends"]), sigmas=tuple(d["sigmas"]))
 
-    def sigma(self, t: float) -> float:
-        """Instantaneous volatility at time t (right-continuous, flat tail)."""
-        if t < 0:
-            raise DomainError("time must be non-negative")
-        idx = np.searchsorted(self._knot_t[1:-1], t, side="right")
-        return self.sigmas[min(int(idx), len(self.sigmas) - 1)]
-
     def cumulative_variance(self, t):
         """Integral of sigma^2 over [0, t]; piecewise linear, exact at bucket ends."""
         t_arr = np.asarray(t, dtype=float)
@@ -127,9 +120,6 @@ class SbtvParams:
         return cls(scenarios=tuple(tuple(s) for s in d["scenarios"]), b=d["b"],
                    vols=VolatilityTermStructure.from_dict(d))
 
-    def scenario_params(self):
-        return [At1pParams(h_over_v0=h, b=self.b, vols=self.vols) for h, _ in self.scenarios]
-
 
 @dataclass(frozen=True)
 class HazardCurve:
@@ -173,31 +163,35 @@ class HazardCurve:
         return float(cum) if np.isscalar(t) or t_arr.ndim == 0 else cum
 
 
-def at1p_survival(params: At1pParams, t):
-    """Probability that the firm has not touched the barrier by time t.
+def first_passage_survival(log_h, b: float, cv):
+    """Probability that the firm has not touched the barrier by cumulative variance cv.
 
     Closed form for GBM firm value against the exponential barrier:
 
         Q = Phi((log(V0/H) + (2B-1)/2 * S) / sqrt(S))
             - (H/V0)^(2B-1) * Phi((log(H/V0) + (2B-1)/2 * S) / sqrt(S))
 
-    with S the cumulative variance to t.  The second term is evaluated in
+    with S = cv and log_h = log(H/V0) < 0.  The second term is evaluated in
     log space so extreme volatilities probed by the calibrator cannot
-    overflow; S = 0 returns 1 exactly (the firm starts above the barrier).
+    overflow.  At S = 0 the arguments are +inf and -inf, so Q = 1 - 0 = 1
+    exactly (the firm starts above the barrier).  log_h and cv broadcast:
+    a column of barriers against a row of variances gives one row per barrier.
     """
-    a = 2.0 * params.b - 1.0
-    log_h = math.log(params.h_over_v0)
-    # raises DomainError for negative times
-    cv = np.asarray(params.vols.cumulative_variance(np.asarray(t, dtype=float)))
-    out = np.ones_like(cv)
-    pos = cv > 0
-    if np.any(pos):
-        s = cv[pos]
-        sd = np.sqrt(s)
+    a = 2.0 * b - 1.0
+    s = np.asarray(cv, dtype=float)
+    sd = np.sqrt(s)
+    with np.errstate(divide="ignore"):
         first = ndtr((-log_h + 0.5 * a * s) / sd)
         # (H/V0)^(2B-1) * Phi(arg2) computed as exp(a*log h + log Phi)
         second = np.exp(a * log_h + log_ndtr((log_h + 0.5 * a * s) / sd))
-        out[pos] = np.clip(first - second, 0.0, 1.0)
+    return (first - second).clip(0.0, 1.0)
+
+
+def at1p_survival(params: At1pParams, t):
+    """Probability that the firm has not touched the barrier by time t."""
+    # raises DomainError for negative times
+    cv = params.vols.cumulative_variance(np.asarray(t, dtype=float))
+    out = first_passage_survival(math.log(params.h_over_v0), params.b, cv)
     return float(out) if out.ndim == 0 else out
 
 
@@ -216,10 +210,11 @@ def barrier_level(params: At1pParams, curve: DiscountCurve, t, payout_rate: floa
 
 
 def sbtv_survival(params: SbtvParams, t):
-    """Mixture survival: sum_i p^i * at1p_survival(H^i)."""
-    parts = [p * np.asarray(at1p_survival(sp, t))
-             for (_, p), sp in zip(params.scenarios, params.scenario_params())]
-    out = sum(parts)
+    """Mixture survival: sum_i p^i * at1p_survival(H^i), one kernel call for all i."""
+    cv = params.vols.cumulative_variance(np.asarray(t, dtype=float))
+    log_h = np.array([math.log(h) for h, _ in params.scenarios])
+    q = first_passage_survival(log_h.reshape((-1,) + (1,) * np.ndim(cv)), params.b, cv)
+    out = sum(p * q_i for (_, p), q_i in zip(params.scenarios, q))
     return float(out) if np.ndim(t) == 0 else out
 
 

@@ -297,7 +297,8 @@ class TestCriterion8Properties:
         for name in LEHMAN_PRESETS:
             params, _ = lehman_calibrations[name]["sbtv"]
             for t in (0.5, 3.0, 9.5):
-                qs = [at1p_survival(sp, t) for sp in params.scenario_params()]
+                qs = [at1p_survival(At1pParams(h, params.b, params.vols), t)
+                      for h, _ in params.scenarios]
                 q = sbtv_survival(params, t)
                 ok = ok and min(qs) - 1e-15 <= q <= max(qs) + 1e-15
         report_line("criterion 8 (convexity)", ok,

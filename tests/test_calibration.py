@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from fpcredit import (CalibrationError, CdsQuote, CdsQuoteStrip, DiscountCurve,
-                      DomainError, bootstrap_intensity, calibrate_at1p,
-                      calibrate_sbtv, cds_price)
-from fpcredit.calibration import pillar_contract
+                      DomainError, VolatilityTermStructure, bootstrap_intensity,
+                      calibrate_at1p, calibrate_sbtv, cds_price, fair_spread,
+                      make_schedule)
+from fpcredit import calibration
+from fpcredit.calibration import _sbtv_step1, pillar_contract
 from fpcredit.presets import preset_strip
 from fpcredit.survival import At1pParams, HazardCurve, SbtvParams, survival
 
@@ -153,6 +155,10 @@ class TestSbtvCalibration:
         with pytest.raises(DomainError, match="3 quotes"):
             calibrate_sbtv(strip, flat_curve)
 
+    def test_rejects_non_finite_barrier_exponent(self, flat_curve):
+        with pytest.raises(DomainError, match="b must be"):
+            calibrate_sbtv(preset_strip("lehman-2007-07-10"), flat_curve, b=float("nan"))
+
     def test_deterministic(self, flat_curve):
         strip = preset_strip("lehman-2007-07-10")
         pa, _ = calibrate_sbtv(strip, flat_curve)
@@ -200,3 +206,61 @@ class TestParameterDicts:
         params, report = lehman_calibrations["lehman-2008-09-12"][model]
         assert report.parameters == params.to_dict()
         assert cls.from_dict(json.loads(json.dumps(report.parameters))) == params
+
+
+class _Captured(Exception):
+    pass
+
+
+def _capture_objective(fun, x0, **kwargs):
+    raise _Captured(fun)
+
+
+class TestLegGridReuse:
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    @pytest.mark.parametrize("h2, p1, sigma_bar", [(0.7313, 0.962, 0.166),
+                                                   (0.55, 0.3, 0.45), (0.95, 0.5, 0.08)])
+    def test_step1_spreads_equal_fair_spread_on_the_model(self, monkeypatch, flat_curve,
+                                                          convention, h2, p1, sigma_bar):
+        # quote the 1-, 2- and 3-pillar fair spreads of the matching SbtvParams:
+        # the objective at that point is then the sum of the squared gaps, in bp
+        tenors, h1 = (1.0, 2.0, 3.0), 0.4
+        params = SbtvParams(((h1, p1), (h2, 1.0 - p1)), 0.0,
+                            VolatilityTermStructure((tenors[-1],), (sigma_bar,)))
+        spreads = [fair_spread(make_schedule(0.0, t, 4), flat_curve, params, 0.4, convention)
+                   for t in tenors]
+        strip = CdsQuoteStrip(tuple(CdsQuote(t, s * 1e4) for t, s in zip(tenors, spreads)))
+        monkeypatch.setattr(calibration, "minimize", _capture_objective)
+        with pytest.raises(_Captured) as captured:
+            _sbtv_step1(strip, flat_curve, h1, 0.0, convention)
+        objective = captured.value.args[0]
+        # every spread within 1e-12, i.e. 1e-8 bp
+        assert objective(np.array([h2, p1, sigma_bar])) <= (1e-12 * 1e4) ** 2
+
+    def test_step1_builds_no_model_object(self, monkeypatch, flat_curve):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("step 1 built a model object")
+
+        for name in ("At1pParams", "SbtvParams", "VolatilityTermStructure"):
+            monkeypatch.setattr(calibration, name, forbidden)
+        h2, p1, sigma_bar, _ = _sbtv_step1(preset_strip("lehman-2007-07-10"), flat_curve,
+                                           0.4, 0.0, "postponed")
+        assert 0.4 < h2 < 1.0 and 0.0 <= p1 <= 1.0 and sigma_bar > 0
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    def test_one_leg_grid_per_pillar_and_one_for_step1(self, monkeypatch, flat_curve,
+                                                       convention):
+        built = []
+        real = calibration.leg_grid
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(calibration, "leg_grid", counting)
+        strip = preset_strip("lehman-2008-06-12")
+        _, report = calibrate_at1p(strip, flat_curve, convention=convention)
+        assert len(built) == len(strip.quotes) < sum(report.diagnostics["iterations"])
+        built.clear()
+        calibrate_sbtv(strip, flat_curve, convention=convention)
+        assert len(built) == len(strip.quotes) + 1

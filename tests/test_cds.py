@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpcredit import (CdsContract, ConfigurationError, DegenerateInputError,
-                      DiscountCurve, HazardCurve, cds_legs, cds_price,
-                      fair_spread, make_schedule)
+from fpcredit import (At1pParams, CdsContract, ConfigurationError,
+                      DegenerateInputError, DiscountCurve, HazardCurve,
+                      VolatilityTermStructure, cds_legs, cds_price, fair_spread,
+                      leg_grid, make_schedule)
+from fpcredit.survival import survival
 
 
 def riskless():
@@ -143,6 +145,19 @@ class TestLegs:
         with pytest.raises(ConfigurationError):
             cds_legs(make_schedule(0.0, 1.0, 4), DiscountCurve(flat_rate=0.03),
                      riskless(), "midpoint")
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    def test_one_grid_prices_two_models_like_fresh_legs(self, convention):
+        sched = make_schedule(0.0, 5.0, 4)
+        curve = DiscountCurve(pillars=((1.0, 0.97), (5.0, 0.85)))
+        grid = leg_grid(sched, curve, convention)
+        models = (HazardCurve((1.0, 5.0), (0.02, 0.05)),
+                  At1pParams(0.4, 0.0, VolatilityTermStructure((1.0, 5.0), (0.3, 0.2))))
+        for model in models:
+            applied = grid.legs(survival(model, grid.times))
+            fresh = cds_legs(sched, curve, model, convention)
+            for a, f in zip(applied, fresh):
+                assert np.array_equal(a, f)
 
 
 class TestConventionAgreement:

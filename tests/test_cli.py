@@ -2,8 +2,10 @@ import functools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fpcredit import DomainError, read_quote_csv, write_quote_csv
+from fpcredit import (CdsQuoteStrip, DomainError, FpcreditError, read_quote_csv,
+                      write_quote_csv)
 from fpcredit.cli import main
 from fpcredit.presets import preset_strip
 
@@ -161,6 +163,34 @@ class TestBadInputsExitWithMessage:
         self.check(capsys, "price-cds", "--params", str(f), "--model", "at1p",
                    "--tenor", "5", "--spread-bp", "100")
 
+    @pytest.mark.parametrize("rho", ["abc", ""])
+    def test_unparseable_correlation(self, capsys, rho):
+        assert "--rho" in self.check(capsys, "price-ers", "--preset", "ers-paper-2009-09-16",
+                                     "--rho", rho)
+
+    def test_missing_quotes_file(self, capsys, tmp_path):
+        assert "missing.csv" in self.check(capsys, "calibrate",
+                                           "--quotes", str(tmp_path / "missing.csv"))
+
+    def test_missing_output_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "calibrate", "--preset", "lehman-2007-07-10",
+                             "--out", str(tmp_path / "absent" / "c.json"))
+        assert code == 1 and err.startswith("error: ") and "absent" in err
+        assert out == ""  # refused before any model was fitted
+
+    def test_missing_output_directory_from_environment(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FPCREDIT_OUT_DIR", str(tmp_path / "absent"))
+        code, out, err = run(capsys, "price-ers", "--preset", "ers-paper-2009-09-16",
+                             "--models", "intensity", "--rho", "0", "--paths", "2000")
+        assert code == 1 and err.startswith("error: ") and "absent" in err
+        assert out == ""
+
+    def test_zero_premium_annuity(self, capsys):
+        # every discount factor underflows to 0, so the ERS premium leg is 0
+        assert "annuity" in self.check(capsys, "price-ers", "--preset", "ers-paper-2009-09-16",
+                                       "--flat-rate", "1e308", "--models", "intensity",
+                                       "--rho", "0", "--paths", "2000")
+
     @pytest.mark.parametrize("drop", ["bucket_ends", "sigmas", "h_over_v0"])
     def test_report_with_missing_keys(self, capsys, outdir, drop):
         run(capsys, "calibrate", "--preset", "lehman-2008-06-12", "--model", "at1p")
@@ -237,6 +267,26 @@ class TestQuoteCsv:
     def test_missing_header(self):
         with pytest.raises(DomainError, match="header"):
             read_quote_csv("years,bp\n1.0,50\n")
+
+    @pytest.mark.parametrize("text, column", [("spread_bp,tenor_years\n5\n", "tenor_years"),
+                                              ("tenor_years,spread_bp\n1.0,50\n3.0\n",
+                                               "spread_bp")])
+    def test_short_row_names_line_and_column(self, text, column):
+        with pytest.raises(DomainError, match=f"line {text.count(chr(10))}.*'{column}'"):
+            read_quote_csv(text)
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.lists(st.sampled_from(["tenor_years", "spread_bp", "bid_bp", "ask_bp", "",
+                                           "1", "3.0", "5", "-2", "0", "28", "nan", "1e400",
+                                           "abc", '"', "\r", "\x00", "\n"]),
+                          max_size=5).map(",".join), max_size=5).map("\n".join)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_gives_a_strip_or_a_typed_error(self, text):
+        try:
+            assert isinstance(read_quote_csv(text), CdsQuoteStrip)
+        except FpcreditError:
+            pass
 
     def test_inverted_bid_ask_rejected(self):
         with pytest.raises(DomainError, match="bid"):

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from fpcredit import (At1pParams, CalibrationError, ConvergenceError,
-                      DiscountCurve, DomainError, HazardCurve, SbtvParams,
+                      DegenerateInputError, DiscountCurve, DomainError, HazardCurve, SbtvParams,
                       SimulationConfig, VolatilityTermStructure, at1p_survival,
                       ers_cva_term, ers_fair_spread, ers_fair_spread_from_paths,
                       ers_npv_at_default, ers_npv_at_default_termwise,
@@ -313,3 +313,9 @@ class TestCvaAndFairSpread:
         _, ers, cfg, paths = crisis_paths
         result = ers_fair_spread_from_paths(paths, ers, curve, cfg)
         json.dumps(result.as_dict())
+
+    def test_zero_premium_annuity_is_degenerate(self, crisis_paths):
+        # every discount factor underflows to 0, so the premium annuity is 0
+        _, ers, cfg, paths = crisis_paths
+        with pytest.raises(DegenerateInputError, match="annuity"):
+            ers_fair_spread_from_paths(paths, ers, DiscountCurve(flat_rate=1e308), cfg)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fpcredit import (At1pParams, DiscountCurve, DomainError, HazardCurve,
                       SbtvParams, VolatilityTermStructure, at1p_survival,
                       barrier_level, intensity_survival, sbtv_survival)
-from fpcredit.survival import survival
+from fpcredit.survival import first_passage_survival, survival
 
 LEHMAN_2007_VOLS = VolatilityTermStructure(
     bucket_ends=(1.0, 3.0, 5.0, 7.0, 10.0),
@@ -126,6 +126,28 @@ class TestAt1pSurvival:
         assert qa == qb
 
 
+class TestFirstPassageKernel:
+    @pytest.mark.parametrize("b", [0.0, 0.3, 0.8])
+    def test_column_of_barriers_matches_at1p_bit_for_bit(self, b):
+        hs = (0.05, 0.4, 0.7313, 0.97)
+        t = np.array([0.0, 1e-9, 0.25, 1.0, 3.0, 5.0, 12.0, 40.0])
+        column = np.array([[math.log(h)] for h in hs])
+        q = first_passage_survival(column, b, LEHMAN_2007_VOLS.cumulative_variance(t))
+        assert q.shape == (len(hs), t.size)
+        for h, row in zip(hs, q):
+            assert np.array_equal(row, at1p_survival(At1pParams(h, b, LEHMAN_2007_VOLS), t))
+        assert np.all(q[:, 0] == 1.0)
+
+    def test_mixture_sums_the_scenarios_bit_for_bit(self):
+        scenarios = ((0.3, 0.25), (0.6, 0.5), (0.9, 0.25))
+        params = SbtvParams(scenarios, 0.2, LEHMAN_2007_VOLS)
+        t = np.array([0.0, 0.5, 2.0, 7.5, 15.0])
+        expected = sum(p * at1p_survival(At1pParams(h, 0.2, LEHMAN_2007_VOLS), t)
+                       for h, p in scenarios)
+        assert np.array_equal(sbtv_survival(params, t), expected)
+        assert sbtv_survival(params, 2.0) == expected[2]
+
+
 class TestBarrierLevel:
     def test_zero_drift_flat_barrier(self):
         params = At1pParams(0.4, 0.0, flat_vols(0.2))
@@ -173,7 +195,7 @@ class TestSbtvSurvival:
     def test_convex_combination_bounds(self, p1, t):
         vols = flat_vols(0.25)
         params = SbtvParams(((0.3, p1), (0.8, 1.0 - p1)), 0.0, vols)
-        qs = [at1p_survival(sp, t) for sp in params.scenario_params()]
+        qs = [at1p_survival(At1pParams(h, 0.0, vols), t) for h, _ in params.scenarios]
         q = sbtv_survival(params, t)
         assert min(qs) - 1e-15 <= q <= max(qs) + 1e-15
 
