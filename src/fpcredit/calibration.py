@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, least_squares
 
 from .cds import CdsContract, cds_price, leg_grid
 from .curves import DiscountCurve, make_schedule
@@ -31,6 +31,7 @@ SIGMA_LO, SIGMA_HI = 1e-4, 5.0
 LAMBDA_LO, LAMBDA_HI = 0.0, 10.0
 CDS_FREQUENCY = 4
 STEP1_POLISH_STARTS = 4
+STEP1_TOL = 1e-12  # xtol, ftol and gtol of the step-1 least-squares polish
 
 
 @dataclass
@@ -90,9 +91,9 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
     """Two-step scenario-barrier calibration with two barrier scenarios.
 
     Step 1 best-fits (H2, p1, sigma_bar) to the first three quotes with a
-    flat volatility, by deterministic multi-start Nelder-Mead on the sum of
-    squared spread errors in bp.  Step 2 freezes (H2, p1) and bootstraps
-    every bucket volatility to an exact fit.
+    flat volatility: a deterministic multi-start bounded least-squares fit
+    of the three spread errors in bp.  Step 2 freezes (H2, p1) and
+    bootstraps every bucket volatility to an exact fit.
     """
     if not 0 < h1 < 1:
         raise DomainError("H1/V0 must lie in (0, 1)")
@@ -180,50 +181,48 @@ def _bootstrap(strip, curve, convention, model_name, family, bracket):
 def _sbtv_step1(strip, curve, h1, b, convention):
     """Best-fit (H2, p1, sigma_bar) to the first three quotes, flat volatility.
 
-    The objective is evaluated at every point of a fixed 3x3x3 start grid
-    and a bounded Nelder-Mead polish is run from the best few; ties are
-    broken by the smaller H2 so the result is deterministic.  The three
-    pillar schedules are prefixes of the third one, whose leg grid, built
-    once, prices all three; a flat volatility has cumulative variance
-    sigma_bar^2 t, so an evaluation is one kernel call and builds no model.
+    The residuals are the three model-minus-quoted spreads in bp.  Their
+    sum of squares is evaluated at every point of a fixed 3x3x3 start grid
+    (clipped into the box) and a bounded trust-region least-squares polish
+    (TRF, finite-difference Jacobian, every point inside the box) is run
+    from the best few; ties are broken by the smaller H2 so the result is
+    deterministic.  The three pillar schedules are prefixes of the third
+    one, whose leg grid, built once, prices all three; a flat volatility
+    has cumulative variance sigma_bar^2 t, so an evaluation is one kernel
+    call and builds no model.
     """
     head = strip.quotes[:3]
     grid = leg_grid(make_schedule(0.0, head[-1].tenor, CDS_FREQUENCY), curve, convention)
-    last_payment = [make_schedule(0.0, q.tenor, CDS_FREQUENCY).dates.size - 1 for q in head]
+    last_payment = np.array([make_schedule(0.0, q.tenor, CDS_FREQUENCY).dates.size - 1
+                             for q in head])
+    quoted_bp = np.array([q.spread_bp for q in head])
     lgd = 1.0 - strip.recovery
     log_h1 = math.log(h1)
+    evaluations = 0
 
-    def objective(x) -> float:
+    def residuals(x) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += 1
         h2, p1, sigma_bar = x
-        if not (h1 < h2 < 1.0 and 0.0 <= p1 <= 1.0 and sigma_bar > 0):
-            return 1e12
         q = first_passage_survival(np.array([[log_h1], [math.log(h2)]]), b,
                                    sigma_bar ** 2 * grid.times)
         protection, premium = grid.legs(p1 * q[0] + (1.0 - p1) * q[1])
-        err = 0.0
-        for quote, i in zip(head, last_payment):
-            model_bp = lgd * protection[i] / premium[i] * 1e4
-            err += (model_bp - quote.spread_bp) ** 2
-        return err
+        return lgd * protection[last_payment] / premium[last_payment] * 1e4 - quoted_bp
 
-    h2_starts = [h1 + 0.15, h1 + 0.3, h1 + 0.45]
-    p1_starts = [0.35, 0.65, 0.95]
-    sigma_starts = [0.10, 0.20, 0.40]
-    bounds = [(h1 + 1e-6, 1.0 - 1e-6), (0.0, 1.0), (1e-3, 2.0)]
-    starts = [np.array(x0) for x0 in itertools.product(h2_starts, p1_starts, sigma_starts)]
-    ranked = sorted(starts, key=lambda x0: (objective(x0), x0[0]))
+    lower, upper = np.array([h1 + 1e-6, 0.0, 1e-3]), np.array([1.0 - 1e-6, 1.0, 2.0])
+    starts = [np.clip(x0, lower, upper) for x0 in itertools.product(
+        [h1 + 0.15, h1 + 0.3, h1 + 0.45], [0.35, 0.65, 0.95], [0.10, 0.20, 0.40])]
+    ranked = sorted(starts, key=lambda x0: (float(np.sum(residuals(x0) ** 2)), x0[0]))
     best = None
-    evaluations = len(starts)
     for x0 in ranked[:STEP1_POLISH_STARTS]:
-        res = minimize(objective, x0, method="Nelder-Mead", bounds=bounds,
-                       options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": 2000})
-        evaluations += res.nfev
-        cand = (res.fun, res.x[0], res.x)  # ties broken by smallest H2
+        res = least_squares(residuals, x0, bounds=(lower, upper), method="trf",
+                            xtol=STEP1_TOL, ftol=STEP1_TOL, gtol=STEP1_TOL)
+        cand = (res.cost, res.x[0], res.x)  # ties broken by smallest H2
         if best is None or cand[:2] < best[:2]:
             best = cand
-    fun, _, x = best
+    cost, _, x = best
     h2, p1, sigma_bar = (float(v) for v in x)
     step1 = {"h2": h2, "p1": p1, "sigma_bar": sigma_bar,
-             "objective_bp2": float(fun), "rms_bp": float(np.sqrt(fun / 3.0)),
-             "multi_start_points": 27, "objective_evaluations": evaluations}
+             "objective_bp2": float(2.0 * cost), "rms_bp": math.sqrt(2.0 * cost / 3.0),
+             "multi_start_points": len(starts), "objective_evaluations": evaluations}
     return h2, p1, sigma_bar, step1

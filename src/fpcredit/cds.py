@@ -87,6 +87,12 @@ def leg_grid(schedule: PaymentSchedule, curve: DiscountCurve,
     dates = schedule.dates
     df = np.asarray(curve.discount(dates), dtype=float)
     premium = df * schedule.accruals
+    annuity = premium.sum()
+    if annuity <= 1e-300:
+        raise DegenerateInputError("zero premium annuity: every discount factor of the "
+                                   "schedule is 0, so no spread can be fitted or priced")
+    if annuity == np.inf:
+        raise DomainError("infinite premium annuity: the discount factors overflow")
     if convention == "postponed":
         return LegGrid(np.concatenate(([schedule.start], dates)),
                        np.stack((df, np.zeros_like(df))), premium, np.arange(1, dates.size + 1))

@@ -53,7 +53,7 @@ class RunConfig:
 
     def curve(self) -> DiscountCurve:
         if self.pillars is not None:
-            return DiscountCurve(pillars=tuple(tuple(p) for p in self.pillars))
+            return DiscountCurve(pillars=self.pillars)
         return DiscountCurve(flat_rate=self.flat_rate)
 
 
@@ -95,7 +95,7 @@ def _load_calibration(path: Path, model: str):
         raise DomainError(f"parameter file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DomainError(f"{path} is not a JSON file: {exc}") from None
     if not isinstance(doc, dict) or doc.get("schema_version") != "1" \
             or doc.get("kind") != "calibration":
@@ -159,9 +159,9 @@ def cmd_price_cds(args) -> int:
     params, config = _load_calibration(Path(args.params), args.model)
     curve = config.curve()
     schedule = make_schedule(0.0, args.tenor, 4)
-    fair = fair_spread(schedule, curve, params, config.recovery, config.convention)
     contract = CdsContract(schedule=schedule, spread=args.spread_bp * 1e-4,
                            recovery=config.recovery)
+    fair = fair_spread(schedule, curve, params, config.recovery, config.convention)
     print(f"model {args.model}, tenor {args.tenor}y, spread {args.spread_bp} bp")
     for convention in ("postponed", "exact"):
         price = cds_price(contract, curve, params, convention)

@@ -42,7 +42,11 @@ class DiscountCurve:
         if self.flat_rate is not None:
             require_finite(self, "flat_rate")
         else:
-            pts = tuple((float(t), float(df)) for t, df in self.pillars)
+            try:
+                pts = tuple((float(t), float(df)) for t, df in self.pillars)
+            except (TypeError, ValueError):
+                raise DomainError(f"pillars must be (t, df) pairs of numbers, "
+                                  f"got {self.pillars!r}") from None
             object.__setattr__(self, "pillars", pts)
             require_finite(self, "pillars")
             times = [t for t, _ in pts]
@@ -62,7 +66,8 @@ class DiscountCurve:
         if np.any(t_arr < 0):
             raise DomainError("discount time must be non-negative")
         if self.flat_rate is not None:
-            out = np.exp(-self.flat_rate * t_arr)
+            with np.errstate(over="ignore"):  # an overflowing rate * t discounts to 0 or inf
+                out = np.exp(-self.flat_rate * t_arr)
         else:
             knot_t = self._knot_t
             knot_logdf = self._knot_logdf

@@ -43,7 +43,7 @@ def _is_finite_number(value) -> bool:
 
 
 def _check_finite(name, value):
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, tuple):  # constructors store sequences as tuples: a list is no number
         for item in value:
             _check_finite(name, item)
     elif not _is_finite_number(value):
@@ -52,6 +52,6 @@ def _check_finite(name, value):
 
 def require_finite(obj, *names):
     """Raise DomainError unless each named attribute of `obj` is a finite real
-    number, or a tuple or list (possibly nested) of them."""
+    number, or a tuple (possibly nested) of them."""
     for name in names:
         _check_finite(name, getattr(obj, name))

@@ -39,8 +39,11 @@ class VolatilityTermStructure:
         if list(ends) != sorted(set(ends)) or ends[0] <= 0:
             raise DomainError("bucket_ends must be positive and strictly increasing")
         knot_t = np.concatenate(([0.0], np.array(ends)))
-        var = np.array(sigs) ** 2 * np.diff(knot_t)
+        with np.errstate(over="ignore"):
+            var = np.array(sigs) ** 2 * np.diff(knot_t)
         knot_cv = np.concatenate(([0.0], np.cumsum(var)))
+        if knot_cv[-1] == np.inf:
+            raise DomainError("volatilities too large: the cumulative variance overflows")
         object.__setattr__(self, "_knot_t", knot_t)
         object.__setattr__(self, "_knot_cv", knot_cv)
 

@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from fpcredit import (CalibrationError, CdsQuote, CdsQuoteStrip, DiscountCurve,
-                      DomainError, VolatilityTermStructure, bootstrap_intensity,
+from fpcredit import (CalibrationError, CdsQuote, CdsQuoteStrip, DegenerateInputError,
+                      DiscountCurve, DomainError, VolatilityTermStructure, bootstrap_intensity,
                       calibrate_at1p, calibrate_sbtv, cds_price, fair_spread,
                       make_schedule)
 from fpcredit import calibration
 from fpcredit.calibration import _sbtv_step1, pillar_contract
-from fpcredit.presets import preset_strip
+from fpcredit.presets import STRIP_PRESETS, preset_strip
 from fpcredit.survival import At1pParams, HazardCurve, SbtvParams, survival
 
 # published calibration outputs for the three dated strips
@@ -167,6 +167,54 @@ class TestSbtvCalibration:
         assert pa.vols.sigmas == pb.vols.sigmas
 
 
+class TestSbtvStep1:
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    @pytest.mark.parametrize("name", sorted(STRIP_PRESETS))
+    def test_meets_the_three_head_quotes(self, flat_curve, name, convention):
+        *_, step1 = _sbtv_step1(preset_strip(name), flat_curve, 0.4, 0.0, convention)
+        assert step1["rms_bp"] < 1e-10
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    def test_inverted_strip_keeps_its_residual(self, flat_curve, convention):
+        # no (H2, p1, sigma_bar) fits 300/200/100 bp; the best fit misses by ~20 bp
+        # and step 2 cannot reprice the 5y quote with (H2, p1) frozen there
+        strip = small_strip([300.0, 200.0, 100.0, 90.0, 80.0], tenors=(1.0, 3.0, 5.0, 7.0, 10.0))
+        *_, step1 = _sbtv_step1(strip, flat_curve, 0.4, 0.0, convention)
+        assert step1["rms_bp"] == pytest.approx(20.0, abs=0.1)
+        with pytest.raises(CalibrationError, match="5.0y quote"):
+            calibrate_sbtv(strip, flat_curve, convention=convention)
+
+    def test_poor_step1_fit_warns(self, flat_curve):
+        strip = small_strip([50.0, 300.0, 250.0, 240.0, 230.0], tenors=(1.0, 3.0, 5.0, 7.0, 10.0))
+        _, report = calibrate_sbtv(strip, flat_curve)
+        assert report.diagnostics["step1"]["rms_bp"] == pytest.approx(32.48, abs=0.01)
+        assert any("RMS above 5 bp" in w for w in report.warnings)
+        assert report.exact
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    def test_evaluations_count_every_kernel_call(self, monkeypatch, flat_curve, convention):
+        # the finite-difference Jacobian's calls included
+        calls = []
+        real = calibration.first_passage_survival
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(calibration, "first_passage_survival", counting)
+        *_, step1 = _sbtv_step1(preset_strip("lehman-2008-09-12"), flat_curve, 0.4, 0.0,
+                                convention)
+        assert step1["objective_evaluations"] == len(calls) > step1["multi_start_points"]
+
+
+class TestDegenerateDiscounting:
+    @pytest.mark.parametrize("calibrate", [bootstrap_intensity, calibrate_at1p, calibrate_sbtv])
+    def test_zero_premium_annuity(self, calibrate):
+        # every discount factor underflows to 0: no spread can be fitted
+        with pytest.raises(DegenerateInputError, match="zero premium annuity"):
+            calibrate(preset_strip("lehman-2007-07-10"), DiscountCurve(flat_rate=1e308))
+
+
 class TestImpliedSurvivals:
     def test_all_models_start_at_one(self, lehman_calibrations):
         for name in sorted(PUBLISHED):
@@ -230,12 +278,12 @@ class TestLegGridReuse:
         spreads = [fair_spread(make_schedule(0.0, t, 4), flat_curve, params, 0.4, convention)
                    for t in tenors]
         strip = CdsQuoteStrip(tuple(CdsQuote(t, s * 1e4) for t, s in zip(tenors, spreads)))
-        monkeypatch.setattr(calibration, "minimize", _capture_objective)
+        monkeypatch.setattr(calibration, "least_squares", _capture_objective)
         with pytest.raises(_Captured) as captured:
             _sbtv_step1(strip, flat_curve, h1, 0.0, convention)
-        objective = captured.value.args[0]
+        residuals = captured.value.args[0]
         # every spread within 1e-12, i.e. 1e-8 bp
-        assert objective(np.array([h2, p1, sigma_bar])) <= (1e-12 * 1e4) ** 2
+        assert np.sum(residuals(np.array([h2, p1, sigma_bar])) ** 2) <= (1e-12 * 1e4) ** 2
 
     def test_step1_builds_no_model_object(self, monkeypatch, flat_curve):
         def forbidden(*args, **kwargs):

@@ -1,12 +1,14 @@
 import functools
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpcredit import (CdsQuoteStrip, DomainError, FpcreditError, read_quote_csv,
                       write_quote_csv)
-from fpcredit.cli import main
+from fpcredit.cli import PARAMETER_CLASSES, _load_calibration, main
 from fpcredit.presets import preset_strip
 
 
@@ -200,6 +202,83 @@ class TestBadInputsExitWithMessage:
         path.write_text(json.dumps(doc))
         assert drop in self.check(capsys, "price-cds", "--params", str(path),
                                   "--model", "at1p", "--tenor", "5", "--spread-bp", "100")
+
+    def test_deeply_nested_report(self, capsys, tmp_path):
+        f = tmp_path / "r.json"
+        f.write_text("[" * 100_000)
+        assert "not a JSON file" in self.check(capsys, "price-cds", "--params", str(f),
+                                               "--model", "at1p", "--tenor", "5",
+                                               "--spread-bp", "100")
+
+    @pytest.mark.parametrize("model", ["intensity", "at1p", "sbtv"])
+    @pytest.mark.parametrize("rate, message", [("1e308", "zero premium annuity"),
+                                               ("-1000", "infinite premium annuity")])
+    def test_overflowing_discount_rate(self, capsys, model, rate, message):
+        assert message in self.check(capsys, "calibrate", "--preset", "lehman-2007-07-10",
+                                     "--model", model, f"--flat-rate={rate}")
+
+
+@functools.lru_cache(maxsize=None)
+def _calibration_report_paths() -> tuple[str, list]:
+    """A real calibration report's text and the path to every value in it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        main(["calibrate", "--preset", "lehman-2008-06-12", "--out", str(path)])
+        text = path.read_text()
+    paths = []
+
+    def walk(node, prefix):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            paths.append(prefix + (key,))
+            if isinstance(value, (dict, list)):
+                walk(value, prefix + (key,))
+
+    walk(json.loads(text), ())
+    return text, paths
+
+
+@st.composite
+def mutated_reports(draw):
+    """A real report with keys dropped or values replaced, as JSON text."""
+    text, paths = _calibration_report_paths()
+    doc = json.loads(text)
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]]  # an earlier mutation may have removed it
+        except (KeyError, IndexError, TypeError):
+            continue
+        if not isinstance(node, (dict, list)):
+            continue
+        value = draw(st.sampled_from(["drop", None, "abc", "2", "0", float("nan"), "1e400",
+                                      -1.0, 0, 1e300, True, [], {}, [[1.0]], [0.5, 0.5]]))
+        if value == "drop":
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return json.dumps(doc).replace('"1e400"', "1e400")
+
+
+class TestReportLoadingProperty:
+    @given(st.one_of(st.text(), mutated_reports()),
+           st.sampled_from(["intensity", "at1p", "sbtv"]))
+    @settings(max_examples=300, deadline=None)
+    def test_any_report_text_gives_a_model_or_a_typed_error(self, tmp_path_factory, text,
+                                                          model):
+        path = tmp_path_factory.mktemp("report") / "r.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            params, _ = _load_calibration(path, model)
+        except FpcreditError:
+            pass
+        else:
+            assert isinstance(params, PARAMETER_CLASSES[model])
+        # and the command built on it never ends in a traceback
+        assert main(["price-cds", "--params", str(path), "--model", model,
+                     "--tenor", "5", "--spread-bp", "100"]) in (0, 1)
 
 
 class TestPriceErsCommand:

@@ -80,3 +80,16 @@ class TestFiniteInputs:
     def test_sbtv_params(self, scenarios, b):
         with pytest.raises(DomainError):
             SbtvParams(scenarios, b, VOLS)
+
+    @pytest.mark.parametrize("build", [
+        lambda: DiscountCurve(pillars=((1.0, "abc"),)),
+        lambda: DiscountCurve(pillars=5),
+        lambda: VolatilityTermStructure((1.0,), (1e300,)),
+        lambda: At1pParams(0.4, [0.5], VOLS),
+        lambda: SbtvParams(((0.4, 0.5), (0.8, 0.5)), [0.5, 0.5], VOLS)],
+        ids=["pillar-text", "pillars-not-pairs", "variance-overflow", "at1p-b-list",
+             "sbtv-b-list"])
+    def test_ill_typed_or_overflowing_fields(self, build):
+        # as a report loaded from JSON can carry them
+        with pytest.raises(DomainError):
+            build()
