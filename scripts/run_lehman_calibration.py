@@ -3,7 +3,8 @@
 
 Writes one calibration report per quote date (calibration_<preset>.json in
 the current directory, or in $FPCREDIT_OUT_DIR) and prints the pillar
-survival comparison tables.
+survival comparison tables.  Extra arguments are passed to every
+`calibrate` call, e.g. --convention exact.
 """
 
 import sys
@@ -18,7 +19,7 @@ def run() -> int:
     for preset in PRESETS:
         print(f"=== {preset} ===")
         code = main(["calibrate", "--preset", preset, "--model", "all",
-                     "--out", f"calibration_{preset}.json"])
+                     "--out", f"calibration_{preset}.json"] + sys.argv[1:])
         worst = max(worst, code)
         print()
     return worst

@@ -13,18 +13,22 @@ discounted leg weights; `LegGrid.legs` applies them to a survival vector.
 `cds_legs` does both, and `cds_price` and `fair_spread` read its last entry.
 Two payoff conventions are implemented:
 
-- ``exact``: premium accrual and protection paid at the default time,
-  with the Stieltjes integrals discretized on a grid of
-  ``GRID_STEPS_PER_YEAR`` steps, subdivided per accrual period so that
-  every payment date is a grid node (per-step survival differences times
-  the step-midpoint discount factor).
-- ``postponed``: protection paid at the first schedule date after default
-  and the accrual term dropped.  This is the convention used for all
-  calibrations here.
+- ``postponed`` (the default): protection paid at the first schedule date
+  after default, no accrual term; survival is read at the payment dates only.
+- ``exact``: premium accrual and protection paid at the default time.  By
+  parts over each period [a, b], with D the discount factor and f its
+  piecewise-constant forward, this is the postponed leg plus corrections
+  int f D (Q(a) - Q) dt (protection) and int D (1 - f (t - a)) (Q - Q(b)) dt
+  (accrual), linear in survival Q at ``GAUSS_NODES`` Gauss-Legendre nodes per
+  piece between payment dates and curve pillars; the first period is also
+  halved ``FIRST_PERIOD_HALVINGS`` times toward t = 0, where a first-passage
+  density is flat to all orders.  Q must be smooth inside each piece: every
+  model fitted here has its knots at quote tenors, which are payment dates.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +38,9 @@ from .errors import (ConfigurationError, DegenerateInputError, DomainError,
                      require_finite)
 from .survival import survival
 
-GRID_STEPS_PER_YEAR = 365
+GAUSS_NODES = 8
+FIRST_PERIOD_HALVINGS = 8
+_gauss_legendre = functools.lru_cache(np.polynomial.legendre.leggauss)  # nodes on [-1, 1]
 
 
 @dataclass(frozen=True)
@@ -65,25 +71,34 @@ class CdsContract:
 
 @dataclass(frozen=True)
 class LegGrid:
-    """Survival read `times`; per step between them, the discount factor paid on
-    default and the accrual-at-default weight (zero when postponed) as the rows
-    of `steps`; per payment date, its index `ends` in `times` and its `premium`."""
+    """Survival read `times`: the start, the payment dates, then any quadrature nodes.
+    Per payment date, the `discount` factor paid on default when postponed, the
+    `premium` D(T_i) * accrual and the index `ends` of its period's last node.  Per
+    node, its 0-based `period` and its protection and accrual `weights` rows."""
 
     times: np.ndarray
-    steps: np.ndarray
+    discount: np.ndarray
     premium: np.ndarray
+    period: np.ndarray
+    weights: np.ndarray
     ends: np.ndarray
 
     def legs(self, q) -> tuple[np.ndarray, np.ndarray]:
         """Per-payment-date prefix sums of both legs, from survival q read at `times`."""
-        dq = q[:-1] - q[1:]  # probability of default in each step
-        protection, accrual = (self.steps * dq).cumsum(axis=1)[:, self.ends - 1]
-        return protection, (self.premium * q[self.ends]).cumsum() + accrual
+        at_dates, nodes = q[:self.premium.size + 1], q[self.premium.size + 1:]
+        protection = (self.discount * (at_dates[:-1] - at_dates[1:])).cumsum()
+        premium = (self.premium * at_dates[1:]).cumsum()
+        if nodes.size:  # exact: the by-parts correction of each period
+            gaps = (at_dates[self.period] - nodes, nodes - at_dates[self.period + 1])
+            correction = (self.weights * gaps).cumsum(axis=1)[:, self.ends]
+            protection, premium = correction + (protection, premium)
+        return protection, premium
 
 
 def leg_grid(schedule: PaymentSchedule, curve: DiscountCurve,
              convention: str = "postponed") -> LegGrid:
-    """The survival read times and the discounted leg weights of one schedule."""
+    """The survival read times and the discounted leg weights of one schedule;
+    model-free, so one grid prices every model whose knots are payment dates."""
     dates = schedule.dates
     df = np.asarray(curve.discount(dates), dtype=float)
     premium = df * schedule.accruals
@@ -93,22 +108,27 @@ def leg_grid(schedule: PaymentSchedule, curve: DiscountCurve,
                                    "schedule is 0, so no spread can be fitted or priced")
     if annuity == np.inf:
         raise DomainError("infinite premium annuity: the discount factors overflow")
+    at_dates = np.concatenate(([schedule.start], dates))
     if convention == "postponed":
-        return LegGrid(np.concatenate(([schedule.start], dates)),
-                       np.stack((df, np.zeros_like(df))), premium, np.arange(1, dates.size + 1))
-    if convention == "exact":
-        nodes = [np.array([schedule.start])]
-        prev = schedule.start
-        for d in dates:
-            n_sub = max(1, round((d - prev) * GRID_STEPS_PER_YEAR))
-            nodes.append(np.linspace(prev, d, n_sub + 1)[1:])
-            prev = d
-        times = np.concatenate(nodes)
-        mid = 0.5 * (times[:-1] + times[1:])
-        df_mid = np.asarray(curve.discount(mid), dtype=float)
-        return LegGrid(times, np.stack((df_mid, df_mid * (mid - schedule.previous_date(mid)))),
-                       premium, np.cumsum([n.size for n in nodes])[1:] - 1)
-    raise ConfigurationError(f"unknown convention {convention!r}")
+        return LegGrid(at_dates, df, premium, *(np.zeros(0, int),) * 3)
+    if convention != "exact":
+        raise ConfigurationError(f"unknown convention {convention!r}")
+    pillars = [t for t, _ in curve.pillars or () if schedule.start < t < dates[-1]]
+    halvings = (dates[0] - schedule.start) * 0.5 ** np.arange(1, FIRST_PERIOD_HALVINGS + 1)
+    cuts = np.union1d(np.concatenate((dates, schedule.start + halvings)), pillars)
+    left = np.concatenate(([schedule.start], cuts[:-1]))
+    x, w = _gauss_legendre(GAUSS_NODES)
+    width, period = 0.5 * (cuts - left)[:, None], np.searchsorted(dates, left, side="right")
+    nodes = left[:, None] + width * (x + 1.0)  # one row per piece
+    d = np.maximum(curve.discount(np.concatenate((left[:1], cuts, nodes.ravel()))),
+                   np.finfo(float).tiny)  # so f stays finite where D underflows
+    forward = np.log(d[:cuts.size] / d[1:cuts.size + 1])[:, None] / (2.0 * width)
+    weight = width * w * d[cuts.size + 1:].reshape(nodes.shape)
+    accrual = weight * (1.0 - forward * (nodes - at_dates[period][:, None]))
+    period = np.repeat(period, x.size)
+    return LegGrid(np.concatenate((at_dates, nodes.ravel())), df, premium, period,
+                   np.stack((weight * forward, accrual)).reshape(2, -1),
+                   np.searchsorted(period, np.arange(dates.size), side="right") - 1)
 
 
 def cds_legs(schedule: PaymentSchedule, curve: DiscountCurve, model,

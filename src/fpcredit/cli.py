@@ -130,13 +130,16 @@ def cmd_calibrate(args) -> int:
     models = CALIBRATION_MODELS if args.model == "all" else (args.model,)
     sections = {}
     warnings = []
+    inexact = {}  # model -> max |repricing error| in bp
     for model in models:
         params, report = _calibrate_one(model, strip, curve, config)
         report.config = asdict(config)
         sections[model] = report.as_dict()
         warnings.extend(f"{model}: {w}" for w in report.warnings)
-        print(f"[{model}] max |repricing error| = "
-              f"{max(abs(e) for e in report.repricing_errors_bp):.2e} bp")
+        worst = max(abs(e) for e in report.repricing_errors_bp)
+        print(f"[{model}] max |repricing error| = {worst:.2e} bp")
+        if not report.exact:
+            inexact[model] = worst
     doc = {"schema_version": "1", "kind": "calibration", "config": asdict(config),
            "models": sections}
     if len(models) > 1:
@@ -150,7 +153,10 @@ def cmd_calibrate(args) -> int:
             row = " ".join(f"{sections[m]['pillar_survivals'][i]:10.4%}" for m in models)
             print(f"{t:6.1f} {row}")
     _write_report(doc, out_path)
-    if any(not sections[m]["exact"] for m in models):
+    for model, worst in inexact.items():
+        print(f"error: {model}: fit not exact, max |repricing error| = {worst:.2e} bp",
+              file=sys.stderr)
+    if inexact:
         return 1
     return 2 if warnings else 0
 

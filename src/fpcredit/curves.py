@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, require_finite
 
 VALID_FREQUENCIES = (1, 2, 4, 12)
+MAX_TENOR_YEARS = 100
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,8 @@ def make_schedule(start: float, end: float, frequency: int) -> PaymentSchedule:
     """Evenly spaced payment grid with accruals 1/frequency; final date equals end."""
     if not -math.inf < start < end < math.inf:
         raise DomainError("schedule start and end must be finite, with end after start")
+    if end - start > MAX_TENOR_YEARS:
+        raise DomainError(f"schedule longer than {MAX_TENOR_YEARS} years: {end - start!r}")
     if frequency not in VALID_FREQUENCIES:
         raise DomainError(f"frequency must be one of {VALID_FREQUENCIES}")
     step = 1.0 / frequency

@@ -75,6 +75,11 @@ class ErsContract:
         return 1.0 - self.recovery
 
 
+# The sampler and the pricer peak at 70-105 bytes per path (more as more
+# paths default), so this caps a run's memory near 1 GB.
+MAX_PATHS = 10_000_000
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     n_paths: int = 100_000
@@ -83,8 +88,8 @@ class SimulationConfig:
 
     def __post_init__(self):
         _require_integer(self, "n_paths", "rng_seed")
-        if self.n_paths < 2:
-            raise DomainError("need at least 2 paths")
+        if not 2 <= self.n_paths <= MAX_PATHS:
+            raise DomainError(f"n_paths must lie in [2, {MAX_PATHS}]")
         if self.rng_seed < 0:
             raise DomainError("rng_seed must be non-negative")
 

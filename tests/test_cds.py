@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from fpcredit import (At1pParams, CdsContract, ConfigurationError,
                       DegenerateInputError, DiscountCurve, HazardCurve,
-                      VolatilityTermStructure, cds_legs, cds_price, fair_spread,
+                      VolatilityTermStructure, bootstrap_intensity, calibrate_at1p,
+                      calibrate_sbtv, cds, cds_legs, cds_price, fair_spread,
                       leg_grid, make_schedule)
-from fpcredit.survival import survival
+from fpcredit.presets import STRIP_PRESETS, preset_strip
+from fpcredit.survival import first_passage_survival, survival
 
 
 def riskless():
@@ -158,6 +160,68 @@ class TestLegs:
             fresh = cds_legs(sched, curve, model, convention)
             for a, f in zip(applied, fresh):
                 assert np.array_equal(a, f)
+
+
+class TestExactQuadrature:
+    @pytest.mark.parametrize("h, sigma, r", [(0.85, 0.6, 0.03), (0.9, 1.0, 0.05),
+                                             (0.7, 0.4, -0.005)])
+    def test_flat_vol_protection_matches_rebate_identity(self, h, sigma, r):
+        # in the variance clock v = sigma^2 t, discounting at r multiplies the
+        # first-passage density of drift mu by e^{-(r / sigma^2) v}, which is
+        # e^{x0 (mu' - mu)} times the density of drift mu' = -sqrt(mu^2 + 2 r / sigma^2)
+        sched = make_schedule(0.0, 10.0, 4)
+        params = At1pParams(h, 0.0, VolatilityTermStructure((10.0,), (sigma,)))
+        protection, _ = cds_legs(sched, DiscountCurve(flat_rate=r), params, "exact")
+        x0, mu, mu_r = -math.log(h), -0.5, -math.sqrt(0.25 + 2.0 * r / sigma ** 2)
+        oracle = math.exp(x0 * (mu_r - mu)) * (
+            1.0 - first_passage_survival(math.log(h), mu_r + 0.5, sigma ** 2 * sched.dates))
+        big = oracle > 1e-12
+        assert big.any()
+        assert protection[big] == pytest.approx(oracle[big], rel=1e-12)
+
+    def test_flat_hazard_on_pillar_curve_matches_piecewise_closed_form(self):
+        # the curve's knots at 0.6y and 2.2y lie inside payment periods; on each
+        # piece [u, v] of constant forward f, Q D = Q(u) D(u) e^{-k (t - u)} with
+        # k = lam + f, so both legs integrate piece by piece in closed form
+        lam = 0.04
+        curve = DiscountCurve(pillars=((0.6, 0.985), (2.2, 0.93), (5.0, 0.83)))
+        sched = make_schedule(0.0, 3.0, 4)
+        protection, premium = cds_legs(sched, curve, hazard(lam), "exact")
+        prot = prem = 0.0
+        expected = []
+        for start, end, alpha in zip(sched.dates - sched.accruals, sched.dates, sched.accruals):
+            cuts = [start] + [t for t in (0.6, 2.2) if start < t < end] + [end]
+            for u, v in zip(cuts, cuts[1:]):
+                f = math.log(curve.discount(u) / curve.discount(v)) / (v - u)
+                k, h = lam + f, v - u
+                density = lam * math.exp(-lam * u) * curve.discount(u)
+                prot += density * (1.0 - math.exp(-k * h)) / k
+                prem += density * ((u - start) * (1.0 - math.exp(-k * h)) / k
+                                   + (1.0 - math.exp(-k * h) * (1.0 + k * h)) / k ** 2)
+            prem += curve.discount(end) * alpha * math.exp(-lam * end)
+            expected.append((prot, prem))
+        assert protection == pytest.approx([p for p, _ in expected], rel=1e-12)
+        assert premium == pytest.approx([p for _, p in expected], rel=1e-12)
+
+    def test_underflowing_discount_factors_stay_finite(self):
+        # at a rate of 8000% the 10y discount factor underflows to 0, the first ones do not
+        grid = leg_grid(make_schedule(0.0, 10.0, 4), DiscountCurve(flat_rate=80.0), "exact")
+        assert np.all(np.isfinite(grid.legs(survival(hazard(0.02), grid.times))))
+
+    def test_preset_fits_converged_in_nodes_and_halvings(self, flat_curve, monkeypatch):
+        fits = [(strip, fit(strip, flat_curve, convention="exact")[0])
+                for strip in map(preset_strip, sorted(STRIP_PRESETS))
+                for fit in (bootstrap_intensity, calibrate_at1p, calibrate_sbtv)]
+
+        def spreads_bp():
+            return np.array([fair_spread(make_schedule(0.0, t, 4), flat_curve, model,
+                                         strip.recovery, "exact")
+                             for strip, model in fits for t in strip.tenors]) * 1e4
+
+        default = spreads_bp()
+        monkeypatch.setattr(cds, "GAUSS_NODES", 40)
+        monkeypatch.setattr(cds, "FIRST_PERIOD_HALVINGS", 30)
+        assert np.max(np.abs(spreads_bp() - default)) < 1e-9
 
 
 class TestConventionAgreement:

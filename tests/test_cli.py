@@ -193,6 +193,26 @@ class TestBadInputsExitWithMessage:
                                        "--flat-rate", "1e308", "--models", "intensity",
                                        "--rho", "0", "--paths", "2000")
 
+    def test_tenor_above_cap(self, capsys, outdir):
+        run(capsys, "calibrate", "--preset", "lehman-2008-06-12", "--model", "intensity")
+        assert "100 years" in self.check(capsys, "price-cds", "--params",
+                                         str(outdir / "calibration.json"), "--model",
+                                         "intensity", "--tenor", "1e15", "--spread-bp", "100")
+
+    def test_path_count_above_cap(self, capsys):
+        assert "n_paths" in self.check(capsys, "price-ers", "--preset", "ers-paper-2009-09-16",
+                                       "--models", "intensity", "--rho", "0",
+                                       "--paths", "1000000000000")
+
+    def test_inexact_fit_names_each_model(self, capsys):
+        # at -30% the discount factors reach e^300 and no fit reprices within 0.01 bp
+        err = self.check(capsys, "calibrate", "--preset", "lehman-2007-07-10",
+                         "--flat-rate=-30")
+        lines = err.splitlines()
+        assert len(lines) == 3
+        for line, model in zip(lines, ("intensity", "at1p", "sbtv")):
+            assert line.startswith(f"error: {model}: fit not exact, max |repricing error|")
+
     @pytest.mark.parametrize("drop", ["bucket_ends", "sigmas", "h_over_v0"])
     def test_report_with_missing_keys(self, capsys, outdir, drop):
         run(capsys, "calibrate", "--preset", "lehman-2008-06-12", "--model", "at1p")
@@ -216,6 +236,45 @@ class TestBadInputsExitWithMessage:
     def test_overflowing_discount_rate(self, capsys, model, rate, message):
         assert message in self.check(capsys, "calibrate", "--preset", "lehman-2007-07-10",
                                      "--model", model, f"--flat-rate={rate}")
+
+
+SWEEP_VALUES = ("nan", "inf", "0", "-0.5", "1e300")
+
+
+class TestNumericFlagSweep:
+    """Every numeric flag, given nan, inf, 0, a negative value and a huge value,
+    ends in a clean run or an error message, never in a traceback."""
+
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("sweep") / "calibration.json"
+        assert main(["calibrate", "--preset", "lehman-2008-06-12", "--out", str(path)]) == 0
+        return path
+
+    def check(self, capsys, *argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refuses a non-integer with a usage line
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code in (0, 2) and out) or (code in (1, 2) and "error: " in err)
+
+    @pytest.mark.parametrize("value", SWEEP_VALUES)
+    @pytest.mark.parametrize("flag", ["--flat-rate", "--h1", "--b", "--recovery"])
+    def test_calibrate(self, capsys, flag, value):
+        self.check(capsys, "calibrate", "--preset", "lehman-2007-07-10", f"{flag}={value}")
+
+    @pytest.mark.parametrize("value", SWEEP_VALUES)
+    @pytest.mark.parametrize("flag", ["--tenor", "--spread-bp"])
+    def test_price_cds(self, capsys, report, flag, value):
+        argv = {"--tenor": "5", "--spread-bp": "100", flag: value}
+        self.check(capsys, "price-cds", "--params", str(report), "--model", "sbtv",
+                   *(f"{k}={v}" for k, v in argv.items()))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5", "1" + "0" * 300])
+    def test_price_ers_paths(self, capsys, value):
+        self.check(capsys, "price-ers", "--preset", "ers-paper-2009-09-16",
+                   "--models", "intensity", "--rho", "0", f"--paths={value}")
 
 
 @functools.lru_cache(maxsize=None)

@@ -81,6 +81,9 @@ class TestSchedule:
             make_schedule(1.0, 0.5, 4)
         with pytest.raises(DomainError):
             make_schedule(0.0, 5.0, 3)
+        with pytest.raises(DomainError, match="100 years"):
+            make_schedule(0.0, 1e15, 4)  # refused before 4e15 dates are allocated
+        assert make_schedule(0.0, 100.0, 12).dates.size == 1200
 
     @given(t=st.floats(0.0, 4.999))
     def test_beta_brackets_time(self, t):

@@ -60,6 +60,9 @@ class TestConfig:
             SimulationConfig(n_paths=1)
         with pytest.raises(DomainError):
             SimulationConfig(rng_seed=-1)
+        with pytest.raises(DomainError):
+            SimulationConfig(n_paths=10**12)
+        assert SimulationConfig(n_paths=10**6).n_paths == 10**6
         assert SimulationConfig(n_paths=np.int64(10), rng_seed=np.uint32(3)).n_paths == 10
 
     @pytest.mark.parametrize("value", [True, 1000.0, math.nan, "1000", None])
