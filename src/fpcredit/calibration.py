@@ -4,10 +4,15 @@ and the two-step scenario-barrier fit.
 All three calibrators run one bootstrap loop, `_bootstrap`: walk the quote
 strip from the shortest tenor outwards and, for each pillar, solve a 1D
 root-finding problem in that pillar's bucket parameter so the pillar CDS
-reprices to zero at its quoted spread, holding earlier buckets fixed.  They
-differ only in the model family, the bracket and the reported parameters.
-The scenario model needs a preliminary best-fit of (H2, p1, sigma_bar) on
-the first three quotes before its volatility bootstrap.
+reprices to zero at its quoted spread, holding earlier buckets fixed.  Each
+model is a "clock" (cumulative variance, or cumulative hazard) that grows
+at a constant rate inside a bucket, and a kernel that maps the clock to
+survival; the root-finder moves only the last bucket's clock and builds no
+model object.  The models differ in the kernel, the clock rate, the bracket
+and the reported parameters.  The scenario model needs a preliminary
+best-fit of (H2, p1, sigma_bar) on the first three quotes before its
+volatility bootstrap: a bounded least-squares fit with the analytic
+Jacobian of the closed-form kernel.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq, least_squares
+from scipy.special import log_ndtr
 
 from .cds import CdsContract, cds_price, leg_grid
 from .curves import DiscountCurve, make_schedule
@@ -71,7 +77,8 @@ def pillar_contract(tenor: float, spread_bp: float, recovery: float) -> CdsContr
 def bootstrap_intensity(strip: CdsQuoteStrip, curve: DiscountCurve,
                         convention: str = "postponed") -> tuple[HazardCurve, CalibrationReport]:
     """Sequentially solve each bucket's constant intensity so the pillar CDS reprices."""
-    return _bootstrap(strip, curve, convention, "intensity", HazardCurve, (LAMBDA_LO, LAMBDA_HI))
+    return _bootstrap(strip, curve, convention, "intensity", HazardCurve,
+                      lambda c: np.exp(-c), lambda lam: lam, (LAMBDA_LO, LAMBDA_HI))
 
 
 def calibrate_at1p(strip: CdsQuoteStrip, curve: DiscountCurve, h_over_v0: float = 0.4,
@@ -79,11 +86,16 @@ def calibrate_at1p(strip: CdsQuoteStrip, curve: DiscountCurve, h_over_v0: float 
     """Bootstrap one volatility bucket per quote with the barrier fixed exogenously."""
     if not 0 < h_over_v0 < 1:
         raise DomainError("H/V0 must lie in (0, 1)")
+    if not math.isfinite(b):
+        raise DomainError(f"b must be a finite number, got {b!r}")
+    log_h = math.log(h_over_v0)
 
     def family(tenors, sigmas):
         return At1pParams(h_over_v0=h_over_v0, b=b, vols=VolatilityTermStructure(tenors, sigmas))
 
-    return _bootstrap(strip, curve, convention, "at1p", family, (SIGMA_LO, SIGMA_HI))
+    return _bootstrap(strip, curve, convention, "at1p", family,
+                      lambda cv: first_passage_survival(log_h, b, cv), _variance_rate,
+                      (SIGMA_LO, SIGMA_HI))
 
 
 def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
@@ -106,11 +118,18 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
     if step1["rms_bp"] > 5.0:
         warnings.append("step-1 RMS above 5 bp: scenario structure cannot represent this strip")
 
+    log_h = np.array([[math.log(h1)], [math.log(h2)]])
+
     def family(tenors, sigmas):
         return SbtvParams(scenarios=((h1, p1), (h2, 1.0 - p1)), b=b,
                           vols=VolatilityTermStructure(tenors, sigmas))
 
-    params, report = _bootstrap(strip, curve, convention, "sbtv", family, (SIGMA_LO, SIGMA_HI))
+    def kernel(cv):
+        q = first_passage_survival(log_h, b, cv)
+        return p1 * q[0] + (1.0 - p1) * q[1]
+
+    params, report = _bootstrap(strip, curve, convention, "sbtv", family, kernel,
+                                _variance_rate, (SIGMA_LO, SIGMA_HI))
     refinement = max(abs(s - sigma_bar) for s in params.vols.sigmas[:3])
     if refinement >= 0.02:
         warnings.append(f"step-2 moved the first volatilities {refinement:.4f} from "
@@ -123,43 +142,60 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
 
 # -- internals ---------------------------------------------------------------
 
-def _bootstrap(strip, curve, convention, model_name, family, bracket):
+def _variance_rate(sigma: float) -> float:
+    return sigma * sigma
+
+
+def _bootstrap(strip, curve, convention, model_name, family, kernel, rate, bracket):
     """Walk the strip outwards and root-find each pillar's bucket parameter so
     its CDS reprices, earlier buckets frozen.
 
-    `family(tenors_so_far, xs)` builds the model whose buckets end at the
-    tenors so far and carry the parameters `xs`; `bracket` bounds each root.
+    Survival is `kernel(c)` of a clock c(t) that is piecewise linear in t and
+    runs at `rate(x)` inside a bucket with parameter x.  Per pillar, survival
+    on the leg grid's times up to the previous tenor t_prev is read once; a
+    root-finder step re-reads it only on the later times, at
+    c(t_prev) + rate(x) (t - t_prev).  `family(tenors, xs)` builds the fitted
+    model, once the walk ends; `bracket` bounds each root.
     """
     tenors = strip.tenors
     contracts = [pillar_contract(q.tenor, q.spread_bp, strip.recovery) for q in strip.quotes]
     grids = [leg_grid(c.schedule, curve, convention) for c in contracts]
     lo_x, hi_x = bracket
     xs: list[float] = []
+    knot_t, knot_c = [0.0], [0.0]  # the clock at the bucket ends so far
     iterations = []
     flagged = []
     for tenor, contract, grid in zip(tenors, contracts, grids):
+        t_prev, c_prev = knot_t[-1], knot_c[-1]
+        later = grid.times > t_prev
+        q = np.empty(grid.times.size)
+        q[~later] = kernel(np.interp(grid.times[~later], knot_t, knot_c))
+        elapsed = grid.times[later] - t_prev
+
         def price_at(x: float) -> float:
-            model = family(tenors[: len(xs) + 1], xs + [x])
-            return contract.value(*grid.legs(survival(model, grid.times)))
+            q[later] = kernel(c_prev + rate(x) * elapsed)
+            return contract.value(*grid.legs(q))
 
         lo, hi = price_at(lo_x), price_at(hi_x)
         if abs(lo) < PRICE_TOL:
             # the quote is repriced at the bracket floor (no diffusion, no hazard)
             flagged.append(tenor)
-            xs.append(lo_x)
-            iterations.append(0)
-            continue
-        if lo * hi > 0:
+            root, steps = lo_x, 0
+        elif lo * hi > 0:
             raise CalibrationError(
                 f"{model_name}: no bucket parameter in [{lo_x}, {hi_x}] reprices the "
                 f"{tenor}y quote (bucket {len(xs) + 1})",
                 diagnostics={"tenor": tenor, "price_lo": lo, "price_hi": hi,
                              "fixed_parameters": list(xs)})
-        res = brentq(price_at, lo_x, hi_x, xtol=1e-16, rtol=8.9e-16, full_output=True)[1]
-        if res.root < lo_x * 1.01 or res.root > hi_x * 0.99:
-            flagged.append(tenor)
-        xs.append(res.root)
-        iterations.append(res.iterations)
+        else:
+            res = brentq(price_at, lo_x, hi_x, xtol=1e-16, rtol=8.9e-16, full_output=True)[1]
+            if res.root < lo_x * 1.01 or res.root > hi_x * 0.99:
+                flagged.append(tenor)
+            root, steps = res.root, res.iterations
+        xs.append(root)
+        iterations.append(steps)
+        knot_t.append(tenor)
+        knot_c.append(c_prev + rate(root) * (tenor - t_prev))
     model = family(tenors, xs)
     warnings: list[str] = []
     if flagged:
@@ -184,12 +220,16 @@ def _sbtv_step1(strip, curve, h1, b, convention):
     The residuals are the three model-minus-quoted spreads in bp.  Their
     sum of squares is evaluated at every point of a fixed 3x3x3 start grid
     (clipped into the box) and a bounded trust-region least-squares polish
-    (TRF, finite-difference Jacobian, every point inside the box) is run
-    from the best few; ties are broken by the smaller H2 so the result is
-    deterministic.  The three pillar schedules are prefixes of the third
-    one, whose leg grid, built once, prices all three; a flat volatility
-    has cumulative variance sigma_bar^2 t, so an evaluation is one kernel
-    call and builds no model.
+    (TRF, every point inside the box) is run from the best few; ties are
+    broken by the smaller H2 so the result is deterministic.  The three
+    pillar schedules are prefixes of the third one, whose leg grid, built
+    once, prices all three; a flat volatility has cumulative variance
+    s = sigma_bar^2 t, so an evaluation is one kernel call and builds no
+    model.  The Jacobian is analytic and reuses the evaluation at its point:
+    the mixture is linear in p1, the legs are linear in survival, and the
+    kernel Q = Phi(d1) - H^a Phi(d2), with a = 2B - 1 and H^a phi(d2) =
+    phi(d1), has dQ/ds = log H phi(d1) / s^1.5 and
+    dQ/dlog H = -2 phi(d1) / sqrt(s) - a H^a Phi(d2).
     """
     head = strip.quotes[:3]
     grid = leg_grid(make_schedule(0.0, head[-1].tenor, CDS_FREQUENCY), curve, convention)
@@ -198,16 +238,47 @@ def _sbtv_step1(strip, curve, h1, b, convention):
     quoted_bp = np.array([q.spread_bp for q in head])
     lgd = 1.0 - strip.recovery
     log_h1 = math.log(h1)
+    a = 2.0 * b - 1.0
+    t = grid.times[1:]  # times[0] is the start, where survival is 1 for every x
     evaluations = 0
+    last = None  # (x, the kernel's two survival rows there, the three pillars' legs)
+
+    def pillar_legs(q):
+        protection, premium = grid.legs(q)
+        return protection[last_payment], premium[last_payment]
+
+    def evaluate(x):
+        nonlocal evaluations, last
+        if last is None or not np.array_equal(last[0], x):
+            evaluations += 1
+            h2, p1, sigma_bar = x
+            q = first_passage_survival(np.array([[log_h1], [math.log(h2)]]), b,
+                                       sigma_bar ** 2 * grid.times)
+            last = (x.copy(), q, *pillar_legs(p1 * q[0] + (1.0 - p1) * q[1]))
+        return last[1:]
 
     def residuals(x) -> np.ndarray:
-        nonlocal evaluations
-        evaluations += 1
+        _, protection, premium = evaluate(x)
+        return lgd * protection / premium * 1e4 - quoted_bp
+
+    def jacobian(x) -> np.ndarray:
+        q, protection, premium = evaluate(x)
         h2, p1, sigma_bar = x
-        q = first_passage_survival(np.array([[log_h1], [math.log(h2)]]), b,
-                                   sigma_bar ** 2 * grid.times)
-        protection, premium = grid.legs(p1 * q[0] + (1.0 - p1) * q[1])
-        return lgd * protection[last_payment] / premium[last_payment] * 1e4 - quoted_bp
+        log_h = np.array([[log_h1], [math.log(h2)]])
+        s = sigma_bar ** 2 * t
+        sd = np.sqrt(s)
+        d1 = (0.5 * a * s - log_h) / sd
+        density = np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+        dq_ds = log_h * density / (s * sd)
+        dq_dlog_h2 = -2.0 * density[1] / sd - a * np.exp(
+            a * log_h[1] + log_ndtr((log_h[1] + 0.5 * a * s) / sd))
+        directions = np.zeros((3, grid.times.size))  # d survival / d (h2, p1, sigma_bar)
+        directions[0, 1:] = (1.0 - p1) / h2 * dq_dlog_h2
+        directions[1] = q[0] - q[1]
+        directions[2, 1:] = 2.0 * sigma_bar * t * (p1 * dq_ds[0] + (1.0 - p1) * dq_ds[1])
+        spread_bp = lgd * protection / premium * 1e4
+        return np.array([(lgd * 1e4 * d_protection - spread_bp * d_premium) / premium
+                         for d_protection, d_premium in map(pillar_legs, directions)]).T
 
     lower, upper = np.array([h1 + 1e-6, 0.0, 1e-3]), np.array([1.0 - 1e-6, 1.0, 2.0])
     starts = [np.clip(x0, lower, upper) for x0 in itertools.product(
@@ -215,7 +286,7 @@ def _sbtv_step1(strip, curve, h1, b, convention):
     ranked = sorted(starts, key=lambda x0: (float(np.sum(residuals(x0) ** 2)), x0[0]))
     best = None
     for x0 in ranked[:STEP1_POLISH_STARTS]:
-        res = least_squares(residuals, x0, bounds=(lower, upper), method="trf",
+        res = least_squares(residuals, x0, jac=jacobian, bounds=(lower, upper), method="trf",
                             xtol=STEP1_TOL, ftol=STEP1_TOL, gtol=STEP1_TOL)
         cand = (res.cost, res.x[0], res.x)  # ties broken by smallest H2
         if best is None or cand[:2] < best[:2]:

@@ -20,10 +20,12 @@ Two payoff conventions are implemented:
   piecewise-constant forward, this is the postponed leg plus corrections
   int f D (Q(a) - Q) dt (protection) and int D (1 - f (t - a)) (Q - Q(b)) dt
   (accrual), linear in survival Q at ``GAUSS_NODES`` Gauss-Legendre nodes per
-  piece between payment dates and curve pillars; the first period is also
-  halved ``FIRST_PERIOD_HALVINGS`` times toward t = 0, where a first-passage
-  density is flat to all orders.  Q must be smooth inside each piece: every
-  model fitted here has its knots at quote tenors, which are payment dates.
+  piece between payment dates, curve pillars and the model's knots; the
+  first period is also halved ``FIRST_PERIOD_HALVINGS`` times toward t = 0,
+  where a first-passage density is flat to all orders.  Q is smooth inside
+  each piece: `cds_legs` passes the model's volatility or hazard knots to
+  `leg_grid`, and a model-free grid (no knots) prices every model whose
+  knots are payment dates, as those of the calibrators are.
 """
 
 from __future__ import annotations
@@ -96,9 +98,10 @@ class LegGrid:
 
 
 def leg_grid(schedule: PaymentSchedule, curve: DiscountCurve,
-             convention: str = "postponed") -> LegGrid:
-    """The survival read times and the discounted leg weights of one schedule;
-    model-free, so one grid prices every model whose knots are payment dates."""
+             convention: str = "postponed", knots=()) -> LegGrid:
+    """The survival read times and the discounted leg weights of one schedule.
+    Exact pieces are also split at `knots`, the times where survival may bend;
+    without them one grid prices every model whose knots are payment dates."""
     dates = schedule.dates
     df = np.asarray(curve.discount(dates), dtype=float)
     premium = df * schedule.accruals
@@ -113,9 +116,10 @@ def leg_grid(schedule: PaymentSchedule, curve: DiscountCurve,
         return LegGrid(at_dates, df, premium, *(np.zeros(0, int),) * 3)
     if convention != "exact":
         raise ConfigurationError(f"unknown convention {convention!r}")
-    pillars = [t for t, _ in curve.pillars or () if schedule.start < t < dates[-1]]
+    bends = [t for t, _ in curve.pillars or ()] + list(knots)  # where D or Q may bend
     halvings = (dates[0] - schedule.start) * 0.5 ** np.arange(1, FIRST_PERIOD_HALVINGS + 1)
-    cuts = np.union1d(np.concatenate((dates, schedule.start + halvings)), pillars)
+    cuts = np.union1d(np.concatenate((dates, schedule.start + halvings)),
+                      [t for t in bends if schedule.start < t < dates[-1]])
     left = np.concatenate(([schedule.start], cuts[:-1]))
     x, w = _gauss_legendre(GAUSS_NODES)
     width, period = 0.5 * (cuts - left)[:, None], np.searchsorted(dates, left, side="right")
@@ -135,7 +139,8 @@ def cds_legs(schedule: PaymentSchedule, curve: DiscountCurve, model,
              convention: str = "postponed") -> tuple[np.ndarray, np.ndarray]:
     """Per-payment-date prefix sums (protection per unit LGD, premium per unit
     spread); the premium includes the accrual paid at default when exact."""
-    grid = leg_grid(schedule, curve, convention)
+    knots = getattr(getattr(model, "vols", model), "bucket_ends", ())
+    grid = leg_grid(schedule, curve, convention, knots)
     return grid.legs(survival(model, grid.times))
 
 

@@ -115,6 +115,10 @@ class TestAt1pCalibration:
         with pytest.raises(DomainError):
             calibrate_at1p(small_strip([50.0, 80.0, 100.0]), flat_curve, h_over_v0=1.2)
 
+    def test_rejects_non_finite_barrier_exponent(self, flat_curve):
+        with pytest.raises(DomainError, match="b must be"):
+            calibrate_at1p(preset_strip("lehman-2007-07-10"), flat_curve, b=float("nan"))
+
 
 class TestSbtvCalibration:
     @pytest.mark.parametrize("name", sorted(PUBLISHED))
@@ -206,6 +210,25 @@ class TestSbtvStep1:
                                 convention)
         assert step1["objective_evaluations"] == len(calls) > step1["multi_start_points"]
 
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    def test_analytic_jacobian_matches_finite_differences(self, monkeypatch, flat_curve,
+                                                          convention):
+        # at the TestLegGridReuse points and on the sigma_bar = 1e-3 and h2 = 1 - 1e-6
+        # bounds (at sigma_bar = 1e-3 survival is 1 to the last bit unless H2 is near 1);
+        # a five-point central difference, its steps kept below 1 - h2
+        monkeypatch.setattr(calibration, "least_squares", _capture_objective)
+        with pytest.raises(_Captured) as captured:
+            _sbtv_step1(preset_strip("lehman-2008-09-12"), flat_curve, 0.4, 0.0, convention)
+        residuals, jacobian = captured.value.args
+        for x in map(np.array, [(0.7313, 0.962, 0.166), (0.55, 0.3, 0.45), (0.95, 0.5, 0.08),
+                                (0.999, 0.5, 1e-3), (1.0 - 1e-6, 0.5, 0.2)]):
+            central = np.empty((3, 3))
+            for j, step in enumerate((min(1e-4, (1.0 - x[0]) / 100), 1e-4, 1e-4 * x[2])):
+                e = step * np.eye(3)[j]
+                central[:, j] = (8.0 * (residuals(x + e) - residuals(x - e))
+                                 - residuals(x + 2 * e) + residuals(x - 2 * e)) / (12.0 * step)
+            assert jacobian(x) == pytest.approx(central, rel=1e-6)
+
 
 class TestDegenerateDiscounting:
     @pytest.mark.parametrize("calibrate", [bootstrap_intensity, calibrate_at1p, calibrate_sbtv])
@@ -261,7 +284,7 @@ class _Captured(Exception):
 
 
 def _capture_objective(fun, x0, **kwargs):
-    raise _Captured(fun)
+    raise _Captured(fun, kwargs.get("jac"))
 
 
 class TestLegGridReuse:
@@ -294,6 +317,28 @@ class TestLegGridReuse:
         h2, p1, sigma_bar, _ = _sbtv_step1(preset_strip("lehman-2007-07-10"), flat_curve,
                                            0.4, 0.0, "postponed")
         assert 0.4 < h2 < 1.0 and 0.0 <= p1 <= 1.0 and sigma_bar > 0
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    def test_bootstrap_builds_one_model_object_per_fit(self, monkeypatch, flat_curve,
+                                                       convention):
+        built = []
+
+        def counting(cls):
+            def build(*args, **kwargs):
+                built.append(cls.__name__)
+                return cls(*args, **kwargs)
+            return build
+
+        for cls in (VolatilityTermStructure, HazardCurve):
+            monkeypatch.setattr(calibration, cls.__name__, counting(cls))
+        strip = preset_strip("lehman-2008-06-12")
+        for fit, cls in ((bootstrap_intensity, HazardCurve),
+                         (calibrate_at1p, VolatilityTermStructure),
+                         (calibrate_sbtv, VolatilityTermStructure)):
+            built.clear()
+            _, report = fit(strip, flat_curve, convention=convention)
+            assert built == [cls.__name__]
+            assert sum(report.diagnostics["iterations"]) > len(strip.quotes)
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
     def test_one_leg_grid_per_pillar_and_one_for_step1(self, monkeypatch, flat_curve,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from fpcredit import (At1pParams, CdsContract, ConfigurationError,
                       DegenerateInputError, DiscountCurve, HazardCurve,
@@ -202,6 +203,55 @@ class TestExactQuadrature:
             expected.append((prot, prem))
         assert protection == pytest.approx([p for p, _ in expected], rel=1e-12)
         assert premium == pytest.approx([p for _, p in expected], rel=1e-12)
+
+    def test_model_knots_inside_periods_split_the_pieces(self):
+        # vol and hazard knots at 0.6y and 2.2y lie inside payment periods, where
+        # survival bends; the reference integrates the default density -dQ/dt
+        # piece by piece between dates and knots: for AT1P, with s the cumulative
+        # variance and d1 = (-log H - s / 2) / sqrt(s), it is
+        # -log H phi(d1) / s^1.5 sigma(t)^2, and for the hazard curve each piece
+        # is closed form with k = lam + r
+        r, knots, sched = 0.03, (0.6, 2.2, 5.0), make_schedule(0.0, 5.0, 4)
+        curve = DiscountCurve(flat_rate=r)
+        at1p = At1pParams(0.7, 0.0, VolatilityTermStructure(knots, (0.35, 0.15, 0.25)))
+        hazard_curve = HazardCurve(knots, (0.02, 0.06, 0.04))
+
+        def bucket(t):
+            return int(np.searchsorted(knots, t, side="left"))
+
+        def at1p_piece(u, v, start):
+            def density(t):
+                s = at1p.vols.cumulative_variance(t)
+                d1 = (-math.log(0.7) - 0.5 * s) / math.sqrt(s)
+                return (-math.log(0.7) * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+                        / s ** 1.5 * at1p.vols.sigmas[bucket(0.5 * (u + v))] ** 2
+                        * math.exp(-r * t))
+            kwargs = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+            return (integrate.quad(density, u, v, **kwargs)[0],
+                    integrate.quad(lambda t: (t - start) * density(t), u, v, **kwargs)[0])
+
+        def hazard_piece(u, v, start):
+            lam = hazard_curve.lambdas[bucket(0.5 * (u + v))]
+            k, h = lam + r, v - u
+            mass = lam * survival(hazard_curve, u) * math.exp(-r * u)
+            return (mass * (1.0 - math.exp(-k * h)) / k,
+                    mass * ((u - start) * (1.0 - math.exp(-k * h)) / k
+                            + (1.0 - math.exp(-k * h) * (1.0 + k * h)) / k ** 2))
+
+        for model, piece in ((at1p, at1p_piece), (hazard_curve, hazard_piece)):
+            protection, premium = cds_legs(sched, curve, model, "exact")
+            prot = prem = 0.0
+            expected = []
+            for start, end, alpha in zip(sched.dates - sched.accruals, sched.dates,
+                                         sched.accruals):
+                cuts = [start] + [t for t in knots if start < t < end] + [end]
+                for u, v in zip(cuts, cuts[1:]):
+                    d_prot, d_accrual = piece(u, v, start)
+                    prot, prem = prot + d_prot, prem + d_accrual
+                prem += math.exp(-r * end) * alpha * survival(model, end)
+                expected.append((prot, prem))
+            assert protection == pytest.approx([p for p, _ in expected], rel=1e-12)
+            assert premium == pytest.approx([p for _, p in expected], rel=1e-12)
 
     def test_underflowing_discount_factors_stay_finite(self):
         # at a rate of 8000% the 10y discount factor underflows to 0, the first ones do not
