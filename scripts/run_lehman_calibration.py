@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Calibrate all three models to each dated Lehman CDS strip.
 
-Writes one calibration report per quote date (calibration_<preset>.json in
-the current directory, or in $FPCREDIT_OUT_DIR) and prints the pillar
-survival comparison tables.  Extra arguments are passed to every
+Writes one calibration report per quote date, calibration_<preset>.json in
+the current directory (the script passes --out, so $FPCREDIT_OUT_DIR does
+not apply), and prints the pillar survival comparison tables.  Extra arguments are passed to every
 `calibrate` call, e.g. --convention exact.
 """
 

@@ -25,12 +25,13 @@ import numpy as np
 from scipy.optimize import brentq, least_squares
 from scipy.special import log_ndtr
 
-from .cds import CdsContract, cds_price, leg_grid
-from .curves import DiscountCurve, make_schedule
+from .cds import CdsContract, leg_grid
+from .curves import Clock, DiscountCurve, make_schedule
 from .errors import CalibrationError, DomainError
 from .quotes import CdsQuoteStrip
 from .survival import (At1pParams, HazardCurve, SbtvParams,
-                       VolatilityTermStructure, first_passage_survival, survival)
+                       VolatilityTermStructure, first_passage_survival,
+                       mixture_survival, survival)
 
 PRICE_TOL = 1e-12
 SIGMA_LO, SIGMA_HI = 1e-4, 5.0
@@ -88,14 +89,8 @@ def calibrate_at1p(strip: CdsQuoteStrip, curve: DiscountCurve, h_over_v0: float 
         raise DomainError("H/V0 must lie in (0, 1)")
     if not math.isfinite(b):
         raise DomainError(f"b must be a finite number, got {b!r}")
-    log_h = math.log(h_over_v0)
-
-    def family(tenors, sigmas):
-        return At1pParams(h_over_v0=h_over_v0, b=b, vols=VolatilityTermStructure(tenors, sigmas))
-
-    return _bootstrap(strip, curve, convention, "at1p", family,
-                      lambda cv: first_passage_survival(log_h, b, cv), _variance_rate,
-                      (SIGMA_LO, SIGMA_HI))
+    return _bootstrap_vols(strip, curve, convention, "at1p", ((h_over_v0, 1.0),), b,
+                           lambda vols: At1pParams(h_over_v0, b, vols))
 
 
 def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
@@ -118,18 +113,9 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
     if step1["rms_bp"] > 5.0:
         warnings.append("step-1 RMS above 5 bp: scenario structure cannot represent this strip")
 
-    log_h = np.array([[math.log(h1)], [math.log(h2)]])
-
-    def family(tenors, sigmas):
-        return SbtvParams(scenarios=((h1, p1), (h2, 1.0 - p1)), b=b,
-                          vols=VolatilityTermStructure(tenors, sigmas))
-
-    def kernel(cv):
-        q = first_passage_survival(log_h, b, cv)
-        return p1 * q[0] + (1.0 - p1) * q[1]
-
-    params, report = _bootstrap(strip, curve, convention, "sbtv", family, kernel,
-                                _variance_rate, (SIGMA_LO, SIGMA_HI))
+    scenarios = ((h1, p1), (h2, 1.0 - p1))
+    params, report = _bootstrap_vols(strip, curve, convention, "sbtv", scenarios, b,
+                                     lambda vols: SbtvParams(scenarios, b, vols))
     refinement = max(abs(s - sigma_bar) for s in params.vols.sigmas[:3])
     if refinement >= 0.02:
         warnings.append(f"step-2 moved the first volatilities {refinement:.4f} from "
@@ -142,8 +128,14 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
 
 # -- internals ---------------------------------------------------------------
 
-def _variance_rate(sigma: float) -> float:
-    return sigma * sigma
+def _bootstrap_vols(strip, curve, convention, model_name, scenarios, b, params):
+    """`_bootstrap` of the volatilities of a first-passage model with its barrier
+    scenarios fixed; `params(vols)` builds the model.  The clock is the
+    cumulative variance, at rate sigma^2 in a bucket."""
+    return _bootstrap(strip, curve, convention, model_name,
+                      lambda tenors, sigmas: params(VolatilityTermStructure(tenors, sigmas)),
+                      lambda cv: mixture_survival(scenarios, b, cv), lambda sigma: sigma * sigma,
+                      (SIGMA_LO, SIGMA_HI))
 
 
 def _bootstrap(strip, curve, convention, model_name, family, kernel, rate, bracket):
@@ -155,11 +147,13 @@ def _bootstrap(strip, curve, convention, model_name, family, kernel, rate, brack
     on the leg grid's times up to the previous tenor t_prev is read once; a
     root-finder step re-reads it only on the later times, at
     c(t_prev) + rate(x) (t - t_prev).  `family(tenors, xs)` builds the fitted
-    model, once the walk ends; `bracket` bounds each root.
+    model, once the walk ends; `bracket` bounds each root.  The leg grids are
+    cut at the tenors, the fitted model's knots, so they are the grids
+    `cds_legs` builds for it, and the report reprices on them.
     """
     tenors = strip.tenors
     contracts = [pillar_contract(q.tenor, q.spread_bp, strip.recovery) for q in strip.quotes]
-    grids = [leg_grid(c.schedule, curve, convention) for c in contracts]
+    grids = [leg_grid(c.schedule, curve, convention, tenors) for c in contracts]
     lo_x, hi_x = bracket
     xs: list[float] = []
     knot_t, knot_c = [0.0], [0.0]  # the clock at the bucket ends so far
@@ -169,7 +163,7 @@ def _bootstrap(strip, curve, convention, model_name, family, kernel, rate, brack
         t_prev, c_prev = knot_t[-1], knot_c[-1]
         later = grid.times > t_prev
         q = np.empty(grid.times.size)
-        q[~later] = kernel(np.interp(grid.times[~later], knot_t, knot_c))
+        q[~later] = kernel(Clock(knot_t, knot_c, 0.0)(grid.times[~later]))
         elapsed = grid.times[later] - t_prev
 
         def price_at(x: float) -> float:
@@ -206,7 +200,8 @@ def _bootstrap(strip, curve, convention, model_name, family, kernel, rate, brack
     report = CalibrationReport(
         model=model_name,
         parameters=model.to_dict(),
-        repricing_errors_bp=[cds_price(c, curve, model, convention) * 1e4 for c in contracts],
+        repricing_errors_bp=[c.value(*grid.legs(survival(model, grid.times))) * 1e4
+                             for c, grid in zip(contracts, grids)],
         pillar_survivals=pillar_survivals,
         diagnostics={"solver": "brentq", "iterations": iterations, "bracket": [lo_x, hi_x]},
         warnings=warnings,

@@ -192,6 +192,7 @@ def cmd_price_ers(args) -> int:
     models = [m.strip() for m in args.models.split(",")]
     terms = dict(ERS_CONTRACT_TERMS)
     terms.pop("quote_date", None)
+    contracts = {rho: make_ers_contract(rho=rho, **terms) for rho in rhos}
 
     calibrated = {m: _calibrate_one(m, strip, curve, config)[0] for m in models}
     table: dict = {m: {} for m in models}
@@ -200,9 +201,8 @@ def cmd_price_ers(args) -> int:
     for rho in rhos:
         row = []
         for model in models:
-            ers = make_ers_contract(rho=rho, **{k: v for k, v in terms.items()
-                                                if k != "quote_date"})
-            result: ErsPricingResult = ers_fair_spread(calibrated[model], ers, curve, sim)
+            result: ErsPricingResult = ers_fair_spread(calibrated[model], contracts[rho],
+                                                       curve, sim)
             table[model][str(rho)] = result.as_dict()
             low_stats = low_stats or result.diagnostics.get("low_statistics", False)
             row.append(f"{result.fair_spread_bp:7.2f}+-{result.std_error_bp:5.2f}")

@@ -6,6 +6,8 @@ Conventions used everywhere in this library:
   only appear at the I/O boundary.
 - Discounting is deterministic: ``P(0, t)`` is either a flat continuously
   compounded rate or a log-linear interpolation between pillars.
+- Every piecewise-constant term structure (volatility, intensity, a pillar
+  curve's forward rate) integrates to a `Clock`, piecewise linear in t.
 - Premium schedules use equal accruals ``1/frequency`` (idealized ACT/365
   grid); calendar and holiday logic is out of scope.
 """
@@ -21,6 +23,48 @@ from .errors import DomainError, require_finite
 
 VALID_FREQUENCIES = (1, 2, 4, 12)
 MAX_TENOR_YEARS = 100
+
+
+@dataclass(frozen=True, eq=False)
+class Clock:
+    """The integral c(t) from 0 of a piecewise-constant rate: linear between
+    the knots (`knot_t`, `knot_c`), which start at (0, 0), and at `tail_rate`
+    beyond the last one."""
+
+    knot_t: np.ndarray
+    knot_c: np.ndarray
+    tail_rate: float
+
+    @classmethod
+    def from_rates(cls, bucket_ends, rates) -> Clock:
+        """The clock running at rates[i] up to bucket_ends[i], and at rates[-1] beyond."""
+        knot_t = np.concatenate(([0.0], bucket_ends))
+        with np.errstate(over="ignore"):
+            knot_c = np.concatenate(([0.0], np.cumsum(np.array(rates) * np.diff(knot_t))))
+        if knot_c[-1] == np.inf:
+            raise DomainError("rates too large: their integral over the buckets overflows")
+        return cls(knot_t, knot_c, float(rates[-1]))
+
+    def __call__(self, t):
+        """c(t) for scalar or array t >= 0; a float for scalar or 0-d t."""
+        if np.any(np.asarray(t) < 0):
+            raise DomainError("time must be non-negative")
+        return _linear(t, self.knot_t, self.knot_c, lambda dt: self.tail_rate * dt)
+
+    def inverse(self, c):
+        """A time t with c(t) = c, for scalar or array c >= 0; inf past a zero tail rate."""
+        return _linear(c, self.knot_c, self.knot_t, lambda dc: dc / self.tail_rate)
+
+
+def _linear(x, xs, ys, tail):
+    """np.interp through the knots (xs, ys), and ys[-1] + tail(x - xs[-1]) beyond them."""
+    x_arr = np.asarray(x, dtype=float)
+    y = np.interp(x_arr, xs, ys)
+    beyond = x_arr > xs[-1]
+    if np.any(beyond):
+        with np.errstate(all="ignore"):  # only the entries beyond the knots are kept
+            y = np.where(beyond, ys[-1] + tail(x_arr - xs[-1]), y)
+    return float(y) if y.ndim == 0 else y
 
 
 @dataclass(frozen=True)
@@ -56,10 +100,12 @@ class DiscountCurve:
                 raise DomainError("pillar times must be positive and strictly increasing")
             if any(df <= 0 or df > 1 for df in dfs):
                 raise DomainError("pillar discount factors must lie in (0, 1]")
-            knot_t = np.concatenate(([0.0], np.array(times)))
-            knot_logdf = np.concatenate(([0.0], np.log(dfs)))
-            object.__setattr__(self, "_knot_t", knot_t)
-            object.__setattr__(self, "_knot_logdf", knot_logdf)
+            # the clock of the forward rate is -log P(0, t)
+            knot_t = np.concatenate(([0.0], times))
+            knot_c = np.concatenate(([0.0], -np.log(dfs)))
+            last_forward = ((knot_c[-1] - knot_c[-2]) / (knot_t[-1] - knot_t[-2])
+                            if pts else 0.0)
+            object.__setattr__(self, "_clock", Clock(knot_t, knot_c, float(last_forward)))
 
     def discount(self, t):
         """P(0, t) for scalar or array t >= 0."""
@@ -70,15 +116,7 @@ class DiscountCurve:
             with np.errstate(over="ignore"):  # an overflowing rate * t discounts to 0 or inf
                 out = np.exp(-self.flat_rate * t_arr)
         else:
-            knot_t = self._knot_t
-            knot_logdf = self._knot_logdf
-            logdf = np.interp(t_arr, knot_t, knot_logdf)
-            # flat-forward extrapolation beyond the last pillar
-            if knot_t.size >= 2:
-                last_fwd = (knot_logdf[-1] - knot_logdf[-2]) / (knot_t[-1] - knot_t[-2])
-                beyond = t_arr > knot_t[-1]
-                logdf = np.where(beyond, knot_logdf[-1] + last_fwd * (t_arr - knot_t[-1]), logdf)
-            out = np.exp(logdf)
+            out = np.exp(-self._clock(t_arr))
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def forward_integral(self, t1: float, t2: float) -> float:

@@ -11,7 +11,7 @@ The sampler is exact and uses no time grid:
 - The first-passage variance v* is inverse Gaussian for nu > 0 and Levy
   for nu = 0.  For nu < 0 it is finite with probability exp(2 nu x0) and
   then inverse Gaussian with drift |nu|.  The default time inverts the
-  piecewise-linear cumulative variance.
+  cumulative-variance clock.
 - Given v*, x on [0, v*] is a 3-d Bessel bridge from x0 to 0 whatever the
   drift (Williams' path decomposition).  It is drawn at the vol-bucket ends
   before v* as the norm of a 3-d Brownian bridge, which gives the firm's
@@ -102,7 +102,7 @@ class PathRecords:
     tau: np.ndarray                # default time; +inf where not defaulted
     s_tau: np.ndarray              # equity at default; nan where not defaulted
     default_prob_closed_form: float
-    scenario: np.ndarray | None = None        # SBTV scenario index per path
+    scenario: np.ndarray | None = None        # barrier scenario per path; None for one
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -202,30 +202,30 @@ def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
     """Exact joint draw of the first-passage default time and the equity at
     default.
 
-    For the scenario-barrier model a barrier scenario is drawn per path
-    first.  Every firm variate comes from one child stream of the seed and
-    every equity variate from another, so default times are identical
-    across correlations at a fixed seed.
+    With more than one barrier scenario, a scenario is drawn per path
+    first; AT1P, the one-scenario case, draws none.  Every firm variate
+    comes from one child stream of the seed and every equity variate from
+    another, so default times are identical across correlations at a
+    fixed seed.
     """
     firm_rng, equity_rng = (np.random.default_rng(s)
                             for s in np.random.SeedSequence(cfg.rng_seed).spawn(2))
     n = cfg.n_paths
-    if isinstance(model, SbtvParams):
-        probs = np.array([p for _, p in model.scenarios])
-        scenario = firm_rng.choice(len(probs), size=n, p=probs)
-        x0 = -np.log(np.array([h for h, _ in model.scenarios]))[scenario]
-    elif isinstance(model, At1pParams):
-        scenario = None
-        x0 = np.full(n, -math.log(model.h_over_v0))
-    else:
+    if not isinstance(model, (At1pParams, SbtvParams)):
         raise DomainError("joint simulation needs a first-passage model (use "
                           "simulate_intensity_paths for the hazard model)")
+    log_h = np.array([math.log(h) for h, _ in model.scenarios])
+    if log_h.size == 1:  # drawing the one scenario would still consume variates
+        scenario, x0 = None, np.full(n, -log_h[0])
+    else:
+        scenario = firm_rng.choice(log_h.size, size=n, p=[p for _, p in model.scenarios])
+        x0 = -log_h[scenario]
     nu = 0.5 - model.b
     v_star = _first_passage_variance(firm_rng, x0, nu)
 
-    vols = model.vols
-    knot_t = np.append(vols._knot_t[vols._knot_t < ers.maturity], ers.maturity)
-    knot_v = np.asarray(vols.cumulative_variance(knot_t))
+    vols, clock = model.vols, model.vols.clock
+    knot_t = np.append(clock.knot_t[clock.knot_t < ers.maturity], ers.maturity)
+    knot_v = clock(knot_t)
     sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
     defaulted = v_star <= knot_v[-1]
     v_def = v_star[defaulted]
@@ -233,7 +233,7 @@ def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
 
     tau = np.full(n, np.inf)
     s_tau = np.full(n, np.nan)
-    tau_def = np.interp(v_def, knot_v, knot_t)
+    tau_def = np.minimum(clock.inverse(v_def), ers.maturity)  # the round trip can overshoot
     rho = ers.rho
     w2 = np.sqrt(tau_def) * equity_rng.standard_normal(v_def.size)
     tau[defaulted] = tau_def
@@ -255,17 +255,7 @@ def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract, curve: Disco
     """
     rng = np.random.default_rng(cfg.rng_seed)
     n = cfg.n_paths
-    u = rng.random(n)
-    target = -np.log(u)
-    knot_t = hazard._knot_t
-    knot_cum = hazard._knot_cum
-    tau = np.interp(target, knot_cum, knot_t)
-    beyond = target > knot_cum[-1]
-    lam_tail = hazard.lambdas[-1]
-    if lam_tail > 0:
-        tau[beyond] = knot_t[-1] + (target[beyond] - knot_cum[-1]) / lam_tail
-    else:
-        tau[beyond] = np.inf
+    tau = hazard.clock.inverse(-np.log(rng.random(n)))
     defaulted = tau <= ers.maturity
     tau = np.where(defaulted, tau, np.inf)
 
@@ -305,39 +295,6 @@ def ers_npv_at_default(tau, s_tau, ers: ErsContract, curve: DiscountCurve, sprea
     out = (k * s0 * spread * tail + k * s0 * df_prev
            - k * np.asarray(curve.discount(tau_arr)) * np.asarray(s_tau, dtype=float))
     return float(out) if np.isscalar(tau) else out
-
-
-def ers_npv_at_default_termwise(tau: float, s_tau: float, ers: ErsContract,
-                                curve: DiscountCurve, spread: float) -> float:
-    """Term-by-term evaluation of the residual NPV definition, discounted to 0.
-
-    Explicit floating legs at the curve's forward LIBORs, explicit present
-    value of the continuous dividend stream, and the discounted expected
-    terminal stock price.  Used as the independent oracle for the
-    simplified three-term form.
-    """
-    if tau > ers.maturity:
-        raise DomainError("default after maturity: residual NPV undefined")
-    sched = ers.schedule
-    k, s0 = ers.stock_count, ers.s0
-    p0 = curve.discount
-    p_tau = p0(tau)
-    total = 0.0
-    prev = sched.start
-    for t_i, alpha in zip(sched.dates, sched.accruals):
-        if t_i > tau:
-            libor = (p0(prev) / p0(t_i) - 1.0) / alpha
-            # P(tau, T_i) = P(0, T_i) / P(0, tau)
-            total += s0 * (p0(t_i) / p_tau) * alpha * (libor + spread)
-        prev = t_i
-    t_b = ers.maturity
-    # expected terminal stock under the risk-neutral measure, seen from tau
-    growth = curve.forward_integral(tau, t_b) - ers.dividend_yield * (t_b - tau)
-    exp_s_tb = s_tau * math.exp(growth)
-    pv_dividends = s_tau * (1.0 - math.exp(-ers.dividend_yield * (t_b - tau)))
-    total += (s0 - exp_s_tb) * (p0(t_b) / p_tau)
-    total -= pv_dividends
-    return k * p_tau * total
 
 
 def ers_cva_term(paths: PathRecords, ers: ErsContract, curve: DiscountCurve,

@@ -15,37 +15,39 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .curves import DiscountCurve
+from .curves import Clock, DiscountCurve
 from .errors import DomainError, require_finite
+
+
+def _validate_buckets(obj, values_name: str) -> None:
+    """Store `bucket_ends` and the per-bucket values as float tuples and check them."""
+    ends = tuple(float(t) for t in obj.bucket_ends)
+    values = tuple(float(x) for x in getattr(obj, values_name))
+    if len(ends) != len(values) or not ends:
+        raise DomainError(f"bucket_ends and {values_name} must be non-empty and equal length")
+    object.__setattr__(obj, "bucket_ends", ends)
+    object.__setattr__(obj, values_name, values)
+    require_finite(obj, "bucket_ends", values_name)
+    if list(ends) != sorted(set(ends)) or ends[0] <= 0:
+        raise DomainError("bucket_ends must be positive and strictly increasing")
 
 
 @dataclass(frozen=True)
 class VolatilityTermStructure:
-    """Piecewise-constant instantaneous volatility, flat beyond the last bucket."""
+    """Piecewise-constant instantaneous volatility, flat beyond the last bucket.
+
+    `clock(t)` is the cumulative variance, the integral of sigma^2 over [0, t].
+    """
 
     bucket_ends: tuple[float, ...]
     sigmas: tuple[float, ...]
 
     def __post_init__(self):
-        ends = tuple(float(t) for t in self.bucket_ends)
-        sigs = tuple(float(s) for s in self.sigmas)
-        if len(ends) != len(sigs) or not ends:
-            raise DomainError("bucket_ends and sigmas must be non-empty and equal length")
-        object.__setattr__(self, "bucket_ends", ends)
-        object.__setattr__(self, "sigmas", sigs)
-        require_finite(self, "bucket_ends", "sigmas")
-        if any(s <= 0 for s in sigs):
+        _validate_buckets(self, "sigmas")
+        if any(s <= 0 for s in self.sigmas):
             raise DomainError("volatilities must be positive")
-        if list(ends) != sorted(set(ends)) or ends[0] <= 0:
-            raise DomainError("bucket_ends must be positive and strictly increasing")
-        knot_t = np.concatenate(([0.0], np.array(ends)))
-        with np.errstate(over="ignore"):
-            var = np.array(sigs) ** 2 * np.diff(knot_t)
-        knot_cv = np.concatenate(([0.0], np.cumsum(var)))
-        if knot_cv[-1] == np.inf:
-            raise DomainError("volatilities too large: the cumulative variance overflows")
-        object.__setattr__(self, "_knot_t", knot_t)
-        object.__setattr__(self, "_knot_cv", knot_cv)
+        object.__setattr__(self, "clock",
+                           Clock.from_rates(self.bucket_ends, [s * s for s in self.sigmas]))
 
     def to_dict(self) -> dict:
         return {"bucket_ends": list(self.bucket_ends), "sigmas": list(self.sigmas)}
@@ -54,17 +56,6 @@ class VolatilityTermStructure:
     def from_dict(cls, d: dict) -> VolatilityTermStructure:
         return cls(bucket_ends=tuple(d["bucket_ends"]), sigmas=tuple(d["sigmas"]))
 
-    def cumulative_variance(self, t):
-        """Integral of sigma^2 over [0, t]; piecewise linear, exact at bucket ends."""
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
-            raise DomainError("time must be non-negative")
-        cv = np.interp(t_arr, self._knot_t, self._knot_cv)
-        tail = t_arr > self._knot_t[-1]
-        if np.any(tail):
-            cv = np.where(tail, self._knot_cv[-1] + self.sigmas[-1] ** 2 * (t_arr - self._knot_t[-1]), cv)
-        return float(cv) if np.isscalar(t) or t_arr.ndim == 0 else cv
-
 
 @dataclass(frozen=True)
 class At1pParams:
@@ -72,6 +63,7 @@ class At1pParams:
 
     B shifts the barrier by exp(-B * cumulative variance); all calibration
     in this library runs with B = 0 but the general formula is kept live.
+    AT1P is the scenario-barrier model with the one scenario (H/V0, 1).
     """
 
     h_over_v0: float
@@ -82,6 +74,10 @@ class At1pParams:
         require_finite(self, "h_over_v0", "b")
         if not 0 < self.h_over_v0 < 1:
             raise DomainError("H/V0 must lie in (0, 1): the firm must start above the barrier")
+
+    @property
+    def scenarios(self) -> tuple[tuple[float, float], ...]:
+        return ((self.h_over_v0, 1.0),)
 
     def to_dict(self) -> dict:
         return {"h_over_v0": self.h_over_v0, "b": self.b, **self.vols.to_dict()}
@@ -126,27 +122,19 @@ class SbtvParams:
 
 @dataclass(frozen=True)
 class HazardCurve:
-    """Piecewise-constant default intensity; flat beyond the last bucket."""
+    """Piecewise-constant default intensity; flat beyond the last bucket.
+
+    `clock(t)` is the cumulative hazard, the integral of lambda over [0, t].
+    """
 
     bucket_ends: tuple[float, ...]
     lambdas: tuple[float, ...]
 
     def __post_init__(self):
-        ends = tuple(float(t) for t in self.bucket_ends)
-        lams = tuple(float(x) for x in self.lambdas)
-        if len(ends) != len(lams) or not ends:
-            raise DomainError("bucket_ends and lambdas must be non-empty and equal length")
-        object.__setattr__(self, "bucket_ends", ends)
-        object.__setattr__(self, "lambdas", lams)
-        require_finite(self, "bucket_ends", "lambdas")
-        if list(ends) != sorted(set(ends)) or ends[0] <= 0:
-            raise DomainError("bucket_ends must be positive and strictly increasing")
-        if any(lam < 0 for lam in lams):
+        _validate_buckets(self, "lambdas")
+        if any(lam < 0 for lam in self.lambdas):
             raise DomainError("intensities must be non-negative")
-        knot_t = np.concatenate(([0.0], np.array(ends)))
-        knot_cum = np.concatenate(([0.0], np.cumsum(np.array(lams) * np.diff(knot_t))))
-        object.__setattr__(self, "_knot_t", knot_t)
-        object.__setattr__(self, "_knot_cum", knot_cum)
+        object.__setattr__(self, "clock", Clock.from_rates(self.bucket_ends, self.lambdas))
 
     def to_dict(self) -> dict:
         return {"bucket_ends": list(self.bucket_ends), "lambdas": list(self.lambdas)}
@@ -154,16 +142,6 @@ class HazardCurve:
     @classmethod
     def from_dict(cls, d: dict) -> HazardCurve:
         return cls(bucket_ends=tuple(d["bucket_ends"]), lambdas=tuple(d["lambdas"]))
-
-    def cumulative_hazard(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
-            raise DomainError("time must be non-negative")
-        cum = np.interp(t_arr, self._knot_t, self._knot_cum)
-        tail = t_arr > self._knot_t[-1]
-        if np.any(tail):
-            cum = np.where(tail, self._knot_cum[-1] + self.lambdas[-1] * (t_arr - self._knot_t[-1]), cum)
-        return float(cum) if np.isscalar(t) or t_arr.ndim == 0 else cum
 
 
 def first_passage_survival(log_h, b: float, cv):
@@ -183,19 +161,38 @@ def first_passage_survival(log_h, b: float, cv):
     a = 2.0 * b - 1.0
     s = np.asarray(cv, dtype=float)
     sd = np.sqrt(s)
+    drift = 0.5 * a * s
     with np.errstate(divide="ignore"):
-        first = ndtr((-log_h + 0.5 * a * s) / sd)
+        first = ndtr((-log_h + drift) / sd)
         # (H/V0)^(2B-1) * Phi(arg2) computed as exp(a*log h + log Phi)
-        second = np.exp(a * log_h + log_ndtr((log_h + 0.5 * a * s) / sd))
+        second = np.exp(a * log_h + log_ndtr((log_h + drift) / sd))
     return (first - second).clip(0.0, 1.0)
+
+
+def mixture_survival(scenarios, b: float, cv):
+    """sum_i p^i Q(H^i): survival at cumulative variance cv under the barrier
+    scenarios [(H^i/V0, p^i), ...].  Several barriers broadcast against cv in
+    one kernel call; AT1P's one barrier skips the broadcast, which is slower
+    on one row and gives the same numbers."""
+    if len(scenarios) == 1:
+        [(h, p)] = scenarios
+        return p * first_passage_survival(math.log(h), b, cv)
+    log_h = np.array([math.log(h) for h, _ in scenarios])
+    q = first_passage_survival(log_h.reshape((-1,) + (1,) * np.ndim(cv)), b, cv)
+    return sum(p * q_i for (_, p), q_i in zip(scenarios, q))
+
+
+def sbtv_survival(params: SbtvParams | At1pParams, t):
+    """Probability that the firm has not touched the barrier by time t, mixed
+    over the barrier scenarios; AT1P is the one-scenario case."""
+    out = mixture_survival(params.scenarios, params.b,
+                           params.vols.clock(np.asarray(t, dtype=float)))
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def at1p_survival(params: At1pParams, t):
     """Probability that the firm has not touched the barrier by time t."""
-    # raises DomainError for negative times
-    cv = params.vols.cumulative_variance(np.asarray(t, dtype=float))
-    out = first_passage_survival(math.log(params.h_over_v0), params.b, cv)
-    return float(out) if out.ndim == 0 else out
+    return sbtv_survival(params, t)
 
 
 def barrier_level(params: At1pParams, curve: DiscountCurve, t, payout_rate: float = 0.0):
@@ -204,26 +201,15 @@ def barrier_level(params: At1pParams, curve: DiscountCurve, t, payout_rate: floa
     Equivalently H times the expected firm value times exp(-B * cumvar).
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise DomainError("time must be non-negative")
-    rate_integral = -np.log(curve.discount(t_arr))
-    cv = params.vols.cumulative_variance(t_arr)
+    rate_integral = -np.log(curve.discount(t_arr))  # raises DomainError for negative times
+    cv = params.vols.clock(t_arr)
     out = params.h_over_v0 * np.exp(rate_integral - payout_rate * t_arr - params.b * np.asarray(cv))
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def sbtv_survival(params: SbtvParams, t):
-    """Mixture survival: sum_i p^i * at1p_survival(H^i), one kernel call for all i."""
-    cv = params.vols.cumulative_variance(np.asarray(t, dtype=float))
-    log_h = np.array([math.log(h) for h, _ in params.scenarios])
-    q = first_passage_survival(log_h.reshape((-1,) + (1,) * np.ndim(cv)), params.b, cv)
-    out = sum(p * q_i for (_, p), q_i in zip(params.scenarios, q))
-    return float(out) if np.ndim(t) == 0 else out
-
-
 def intensity_survival(hazard: HazardCurve, t):
     """exp(-cumulative hazard), evaluated exactly on the piecewise-constant buckets."""
-    out = np.exp(-np.asarray(hazard.cumulative_hazard(t)))
+    out = np.exp(-np.asarray(hazard.clock(t)))
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -232,9 +218,7 @@ def survival(model, t):
 
     A float for scalar or 0-d t, an array otherwise.
     """
-    if isinstance(model, At1pParams):
-        return at1p_survival(model, t)
-    if isinstance(model, SbtvParams):
+    if isinstance(model, (At1pParams, SbtvParams)):
         return sbtv_survival(model, t)
     if isinstance(model, HazardCurve):
         return intensity_survival(model, t)

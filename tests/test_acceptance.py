@@ -16,14 +16,14 @@ from fpcredit import (At1pParams, DiscountCurve, SimulationConfig,
                       VolatilityTermStructure, at1p_survival,
                       bootstrap_intensity, calibrate_at1p, calibrate_sbtv,
                       ers_cva_term, ers_fair_spread, ers_fair_spread_from_paths,
-                      ers_npv_at_default, ers_npv_at_default_termwise,
-                      fair_spread, make_ers_contract, make_schedule,
-                      sbtv_survival, simulate_joint_paths)
+                      ers_npv_at_default, fair_spread, make_ers_contract,
+                      make_schedule, sbtv_survival, simulate_joint_paths)
 from fpcredit.calibration import pillar_contract
 from fpcredit.cds import cds_price, CdsContract
 from fpcredit.cli import main as cli_main
 from fpcredit.presets import preset_strip
 from fpcredit.survival import survival
+from oracles import ers_npv_at_default_termwise
 
 LEHMAN_PRESETS = ("lehman-2007-07-10", "lehman-2008-06-12", "lehman-2008-09-12")
 MODELS = ("intensity", "at1p", "sbtv")

@@ -7,7 +7,7 @@ from fpcredit import (CalibrationError, CdsQuote, CdsQuoteStrip, DegenerateInput
                       DiscountCurve, DomainError, VolatilityTermStructure, bootstrap_intensity,
                       calibrate_at1p, calibrate_sbtv, cds_price, fair_spread,
                       make_schedule)
-from fpcredit import calibration
+from fpcredit import calibration, cds
 from fpcredit.calibration import _sbtv_step1, pillar_contract
 from fpcredit.presets import STRIP_PRESETS, preset_strip
 from fpcredit.survival import At1pParams, HazardCurve, SbtvParams, survival
@@ -357,3 +357,29 @@ class TestLegGridReuse:
         built.clear()
         calibrate_sbtv(strip, flat_curve, convention=convention)
         assert len(built) == len(strip.quotes) + 1
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    def test_report_reprices_on_the_pillar_grids(self, monkeypatch, flat_curve, convention):
+        # the pillar grids are cut at the tenors, the fitted model's knots, so
+        # they equal the grids cds_price would build, and the report reads them
+        built = []
+        real = cds.leg_grid
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "leg_grid", counting)
+        monkeypatch.setattr(cds, "leg_grid", counting)
+        strip = preset_strip("lehman-2008-09-12")
+        fits = []
+        for fit, step1_grids in ((bootstrap_intensity, 0), (calibrate_at1p, 0),
+                                 (calibrate_sbtv, 1)):
+            built.clear()
+            fits.append(fit(strip, flat_curve, convention=convention))
+            assert len(built) == len(strip.quotes) + step1_grids
+        monkeypatch.undo()
+        for model, report in fits:
+            assert report.repricing_errors_bp == [
+                cds_price(pillar_contract(q.tenor, q.spread_bp, strip.recovery),
+                          flat_curve, model, convention) * 1e4 for q in strip.quotes]

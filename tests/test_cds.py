@@ -221,7 +221,7 @@ class TestExactQuadrature:
 
         def at1p_piece(u, v, start):
             def density(t):
-                s = at1p.vols.cumulative_variance(t)
+                s = at1p.vols.clock(t)
                 d1 = (-math.log(0.7) - 0.5 * s) / math.sqrt(s)
                 return (-math.log(0.7) * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
                         / s ** 1.5 * at1p.vols.sigmas[bucket(0.5 * (u + v))] ** 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fpcredit import DiscountCurve, DomainError, make_schedule
+from fpcredit.curves import Clock
 
 
 class TestDiscountCurve:
@@ -49,12 +50,52 @@ class TestDiscountCurve:
         with pytest.raises(DomainError):
             DiscountCurve(pillars=((1.0, 1.2),))
 
+    @pytest.mark.parametrize("rate", [0.03, -0.02, 1e308, -1e308])
+    def test_flat_rate_is_the_plain_exponential(self, rate):
+        # no clock for a flat curve, and no warning where rate * t overflows
+        t = np.linspace(0.0, 50.0, 201)
+        with np.errstate(over="ignore"):
+            expected = np.exp(-rate * t)
+        assert np.array_equal(DiscountCurve(flat_rate=rate).discount(t), expected)
+
     @given(rate=st.floats(0.0, 0.2), t1=st.floats(0.0, 30.0), t2=st.floats(0.0, 30.0))
     def test_non_increasing_for_non_negative_rates(self, rate, t1, t2):
         lo, hi = sorted((t1, t2))
         curve = DiscountCurve(flat_rate=rate)
         assert curve.discount(lo) >= curve.discount(hi)
         assert 0.0 < curve.discount(hi) <= 1.0
+
+
+class TestClock:
+    CLOCK = Clock.from_rates((1.0, 2.5, 4.0), (0.1225, 0.0625, 0.09))
+
+    def test_knots_accumulate_the_rates(self):
+        assert np.array_equal(self.CLOCK.knot_t, [0.0, 1.0, 2.5, 4.0])
+        assert np.allclose(self.CLOCK.knot_c, [0.0, 0.1225, 0.21625, 0.35125], rtol=1e-15)
+        assert self.CLOCK(6.0) == pytest.approx(0.35125 + 2.0 * 0.09, rel=1e-15)
+        assert type(self.CLOCK(1.0)) is float and self.CLOCK(0.0) == 0.0
+
+    def test_inverse_undoes_the_clock(self):
+        clock = self.CLOCK
+        knots = clock.knot_t
+        assert np.array_equal(clock.inverse(clock(knots)), knots)
+        inside = np.array([1e-9, 0.3, 1.7, 3.1, 3.999])
+        tail = np.array([4.5, 12.0, 40.0])
+        for t in (inside, tail):
+            assert clock.inverse(clock(t)) == pytest.approx(t, rel=1e-15, abs=0.0)
+        assert type(clock.inverse(0.1)) is float
+
+    def test_zero_tail_rate_never_reaches_beyond(self):
+        clock = Clock.from_rates((1.0, 3.0), (0.02, 0.0))
+        assert clock.tail_rate == 0.0
+        assert np.array_equal(clock.inverse([0.01, 0.03]), [0.5, np.inf])
+        assert clock.inverse(0.05) == math.inf
+
+    def test_rejects_negative_time_and_overflow(self):
+        with pytest.raises(DomainError):
+            self.CLOCK(-0.1)
+        with pytest.raises(DomainError, match="overflows"):
+            Clock.from_rates((10.0,), (1e308,))
 
 
 class TestSchedule:

@@ -85,10 +85,12 @@ class TestFiniteInputs:
         lambda: DiscountCurve(pillars=((1.0, "abc"),)),
         lambda: DiscountCurve(pillars=5),
         lambda: VolatilityTermStructure((1.0,), (1e300,)),
+        lambda: HazardCurve((10.0,), (1e308,)),
+        lambda: HazardCurve.from_dict({"bucket_ends": [10.0], "lambdas": [1e308]}),
         lambda: At1pParams(0.4, [0.5], VOLS),
         lambda: SbtvParams(((0.4, 0.5), (0.8, 0.5)), [0.5, 0.5], VOLS)],
-        ids=["pillar-text", "pillars-not-pairs", "variance-overflow", "at1p-b-list",
-             "sbtv-b-list"])
+        ids=["pillar-text", "pillars-not-pairs", "variance-overflow", "hazard-overflow",
+             "hazard-overflow-from-dict", "at1p-b-list", "sbtv-b-list"])
     def test_ill_typed_or_overflowing_fields(self, build):
         # as a report loaded from JSON can carry them
         with pytest.raises(DomainError):

@@ -9,9 +9,10 @@ from fpcredit import (At1pParams, CalibrationError, ConvergenceError,
                       DegenerateInputError, DiscountCurve, DomainError, HazardCurve, SbtvParams,
                       SimulationConfig, VolatilityTermStructure, at1p_survival,
                       ers_cva_term, ers_fair_spread, ers_fair_spread_from_paths,
-                      ers_npv_at_default, ers_npv_at_default_termwise,
-                      make_ers_contract, sbtv_survival, simulate_intensity_paths,
-                      simulate_joint_paths)
+                      ers_npv_at_default, make_ers_contract, sbtv_survival,
+                      simulate_intensity_paths, simulate_joint_paths)
+from fpcredit import mc
+from oracles import ers_npv_at_default_termwise
 
 # three buckets and a flat tail: the 5y maturity lies past the last bucket
 THREE_BUCKETS = VolatilityTermStructure((1.0, 2.0, 4.0), (0.35, 0.25, 0.30))
@@ -122,6 +123,28 @@ class TestDefaultSampling:
                                      SimulationConfig(n_paths=50_000, rng_seed=3))
         frac = np.mean(paths.scenario == 0)
         assert frac == pytest.approx(0.7, abs=3 * math.sqrt(0.7 * 0.3 / 50_000))
+
+    def test_one_scenario_sbtv_draws_the_at1p_paths(self, curve, ers):
+        at1p = At1pParams(0.4, 0.0, THREE_BUCKETS)
+        mix = SbtvParams(at1p.scenarios, 0.0, THREE_BUCKETS)
+        cfg = SimulationConfig(n_paths=20_000, rng_seed=17)
+        a = simulate_joint_paths(at1p, ers, curve, cfg)
+        b = simulate_joint_paths(mix, ers, curve, cfg)
+        assert a.defaulted.any() and a.scenario is None and b.scenario is None
+        assert np.array_equal(a.tau, b.tau)
+        assert np.array_equal(a.s_tau, b.s_tau, equal_nan=True)
+
+    def test_default_at_the_maturity_variance_stays_at_maturity(self, monkeypatch, curve, ers):
+        # the 5y maturity falls inside the (0.7, 5.7] bucket, where inverting the
+        # clock at its own value c(5) rounds to just past 5
+        model = At1pParams(0.4, 0.0, VolatilityTermStructure((0.7, 5.7), (0.4, 0.25)))
+        v_maturity = model.vols.clock(ers.maturity)
+        assert model.vols.clock.inverse(v_maturity) > ers.maturity
+        monkeypatch.setattr(mc, "_first_passage_variance",
+                            lambda rng, x0, nu: np.full(x0.size, v_maturity))
+        paths = simulate_joint_paths(model, ers, curve,
+                                     SimulationConfig(n_paths=100, rng_seed=1))
+        assert paths.defaulted.all() and np.all(paths.tau == ers.maturity)
 
     def test_equity_martingale_at_default(self, curve):
         # at rho = 0 the equity is independent of the firm, so its

@@ -23,18 +23,18 @@ class TestVolatilityTermStructure:
         vols = LEHMAN_2007_VOLS
         ends = np.concatenate(([0.0], np.array(vols.bucket_ends)))
         total = np.sum(np.array(vols.sigmas) ** 2 * np.diff(ends))
-        assert vols.cumulative_variance(vols.bucket_ends[-1]) == total
+        assert vols.clock(vols.bucket_ends[-1]) == total
 
     def test_flat_extension_beyond_last_bucket(self):
         vols = LEHMAN_2007_VOLS
-        cv10 = vols.cumulative_variance(10.0)
-        assert vols.cumulative_variance(12.0) == pytest.approx(
+        cv10 = vols.clock(10.0)
+        assert vols.clock(12.0) == pytest.approx(
             cv10 + 0.127 ** 2 * 2.0, rel=1e-14)
 
     def test_zero_at_origin_and_increasing(self):
         vols = LEHMAN_2007_VOLS
         ts = np.linspace(0.0, 15.0, 200)
-        cv = vols.cumulative_variance(ts)
+        cv = vols.clock(ts)
         assert cv[0] == 0.0
         assert np.all(np.diff(cv) > 0)
 
@@ -132,7 +132,7 @@ class TestFirstPassageKernel:
         hs = (0.05, 0.4, 0.7313, 0.97)
         t = np.array([0.0, 1e-9, 0.25, 1.0, 3.0, 5.0, 12.0, 40.0])
         column = np.array([[math.log(h)] for h in hs])
-        q = first_passage_survival(column, b, LEHMAN_2007_VOLS.cumulative_variance(t))
+        q = first_passage_survival(column, b, LEHMAN_2007_VOLS.clock(t))
         assert q.shape == (len(hs), t.size)
         for h, row in zip(hs, q):
             assert np.array_equal(row, at1p_survival(At1pParams(h, b, LEHMAN_2007_VOLS), t))
@@ -189,6 +189,16 @@ class TestSbtvSurvival:
         single = At1pParams(0.4, 0.0, vols)
         for t in (0.5, 2.0, 7.5):
             assert sbtv_survival(mix, t) == at1p_survival(single, t)
+
+    @pytest.mark.parametrize("b", [0.0, 0.6])
+    def test_at1p_is_the_one_scenario_case_bit_for_bit(self, b):
+        at1p = At1pParams(0.37, b, LEHMAN_2007_VOLS)
+        mix = SbtvParams(at1p.scenarios, b, LEHMAN_2007_VOLS)
+        assert at1p.scenarios == ((0.37, 1.0),)
+        t = np.linspace(0.0, 12.0, 97)
+        assert np.array_equal(survival(mix, t), survival(at1p, t))
+        assert np.array_equal(survival(at1p, t), first_passage_survival(
+            math.log(0.37), b, LEHMAN_2007_VOLS.clock(t)))
 
     @given(p1=st.floats(0.0, 1.0), t=st.floats(0.1, 10.0))
     @settings(max_examples=60)
