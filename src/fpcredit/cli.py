@@ -177,8 +177,7 @@ def cmd_price_cds(args) -> int:
 
 
 def cmd_price_ers(args) -> int:
-    sim = SimulationConfig(n_paths=args.paths, rng_seed=args.seed,
-                           control_variate=not args.no_control_variate)
+    sim = SimulationConfig(n_paths=args.paths, rng_seed=args.seed)
     config = RunConfig(flat_rate=args.flat_rate, h1=args.h1, b=args.b,
                        recovery=args.recovery, convention=args.convention,
                        simulation=asdict(sim))
@@ -249,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ers.add_argument("--models", default="at1p,sbtv,intensity")
     p_ers.add_argument("--paths", type=int, default=100_000)
     p_ers.add_argument("--seed", type=int, default=20090916)
-    p_ers.add_argument("--no-control-variate", action="store_true")
     p_ers.set_defaults(func=cmd_price_ers)
     return parser
 

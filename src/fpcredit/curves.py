@@ -96,15 +96,15 @@ class DiscountCurve:
             require_finite(self, "pillars")
             times = [t for t, _ in pts]
             dfs = [df for _, df in pts]
-            if any(t <= 0 for t in times) or times != sorted(set(times)):
-                raise DomainError("pillar times must be positive and strictly increasing")
+            if not times or any(t <= 0 for t in times) or times != sorted(set(times)):
+                raise DomainError("pillar times must be non-empty, positive and strictly "
+                                  "increasing")
             if any(df <= 0 or df > 1 for df in dfs):
                 raise DomainError("pillar discount factors must lie in (0, 1]")
             # the clock of the forward rate is -log P(0, t)
             knot_t = np.concatenate(([0.0], times))
             knot_c = np.concatenate(([0.0], -np.log(dfs)))
-            last_forward = ((knot_c[-1] - knot_c[-2]) / (knot_t[-1] - knot_t[-2])
-                            if pts else 0.0)
+            last_forward = (knot_c[-1] - knot_c[-2]) / (knot_t[-1] - knot_t[-2])
             object.__setattr__(self, "_clock", Clock(knot_t, knot_c, float(last_forward)))
 
     def discount(self, t):

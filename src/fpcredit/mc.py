@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,13 +54,12 @@ class ErsContract:
     recovery: float
     rho: float
     stock_count: float = 1.0
-    spread: float = 0.0
 
     def __post_init__(self):
         require_finite(self, "s0", "equity_vol", "dividend_yield", "recovery", "rho",
-                       "stock_count", "spread")
-        if self.s0 <= 0 or self.equity_vol <= 0:
-            raise DomainError("initial price and equity volatility must be positive")
+                       "stock_count")
+        if self.s0 <= 0 or self.stock_count <= 0 or self.equity_vol <= 0:
+            raise DomainError("price, stock count and equity volatility must be positive")
         if not -1.0 <= self.rho <= 1.0:
             raise DomainError("correlation must lie in [-1, 1]")
         if not 0 <= self.recovery < 1:
@@ -84,7 +83,6 @@ MAX_PATHS = 10_000_000
 class SimulationConfig:
     n_paths: int = 100_000
     rng_seed: int = 20090916
-    control_variate: bool = True
 
     def __post_init__(self):
         _require_integer(self, "n_paths", "rng_seed")
@@ -116,7 +114,6 @@ class CvaEstimate:
     std_error: float
     plain_value: float
     plain_std_error: float
-    n_defaulted: int
     low_statistics: bool = False
 
 
@@ -131,24 +128,16 @@ class ErsPricingResult:
     diagnostics: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "fair_spread_bp": self.fair_spread_bp,
-            "std_error_bp": self.std_error_bp,
-            "cva_value": self.cva_value,
-            "cva_std_error": self.cva_std_error,
-            "default_prob_mc": self.default_prob_mc,
-            "default_prob_closed_form": self.default_prob_closed_form,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 def make_ers_contract(s0=20.0, equity_vol=0.20, dividend_yield=0.008, maturity=5.0,
-                      payment_frequency=2, recovery=0.40, rho=0.0, stock_count=1.0,
-                      spread=0.0) -> ErsContract:
+                      payment_frequency=2, recovery=0.40, rho=0.0,
+                      stock_count=1.0) -> ErsContract:
     schedule = make_schedule(0.0, maturity, payment_frequency)
     return ErsContract(s0=s0, equity_vol=equity_vol, dividend_yield=dividend_yield,
                        schedule=schedule, recovery=recovery, rho=rho,
-                       stock_count=stock_count, spread=spread)
+                       stock_count=stock_count)
 
 
 def _first_passage_variance(rng, x0, nu):
@@ -270,92 +259,96 @@ def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract, curve: Disco
                        diagnostics={"seed": cfg.rng_seed, "model": "intensity"})
 
 
-def ers_npv_at_default(tau, s_tau, ers: ErsContract, curve: DiscountCurve, spread: float):
-    """Discounted-to-0 residual swap value at default, P(0,tau) * NPV(tau).
+def _npv_terms(tau, s_tau, ers: ErsContract, curve: DiscountCurve):
+    """(fixed, per_spread): the residual swap value at default,
+    P(0,tau) * NPV(tau), is fixed + per_spread * X at spread X.
 
     Three-term simplified form: the floating legs telescope against the
     final notional exchange and the dividend stream cancels against the
     discounted expected terminal stock price, leaving
 
-        K*S0 * sum_{i >= beta(tau)} P(0,T_i) alpha_i X
-        + K*S0 * P(0, T_{beta(tau)-1}) - K * P(0,tau) * S_tau
+        fixed      = K*S0 * P(0, T_{beta(tau)-1}) - K * P(0,tau) * S_tau
+        per_spread = K*S0 * sum_{i >= beta(tau)} P(0,T_i) alpha_i
     """
-    tau_arr = np.asarray(tau, dtype=float)
-    if np.any(tau_arr > ers.maturity):
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau > ers.maturity):
         raise DomainError("default after maturity: residual NPV undefined")
     sched = ers.schedule
-    df_dates = np.asarray(curve.discount(sched.dates))
-    annuity_terms = df_dates * sched.accruals
-    # tail annuity from the first payment date strictly after tau
-    suffix = np.concatenate((np.cumsum(annuity_terms[::-1])[::-1], [0.0]))
-    beta0 = np.searchsorted(sched.dates, tau_arr, side="right")  # 0-based
-    tail = suffix[beta0]
-    df_prev = np.asarray(curve.discount(sched.previous_date(tau_arr)))
-    k, s0 = ers.stock_count, ers.s0
-    out = (k * s0 * spread * tail + k * s0 * df_prev
-           - k * np.asarray(curve.discount(tau_arr)) * np.asarray(s_tau, dtype=float))
+    annuity_terms = curve.discount(sched.dates) * sched.accruals
+    # tail annuities from T_1, ..., T_n, and 0 past the last payment date
+    tails = np.append(np.cumsum(annuity_terms[::-1])[::-1], 0.0)
+    ks0 = ers.stock_count * ers.s0
+    per_spread = ks0 * tails[sched.next_payment_index(tau) - 1]
+    fixed = (ks0 * curve.discount(sched.previous_date(tau))
+             - ers.stock_count * curve.discount(tau) * np.asarray(s_tau, dtype=float))
+    return fixed, per_spread
+
+
+def ers_npv_at_default(tau, s_tau, ers: ErsContract, curve: DiscountCurve, spread: float):
+    """Discounted-to-0 residual swap value at default, P(0,tau) * NPV(tau)."""
+    fixed, per_spread = _npv_terms(tau, s_tau, ers, curve)
+    out = fixed + per_spread * spread
     return float(out) if np.isscalar(tau) else out
 
 
-def ers_cva_term(paths: PathRecords, ers: ErsContract, curve: DiscountCurve,
-                 spread: float, control_variate: bool = True) -> CvaEstimate:
-    """Monte Carlo counterparty adjustment LGD * E[1{default} (P(0,tau) NPV(tau))^+].
+def _cva_estimate(paths: PathRecords, payoff) -> CvaEstimate:
+    """Estimates of E[payoff] from its values on the defaulted paths (0 elsewhere).
 
-    The default indicator, whose mean is the closed-form default
-    probability, serves as the control variate; its coefficient comes from
-    the sample covariance.
+    The control variate is the default indicator.  Its regression
+    coefficient cov(payoff, 1{default}) / var(1{default}) is exactly the
+    mean payoff given default, beta, so the controlled estimate is the
+    closed-form P(default) * beta, and the controlled payoff deviates from
+    its mean by payoff - beta on the defaulted paths and by 0 elsewhere.
     """
     n = paths.n_paths
-    payoff = np.zeros(n)
+    if payoff.size == 0:
+        return CvaEstimate(0.0, 0.0, 0.0, 0.0, low_statistics=True)
+    beta = float(np.mean(payoff))
+    se = math.sqrt(float(np.sum((payoff - beta) ** 2)) / (n - 1)) / math.sqrt(n)
+    plain = np.zeros(n)
+    plain[paths.defaulted] = payoff
+    return CvaEstimate(paths.default_prob_closed_form * beta, se, float(np.mean(plain)),
+                       float(np.std(plain, ddof=1) / math.sqrt(n)))
+
+
+def ers_cva_term(paths: PathRecords, ers: ErsContract, curve: DiscountCurve,
+                 spread: float) -> CvaEstimate:
+    """Monte Carlo counterparty adjustment LGD * E[1{default} (P(0,tau) NPV(tau))^+],
+    controlled by the default indicator."""
     d = paths.defaulted
-    n_def = int(np.count_nonzero(d))
-    if n_def == 0:
-        return CvaEstimate(0.0, 0.0, 0.0, 0.0, 0, low_statistics=True)
-    pv = ers_npv_at_default(paths.tau[d], paths.s_tau[d], ers, curve, spread)
-    payoff[d] = ers.lgd * np.maximum(pv, 0.0)
-    plain_value = float(np.mean(payoff))
-    plain_se = float(np.std(payoff, ddof=1) / math.sqrt(n))
-    if not control_variate:
-        return CvaEstimate(plain_value, plain_se, plain_value, plain_se, n_def)
-    indicator = d.astype(float)
-    var_c = float(np.var(indicator, ddof=1))
-    if var_c == 0.0:
-        return CvaEstimate(plain_value, plain_se, plain_value, plain_se, n_def)
-    beta = float(np.cov(payoff, indicator, ddof=1)[0, 1]) / var_c
-    adjusted = payoff - beta * (indicator - paths.default_prob_closed_form)
-    value = float(np.mean(adjusted))
-    se = float(np.std(adjusted, ddof=1) / math.sqrt(n))
-    return CvaEstimate(value, se, plain_value, plain_se, n_def)
+    fixed, per_spread = _npv_terms(paths.tau[d], paths.s_tau[d], ers, curve)
+    return _cva_estimate(paths, ers.lgd * np.maximum(fixed + per_spread * spread, 0.0))
 
 
 def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract, curve: DiscountCurve,
-                               cfg: SimulationConfig, max_iter: int = 50,
-                               tol_bp: float = 0.05) -> ErsPricingResult:
+                               max_iter: int = 50, tol_bp: float = 0.05) -> ErsPricingResult:
     """Solve for the spread X that zeroes the swap value on a fixed path set.
 
     The default-free leg is K*S0*X*annuity and the adjustment depends on X
     only inside the positive part, so the fixed point
     X <- CVA(X) / (K*S0*annuity) converges in a few steps; reusing the same
-    paths across iterations gives common random numbers for free.
+    paths across iterations gives common random numbers for free.  The
+    residual value's terms are built once, so a step is one positive part
+    on the defaulted paths.
     """
     sched = ers.schedule
     annuity = float(np.sum(np.asarray(curve.discount(sched.dates)) * sched.accruals))
     if annuity <= 1e-300:
         raise DegenerateInputError("zero premium annuity: fair ERS spread undefined")
     denom = ers.stock_count * ers.s0 * annuity
+    d = paths.defaulted
+    fixed, per_spread = _npv_terms(paths.tau[d], paths.s_tau[d], ers, curve)
     x = 0.0
     trace = []
-    est = None
-    converged = False
     for _ in range(max_iter):
-        est = ers_cva_term(paths, ers, curve, x, control_variate=cfg.control_variate)
-        x_new = est.value / denom
+        payoff = ers.lgd * np.maximum(fixed + per_spread * x, 0.0)
+        mean_given_default = float(payoff.sum()) / max(payoff.size, 1)  # 0 with no defaults
+        x_new = paths.default_prob_closed_form * mean_given_default / denom
         trace.append(abs(x_new - x) * 1e4)
         x = x_new
         if trace[-1] < tol_bp:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceError(f"fair-spread iteration did not converge in {max_iter} "
                                f"steps; |dX| trace (bp): {trace}",
                                {"delta_x_trace_bp": trace})
@@ -365,14 +358,14 @@ def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract, curve: Disc
             raise ConvergenceError(f"fair-spread iteration stopped contracting at steps "
                                    f"{shrink_violations}; |dX| trace (bp): {trace}",
                                    {"delta_x_trace_bp": trace})
+    est = _cva_estimate(paths, payoff)
     pd_mc = float(np.mean(paths.defaulted))
     se_bp = est.std_error / denom * 1e4
     diag = {
         "iterations": len(trace),
         "delta_x_trace_bp": trace,
-        "paths_defaulted": int(np.count_nonzero(paths.defaulted)),
+        "paths_defaulted": payoff.size,
         "n_paths": paths.n_paths,
-        "control_variate": cfg.control_variate,
         "variance_reduction_factor": (est.plain_std_error / est.std_error
                                       if est.std_error > 0 else 1.0),
         "annuity": annuity,
@@ -393,5 +386,5 @@ def ers_fair_spread(model, ers: ErsContract, curve: DiscountCurve,
         paths = simulate_intensity_paths(model, ers, curve, cfg)
     else:
         paths = simulate_joint_paths(model, ers, curve, cfg)
-    return ers_fair_spread_from_paths(paths, ers, curve, cfg)
+    return ers_fair_spread_from_paths(paths, ers, curve)
 

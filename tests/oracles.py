@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from fpcredit import DiscountCurve, DomainError, ErsContract
 
 
@@ -36,3 +38,13 @@ def ers_npv_at_default_termwise(tau: float, s_tau: float, ers: ErsContract,
     total += (s0 - exp_s_tb) * (p0(t_b) / p_tau)
     total -= pv_dividends
     return k * p_tau * total
+
+
+def regression_control_variate(payoff, defaulted, default_prob):
+    """Control-variate estimate of E[payoff] and its standard error, with the
+    default indicator as the control and its coefficient fitted by the sample
+    regression cov(payoff, indicator) / var(indicator)."""
+    indicator = defaulted.astype(float)
+    beta = float(np.cov(payoff, indicator, ddof=1)[0, 1]) / float(np.var(indicator, ddof=1))
+    adjusted = payoff - beta * (indicator - default_prob)
+    return float(np.mean(adjusted)), float(np.std(adjusted, ddof=1) / math.sqrt(payoff.size))

@@ -74,9 +74,9 @@ def ers_sweep(ers_calibrations, flat_curve):
         for rho in RHOS:
             ers = make_ers_contract(rho=rho)
             paths = simulate_joint_paths(model, ers, flat_curve, cfg)
-            result = ers_fair_spread_from_paths(paths, ers, flat_curve, cfg)
+            result = ers_fair_spread_from_paths(paths, ers, flat_curve)
             x = result.fair_spread_bp * 1e-4
-            est = ers_cva_term(paths, ers, flat_curve, x, control_variate=True)
+            est = ers_cva_term(paths, ers, flat_curve, x)
             out["results"][(model_name, rho)] = result
             out["estimates"][(model_name, rho)] = est
     out["intensity_rho0"] = ers_fair_spread(
@@ -350,7 +350,7 @@ class TestCriterion8Properties:
         assert identical
 
     def test_npv_simplified_equals_termwise_oracle(self, flat_curve):
-        ers = make_ers_contract(rho=0.3, spread=0.0)
+        ers = make_ers_contract(rho=0.3)
         pillar_curve = DiscountCurve(pillars=((1.0, 0.97), (3.0, 0.90), (6.0, 0.80)))
         worst = 0.0
         for curve in (flat_curve, pillar_curve):

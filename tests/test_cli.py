@@ -223,6 +223,15 @@ class TestBadInputsExitWithMessage:
         assert drop in self.check(capsys, "price-cds", "--params", str(path),
                                   "--model", "at1p", "--tenor", "5", "--spread-bp", "100")
 
+    def test_report_with_empty_pillars(self, capsys, outdir):
+        run(capsys, "calibrate", "--preset", "lehman-2008-06-12", "--model", "at1p")
+        path = outdir / "calibration.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["pillars"] = []
+        path.write_text(json.dumps(doc))
+        assert "pillar" in self.check(capsys, "price-cds", "--params", str(path),
+                                      "--model", "at1p", "--tenor", "5", "--spread-bp", "100")
+
     def test_deeply_nested_report(self, capsys, tmp_path):
         f = tmp_path / "r.json"
         f.write_text("[" * 100_000)

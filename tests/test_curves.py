@@ -49,6 +49,8 @@ class TestDiscountCurve:
             DiscountCurve(pillars=((2.0, 0.9), (1.0, 0.95)))
         with pytest.raises(DomainError):
             DiscountCurve(pillars=((1.0, 1.2),))
+        with pytest.raises(DomainError, match="non-empty"):
+            DiscountCurve(pillars=())
 
     @pytest.mark.parametrize("rate", [0.03, -0.02, 1e308, -1e308])
     def test_flat_rate_is_the_plain_exponential(self, rate):

@@ -6,13 +6,13 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from fpcredit import (At1pParams, CalibrationError, ConvergenceError,
-                      DegenerateInputError, DiscountCurve, DomainError, HazardCurve, SbtvParams,
-                      SimulationConfig, VolatilityTermStructure, at1p_survival,
+                      DegenerateInputError, DiscountCurve, DomainError, HazardCurve, PathRecords,
+                      SbtvParams, SimulationConfig, VolatilityTermStructure, at1p_survival,
                       ers_cva_term, ers_fair_spread, ers_fair_spread_from_paths,
                       ers_npv_at_default, make_ers_contract, sbtv_survival,
                       simulate_intensity_paths, simulate_joint_paths)
 from fpcredit import mc
-from oracles import ers_npv_at_default_termwise
+from oracles import ers_npv_at_default_termwise, regression_control_variate
 
 # three buckets and a flat tail: the 5y maturity lies past the last bucket
 THREE_BUCKETS = VolatilityTermStructure((1.0, 2.0, 4.0), (0.35, 0.25, 0.30))
@@ -74,7 +74,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["s0", "equity_vol", "dividend_yield", "recovery",
-                                      "rho", "stock_count", "spread"])
+                                      "rho", "stock_count"])
     def test_contract_rejects_non_finite(self, name, value):
         with pytest.raises(DomainError):
             make_ers_contract(**{name: value})
@@ -84,6 +84,9 @@ class TestConfig:
             make_ers_contract(rho=1.5)
         with pytest.raises(DomainError):
             make_ers_contract(s0=-1.0)
+        for stock_count in (0.0, -1.0):
+            with pytest.raises(DomainError, match="stock count"):
+                make_ers_contract(stock_count=stock_count)
 
 
 class TestDefaultSampling:
@@ -283,11 +286,50 @@ def crisis_paths(curve):
 class TestCvaAndFairSpread:
     def test_control_variate_reduces_error_without_bias(self, curve, crisis_paths):
         _, ers, _, paths = crisis_paths
-        with_cv = ers_cva_term(paths, ers, curve, 0.001, control_variate=True)
-        without = ers_cva_term(paths, ers, curve, 0.001, control_variate=False)
-        assert with_cv.std_error < without.std_error
-        assert with_cv.plain_value == without.value
-        assert abs(with_cv.value - without.value) < 3 * without.std_error
+        est = ers_cva_term(paths, ers, curve, 0.001)
+        assert est.std_error < est.plain_std_error
+        assert abs(est.value - est.plain_value) < 3 * est.plain_std_error
+
+    @pytest.mark.parametrize("spread", [0.0, 0.001, 0.01])
+    def test_control_variate_is_the_regression_estimate(self, curve, crisis_paths, spread):
+        _, ers, _, paths = crisis_paths
+        d = paths.defaulted
+        payoff = np.zeros(paths.n_paths)
+        payoff[d] = ers.lgd * np.maximum(
+            ers_npv_at_default(paths.tau[d], paths.s_tau[d], ers, curve, spread), 0.0)
+        value, std_error = regression_control_variate(payoff, d, paths.default_prob_closed_form)
+        est = ers_cva_term(paths, ers, curve, spread)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12)
+
+    def test_all_paths_default_gives_closed_form_probability_times_mean(self, curve, ers):
+        # the indicator has no variance, yet its coefficient is still the mean payoff
+        rng = np.random.default_rng(5)
+        n = 1_000
+        tau, s_tau = rng.uniform(0.0, ers.maturity, n), rng.uniform(5.0, 35.0, n)
+        paths = PathRecords(defaulted=np.ones(n, dtype=bool), tau=tau, s_tau=s_tau,
+                            default_prob_closed_form=0.6)
+        payoff = ers.lgd * np.maximum(ers_npv_at_default(tau, s_tau, ers, curve, 0.001), 0.0)
+        assert 0 < np.count_nonzero(payoff) < n
+        est = ers_cva_term(paths, ers, curve, 0.001)
+        assert est.value == pytest.approx(0.6 * payoff.mean(), rel=1e-14)
+        assert est.plain_value == pytest.approx(payoff.mean(), rel=1e-14)
+        assert est.std_error == pytest.approx(est.plain_std_error, rel=1e-12)
+
+    def test_fixed_point_discounts_once_per_path_set(self, curve, crisis_paths, monkeypatch):
+        _, ers, _, paths = crisis_paths
+        calls = []
+        discount = DiscountCurve.discount
+        monkeypatch.setattr(DiscountCurve, "discount",
+                            lambda self, t: calls.append(t) or discount(self, t))
+        counts, iterations = [], []
+        for tol_bp in (0.05, 1e-9):
+            calls.clear()
+            result = ers_fair_spread_from_paths(paths, ers, curve, tol_bp=tol_bp)
+            counts.append(len(calls))
+            iterations.append(result.diagnostics["iterations"])
+        assert iterations[1] > iterations[0]
+        assert counts[1] == counts[0]
 
     def test_no_defaults_yields_zero_estimate(self, curve, ers):
         model = flat_at1p(h=1e-6, sigma=0.15)
@@ -299,7 +341,7 @@ class TestCvaAndFairSpread:
 
     def test_fixed_point_contracts_quickly(self, curve, crisis_paths):
         _, ers, cfg, paths = crisis_paths
-        result = ers_fair_spread_from_paths(paths, ers, curve, cfg)
+        result = ers_fair_spread_from_paths(paths, ers, curve)
         trace = result.diagnostics["delta_x_trace_bp"]
         assert result.diagnostics["iterations"] <= 10
         assert all(b <= a + 1e-12 for a, b in zip(trace[1:], trace[2:]))
@@ -307,9 +349,9 @@ class TestCvaAndFairSpread:
 
     def test_fair_spread_zeroes_swap_value(self, curve, crisis_paths):
         _, ers, cfg, paths = crisis_paths
-        result = ers_fair_spread_from_paths(paths, ers, curve, cfg)
+        result = ers_fair_spread_from_paths(paths, ers, curve)
         x = result.fair_spread_bp * 1e-4
-        est = ers_cva_term(paths, ers, curve, x, control_variate=cfg.control_variate)
+        est = ers_cva_term(paths, ers, curve, x)
         annuity = float(np.sum(np.asarray(curve.discount(ers.schedule.dates))
                                * ers.schedule.accruals))
         residual_bp = abs(est.value - x * ers.s0 * annuity) / (ers.s0 * annuity) * 1e4
@@ -330,18 +372,18 @@ class TestCvaAndFairSpread:
     def test_non_convergence_raises_typed_error(self, curve, crisis_paths):
         _, ers, cfg, paths = crisis_paths
         with pytest.raises(ConvergenceError) as info:
-            ers_fair_spread_from_paths(paths, ers, curve, cfg, max_iter=1)
+            ers_fair_spread_from_paths(paths, ers, curve, max_iter=1)
         assert isinstance(info.value, CalibrationError)
         assert len(info.value.diagnostics["delta_x_trace_bp"]) == 1
 
     def test_result_serializes(self, curve, crisis_paths):
         import json
         _, ers, cfg, paths = crisis_paths
-        result = ers_fair_spread_from_paths(paths, ers, curve, cfg)
+        result = ers_fair_spread_from_paths(paths, ers, curve)
         json.dumps(result.as_dict())
 
     def test_zero_premium_annuity_is_degenerate(self, crisis_paths):
         # every discount factor underflows to 0, so the premium annuity is 0
         _, ers, cfg, paths = crisis_paths
         with pytest.raises(DegenerateInputError, match="annuity"):
-            ers_fair_spread_from_paths(paths, ers, DiscountCurve(flat_rate=1e308), cfg)
+            ers_fair_spread_from_paths(paths, ers, DiscountCurve(flat_rate=1e308))
