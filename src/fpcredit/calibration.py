@@ -99,8 +99,9 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
 
     Step 1 best-fits (H2, p1, sigma_bar) to the first three quotes with a
     flat volatility: a deterministic multi-start bounded least-squares fit
-    of the three spread errors in bp.  Step 2 freezes (H2, p1) and
-    bootstraps every bucket volatility to an exact fit.
+    of the three spread errors in bp, which stops at the first start that
+    fits them exactly.  Step 2 freezes (H2, p1) and bootstraps every bucket
+    volatility to an exact fit.
     """
     if not 0 < h1 < 1:
         raise DomainError("H1/V0 must lie in (0, 1)")
@@ -215,8 +216,13 @@ def _sbtv_step1(strip, curve, h1, b, convention):
     The residuals are the three model-minus-quoted spreads in bp.  Their
     sum of squares is evaluated at every point of a fixed 3x3x3 start grid
     (clipped into the box) and a bounded trust-region least-squares polish
-    (TRF, every point inside the box) is run from the best few; ties are
-    broken by the smaller H2 so the result is deterministic.  The three
+    (TRF, every point inside the box) is run from the best few, in rank
+    order; ties are broken by the smaller H2 so the result is deterministic.
+    The polishes stop once the best cost is at most STEP1_TOL: the three
+    residuals are then zero to about 1e-6 bp, and a later polish could beat
+    that only by round-off.  A polish that misses a zero falls back on the
+    next start; off the presets the best-ranked start sometimes stops in a
+    local minimum where a later one reaches the zero.  The three
     pillar schedules are prefixes of the third one, whose leg grid, built
     once, prices all three; a flat volatility has cumulative variance
     s = sigma_bar^2 t, so an evaluation is one kernel call and builds no
@@ -280,15 +286,18 @@ def _sbtv_step1(strip, curve, h1, b, convention):
         [h1 + 0.15, h1 + 0.3, h1 + 0.45], [0.35, 0.65, 0.95], [0.10, 0.20, 0.40])]
     ranked = sorted(starts, key=lambda x0: (float(np.sum(residuals(x0) ** 2)), x0[0]))
     best = None
-    for x0 in ranked[:STEP1_POLISH_STARTS]:
+    for polishes, x0 in enumerate(ranked[:STEP1_POLISH_STARTS], start=1):
         res = least_squares(residuals, x0, jac=jacobian, bounds=(lower, upper), method="trf",
                             xtol=STEP1_TOL, ftol=STEP1_TOL, gtol=STEP1_TOL)
         cand = (res.cost, res.x[0], res.x)  # ties broken by smallest H2
         if best is None or cand[:2] < best[:2]:
             best = cand
+        if best[0] <= STEP1_TOL:  # an exact fit: a later polish could gain only round-off
+            break
     cost, _, x = best
     h2, p1, sigma_bar = (float(v) for v in x)
     step1 = {"h2": h2, "p1": p1, "sigma_bar": sigma_bar,
              "objective_bp2": float(2.0 * cost), "rms_bp": math.sqrt(2.0 * cost / 3.0),
-             "multi_start_points": len(starts), "objective_evaluations": evaluations}
+             "multi_start_points": len(starts), "polishes": polishes,
+             "objective_evaluations": evaluations}
     return h2, p1, sigma_bar, step1

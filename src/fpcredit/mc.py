@@ -270,7 +270,10 @@ def _npv_terms(tau, s_tau, ers: ErsContract, curve: DiscountCurve):
         fixed      = K*S0 * P(0, T_{beta(tau)-1}) - K * P(0,tau) * S_tau
         per_spread = K*S0 * sum_{i >= beta(tau)} P(0,T_i) alpha_i
     """
-    tau = np.asarray(tau, dtype=float)
+    tau, s_tau = np.asarray(tau, dtype=float), np.asarray(s_tau, dtype=float)
+    for name, value in (("default time tau", tau), ("equity at default s_tau", s_tau)):
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"{name} must be finite")
     if np.any(tau > ers.maturity):
         raise DomainError("default after maturity: residual NPV undefined")
     sched = ers.schedule
@@ -280,7 +283,7 @@ def _npv_terms(tau, s_tau, ers: ErsContract, curve: DiscountCurve):
     ks0 = ers.stock_count * ers.s0
     per_spread = ks0 * tails[sched.next_payment_index(tau) - 1]
     fixed = (ks0 * curve.discount(sched.previous_date(tau))
-             - ers.stock_count * curve.discount(tau) * np.asarray(s_tau, dtype=float))
+             - ers.stock_count * curve.discount(tau) * s_tau)
     return fixed, per_spread
 
 

@@ -177,6 +177,18 @@ class TestSbtvStep1:
     def test_meets_the_three_head_quotes(self, flat_curve, name, convention):
         *_, step1 = _sbtv_step1(preset_strip(name), flat_curve, 0.4, 0.0, convention)
         assert step1["rms_bp"] < 1e-10
+        assert step1["polishes"] == 1  # the best-ranked start reaches the zero
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    def test_falls_back_past_a_polish_that_misses_the_zero(self, monkeypatch, flat_curve,
+                                                          convention):
+        # the best-ranked start stops in a local minimum; the next reaches the zero
+        costs = _record_polish_costs(monkeypatch)
+        strip = small_strip([443.7691, 546.9414, 561.0056])
+        *_, step1 = _sbtv_step1(strip, flat_curve, 0.4, 0.0, convention)
+        assert step1["polishes"] == len(costs) == 2
+        assert costs[0] > 100.0 and costs[1] <= calibration.STEP1_TOL
+        assert step1["rms_bp"] < 1e-10
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
     def test_inverted_strip_keeps_its_residual(self, flat_curve, convention):
@@ -185,6 +197,7 @@ class TestSbtvStep1:
         strip = small_strip([300.0, 200.0, 100.0, 90.0, 80.0], tenors=(1.0, 3.0, 5.0, 7.0, 10.0))
         *_, step1 = _sbtv_step1(strip, flat_curve, 0.4, 0.0, convention)
         assert step1["rms_bp"] == pytest.approx(20.0, abs=0.1)
+        assert step1["polishes"] == calibration.STEP1_POLISH_STARTS  # no polish stops it
         with pytest.raises(CalibrationError, match="5.0y quote"):
             calibrate_sbtv(strip, flat_curve, convention=convention)
 
@@ -196,8 +209,21 @@ class TestSbtvStep1:
         assert report.exact
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    @pytest.mark.parametrize("spreads", [
+        [443.7691, 546.9414, 561.0056], [300.0, 200.0, 100.0], [50.0, 300.0, 250.0],
+        [200.0, 300.0, 350.0], [20.0, 40.0, 60.0]])
+    def test_stops_only_at_an_exact_fit(self, monkeypatch, flat_curve, spreads, convention):
+        costs = _record_polish_costs(monkeypatch)
+        *_, step1 = _sbtv_step1(small_strip(spreads), flat_curve, 0.4, 0.0, convention)
+        assert step1["polishes"] == len(costs) <= calibration.STEP1_POLISH_STARTS
+        assert step1["objective_bp2"] == 2.0 * min(costs)
+        assert all(c > calibration.STEP1_TOL for c in costs[:-1])
+        if len(costs) < calibration.STEP1_POLISH_STARTS:
+            assert costs[-1] <= calibration.STEP1_TOL
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
     def test_evaluations_count_every_kernel_call(self, monkeypatch, flat_curve, convention):
-        # the finite-difference Jacobian's calls included
+        # the analytic Jacobian shares the residuals' kernel call at a point
         calls = []
         real = calibration.first_passage_survival
 
@@ -277,6 +303,20 @@ class TestParameterDicts:
         params, report = lehman_calibrations["lehman-2008-09-12"][model]
         assert report.parameters == params.to_dict()
         assert cls.from_dict(json.loads(json.dumps(report.parameters))) == params
+
+
+def _record_polish_costs(monkeypatch):
+    """Wrap step 1's `least_squares`; the returned list collects each polish's cost."""
+    costs = []
+    real = calibration.least_squares
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        costs.append(res.cost)
+        return res
+
+    monkeypatch.setattr(calibration, "least_squares", recording)
+    return costs
 
 
 class _Captured(Exception):

@@ -274,6 +274,15 @@ class TestResidualNpv:
         with pytest.raises(DomainError):
             ers_npv_at_default_termwise(5.5, 20.0, ers, curve, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_default_data_rejected(self, curve, ers, bad):
+        with pytest.raises(DomainError, match="default time tau"):
+            ers_npv_at_default(bad, 20.0, ers, curve, 0.0)
+        with pytest.raises(DomainError, match="equity at default s_tau"):
+            ers_npv_at_default(2.0, bad, ers, curve, 0.0)
+        with pytest.raises(DomainError, match="s_tau"):
+            ers_npv_at_default(np.array([0.4, 2.0]), np.array([15.0, bad]), ers, curve, 0.0)
+
 
 @pytest.fixture(scope="module")
 def crisis_paths(curve):
@@ -330,6 +339,20 @@ class TestCvaAndFairSpread:
             iterations.append(result.diagnostics["iterations"])
         assert iterations[1] > iterations[0]
         assert counts[1] == counts[0]
+
+    @pytest.mark.parametrize("field, name", [("tau", "default time tau"),
+                                             ("s_tau", "equity at default s_tau")])
+    def test_non_finite_path_data_rejected(self, curve, crisis_paths, field, name):
+        # one bad defaulted path names its input instead of an all-nan fixed point
+        _, ers, _, paths = crisis_paths
+        data = {"tau": paths.tau.copy(), "s_tau": paths.s_tau.copy()}
+        data[field][np.flatnonzero(paths.defaulted)[0]] = math.nan
+        bad = PathRecords(defaulted=paths.defaulted, **data,
+                          default_prob_closed_form=paths.default_prob_closed_form)
+        with pytest.raises(DomainError, match=name):
+            ers_fair_spread_from_paths(bad, ers, curve)
+        with pytest.raises(DomainError, match=name):
+            ers_cva_term(bad, ers, curve, 0.001)
 
     def test_no_defaults_yields_zero_estimate(self, curve, ers):
         model = flat_at1p(h=1e-6, sigma=0.15)
