@@ -8,11 +8,14 @@ reprices to zero at its quoted spread, holding earlier buckets fixed.  Each
 model is a "clock" (cumulative variance, or cumulative hazard) that grows
 at a constant rate inside a bucket, and a kernel that maps the clock to
 survival; the root-finder moves only the last bucket's clock and builds no
-model object.  The models differ in the kernel, the clock rate, the bracket
-and the reported parameters.  The scenario model needs a preliminary
-best-fit of (H2, p1, sigma_bar) on the first three quotes before its
-volatility bootstrap: a bounded least-squares fit with the analytic
-Jacobian of the closed-form kernel.
+model object.  A pillar's price is linear in survival, a weight row of its
+leg grid (`LegGrid.rows`) dotted with the kernel, and so is its slope with
+the kernel's derivative: each root is a safeguarded Newton search inside
+the bracket (`_newton_in_bracket`).  The models differ in the kernel, the
+clock rate, the bracket and the reported parameters.  The scenario model
+needs a preliminary best-fit of (H2, p1, sigma_bar) on the first three
+quotes before its volatility bootstrap: a bounded least-squares fit with
+the analytic Jacobian of the closed-form kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import least_squares
 from scipy.special import log_ndtr
 
 from .cds import CdsContract, leg_grid
@@ -30,8 +33,8 @@ from .curves import Clock, DiscountCurve, make_schedule
 from .errors import CalibrationError, DomainError
 from .quotes import CdsQuoteStrip
 from .survival import (At1pParams, HazardCurve, SbtvParams,
-                       VolatilityTermStructure, first_passage_survival,
-                       mixture_survival, survival)
+                       VolatilityTermStructure, first_passage_slope,
+                       first_passage_survival, mixture_survival, survival)
 
 PRICE_TOL = 1e-12
 SIGMA_LO, SIGMA_HI = 1e-4, 5.0
@@ -79,7 +82,8 @@ def bootstrap_intensity(strip: CdsQuoteStrip, curve: DiscountCurve,
                         convention: str = "postponed") -> tuple[HazardCurve, CalibrationReport]:
     """Sequentially solve each bucket's constant intensity so the pillar CDS reprices."""
     return _bootstrap(strip, curve, convention, "intensity", HazardCurve,
-                      lambda c: np.exp(-c), lambda lam: lam, (LAMBDA_LO, LAMBDA_HI))
+                      lambda c: np.exp(-c), lambda c: -np.exp(-c), lambda lam: (lam, 1.0),
+                      (LAMBDA_LO, LAMBDA_HI))
 
 
 def calibrate_at1p(strip: CdsQuoteStrip, curve: DiscountCurve, h_over_v0: float = 0.4,
@@ -101,7 +105,8 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
     flat volatility: a deterministic multi-start bounded least-squares fit
     of the three spread errors in bp, which stops at the first start that
     fits them exactly.  Step 2 freezes (H2, p1) and bootstraps every bucket
-    volatility to an exact fit.
+    volatility to an exact fit, the first one's root-finder started at
+    sigma_bar.
     """
     if not 0 < h1 < 1:
         raise DomainError("H1/V0 must lie in (0, 1)")
@@ -116,7 +121,7 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
 
     scenarios = ((h1, p1), (h2, 1.0 - p1))
     params, report = _bootstrap_vols(strip, curve, convention, "sbtv", scenarios, b,
-                                     lambda vols: SbtvParams(scenarios, b, vols))
+                                     lambda vols: SbtvParams(scenarios, b, vols), sigma_bar)
     refinement = max(abs(s - sigma_bar) for s in params.vols.sigmas[:3])
     if refinement >= 0.02:
         warnings.append(f"step-2 moved the first volatilities {refinement:.4f} from "
@@ -129,28 +134,34 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
 
 # -- internals ---------------------------------------------------------------
 
-def _bootstrap_vols(strip, curve, convention, model_name, scenarios, b, params):
+def _bootstrap_vols(strip, curve, convention, model_name, scenarios, b, params, start=None):
     """`_bootstrap` of the volatilities of a first-passage model with its barrier
     scenarios fixed; `params(vols)` builds the model.  The clock is the
     cumulative variance, at rate sigma^2 in a bucket."""
     return _bootstrap(strip, curve, convention, model_name,
                       lambda tenors, sigmas: params(VolatilityTermStructure(tenors, sigmas)),
-                      lambda cv: mixture_survival(scenarios, b, cv), lambda sigma: sigma * sigma,
-                      (SIGMA_LO, SIGMA_HI))
+                      lambda cv: mixture_survival(scenarios, b, cv),
+                      lambda cv: mixture_survival(scenarios, b, cv, first_passage_slope),
+                      lambda sigma: (sigma * sigma, 2.0 * sigma), (SIGMA_LO, SIGMA_HI), start)
 
 
-def _bootstrap(strip, curve, convention, model_name, family, kernel, rate, bracket):
+def _bootstrap(strip, curve, convention, model_name, family, kernel, slope, rate, bracket,
+               start=None):
     """Walk the strip outwards and root-find each pillar's bucket parameter so
     its CDS reprices, earlier buckets frozen.
 
     Survival is `kernel(c)` of a clock c(t) that is piecewise linear in t and
-    runs at `rate(x)` inside a bucket with parameter x.  Per pillar, survival
-    on the leg grid's times up to the previous tenor t_prev is read once; a
-    root-finder step re-reads it only on the later times, at
-    c(t_prev) + rate(x) (t - t_prev).  `family(tenors, xs)` builds the fitted
-    model, once the walk ends; `bracket` bounds each root.  The leg grids are
-    cut at the tenors, the fitted model's knots, so they are the grids
-    `cds_legs` builds for it, and the report reprices on them.
+    runs at rate(x)[0] inside a bucket with parameter x; `slope` is the
+    kernel's derivative and rate(x)[1] the rate's.  A pillar's price is its
+    weight row w (`LegGrid.rows`) dotted with survival.  Survival up to the
+    previous tenor t_prev is read once, into a fixed part; the later times
+    see c(t_prev) + rate(x) (t - t_prev), so a price and its slope in x are
+    two dot products.  `_newton_in_bracket` solves each pillar from the
+    previous bucket's root (the first from `start`, if given) and stops at a
+    price within the row's round-off, eps sum |w|.  `family(tenors, xs)`
+    builds the fitted model, once the walk ends; `bracket` bounds each root.
+    The leg grids are cut at the tenors, the fitted model's knots, so they
+    are the grids `cds_legs` builds for it, and the report reprices on them.
     """
     tenors = strip.tenors
     contracts = [pillar_contract(q.tenor, q.spread_bp, strip.recovery) for q in strip.quotes]
@@ -163,13 +174,21 @@ def _bootstrap(strip, curve, convention, model_name, family, kernel, rate, brack
     for tenor, contract, grid in zip(tenors, contracts, grids):
         t_prev, c_prev = knot_t[-1], knot_c[-1]
         later = grid.times > t_prev
-        q = np.empty(grid.times.size)
-        q[~later] = kernel(Clock(knot_t, knot_c, 0.0)(grid.times[~later]))
-        elapsed = grid.times[later] - t_prev
+        protection, premium = grid.rows([-1])[:, 0]
+        weights = contract.lgd * protection - contract.spread * premium
+        fixed = weights[~later] @ kernel(Clock(knot_t, knot_c, 0.0)(grid.times[~later]))
+        resolution = np.finfo(float).eps * np.abs(weights).sum()  # survival is in [0, 1]
+        weights, elapsed = weights[later], grid.times[later] - t_prev
+        slope_weights = weights * elapsed
 
         def price_at(x: float) -> float:
-            q[later] = kernel(c_prev + rate(x) * elapsed)
-            return contract.value(*grid.legs(q))
+            return float(fixed + weights @ kernel(c_prev + rate(x)[0] * elapsed))
+
+        def price_and_slope(x: float) -> tuple[float, float]:
+            clock_rate, rate_slope = rate(x)
+            c = c_prev + clock_rate * elapsed
+            return (float(fixed + weights @ kernel(c)),
+                    rate_slope * float(slope_weights @ slope(c)))
 
         lo, hi = price_at(lo_x), price_at(hi_x)
         if abs(lo) < PRICE_TOL:
@@ -183,14 +202,14 @@ def _bootstrap(strip, curve, convention, model_name, family, kernel, rate, brack
                 diagnostics={"tenor": tenor, "price_lo": lo, "price_hi": hi,
                              "fixed_parameters": list(xs)})
         else:
-            res = brentq(price_at, lo_x, hi_x, xtol=1e-16, rtol=8.9e-16, full_output=True)[1]
-            if res.root < lo_x * 1.01 or res.root > hi_x * 0.99:
+            root, steps = _newton_in_bracket(price_and_slope, bracket, (lo, hi), resolution,
+                                             xs[-1] if xs else start)
+            if root < lo_x * 1.01 or root > hi_x * 0.99:
                 flagged.append(tenor)
-            root, steps = res.root, res.iterations
         xs.append(root)
         iterations.append(steps)
         knot_t.append(tenor)
-        knot_c.append(c_prev + rate(root) * (tenor - t_prev))
+        knot_c.append(c_prev + rate(root)[0] * (tenor - t_prev))
     model = family(tenors, xs)
     warnings: list[str] = []
     if flagged:
@@ -204,10 +223,51 @@ def _bootstrap(strip, curve, convention, model_name, family, kernel, rate, brack
         repricing_errors_bp=[c.value(*grid.legs(survival(model, grid.times))) * 1e4
                              for c, grid in zip(contracts, grids)],
         pillar_survivals=pillar_survivals,
-        diagnostics={"solver": "brentq", "iterations": iterations, "bracket": [lo_x, hi_x]},
+        diagnostics={"solver": "newton-bisection", "iterations": iterations,
+                     "bracket": [lo_x, hi_x]},
         warnings=warnings,
     )
     return model, report
+
+
+def _newton_in_bracket(price_and_slope, bracket, prices, resolution, x=None):
+    """The root of a price that changes sign on `bracket` = (lo, hi), where it is
+    `prices`, by Newton's method safeguarded inside the bracket (rtsafe, Press
+    et al., Numerical Recipes, section 9.4); `price_and_slope(x)` is the price
+    and its derivative.  The search starts at x, or at the false-position
+    point of the ends when x is None or outside the bracket.  Each evaluation
+    narrows the bracket to the side where the price changes sign; a Newton
+    step that would leave the bracket, or that fails to halve the step before
+    last, gives way to bisection, so the steps shrink at least geometrically.
+    The search stops at a price within `resolution` of zero, or where neither
+    step can move x any further; a zero price at hi returns hi.  Returns the
+    root and the number of evaluations, the ends' not counted."""
+    (lo, hi), (price_lo, price_hi) = bracket, prices
+    if price_hi == 0.0:
+        return hi, 0
+    if x is None or not lo < x < hi:
+        x = lo - price_lo * (hi - lo) / (price_hi - price_lo)
+    below, above = (lo, hi) if price_lo < 0.0 else (hi, lo)  # price < 0 at below
+    step = before_last = hi - lo
+    evaluations = 0
+    while True:
+        price, slope = price_and_slope(x)
+        evaluations += 1
+        if abs(price) <= resolution:
+            return x, evaluations
+        if price < 0.0:
+            below = x
+        else:
+            above = x
+        inside = ((x - below) * slope - price) * ((x - above) * slope - price) < 0.0
+        if inside and abs(2.0 * price) <= abs(before_last * slope):
+            before_last, step = step, price / slope
+            x, last = x - step, x
+        else:
+            before_last, step = step, 0.5 * (above - below)
+            x, last = below + step, below
+        if x == last or x == above:
+            return x, evaluations
 
 
 def _sbtv_step1(strip, curve, h1, b, convention):
@@ -215,27 +275,32 @@ def _sbtv_step1(strip, curve, h1, b, convention):
 
     The residuals are the three model-minus-quoted spreads in bp.  Their
     sum of squares is evaluated at every point of a fixed 3x3x3 start grid
-    (clipped into the box) and a bounded trust-region least-squares polish
-    (TRF, every point inside the box) is run from the best few, in rank
-    order; ties are broken by the smaller H2 so the result is deterministic.
-    The polishes stop once the best cost is at most STEP1_TOL: the three
-    residuals are then zero to about 1e-6 bp, and a later polish could beat
-    that only by round-off.  A polish that misses a zero falls back on the
-    next start; off the presets the best-ranked start sometimes stops in a
-    local minimum where a later one reaches the zero.  The three
-    pillar schedules are prefixes of the third one, whose leg grid, built
-    once, prices all three; a flat volatility has cumulative variance
-    s = sigma_bar^2 t, so an evaluation is one kernel call and builds no
-    model.  The Jacobian is analytic and reuses the evaluation at its point:
-    the mixture is linear in p1, the legs are linear in survival, and the
-    kernel Q = Phi(d1) - H^a Phi(d2), with a = 2B - 1 and H^a phi(d2) =
-    phi(d1), has dQ/ds = log H phi(d1) / s^1.5 and
-    dQ/dlog H = -2 phi(d1) / sqrt(s) - a H^a Phi(d2).
+    (clipped into the box), all 27 in one kernel call, and a bounded
+    trust-region least-squares polish (TRF, every point inside the box) is
+    run from the best few, in rank order; ties are broken by the smaller H2
+    so the result is deterministic.  The polishes stop once the best cost is
+    at most STEP1_TOL: the three residuals are then zero to about 1e-6 bp,
+    and a later polish could beat that only by round-off.  A polish that
+    misses a zero falls back on the next start; off the presets the
+    best-ranked start sometimes stops in a local minimum where a later one
+    reaches the zero.  The three pillar schedules are prefixes of the third
+    one, whose leg grid, built once, gives the three pillars' leg rows
+    (`LegGrid.rows`): a 6-row matrix on survival.  A flat volatility has
+    cumulative variance s = sigma_bar^2 t, so an evaluation is one kernel
+    call and one matrix product, and builds no model.  The Jacobian is
+    analytic and reuses the evaluation at its point: the mixture is linear
+    in p1, the legs are linear in survival, so the Jacobian is the leg
+    matrix times the survival's three derivatives.  The kernel
+    Q = Phi(d1) - H^a Phi(d2), with a = 2B - 1 and H^a phi(d2) = phi(d1), has
+    dQ/ds = log H phi(d1) / s^1.5 (`first_passage_slope`) and
+    dQ/dlog H = -2 phi(d1) / sqrt(s) - a H^a Phi(d2)
+    = -2 s dQ/ds / log H - a H^a Phi(d2).
     """
     head = strip.quotes[:3]
     grid = leg_grid(make_schedule(0.0, head[-1].tenor, CDS_FREQUENCY), curve, convention)
-    last_payment = np.array([make_schedule(0.0, q.tenor, CDS_FREQUENCY).dates.size - 1
-                             for q in head])
+    # the three pillars' protection rows, then their premium rows
+    legs = grid.rows([make_schedule(0.0, q.tenor, CDS_FREQUENCY).dates.size - 1
+                      for q in head]).reshape(6, -1)
     quoted_bp = np.array([q.spread_bp for q in head])
     lgd = 1.0 - strip.recovery
     log_h1 = math.log(h1)
@@ -244,47 +309,51 @@ def _sbtv_step1(strip, curve, h1, b, convention):
     evaluations = 0
     last = None  # (x, the kernel's two survival rows there, the three pillars' legs)
 
-    def pillar_legs(q):
-        protection, premium = grid.legs(q)
-        return protection[last_payment], premium[last_payment]
+    def survival_rows(points):
+        """The two scenarios' survival on the grid at each (h2, p1, sigma_bar) point,
+        and the mixture's legs: one kernel call for all the points."""
+        nonlocal evaluations
+        evaluations += len(points)
+        h2, p1, sigma_bar = points.T
+        log_h = np.stack((np.full(len(points), log_h1), np.log(h2)), axis=1)[:, :, None]
+        q = first_passage_survival(log_h, b, (sigma_bar ** 2)[:, None, None] * grid.times)
+        pillar_legs = (p1[:, None] * q[:, 0] + (1.0 - p1[:, None]) * q[:, 1]) @ legs.T
+        return q, pillar_legs[:, :3], pillar_legs[:, 3:]
 
     def evaluate(x):
-        nonlocal evaluations, last
+        nonlocal last
         if last is None or not np.array_equal(last[0], x):
-            evaluations += 1
-            h2, p1, sigma_bar = x
-            q = first_passage_survival(np.array([[log_h1], [math.log(h2)]]), b,
-                                       sigma_bar ** 2 * grid.times)
-            last = (x.copy(), q, *pillar_legs(p1 * q[0] + (1.0 - p1) * q[1]))
+            last = (x.copy(), *(v[0] for v in survival_rows(x[None])))
         return last[1:]
 
-    def residuals(x) -> np.ndarray:
-        _, protection, premium = evaluate(x)
+    def gaps(protection, premium):
         return lgd * protection / premium * 1e4 - quoted_bp
+
+    def residuals(x) -> np.ndarray:
+        return gaps(*evaluate(x)[1:])
 
     def jacobian(x) -> np.ndarray:
         q, protection, premium = evaluate(x)
         h2, p1, sigma_bar = x
         log_h = np.array([[log_h1], [math.log(h2)]])
         s = sigma_bar ** 2 * t
-        sd = np.sqrt(s)
-        d1 = (0.5 * a * s - log_h) / sd
-        density = np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
-        dq_ds = log_h * density / (s * sd)
-        dq_dlog_h2 = -2.0 * density[1] / sd - a * np.exp(
-            a * log_h[1] + log_ndtr((log_h[1] + 0.5 * a * s) / sd))
+        dq_ds = first_passage_slope(log_h, b, s)
+        dq_dlog_h2 = -2.0 * s * dq_ds[1] / log_h[1] - a * np.exp(
+            a * log_h[1] + log_ndtr((log_h[1] + 0.5 * a * s) / np.sqrt(s)))
         directions = np.zeros((3, grid.times.size))  # d survival / d (h2, p1, sigma_bar)
         directions[0, 1:] = (1.0 - p1) / h2 * dq_dlog_h2
         directions[1] = q[0] - q[1]
         directions[2, 1:] = 2.0 * sigma_bar * t * (p1 * dq_ds[0] + (1.0 - p1) * dq_ds[1])
+        d_legs = legs @ directions.T  # d (protection, premium) / d (h2, p1, sigma_bar)
         spread_bp = lgd * protection / premium * 1e4
-        return np.array([(lgd * 1e4 * d_protection - spread_bp * d_premium) / premium
-                         for d_protection, d_premium in map(pillar_legs, directions)]).T
+        return (lgd * 1e4 * d_legs[:3] - spread_bp[:, None] * d_legs[3:]) / premium[:, None]
 
     lower, upper = np.array([h1 + 1e-6, 0.0, 1e-3]), np.array([1.0 - 1e-6, 1.0, 2.0])
-    starts = [np.clip(x0, lower, upper) for x0 in itertools.product(
-        [h1 + 0.15, h1 + 0.3, h1 + 0.45], [0.35, 0.65, 0.95], [0.10, 0.20, 0.40])]
-    ranked = sorted(starts, key=lambda x0: (float(np.sum(residuals(x0) ** 2)), x0[0]))
+    starts = np.clip(list(itertools.product([h1 + 0.15, h1 + 0.3, h1 + 0.45], [0.35, 0.65, 0.95],
+                                            [0.10, 0.20, 0.40])), lower, upper)
+    costs = np.sum(gaps(*survival_rows(starts)[1:]) ** 2, axis=1)
+    ranked = [starts[i] for i in sorted(range(len(starts)),
+                                        key=lambda i: (costs[i], starts[i, 0]))]
     best = None
     for polishes, x0 in enumerate(ranked[:STEP1_POLISH_STARTS], start=1):
         res = least_squares(residuals, x0, jac=jacobian, bounds=(lower, upper), method="trf",

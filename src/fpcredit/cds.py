@@ -96,6 +96,27 @@ class LegGrid:
             protection, premium = correction + (protection, premium)
         return protection, premium
 
+    def rows(self, payments) -> np.ndarray:
+        """The legs as weights on survival: `legs(q)[i][payments] == rows(payments)[i] @ q`
+        to round-off, one row per given payment index, for both legs i."""
+        n = self.premium.size
+        coefficients = np.zeros((2, self.times.size))  # of the whole schedule's legs
+        coefficients[0, :n] = self.discount
+        coefficients[0, 1:n] -= self.discount[:-1]
+        coefficients[1, 1:n + 1] = self.premium
+        if self.period.size:  # exact: the by-parts correction of each period
+            coefficients[0, :n] += np.bincount(self.period, self.weights[0], n)
+            coefficients[1, 1:n + 1] -= np.bincount(self.period, self.weights[1], n)
+            coefficients[:, n + 1:] = -self.weights[0], self.weights[1]
+        owner = np.empty((2, self.times.size), int)  # the period whose terms hold a column
+        owner[:, n + 1:] = self.period
+        owner[0, :n + 1] = np.arange(n + 1)  # a date starts its period's protection term
+        owner[1, :n + 1] = owner[0, :n + 1] - 1  # and ends the premium term before it
+        payments = np.arange(n)[payments]
+        rows = np.where(owner[:, None] <= payments[:, None], coefficients[:, None], 0.0)
+        rows[0, np.arange(payments.size), payments + 1] = -self.discount[payments]
+        return rows
+
 
 def leg_grid(schedule: PaymentSchedule, curve: DiscountCurve,
              convention: str = "postponed", knots=()) -> LegGrid:

@@ -140,15 +140,17 @@ def make_ers_contract(s0=20.0, equity_vol=0.20, dividend_yield=0.008, maturity=5
                        stock_count=stock_count)
 
 
-def _first_passage_variance(rng, x0, nu):
-    """First time, in the variance clock, that x0 - nu*v + W(v) reaches 0;
-    +inf on paths that never reach it."""
+def _first_passage_variance(rng, x0, nu, n):
+    """First time, in the variance clock, that x0 - nu*v + W(v) reaches 0, on
+    n paths; +inf on paths that never reach it.  x0 is one start for every
+    path, or one per path: a scalar draws the same variates as a constant
+    array, and faster."""
     if nu > 0:
-        return rng.wald(x0 / nu, x0 * x0)
+        return rng.wald(x0 / nu, x0 * x0, size=n)
     if nu == 0:
-        return x0 * x0 / rng.standard_normal(x0.size) ** 2
-    v_star = rng.wald(x0 / -nu, x0 * x0)
-    return np.where(rng.random(x0.size) < np.exp(2.0 * nu * x0), v_star, np.inf)
+        return x0 * x0 / rng.standard_normal(n) ** 2
+    v_star = rng.wald(x0 / -nu, x0 * x0, size=n)
+    return np.where(rng.random(n) < np.exp(2.0 * nu * x0), v_star, np.inf)
 
 
 def _firm_bm_at_default(rng, v_star, x0, nu, knot_v, sigmas):
@@ -205,12 +207,12 @@ def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
                           "simulate_intensity_paths for the hazard model)")
     log_h = np.array([math.log(h) for h, _ in model.scenarios])
     if log_h.size == 1:  # drawing the one scenario would still consume variates
-        scenario, x0 = None, np.full(n, -log_h[0])
+        scenario, x0 = None, -log_h[0]
     else:
         scenario = firm_rng.choice(log_h.size, size=n, p=[p for _, p in model.scenarios])
         x0 = -log_h[scenario]
     nu = 0.5 - model.b
-    v_star = _first_passage_variance(firm_rng, x0, nu)
+    v_star = _first_passage_variance(firm_rng, x0, nu, n)
 
     vols, clock = model.vols, model.vols.clock
     knot_t = np.append(clock.knot_t[clock.knot_t < ers.maturity], ers.maturity)
@@ -218,7 +220,8 @@ def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
     sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
     defaulted = v_star <= knot_v[-1]
     v_def = v_star[defaulted]
-    w1 = _firm_bm_at_default(firm_rng, v_def, x0[defaulted], nu, knot_v, sigmas)
+    w1 = _firm_bm_at_default(firm_rng, v_def, np.broadcast_to(x0, n)[defaulted], nu, knot_v,
+                             sigmas)
 
     tau = np.full(n, np.inf)
     s_tau = np.full(n, np.nan)

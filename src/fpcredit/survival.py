@@ -169,16 +169,29 @@ def first_passage_survival(log_h, b: float, cv):
     return (first - second).clip(0.0, 1.0)
 
 
-def mixture_survival(scenarios, b: float, cv):
+def first_passage_slope(log_h, b: float, cv):
+    """dQ/dS of `first_passage_survival` at cumulative variance S = cv > 0:
+    log(H/V0) phi(d1) / S^1.5, with d1 = (log(V0/H) + (2B-1)/2 * S) / sqrt(S) the
+    first term's argument (the second term's derivative folds into it, since
+    (H/V0)^(2B-1) phi(d2) = phi(d1)).  Broadcasts as the survival does."""
+    s = np.asarray(cv, dtype=float)
+    sd = np.sqrt(s)
+    d1 = (0.5 * (2.0 * b - 1.0) * s - log_h) / sd
+    density = np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+    return log_h * density / (s * sd)
+
+
+def mixture_survival(scenarios, b: float, cv, kernel=first_passage_survival):
     """sum_i p^i Q(H^i): survival at cumulative variance cv under the barrier
-    scenarios [(H^i/V0, p^i), ...].  Several barriers broadcast against cv in
-    one kernel call; AT1P's one barrier skips the broadcast, which is slower
-    on one row and gives the same numbers."""
+    scenarios [(H^i/V0, p^i), ...]; with `kernel=first_passage_slope`, its
+    derivative in cv.  Several barriers broadcast against cv in one kernel
+    call; AT1P's one barrier skips the broadcast, which is slower on one row
+    and gives the same numbers."""
     if len(scenarios) == 1:
         [(h, p)] = scenarios
-        return p * first_passage_survival(math.log(h), b, cv)
+        return p * kernel(math.log(h), b, cv)
     log_h = np.array([math.log(h) for h, _ in scenarios])
-    q = first_passage_survival(log_h.reshape((-1,) + (1,) * np.ndim(cv)), b, cv)
+    q = kernel(log_h.reshape((-1,) + (1,) * np.ndim(cv)), b, cv)
     return sum(p * q_i for (_, p), q_i in zip(scenarios, q))
 
 

@@ -1,12 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from fpcredit import (CalibrationError, CdsQuote, CdsQuoteStrip, DegenerateInputError,
-                      DiscountCurve, DomainError, VolatilityTermStructure, bootstrap_intensity,
-                      calibrate_at1p, calibrate_sbtv, cds_price, fair_spread,
-                      make_schedule)
+from fpcredit import (CalibrationError, CdsContract, CdsQuote, CdsQuoteStrip,
+                      DegenerateInputError, DiscountCurve, DomainError,
+                      VolatilityTermStructure, bootstrap_intensity, calibrate_at1p,
+                      calibrate_sbtv, cds_price, fair_spread, make_schedule)
 from fpcredit import calibration, cds
 from fpcredit.calibration import _sbtv_step1, pillar_contract
 from fpcredit.presets import STRIP_PRESETS, preset_strip
@@ -223,18 +224,21 @@ class TestSbtvStep1:
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
     def test_evaluations_count_every_kernel_call(self, monkeypatch, flat_curve, convention):
-        # the analytic Jacobian shares the residuals' kernel call at a point
-        calls = []
+        # the start scan is one kernel call with a row of barriers per start; each
+        # polish evaluation is one call at one point, which the analytic Jacobian shares
+        points = []  # per kernel call, the number of (h2, p1, sigma_bar) points
         real = calibration.first_passage_survival
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(log_h, b, cv):
+            points.append(len(log_h))
+            return real(log_h, b, cv)
 
         monkeypatch.setattr(calibration, "first_passage_survival", counting)
         *_, step1 = _sbtv_step1(preset_strip("lehman-2008-09-12"), flat_curve, 0.4, 0.0,
                                 convention)
-        assert step1["objective_evaluations"] == len(calls) > step1["multi_start_points"]
+        assert points[0] == step1["multi_start_points"] == 27
+        assert len(points) > 1 and points[1:] == [1] * (len(points) - 1)
+        assert step1["objective_evaluations"] == sum(points)
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
     def test_analytic_jacobian_matches_finite_differences(self, monkeypatch, flat_curve,
@@ -254,6 +258,62 @@ class TestSbtvStep1:
                 central[:, j] = (8.0 * (residuals(x + e) - residuals(x - e))
                                  - residuals(x + 2 * e) + residuals(x - 2 * e)) / (12.0 * step)
             assert jacobian(x) == pytest.approx(central, rel=1e-6)
+
+
+class TestBootstrapRoots:
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    @pytest.mark.parametrize("name", sorted(STRIP_PRESETS))
+    def test_each_root_is_a_sign_change_of_its_pillar_price(self, flat_curve, name,
+                                                            convention):
+        # nudging any bucket parameter by 1e-12 relative either way flips the sign
+        # of its pillar's price, read through the public pricer
+        strip = preset_strip(name)
+        for fit, key in ((bootstrap_intensity, "lambdas"), (calibrate_at1p, "sigmas"),
+                         (calibrate_sbtv, "sigmas")):
+            model, report = fit(strip, flat_curve, convention=convention)
+            assert report.diagnostics["solver"] == "newton-bisection"
+            values = report.parameters[key]
+            for k, quote in enumerate(strip.quotes):
+                contract = CdsContract(make_schedule(0.0, quote.tenor, 4),
+                                       quote.spread_bp * 1e-4, strip.recovery)
+                below, above = (
+                    cds_price(contract, flat_curve, type(model).from_dict(
+                        {**report.parameters,
+                         key: values[:k] + [values[k] * factor] + values[k + 1:]}),
+                        convention)
+                    for factor in (1.0 - 1e-12, 1.0 + 1e-12))
+                assert below < 0.0 < above, (fit.__name__, quote.tenor)
+
+    def test_newton_step_out_of_the_bracket_gives_way_to_bisection(self):
+        # Newton on arctan from 1.5 lands on -1.694, inside (-10, 1.5); from there it
+        # would jump to 2.32, outside (-1.694, 1.5), so the next point is their midpoint
+        seen = []
+
+        def price_and_slope(x):
+            seen.append(x)
+            return math.atan(x), 1.0 / (1.0 + x * x)
+
+        root, evaluations = calibration._newton_in_bracket(
+            price_and_slope, (-10.0, 5.0), (math.atan(-10.0), math.atan(5.0)), 0.0, 1.5)
+        assert seen[1] == pytest.approx(1.5 - math.atan(1.5) * 3.25)
+        assert seen[1] - math.atan(seen[1]) * (1.0 + seen[1] ** 2) > 1.5
+        assert seen[2] == pytest.approx(0.5 * (seen[0] + seen[1]), rel=1e-15)
+        assert root == 0.0 and evaluations == len(seen) < 10
+
+    def test_zero_price_at_the_upper_end_returns_that_end(self):
+        # as brentq did, with no evaluation; a search from inside the bracket
+        # would stop short of the end, at a price within the resolution
+        def never(x):
+            raise AssertionError("the upper end is a root: no evaluation is needed")
+
+        def price_and_slope(x):
+            return x * x - 4.0, 2.0 * x
+
+        assert calibration._newton_in_bracket(
+            never, (0.5, 2.0), (-3.75, 0.0), 1e-6, 1.0) == (2.0, 0)
+        root, _ = calibration._newton_in_bracket(
+            price_and_slope, (0.5, 2.0), (-3.75, 1e-300), 1e-6, 1.0)
+        assert root < 2.0 and abs(root * root - 4.0) <= 1e-6
 
 
 class TestDegenerateDiscounting:

@@ -129,6 +129,24 @@ class TestLegs:
             assert 0.6 * protection[i] - 0.02 * premium[i] == pytest.approx(
                 price, rel=0, abs=1e-14)
 
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    @pytest.mark.parametrize("knots", [(), (0.6, 2.2, 4.1)])
+    def test_rows_weigh_survival_as_the_legs_do(self, convention, knots):
+        # legs(q)[i][payments] == rows(payments)[i] @ q to round-off: within 1e-15 of
+        # sum |row|, the largest leg any survival in [0, 1] can give
+        grid = leg_grid(make_schedule(0.0, 10.0, 4),
+                        DiscountCurve(pillars=((1.0, 0.97), (3.0, 0.9), (10.0, 0.7))),
+                        convention, knots)
+        rng = np.random.default_rng(20091016)
+        for payments in (np.arange(grid.premium.size), [3, 11, -1]):
+            rows = grid.rows(payments)
+            assert rows.shape == (2, len(payments), grid.times.size)
+            bound = 1e-15 * np.abs(rows).sum(axis=-1)
+            for lam, kappa in rng.uniform((0.0, 0.0), (0.5, 0.05), (50, 2)):
+                q = np.exp(-(lam + kappa * grid.times) * grid.times)  # a random survival curve
+                for leg, row, tol in zip(grid.legs(q), rows, bound):
+                    assert np.all(np.abs(row @ q - leg[payments]) <= tol)
+
     def test_exact_legs_match_continuous_time_closed_form(self):
         # flat hazard lam and rate r, k = lam + r: protection to T is
         # lam/k (1 - e^{-kT}); the accrual over [a, a + alpha] is

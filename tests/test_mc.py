@@ -144,7 +144,7 @@ class TestDefaultSampling:
         v_maturity = model.vols.clock(ers.maturity)
         assert model.vols.clock.inverse(v_maturity) > ers.maturity
         monkeypatch.setattr(mc, "_first_passage_variance",
-                            lambda rng, x0, nu: np.full(x0.size, v_maturity))
+                            lambda rng, x0, nu, n: np.full(n, v_maturity))
         paths = simulate_joint_paths(model, ers, curve,
                                      SimulationConfig(n_paths=100, rng_seed=1))
         assert paths.defaulted.all() and np.all(paths.tau == ers.maturity)
@@ -172,6 +172,22 @@ class TestDefaultSampling:
 
 
 class TestExactSampler:
+    def test_scalar_wald_parameters_draw_the_constant_array_variates(self):
+        # numpy's wald draws the same variates, byte for byte, from scalar
+        # parameters with size=n as from constant arrays of n parameters
+        n, mean, scale = 10_000, 1.8, 0.84
+        a = np.random.default_rng(7).wald(mean, scale, size=n)
+        b = np.random.default_rng(7).wald(np.full(n, mean), np.full(n, scale))
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("nu", [0.5, 0.0, -0.3])
+    def test_one_start_draws_as_one_start_per_path(self, nu):
+        # so AT1P's one barrier draws its first passages with scalar parameters
+        x0, n = -math.log(0.4), 10_000
+        one = mc._first_passage_variance(np.random.default_rng(11), x0, nu, n)
+        per_path = mc._first_passage_variance(np.random.default_rng(11), np.full(n, x0), nu, n)
+        assert np.array_equal(one, per_path)
+
     @pytest.mark.parametrize("model, survival", [
         (At1pParams(0.4, 0.0, THREE_BUCKETS), at1p_survival),
         (At1pParams(0.4, 0.5, THREE_BUCKETS), at1p_survival),

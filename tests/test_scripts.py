@@ -1,5 +1,6 @@
-"""The example scripts run end to end against the CLI they drive."""
+"""The scripts run end to end against the library they drive."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,14 +11,29 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script, args", [("run_ers_table.py", ["--paths", "2000"]),
-                                          ("run_lehman_calibration.py", [])])
-def test_script_runs_without_traceback(tmp_path, script, args):
+def run_script(script, args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("script, args", [("run_ers_table.py", ["--paths", "2000"]),
+                                          ("run_lehman_calibration.py", [])])
+def test_script_runs_without_traceback(tmp_path, script, args):
+    done = run_script(script, args, cwd=tmp_path)
     assert done.returncode in (0, 2), done.stderr
     assert "Traceback" not in done.stderr
     assert any(tmp_path.glob("*.json"))  # the report lands in the working directory
+
+
+def test_calibration_traffic_prints_one_line_per_fit():
+    done = run_script("calibration_traffic.py", ["--strips", "2"])
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(x["convention"], x["model"]) for x in lines] == 2 * [
+        (convention, model) for convention in ("postponed", "exact")
+        for model in ("intensity", "at1p", "sbtv")]
+    assert all("parameters" in x or "error" in x for x in lines)
+    assert "polishes" in lines[2]["diagnostics"]["step1"]

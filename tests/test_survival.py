@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fpcredit import (At1pParams, DiscountCurve, DomainError, HazardCurve,
                       SbtvParams, VolatilityTermStructure, at1p_survival,
                       barrier_level, intensity_survival, sbtv_survival)
-from fpcredit.survival import first_passage_survival, survival
+from fpcredit.survival import first_passage_slope, first_passage_survival, survival
 
 LEHMAN_2007_VOLS = VolatilityTermStructure(
     bucket_ends=(1.0, 3.0, 5.0, 7.0, 10.0),
@@ -137,6 +138,21 @@ class TestFirstPassageKernel:
         for h, row in zip(hs, q):
             assert np.array_equal(row, at1p_survival(At1pParams(h, b, LEHMAN_2007_VOLS), t))
         assert np.all(q[:, 0] == 1.0)
+
+    @pytest.mark.parametrize("b", [-0.4, 0.3, 0.8])
+    def test_slope_matches_central_differences(self, b):
+        # five-point central differences at a 1e-3 relative step, from variance 1e-8
+        # (where both are 0 or nearly) to 50; the bound adds their round-off
+        log_h = np.log([[0.05], [0.3], [0.7313], [0.97]])
+        cv = np.geomspace(1e-8, 50.0, 61)
+        step = 1e-3 * cv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope = first_passage_slope(log_h, b, cv)
+            q = [first_passage_survival(log_h, b, cv + k * step) for k in (-2, -1, 1, 2)]
+        central = (8.0 * (q[2] - q[1]) - q[3] + q[0]) / (12.0 * step)
+        assert np.all(np.abs(slope - central) <= 1e-6 * np.abs(central) + 1e-15 / step)
+        assert slope.min() < -1.0 and np.all(slope <= 0.0)
 
     def test_mixture_sums_the_scenarios_bit_for_bit(self):
         scenarios = ((0.3, 0.25), (0.6, 0.5), (0.9, 0.25))
