@@ -8,8 +8,8 @@ from .calibration import (CalibrationReport, bootstrap_intensity,
                           calibrate_at1p, calibrate_sbtv)
 from .cds import CdsContract, cds_legs, cds_price, fair_spread, leg_grid
 from .curves import DiscountCurve, PaymentSchedule, make_schedule
-from .errors import (CalibrationError, ConfigurationError, ConvergenceError,
-                     DegenerateInputError, DomainError, FpcreditError)
+from .errors import (CalibrationError, ConfigurationError, DegenerateInputError,
+                     DomainError, FpcreditError)
 from .mc import (CvaEstimate, ErsContract, ErsPricingResult, PathRecords,
                  SimulationConfig, ers_cva_term, ers_fair_spread,
                  ers_fair_spread_from_paths, ers_npv_at_default,

@@ -186,9 +186,12 @@ def cmd_price_ers(args) -> int:
         rhos = [float(r) for r in args.rho.split(",")]
     except ValueError:
         raise DomainError(f"--rho must be comma-separated numbers, got {args.rho!r}") from None
+    models = [m.strip() for m in args.models.split(",")]
+    for flag, entries in (("--rho", rhos), ("--models", models)):
+        if len(set(entries)) < len(entries):
+            raise DomainError(f"{flag} lists an entry twice: {entries}")
     strip = _load_strip(args, config)
     curve = config.curve()
-    models = [m.strip() for m in args.models.split(",")]
     terms = dict(ERS_CONTRACT_TERMS)
     terms.pop("quote_date", None)
     contracts = {rho: make_ers_contract(rho=rho, **terms) for rho in rhos}

@@ -27,10 +27,6 @@ class CalibrationError(FpcreditError, RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-class ConvergenceError(CalibrationError):
-    """An iteration stopped short of its tolerance; the diagnostics carry its trace."""
-
-
 class DegenerateInputError(FpcreditError, ValueError):
     """The requested quantity is undefined for this input (e.g. fair spread with zero annuity)."""
 

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .curves import DiscountCurve, PaymentSchedule, make_schedule
-from .errors import ConvergenceError, DegenerateInputError, DomainError, require_finite
+from .errors import DegenerateInputError, DomainError, require_finite
 from .survival import At1pParams, HazardCurve, SbtvParams, survival
 
 
@@ -263,8 +263,9 @@ def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract, curve: Disco
 
 
 def _npv_terms(tau, s_tau, ers: ErsContract, curve: DiscountCurve):
-    """(fixed, per_spread): the residual swap value at default,
-    P(0,tau) * NPV(tau), is fixed + per_spread * X at spread X.
+    """(fixed, per_spread, annuity): the residual swap value at default,
+    P(0,tau) * NPV(tau), is fixed + per_spread * X at spread X, and
+    per_spread <= K*S0 * annuity exactly, both read off the same tail sums.
 
     Three-term simplified form: the floating legs telescope against the
     final notional exchange and the dividend stream cancels against the
@@ -287,12 +288,12 @@ def _npv_terms(tau, s_tau, ers: ErsContract, curve: DiscountCurve):
     per_spread = ks0 * tails[sched.next_payment_index(tau) - 1]
     fixed = (ks0 * curve.discount(sched.previous_date(tau))
              - ers.stock_count * curve.discount(tau) * s_tau)
-    return fixed, per_spread
+    return fixed, per_spread, float(tails[0])
 
 
 def ers_npv_at_default(tau, s_tau, ers: ErsContract, curve: DiscountCurve, spread: float):
     """Discounted-to-0 residual swap value at default, P(0,tau) * NPV(tau)."""
-    fixed, per_spread = _npv_terms(tau, s_tau, ers, curve)
+    fixed, per_spread, _ = _npv_terms(tau, s_tau, ers, curve)
     out = fixed + per_spread * spread
     return float(out) if np.isscalar(tau) else out
 
@@ -322,48 +323,46 @@ def ers_cva_term(paths: PathRecords, ers: ErsContract, curve: DiscountCurve,
     """Monte Carlo counterparty adjustment LGD * E[1{default} (P(0,tau) NPV(tau))^+],
     controlled by the default indicator."""
     d = paths.defaulted
-    fixed, per_spread = _npv_terms(paths.tau[d], paths.s_tau[d], ers, curve)
+    fixed, per_spread, _ = _npv_terms(paths.tau[d], paths.s_tau[d], ers, curve)
     return _cva_estimate(paths, ers.lgd * np.maximum(fixed + per_spread * spread, 0.0))
 
 
-def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract, curve: DiscountCurve,
-                               max_iter: int = 50, tol_bp: float = 0.05) -> ErsPricingResult:
-    """Solve for the spread X that zeroes the swap value on a fixed path set.
+def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract,
+                               curve: DiscountCurve) -> ErsPricingResult:
+    """Solve exactly for the spread X that zeroes the swap value on a fixed path set.
 
-    The default-free leg is K*S0*X*annuity and the adjustment depends on X
-    only inside the positive part, so the fixed point
-    X <- CVA(X) / (K*S0*annuity) converges in a few steps; reusing the same
-    paths across iterations gives common random numbers for free.  The
-    residual value's terms are built once, so a step is one positive part
-    on the defaulted paths.
+    X = f(X) = c * sum (fixed_i + per_spread_i*X)^+ over the n defaulted paths,
+    c = P(default) * LGD / (n*K*S0*annuity); f is convex, piecewise linear and
+    of slope below 1.  Newton's method on the active set {i : fixed_i +
+    per_spread_i*X > 0} starts at X = 0, and the set only grows until X stops
+    rising.  1 - slope is a sum of terms >= 0, 0 only on the one input with no
+    root: P(default) = 1, zero recovery and every default before T_1.
     """
-    sched = ers.schedule
-    annuity = float(np.sum(np.asarray(curve.discount(sched.dates)) * sched.accruals))
+    d = paths.defaulted
+    fixed, per_spread, annuity = _npv_terms(paths.tau[d], paths.s_tau[d], ers, curve)
     if annuity <= 1e-300:
         raise DegenerateInputError("zero premium annuity: fair ERS spread undefined")
     denom = ers.stock_count * ers.s0 * annuity
-    d = paths.defaulted
-    fixed, per_spread = _npv_terms(paths.tau[d], paths.s_tau[d], ers, curve)
-    x = 0.0
-    trace = []
-    for _ in range(max_iter):
-        payoff = ers.lgd * np.maximum(fixed + per_spread * x, 0.0)
-        mean_given_default = float(payoff.sum()) / max(payoff.size, 1)  # 0 with no defaults
-        x_new = paths.default_prob_closed_form * mean_given_default / denom
-        trace.append(abs(x_new - x) * 1e4)
-        x = x_new
-        if trace[-1] < tol_bp:
+    n, w = max(fixed.size, 1), paths.default_prob_closed_form * ers.lgd  # X = 0 with no defaults
+    slack = denom - per_spread  # >= 0, see _npv_terms
+    x, trace = 0.0, []
+    while True:
+        value = fixed + per_spread * x
+        positive = value > 0
+        active = positive.astype(float)  # summed by einsum: `@` wakes OpenBLAS's threads
+        # n*denom * (1 - slope of f at x), as a sum of terms >= 0
+        gap = (1.0 - w) * n * denom + w * (float(np.einsum("i,i", active, slack))
+                                            + (n - np.count_nonzero(positive)) * denom)
+        if gap == 0:
+            raise DegenerateInputError("fair ERS spread undefined: the adjustment grows "
+                                       "one-for-one with the spread")
+        x_new = w * float(np.einsum("i,i", active, fixed)) / gap
+        if not x_new > x:
             break
-    else:
-        raise ConvergenceError(f"fair-spread iteration did not converge in {max_iter} "
-                               f"steps; |dX| trace (bp): {trace}",
-                               {"delta_x_trace_bp": trace})
-    if len(trace) > 2:
-        shrink_violations = [i for i in range(2, len(trace)) if trace[i] > trace[i - 1] + 1e-12]
-        if shrink_violations:
-            raise ConvergenceError(f"fair-spread iteration stopped contracting at steps "
-                                   f"{shrink_violations}; |dX| trace (bp): {trace}",
-                                   {"delta_x_trace_bp": trace})
+        trace.append((x_new - x) * 1e4)
+        x = x_new
+    trace.append(0.0)
+    payoff = ers.lgd * np.maximum(value, 0.0)
     est = _cva_estimate(paths, payoff)
     pd_mc = float(np.mean(paths.defaulted))
     se_bp = est.std_error / denom * 1e4
@@ -387,7 +386,7 @@ def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract, curve: Disc
 
 def ers_fair_spread(model, ers: ErsContract, curve: DiscountCurve,
                     cfg: SimulationConfig) -> ErsPricingResult:
-    """Simulate and solve for the fair ERS spread under the given credit model."""
+    """Draw one path set under the credit model and solve it (ers_fair_spread_from_paths)."""
     if isinstance(model, HazardCurve):
         paths = simulate_intensity_paths(model, ers, curve, cfg)
     else:

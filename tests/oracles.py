@@ -1,10 +1,11 @@
-"""Independent reference implementations that the tests check the library against."""
+"""Independent reference implementations that the tests check the library against,
+and hand-built inputs."""
 
 import math
 
 import numpy as np
 
-from fpcredit import DiscountCurve, DomainError, ErsContract
+from fpcredit import DiscountCurve, DomainError, ErsContract, PathRecords
 
 
 def ers_npv_at_default_termwise(tau: float, s_tau: float, ers: ErsContract,
@@ -48,3 +49,36 @@ def regression_control_variate(payoff, defaulted, default_prob):
     beta = float(np.cov(payoff, indicator, ddof=1)[0, 1]) / float(np.var(indicator, ddof=1))
     adjusted = payoff - beta * (indicator - default_prob)
     return float(np.mean(adjusted)), float(np.std(adjusted, ddof=1) / math.sqrt(payoff.size))
+
+
+def fixed_point_by_breakpoints(fixed, per_spread, c):
+    """Every root X >= 0 of X = c * sum_i (fixed_i + per_spread_i * X)^+, by
+    brute force over all the pieces between the sorted breakpoints
+    -fixed_i / per_spread_i.
+
+    On each piece the active terms are a prefix of the breakpoint order, so
+    each piece's linear equation is solved from cumulative sums; a root is a
+    solution that lies on its own piece.
+    """
+    kinks = np.where(fixed > 0, -np.inf, np.inf)  # per_spread = 0: always or never active
+    pos = per_spread > 0
+    kinks[pos] = -fixed[pos] / per_spread[pos]
+    order = np.argsort(kinks)
+    ends = kinks[order]
+    fixed_sum = np.concatenate(([0.0], np.cumsum(fixed[order])))
+    slope_sum = np.concatenate(([0.0], np.cumsum(per_spread[order])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = c * fixed_sum / (1.0 - c * slope_sum)
+    lo = np.maximum(np.concatenate(([-np.inf], ends)), 0.0)
+    hi = np.concatenate((ends, [np.inf]))
+    return x[(lo <= x) & (x <= hi)]
+
+
+def early_default_paths(ers: ErsContract, default_prob: float, n: int = 1_000) -> PathRecords:
+    """Every path defaults before the first payment date, some with the
+    residual swap value below 0 at spread 0.  With default_prob = 1 and zero
+    recovery the fair-spread equation has no root."""
+    rng = np.random.default_rng(5)
+    tau = rng.uniform(0.0, ers.schedule.dates[0], n)
+    return PathRecords(defaulted=np.ones(n, dtype=bool), tau=tau, s_tau=rng.uniform(5.0, 25.0, n),
+                       default_prob_closed_form=default_prob)

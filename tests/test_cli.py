@@ -10,6 +10,7 @@ from fpcredit import (CdsQuoteStrip, DomainError, FpcreditError, read_quote_csv,
                       write_quote_csv)
 from fpcredit.cli import PARAMETER_CLASSES, _load_calibration, main
 from fpcredit.presets import preset_strip
+from oracles import early_default_paths
 
 
 def run(capsys, *argv):
@@ -165,10 +166,14 @@ class TestBadInputsExitWithMessage:
         self.check(capsys, "price-cds", "--params", str(f), "--model", "at1p",
                    "--tenor", "5", "--spread-bp", "100")
 
-    @pytest.mark.parametrize("rho", ["abc", ""])
+    @pytest.mark.parametrize("rho", ["abc", "", "0,0"])
     def test_unparseable_correlation(self, capsys, rho):
         assert "--rho" in self.check(capsys, "price-ers", "--preset", "ers-paper-2009-09-16",
                                      "--rho", rho)
+
+    def test_repeated_model(self, capsys):
+        assert "--models" in self.check(capsys, "price-ers", "--preset", "ers-paper-2009-09-16",
+                                        "--models", "at1p,at1p", "--rho", "0")
 
     def test_missing_quotes_file(self, capsys, tmp_path):
         assert "missing.csv" in self.check(capsys, "calibrate",
@@ -376,15 +381,18 @@ class TestPriceErsCommand:
         doc = json.loads((outdir / "ers_pricing.json").read_text())
         assert doc["results"]["at1p"]["1.0"]["diagnostics"]["low_statistics"]
 
-    def test_fixed_point_failure_exits_with_message(self, capsys, outdir, monkeypatch):
-        from fpcredit import mc
-        monkeypatch.setattr(mc, "ers_fair_spread_from_paths",
-                            functools.partial(mc.ers_fair_spread_from_paths, max_iter=1))
+    def test_degenerate_fixed_point_exits_with_message(self, capsys, outdir, monkeypatch):
+        # zero recovery and a path set on which every default comes before the
+        # first payment date: the fair-spread equation has no root
+        from fpcredit import cli, mc
+        monkeypatch.setitem(cli.ERS_CONTRACT_TERMS, "recovery", 0.0)
+        monkeypatch.setattr(mc, "simulate_joint_paths",
+                            lambda model, ers, curve, cfg: early_default_paths(ers, 1.0))
         code, _, err = run(capsys, "price-ers", "--preset", "ers-paper-2009-09-16",
                            "--models", "at1p", "--rho", "0.5", "--paths", "5000",
                            "--seed", "7")
         assert code == 1
-        assert err.startswith("error: fair-spread iteration did not converge")
+        assert err.startswith("error: fair ERS spread undefined")
 
     def test_deterministic_reruns(self, capsys, outdir):
         args = ("price-ers", "--preset", "ers-paper-2009-09-16", "--models",

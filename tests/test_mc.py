@@ -5,14 +5,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from fpcredit import (At1pParams, CalibrationError, ConvergenceError,
-                      DegenerateInputError, DiscountCurve, DomainError, HazardCurve, PathRecords,
-                      SbtvParams, SimulationConfig, VolatilityTermStructure, at1p_survival,
-                      ers_cva_term, ers_fair_spread, ers_fair_spread_from_paths,
-                      ers_npv_at_default, make_ers_contract, sbtv_survival,
-                      simulate_intensity_paths, simulate_joint_paths)
+from fpcredit import (At1pParams, DegenerateInputError, DiscountCurve, DomainError,
+                      HazardCurve, PathRecords, SbtvParams, SimulationConfig,
+                      VolatilityTermStructure, at1p_survival, ers_cva_term, ers_fair_spread,
+                      ers_fair_spread_from_paths, ers_npv_at_default, make_ers_contract,
+                      sbtv_survival, simulate_intensity_paths, simulate_joint_paths)
 from fpcredit import mc
-from oracles import ers_npv_at_default_termwise, regression_control_variate
+from oracles import (early_default_paths, ers_npv_at_default_termwise,
+                     fixed_point_by_breakpoints, regression_control_variate)
 
 # three buckets and a flat tail: the 5y maturity lies past the last bucket
 THREE_BUCKETS = VolatilityTermStructure((1.0, 2.0, 4.0), (0.35, 0.25, 0.30))
@@ -342,18 +342,21 @@ class TestCvaAndFairSpread:
         assert est.std_error == pytest.approx(est.plain_std_error, rel=1e-12)
 
     def test_fixed_point_discounts_once_per_path_set(self, curve, crisis_paths, monkeypatch):
+        # the Newton steps reuse the residual-value terms built once per path set
         _, ers, _, paths = crisis_paths
+        calm = simulate_joint_paths(flat_at1p(sigma=0.2), ers, curve,
+                                    SimulationConfig(n_paths=5_000, rng_seed=3))
         calls = []
         discount = DiscountCurve.discount
         monkeypatch.setattr(DiscountCurve, "discount",
                             lambda self, t: calls.append(t) or discount(self, t))
         counts, iterations = [], []
-        for tol_bp in (0.05, 1e-9):
+        for path_set in (paths, calm):
             calls.clear()
-            result = ers_fair_spread_from_paths(paths, ers, curve, tol_bp=tol_bp)
+            result = ers_fair_spread_from_paths(path_set, ers, curve)
             counts.append(len(calls))
             iterations.append(result.diagnostics["iterations"])
-        assert iterations[1] > iterations[0]
+        assert iterations[0] != iterations[1]
         assert counts[1] == counts[0]
 
     @pytest.mark.parametrize("field, name", [("tau", "default time tau"),
@@ -382,8 +385,9 @@ class TestCvaAndFairSpread:
         _, ers, cfg, paths = crisis_paths
         result = ers_fair_spread_from_paths(paths, ers, curve)
         trace = result.diagnostics["delta_x_trace_bp"]
-        assert result.diagnostics["iterations"] <= 10
-        assert all(b <= a + 1e-12 for a, b in zip(trace[1:], trace[2:]))
+        assert result.diagnostics["iterations"] == len(trace) <= 10
+        assert all(step > 0 for step in trace[:-1])
+        assert trace[-1] == 0.0
         assert result.fair_spread_bp > 0
 
     def test_fair_spread_zeroes_swap_value(self, curve, crisis_paths):
@@ -394,7 +398,7 @@ class TestCvaAndFairSpread:
         annuity = float(np.sum(np.asarray(curve.discount(ers.schedule.dates))
                                * ers.schedule.accruals))
         residual_bp = abs(est.value - x * ers.s0 * annuity) / (ers.s0 * annuity) * 1e4
-        assert residual_bp < 0.05
+        assert residual_bp < 1e-10
 
     def test_spread_increases_with_correlation(self, curve):
         # positive firm/equity correlation is the wrong-way-risk direction:
@@ -408,12 +412,31 @@ class TestCvaAndFairSpread:
         assert spreads[-1] > 0
         assert spreads[0] == pytest.approx(0.0, abs=0.5)
 
-    def test_non_convergence_raises_typed_error(self, curve, crisis_paths):
+    def test_fair_spread_is_the_breakpoint_root(self, curve, crisis_paths):
         _, ers, cfg, paths = crisis_paths
-        with pytest.raises(ConvergenceError) as info:
-            ers_fair_spread_from_paths(paths, ers, curve, max_iter=1)
-        assert isinstance(info.value, CalibrationError)
-        assert len(info.value.diagnostics["delta_x_trace_bp"]) == 1
+        d = paths.defaulted
+        fixed, per_spread, annuity = mc._npv_terms(paths.tau[d], paths.s_tau[d], ers, curve)
+        c = paths.default_prob_closed_form * ers.lgd / (fixed.size * ers.s0 * annuity)
+        roots = fixed_point_by_breakpoints(fixed, per_spread, c)
+        result = ers_fair_spread_from_paths(paths, ers, curve)
+        assert roots.size == 1
+        assert result.fair_spread_bp * 1e-4 == pytest.approx(roots[0], rel=1e-12, abs=0)
+
+    def test_input_without_root_is_degenerate(self, curve):
+        # P(default) = 1, zero recovery and every default before the first
+        # payment date: the adjustment has slope exactly 1 once all paths are active
+        ers = make_ers_contract(recovery=0.0)
+        with pytest.raises(DegenerateInputError, match="one-for-one"):
+            ers_fair_spread_from_paths(early_default_paths(ers, 1.0), ers, curve)
+
+    def test_nearly_degenerate_input_solves_to_round_off(self, curve):
+        ers = make_ers_contract(recovery=0.0)
+        paths = early_default_paths(ers, 1.0 - 1e-6)
+        result = ers_fair_spread_from_paths(paths, ers, curve)
+        x = result.fair_spread_bp * 1e-4
+        assert result.fair_spread_bp > 1e7
+        leg = x * ers.s0 * result.diagnostics["annuity"]
+        assert ers_cva_term(paths, ers, curve, x).value == pytest.approx(leg, rel=1e-13)
 
     def test_result_serializes(self, curve, crisis_paths):
         import json
