@@ -5,11 +5,11 @@ The traffic is the 4 presets scaled x0.70 to x1.30 in steps of 0.05, then
 100 random 5-quote strips at 1/3/5/7/10y (numpy seed 20091016; the last 30
 are non-monotone): 152 strips, each fitted under the postponed and the exact
 payoff, so 304 fits per model and 912 in all, on a flat 3% curve with
-recovery 0.4 and H1 = 0.4.  Each
-line holds the strip, the convention and the model, then the fitted
-parameters, pillar survivals, warnings and diagnostics (the SBTV step-1
-ones included), or the error a fit raised.  Run it on two checkouts and
-compare the outputs line by line to check that a change keeps the fits:
+recovery 0.4 and H1 = 0.4.  Each line holds the strip, the convention and
+the model, then the fitted parameters, pillar survivals, repricing errors,
+warnings and diagnostics (the SBTV step-1 ones included), or the error a
+fit raised.  Run it on two checkouts and compare the outputs line by line
+to check that a change keeps the fits and their repricing:
 
     PYTHONPATH=src python scripts/calibration_traffic.py > traffic.jsonl
 
@@ -70,7 +70,8 @@ def fit_line(label, strip, convention, model, fit, curve) -> dict:
     except FpcreditError as exc:
         return {**line, "error": f"{type(exc).__name__}: {exc}"}
     return {**line, "parameters": report.parameters,
-            "pillar_survivals": report.pillar_survivals, "warnings": report.warnings,
+            "pillar_survivals": report.pillar_survivals,
+            "repricing_errors_bp": report.repricing_errors_bp, "warnings": report.warnings,
             "diagnostics": report.diagnostics}
 
 

@@ -8,14 +8,14 @@ reprices to zero at its quoted spread, holding earlier buckets fixed.  Each
 model is a "clock" (cumulative variance, or cumulative hazard) that grows
 at a constant rate inside a bucket, and a kernel that maps the clock to
 survival; the root-finder moves only the last bucket's clock and builds no
-model object.  A pillar's price is linear in survival, a weight row of its
-leg grid (`LegGrid.rows`) dotted with the kernel, and so is its slope with
-the kernel's derivative: each root is a safeguarded Newton search inside
-the bracket (`_newton_in_bracket`).  The models differ in the kernel, the
-clock rate, the bracket and the reported parameters.  The scenario model
-needs a preliminary best-fit of (H2, p1, sigma_bar) on the first three
-quotes before its volatility bootstrap: a bounded least-squares fit with
-the analytic Jacobian of the closed-form kernel.
+model object.  A pillar's price is linear in survival, a weight row of the
+fit's one leg grid (`_strip_legs`) dotted with the kernel, and so is its
+slope with the kernel's derivative: each root is a safeguarded Newton
+search inside the bracket (`_newton_in_bracket`).  The models differ in
+the kernel, the clock rate, the bracket and the reported parameters.  The
+scenario model needs a preliminary best-fit of (H2, p1, sigma_bar) on the
+first three quotes before its volatility bootstrap: a bounded least-squares
+fit with the analytic Jacobian of the closed-form kernel, on the same grid.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def pillar_contract(tenor: float, spread_bp: float, recovery: float) -> CdsContr
 def bootstrap_intensity(strip: CdsQuoteStrip, curve: DiscountCurve,
                         convention: str = "postponed") -> tuple[HazardCurve, CalibrationReport]:
     """Sequentially solve each bucket's constant intensity so the pillar CDS reprices."""
-    return _bootstrap(strip, curve, convention, "intensity", HazardCurve,
+    return _bootstrap(strip, _strip_legs(strip, curve, convention), "intensity", HazardCurve,
                       lambda c: np.exp(-c), lambda c: -np.exp(-c), lambda lam: (lam, 1.0),
                       (LAMBDA_LO, LAMBDA_HI))
 
@@ -93,8 +93,8 @@ def calibrate_at1p(strip: CdsQuoteStrip, curve: DiscountCurve, h_over_v0: float 
         raise DomainError("H/V0 must lie in (0, 1)")
     if not math.isfinite(b):
         raise DomainError(f"b must be a finite number, got {b!r}")
-    return _bootstrap_vols(strip, curve, convention, "at1p", ((h_over_v0, 1.0),), b,
-                           lambda vols: At1pParams(h_over_v0, b, vols))
+    return _bootstrap_vols(strip, _strip_legs(strip, curve, convention), "at1p",
+                           ((h_over_v0, 1.0),), b, lambda vols: At1pParams(h_over_v0, b, vols))
 
 
 def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
@@ -114,83 +114,89 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
         raise DomainError(f"b must be a finite number, got {b!r}")
     if len(strip.quotes) < 3:
         raise DomainError("SBTV requires at least 3 quotes")
-    h2, p1, sigma_bar, step1 = _sbtv_step1(strip, curve, h1, b, convention)
+    legs = _strip_legs(strip, curve, convention)
+    h2, p1, sigma_bar, step1 = _sbtv_step1(strip, legs, h1, b)
     warnings: list[str] = []
     if step1["rms_bp"] > 5.0:
         warnings.append("step-1 RMS above 5 bp: scenario structure cannot represent this strip")
 
     scenarios = ((h1, p1), (h2, 1.0 - p1))
-    params, report = _bootstrap_vols(strip, curve, convention, "sbtv", scenarios, b,
+    params, report = _bootstrap_vols(strip, legs, "sbtv", scenarios, b,
                                      lambda vols: SbtvParams(scenarios, b, vols), sigma_bar)
     refinement = max(abs(s - sigma_bar) for s in params.vols.sigmas[:3])
     if refinement >= 0.02:
         warnings.append(f"step-2 moved the first volatilities {refinement:.4f} from "
                         "the step-1 flat value; step-1 fit was poor")
-    report.diagnostics["step1"] = step1
-    report.diagnostics["step2_refinement_of_flat_sigma"] = refinement
+    report.diagnostics.update(step1=step1, step2_refinement_of_flat_sigma=refinement)
     report.warnings = warnings + report.warnings
     return params, report
 
 
 # -- internals ---------------------------------------------------------------
 
-def _bootstrap_vols(strip, curve, convention, model_name, scenarios, b, params, start=None):
+def _strip_legs(strip, curve, convention):
+    """The pillar contracts, the fit's one leg grid (the longest pillar's, cut at the
+    tenors), the pillars' leg rows on it and each pillar's own grid as columns of it,
+    up to its date at the pillar's payment index, which can lie a round-off past the
+    tenor.  On those columns the rows are the own grid's rows to the bit."""
+    contracts = [pillar_contract(q.tenor, q.spread_bp, strip.recovery) for q in strip.quotes]
+    grid = leg_grid(contracts[-1].schedule, curve, convention, strip.tenors)
+    ends = [c.schedule.dates.size for c in contracts]  # grid.times[n]: a pillar's last date
+    columns = [grid.times <= grid.times[n] for n in ends]
+    return contracts, grid, grid.rows(np.subtract(ends, 1)), columns
+
+
+def _bootstrap_vols(strip, legs, model_name, scenarios, b, params, start=None):
     """`_bootstrap` of the volatilities of a first-passage model with its barrier
     scenarios fixed; `params(vols)` builds the model.  The clock is the
     cumulative variance, at rate sigma^2 in a bucket."""
-    return _bootstrap(strip, curve, convention, model_name,
+    return _bootstrap(strip, legs, model_name,
                       lambda tenors, sigmas: params(VolatilityTermStructure(tenors, sigmas)),
                       lambda cv: mixture_survival(scenarios, b, cv),
                       lambda cv: mixture_survival(scenarios, b, cv, first_passage_slope),
                       lambda sigma: (sigma * sigma, 2.0 * sigma), (SIGMA_LO, SIGMA_HI), start)
 
 
-def _bootstrap(strip, curve, convention, model_name, family, kernel, slope, rate, bracket,
-               start=None):
+def _bootstrap(strip, legs, model_name, family, kernel, slope, rate, bracket, start=None):
     """Walk the strip outwards and root-find each pillar's bucket parameter so
     its CDS reprices, earlier buckets frozen.
 
     Survival is `kernel(c)` of a clock c(t) that is piecewise linear in t and
     runs at rate(x)[0] inside a bucket with parameter x; `slope` is the
     kernel's derivative and rate(x)[1] the rate's.  A pillar's price is its
-    weight row w (`LegGrid.rows`) dotted with survival.  Survival up to the
-    previous tenor t_prev is read once, into a fixed part; the later times
-    see c(t_prev) + rate(x) (t - t_prev), so a price and its slope in x are
-    two dot products.  `_newton_in_bracket` solves each pillar from the
+    weight row w (`_strip_legs`) dotted with survival on its columns.  Survival
+    up to the previous tenor t_prev is read once, into a fixed part; the later
+    times see c(t_prev) + rate(x) (t - t_prev), so a price and its slope in x
+    are two dot products.  `_newton_in_bracket` solves each pillar from the
     previous bucket's root (the first from `start`, if given) and stops at a
     price within the row's round-off, eps sum |w|.  `family(tenors, xs)`
     builds the fitted model, once the walk ends; `bracket` bounds each root.
-    The leg grids are cut at the tenors, the fitted model's knots, so they
-    are the grids `cds_legs` builds for it, and the report reprices on them.
+    The grid is cut at the model's knots, so a pillar's columns are the grid
+    `cds_legs` builds for it; the report reprices all pillars on one read.
     """
     tenors = strip.tenors
-    contracts = [pillar_contract(q.tenor, q.spread_bp, strip.recovery) for q in strip.quotes]
-    grids = [leg_grid(c.schedule, curve, convention, tenors) for c in contracts]
+    contracts, grid, rows, columns = legs
     lo_x, hi_x = bracket
     xs: list[float] = []
     knot_t, knot_c = [0.0], [0.0]  # the clock at the bucket ends so far
-    iterations = []
-    flagged = []
-    for tenor, contract, grid in zip(tenors, contracts, grids):
+    iterations, flagged = [], []
+    for tenor, contract, protection, premium, own in zip(tenors, contracts, *rows, columns):
         t_prev, c_prev = knot_t[-1], knot_c[-1]
-        later = grid.times > t_prev
-        protection, premium = grid.rows([-1])[:, 0]
-        weights = contract.lgd * protection - contract.spread * premium
-        fixed = weights[~later] @ kernel(Clock(knot_t, knot_c, 0.0)(grid.times[~later]))
+        times = grid.times[own]
+        later = times > t_prev
+        weights = (contract.lgd * protection - contract.spread * premium)[own]
+        fixed = weights[~later] @ kernel(Clock(knot_t, knot_c, 0.0)(times[~later]))
         resolution = np.finfo(float).eps * np.abs(weights).sum()  # survival is in [0, 1]
-        weights, elapsed = weights[later], grid.times[later] - t_prev
+        weights, elapsed = weights[later], times[later] - t_prev
         slope_weights = weights * elapsed
 
-        def price_at(x: float) -> float:
-            return float(fixed + weights @ kernel(c_prev + rate(x)[0] * elapsed))
-
-        def price_and_slope(x: float) -> tuple[float, float]:
+        def price_and_slope(x: float):
             clock_rate, rate_slope = rate(x)
             c = c_prev + clock_rate * elapsed
             return (float(fixed + weights @ kernel(c)),
-                    rate_slope * float(slope_weights @ slope(c)))
+                    lambda: rate_slope * float(slope_weights @ slope(c)))
 
-        lo, hi = price_at(lo_x), price_at(hi_x)
+        (lo, _), (hi, _) = price_and_slope(lo_x), price_and_slope(hi_x)
         if abs(lo) < PRICE_TOL:
             # the quote is repriced at the bracket floor (no diffusion, no hazard)
             flagged.append(tenor)
@@ -211,37 +217,34 @@ def _bootstrap(strip, curve, convention, model_name, family, kernel, slope, rate
         knot_t.append(tenor)
         knot_c.append(c_prev + rate(root)[0] * (tenor - t_prev))
     model = family(tenors, xs)
-    warnings: list[str] = []
-    if flagged:
-        warnings.append(f"bucket parameter at bracket bound for tenors {flagged}")
+    warnings = [f"bucket parameter at bracket bound for tenors {flagged}"] if flagged else []
     pillar_survivals = [float(q) for q in survival(model, np.asarray(tenors))]
     if any(b > a + 1e-12 for a, b in zip(pillar_survivals, pillar_survivals[1:])):
         warnings.append("non-monotone pillar survivals: quote strip admits arbitrage")
-    report = CalibrationReport(
-        model=model_name,
-        parameters=model.to_dict(),
-        repricing_errors_bp=[c.value(*grid.legs(survival(model, grid.times))) * 1e4
-                             for c, grid in zip(contracts, grids)],
+    protection, premium = grid.legs(survival(model, grid.times))
+    return model, CalibrationReport(
+        model=model_name, parameters=model.to_dict(),
+        repricing_errors_bp=[c.value(protection[:c.schedule.dates.size],
+                                     premium[:c.schedule.dates.size]) * 1e4 for c in contracts],
         pillar_survivals=pillar_survivals,
         diagnostics={"solver": "newton-bisection", "iterations": iterations,
                      "bracket": [lo_x, hi_x]},
         warnings=warnings,
     )
-    return model, report
 
 
 def _newton_in_bracket(price_and_slope, bracket, prices, resolution, x=None):
     """The root of a price that changes sign on `bracket` = (lo, hi), where it is
-    `prices`, by Newton's method safeguarded inside the bracket (rtsafe, Press
-    et al., Numerical Recipes, section 9.4); `price_and_slope(x)` is the price
-    and its derivative.  The search starts at x, or at the false-position
-    point of the ends when x is None or outside the bracket.  Each evaluation
-    narrows the bracket to the side where the price changes sign; a Newton
-    step that would leave the bracket, or that fails to halve the step before
-    last, gives way to bisection, so the steps shrink at least geometrically.
-    The search stops at a price within `resolution` of zero, or where neither
-    step can move x any further; a zero price at hi returns hi.  Returns the
-    root and the number of evaluations, the ends' not counted."""
+    `prices`, by Newton's method safeguarded inside the bracket (rtsafe, Press et al.,
+    Numerical Recipes, section 9.4).  `price_and_slope(x)` is the price and a function
+    giving its derivative, called only if the search goes on.  The search starts at x,
+    or at the false-position point of the ends when x is None or outside the bracket.
+    Each evaluation narrows the bracket to the side where the price changes sign; a
+    Newton step that would leave the bracket, or that fails to halve the step before
+    last, gives way to bisection, so the steps shrink at least geometrically.  The
+    search stops at a price within `resolution` of zero, or where neither step can
+    move x any further; a zero price at hi returns hi.  Returns the root and the
+    number of evaluations, the ends' not counted."""
     (lo, hi), (price_lo, price_hi) = bracket, prices
     if price_hi == 0.0:
         return hi, 0
@@ -251,10 +254,11 @@ def _newton_in_bracket(price_and_slope, bracket, prices, resolution, x=None):
     step = before_last = hi - lo
     evaluations = 0
     while True:
-        price, slope = price_and_slope(x)
+        price, slope_at_x = price_and_slope(x)
         evaluations += 1
         if abs(price) <= resolution:
             return x, evaluations
+        slope = slope_at_x()
         if price < 0.0:
             below = x
         else:
@@ -270,7 +274,7 @@ def _newton_in_bracket(price_and_slope, bracket, prices, resolution, x=None):
             return x, evaluations
 
 
-def _sbtv_step1(strip, curve, h1, b, convention):
+def _sbtv_step1(strip, legs, h1, b):
     """Best-fit (H2, p1, sigma_bar) to the first three quotes, flat volatility.
 
     The residuals are the three model-minus-quoted spreads in bp.  Their
@@ -283,29 +287,27 @@ def _sbtv_step1(strip, curve, h1, b, convention):
     and a later polish could beat that only by round-off.  A polish that
     misses a zero falls back on the next start; off the presets the
     best-ranked start sometimes stops in a local minimum where a later one
-    reaches the zero.  The three pillar schedules are prefixes of the third
-    one, whose leg grid, built once, gives the three pillars' leg rows
-    (`LegGrid.rows`): a 6-row matrix on survival.  A flat volatility has
-    cumulative variance s = sigma_bar^2 t, so an evaluation is one kernel
-    call and one matrix product, and builds no model.  The Jacobian is
-    analytic and reuses the evaluation at its point: the mixture is linear
-    in p1, the legs are linear in survival, so the Jacobian is the leg
-    matrix times the survival's three derivatives.  The kernel
+    reaches the zero.  The three pillars' rows in `legs` (`_strip_legs`), on
+    the third one's columns, are a 6-row matrix on survival there, kept
+    C-contiguous so its products round as on that pillar's own grid.  A flat
+    volatility has cumulative variance s = sigma_bar^2 t, so an evaluation is
+    one kernel call and one matrix product, and builds no model.  The
+    Jacobian is analytic and reuses the evaluation at its point: the mixture
+    is linear in p1, the legs are linear in survival, so the Jacobian is the
+    leg matrix times the survival's three derivatives.  The kernel
     Q = Phi(d1) - H^a Phi(d2), with a = 2B - 1 and H^a phi(d2) = phi(d1), has
     dQ/ds = log H phi(d1) / s^1.5 (`first_passage_slope`) and
     dQ/dlog H = -2 phi(d1) / sqrt(s) - a H^a Phi(d2)
     = -2 s dQ/ds / log H - a H^a Phi(d2).
     """
-    head = strip.quotes[:3]
-    grid = leg_grid(make_schedule(0.0, head[-1].tenor, CDS_FREQUENCY), curve, convention)
-    # the three pillars' protection rows, then their premium rows
-    legs = grid.rows([make_schedule(0.0, q.tenor, CDS_FREQUENCY).dates.size - 1
-                      for q in head]).reshape(6, -1)
-    quoted_bp = np.array([q.spread_bp for q in head])
+    _, grid, rows, columns = legs
+    times = grid.times[columns[2]]
+    legs = np.ascontiguousarray(rows[:, :3, columns[2]]).reshape(6, -1)  # 3 protection, 3 premium
+    quoted_bp = np.array(strip.spreads_bp[:3])
     lgd = 1.0 - strip.recovery
     log_h1 = math.log(h1)
     a = 2.0 * b - 1.0
-    t = grid.times[1:]  # times[0] is the start, where survival is 1 for every x
+    t = times[1:]  # times[0] is the start, where survival is 1 for every x
     evaluations = 0
     last = None  # (x, the kernel's two survival rows there, the three pillars' legs)
 
@@ -316,7 +318,7 @@ def _sbtv_step1(strip, curve, h1, b, convention):
         evaluations += len(points)
         h2, p1, sigma_bar = points.T
         log_h = np.stack((np.full(len(points), log_h1), np.log(h2)), axis=1)[:, :, None]
-        q = first_passage_survival(log_h, b, (sigma_bar ** 2)[:, None, None] * grid.times)
+        q = first_passage_survival(log_h, b, (sigma_bar ** 2)[:, None, None] * times)
         pillar_legs = (p1[:, None] * q[:, 0] + (1.0 - p1[:, None]) * q[:, 1]) @ legs.T
         return q, pillar_legs[:, :3], pillar_legs[:, 3:]
 
@@ -340,7 +342,7 @@ def _sbtv_step1(strip, curve, h1, b, convention):
         dq_ds = first_passage_slope(log_h, b, s)
         dq_dlog_h2 = -2.0 * s * dq_ds[1] / log_h[1] - a * np.exp(
             a * log_h[1] + log_ndtr((log_h[1] + 0.5 * a * s) / np.sqrt(s)))
-        directions = np.zeros((3, grid.times.size))  # d survival / d (h2, p1, sigma_bar)
+        directions = np.zeros((3, times.size))  # d survival / d (h2, p1, sigma_bar)
         directions[0, 1:] = (1.0 - p1) / h2 * dq_dlog_h2
         directions[1] = q[0] - q[1]
         directions[2, 1:] = 2.0 * sigma_bar * t * (p1 * dq_ds[0] + (1.0 - p1) * dq_ds[1])

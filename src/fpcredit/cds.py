@@ -6,11 +6,11 @@ fair spread makes the price zero and a higher running spread lowers the
 buyer's value.
 
 Both legs are prefix sums over the payment dates: entry i values the same
-contract cut at the (i+1)-th date, so the quarterly schedules of shorter
-pillars are prefixes of a longer one.  `leg_grid` computes once per
-schedule, curve and convention the times where survival is read and the
-discounted leg weights; `LegGrid.legs` applies them to a survival vector.
-`cds_legs` does both, and `cds_price` and `fair_spread` read its last entry.
+contract cut at the (i+1)-th date, so one grid, the longest pillar's, prices
+every pillar of a calibration fit.  `leg_grid` computes once per schedule,
+curve and convention the times where survival is read and the discounted
+leg weights; `LegGrid.legs` applies them to a survival vector.  `cds_legs`
+does both, and `cds_price` and `fair_spread` read its last entry.
 Two payoff conventions are implemented:
 
 - ``postponed`` (the default): protection paid at the first schedule date
@@ -108,12 +108,9 @@ class LegGrid:
             coefficients[0, :n] += np.bincount(self.period, self.weights[0], n)
             coefficients[1, 1:n + 1] -= np.bincount(self.period, self.weights[1], n)
             coefficients[:, n + 1:] = -self.weights[0], self.weights[1]
-        owner = np.empty((2, self.times.size), int)  # the period whose terms hold a column
-        owner[:, n + 1:] = self.period
-        owner[0, :n + 1] = np.arange(n + 1)  # a date starts its period's protection term
-        owner[1, :n + 1] = owner[0, :n + 1] - 1  # and ends the premium term before it
         payments = np.arange(n)[payments]
-        rows = np.where(owner[:, None] <= payments[:, None], coefficients[:, None], 0.0)
+        # the columns up to each payment's date; at that date, protection's is -D(T_i)
+        rows = np.where(self.times <= self.times[payments + 1, None], coefficients[:, None], 0.0)
         rows[0, np.arange(payments.size), payments + 1] = -self.discount[payments]
         return rows
 

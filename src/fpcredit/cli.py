@@ -67,7 +67,7 @@ def _load_strip(args, config: RunConfig):
         return preset_strip(args.preset, recovery=args.recovery)
     if args.quotes:
         config.quotes_file = str(args.quotes)
-        return read_quote_csv(Path(args.quotes).read_text(encoding="utf-8"),
+        return read_quote_csv(Path(args.quotes).read_text(encoding="utf-8-sig"),
                               recovery=args.recovery)
     raise DomainError("provide either --preset or --quotes")
 

@@ -7,9 +7,9 @@ import pytest
 from fpcredit import (CalibrationError, CdsContract, CdsQuote, CdsQuoteStrip,
                       DegenerateInputError, DiscountCurve, DomainError,
                       VolatilityTermStructure, bootstrap_intensity, calibrate_at1p,
-                      calibrate_sbtv, cds_price, fair_spread, make_schedule)
+                      calibrate_sbtv, cds_price, fair_spread, leg_grid, make_schedule)
 from fpcredit import calibration, cds
-from fpcredit.calibration import _sbtv_step1, pillar_contract
+from fpcredit.calibration import _sbtv_step1, _strip_legs, pillar_contract
 from fpcredit.presets import STRIP_PRESETS, preset_strip
 from fpcredit.survival import At1pParams, HazardCurve, SbtvParams, survival
 
@@ -40,6 +40,11 @@ def small_strip(spreads_bp, tenors=(1.0, 3.0, 5.0), recovery=0.4):
     return CdsQuoteStrip(
         quotes=tuple(CdsQuote(t, s) for t, s in zip(tenors, spreads_bp)),
         recovery=recovery)
+
+
+def sbtv_step1(strip, curve, convention, h1=0.4):
+    """SBTV step 1, with b = 0, on the strip's one leg grid, as `calibrate_sbtv` runs it."""
+    return _sbtv_step1(strip, _strip_legs(strip, curve, convention), h1, 0.0)
 
 
 class TestIntensityBootstrap:
@@ -176,7 +181,7 @@ class TestSbtvStep1:
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
     @pytest.mark.parametrize("name", sorted(STRIP_PRESETS))
     def test_meets_the_three_head_quotes(self, flat_curve, name, convention):
-        *_, step1 = _sbtv_step1(preset_strip(name), flat_curve, 0.4, 0.0, convention)
+        *_, step1 = sbtv_step1(preset_strip(name), flat_curve, convention)
         assert step1["rms_bp"] < 1e-10
         assert step1["polishes"] == 1  # the best-ranked start reaches the zero
 
@@ -186,7 +191,7 @@ class TestSbtvStep1:
         # the best-ranked start stops in a local minimum; the next reaches the zero
         costs = _record_polish_costs(monkeypatch)
         strip = small_strip([443.7691, 546.9414, 561.0056])
-        *_, step1 = _sbtv_step1(strip, flat_curve, 0.4, 0.0, convention)
+        *_, step1 = sbtv_step1(strip, flat_curve, convention)
         assert step1["polishes"] == len(costs) == 2
         assert costs[0] > 100.0 and costs[1] <= calibration.STEP1_TOL
         assert step1["rms_bp"] < 1e-10
@@ -196,7 +201,7 @@ class TestSbtvStep1:
         # no (H2, p1, sigma_bar) fits 300/200/100 bp; the best fit misses by ~20 bp
         # and step 2 cannot reprice the 5y quote with (H2, p1) frozen there
         strip = small_strip([300.0, 200.0, 100.0, 90.0, 80.0], tenors=(1.0, 3.0, 5.0, 7.0, 10.0))
-        *_, step1 = _sbtv_step1(strip, flat_curve, 0.4, 0.0, convention)
+        *_, step1 = sbtv_step1(strip, flat_curve, convention)
         assert step1["rms_bp"] == pytest.approx(20.0, abs=0.1)
         assert step1["polishes"] == calibration.STEP1_POLISH_STARTS  # no polish stops it
         with pytest.raises(CalibrationError, match="5.0y quote"):
@@ -215,7 +220,7 @@ class TestSbtvStep1:
         [200.0, 300.0, 350.0], [20.0, 40.0, 60.0]])
     def test_stops_only_at_an_exact_fit(self, monkeypatch, flat_curve, spreads, convention):
         costs = _record_polish_costs(monkeypatch)
-        *_, step1 = _sbtv_step1(small_strip(spreads), flat_curve, 0.4, 0.0, convention)
+        *_, step1 = sbtv_step1(small_strip(spreads), flat_curve, convention)
         assert step1["polishes"] == len(costs) <= calibration.STEP1_POLISH_STARTS
         assert step1["objective_bp2"] == 2.0 * min(costs)
         assert all(c > calibration.STEP1_TOL for c in costs[:-1])
@@ -234,8 +239,7 @@ class TestSbtvStep1:
             return real(log_h, b, cv)
 
         monkeypatch.setattr(calibration, "first_passage_survival", counting)
-        *_, step1 = _sbtv_step1(preset_strip("lehman-2008-09-12"), flat_curve, 0.4, 0.0,
-                                convention)
+        *_, step1 = sbtv_step1(preset_strip("lehman-2008-09-12"), flat_curve, convention)
         assert points[0] == step1["multi_start_points"] == 27
         assert len(points) > 1 and points[1:] == [1] * (len(points) - 1)
         assert step1["objective_evaluations"] == sum(points)
@@ -248,7 +252,7 @@ class TestSbtvStep1:
         # a five-point central difference, its steps kept below 1 - h2
         monkeypatch.setattr(calibration, "least_squares", _capture_objective)
         with pytest.raises(_Captured) as captured:
-            _sbtv_step1(preset_strip("lehman-2008-09-12"), flat_curve, 0.4, 0.0, convention)
+            sbtv_step1(preset_strip("lehman-2008-09-12"), flat_curve, convention)
         residuals, jacobian = captured.value.args
         for x in map(np.array, [(0.7313, 0.962, 0.166), (0.55, 0.3, 0.45), (0.95, 0.5, 0.08),
                                 (0.999, 0.5, 1e-3), (1.0 - 1e-6, 0.5, 0.2)]):
@@ -291,7 +295,7 @@ class TestBootstrapRoots:
 
         def price_and_slope(x):
             seen.append(x)
-            return math.atan(x), 1.0 / (1.0 + x * x)
+            return math.atan(x), lambda: 1.0 / (1.0 + x * x)
 
         root, evaluations = calibration._newton_in_bracket(
             price_and_slope, (-10.0, 5.0), (math.atan(-10.0), math.atan(5.0)), 0.0, 1.5)
@@ -307,7 +311,7 @@ class TestBootstrapRoots:
             raise AssertionError("the upper end is a root: no evaluation is needed")
 
         def price_and_slope(x):
-            return x * x - 4.0, 2.0 * x
+            return x * x - 4.0, lambda: 2.0 * x
 
         assert calibration._newton_in_bracket(
             never, (0.5, 2.0), (-3.75, 0.0), 1e-6, 1.0) == (2.0, 0)
@@ -403,7 +407,7 @@ class TestLegGridReuse:
         strip = CdsQuoteStrip(tuple(CdsQuote(t, s * 1e4) for t, s in zip(tenors, spreads)))
         monkeypatch.setattr(calibration, "least_squares", _capture_objective)
         with pytest.raises(_Captured) as captured:
-            _sbtv_step1(strip, flat_curve, h1, 0.0, convention)
+            sbtv_step1(strip, flat_curve, convention, h1)
         residuals = captured.value.args[0]
         # every spread within 1e-12, i.e. 1e-8 bp
         assert np.sum(residuals(np.array([h2, p1, sigma_bar])) ** 2) <= (1e-12 * 1e4) ** 2
@@ -414,8 +418,8 @@ class TestLegGridReuse:
 
         for name in ("At1pParams", "SbtvParams", "VolatilityTermStructure"):
             monkeypatch.setattr(calibration, name, forbidden)
-        h2, p1, sigma_bar, _ = _sbtv_step1(preset_strip("lehman-2007-07-10"), flat_curve,
-                                           0.4, 0.0, "postponed")
+        h2, p1, sigma_bar, _ = sbtv_step1(preset_strip("lehman-2007-07-10"), flat_curve,
+                                          "postponed")
         assert 0.4 < h2 < 1.0 and 0.0 <= p1 <= 1.0 and sigma_bar > 0
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
@@ -441,8 +445,8 @@ class TestLegGridReuse:
             assert sum(report.diagnostics["iterations"]) > len(strip.quotes)
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
-    def test_one_leg_grid_per_pillar_and_one_for_step1(self, monkeypatch, flat_curve,
-                                                       convention):
+    def test_one_leg_grid_per_fit(self, monkeypatch, flat_curve, convention):
+        # the bootstrap, SBTV step 1 and the report all read the strip's one grid
         built = []
         real = calibration.leg_grid
 
@@ -452,16 +456,18 @@ class TestLegGridReuse:
 
         monkeypatch.setattr(calibration, "leg_grid", counting)
         strip = preset_strip("lehman-2008-06-12")
-        _, report = calibrate_at1p(strip, flat_curve, convention=convention)
-        assert len(built) == len(strip.quotes) < sum(report.diagnostics["iterations"])
-        built.clear()
-        calibrate_sbtv(strip, flat_curve, convention=convention)
-        assert len(built) == len(strip.quotes) + 1
+        for fit in (bootstrap_intensity, calibrate_at1p, calibrate_sbtv):
+            built.clear()
+            _, report = fit(strip, flat_curve, convention=convention)
+            assert len(built) == 1 < sum(report.diagnostics["iterations"])
+            schedule, _, _, knots = built[0]
+            assert schedule.dates[-1] == strip.tenors[-1] and knots == strip.tenors
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
-    def test_report_reprices_on_the_pillar_grids(self, monkeypatch, flat_curve, convention):
-        # the pillar grids are cut at the tenors, the fitted model's knots, so
-        # they equal the grids cds_price would build, and the report reads them
+    def test_report_reprices_on_the_strip_grid(self, monkeypatch, flat_curve, convention):
+        # the strip grid is cut at the tenors, the fitted model's knots, so each
+        # pillar's part of it is the grid cds_price would build, and the report
+        # reads the pillar's legs there
         built = []
         real = cds.leg_grid
 
@@ -473,13 +479,37 @@ class TestLegGridReuse:
         monkeypatch.setattr(cds, "leg_grid", counting)
         strip = preset_strip("lehman-2008-09-12")
         fits = []
-        for fit, step1_grids in ((bootstrap_intensity, 0), (calibrate_at1p, 0),
-                                 (calibrate_sbtv, 1)):
+        for fit in (bootstrap_intensity, calibrate_at1p, calibrate_sbtv):
             built.clear()
             fits.append(fit(strip, flat_curve, convention=convention))
-            assert len(built) == len(strip.quotes) + step1_grids
+            assert len(built) == 1
         monkeypatch.undo()
         for model, report in fits:
             assert report.repricing_errors_bp == [
                 cds_price(pillar_contract(q.tenor, q.spread_bp, strip.recovery),
                           flat_curve, model, convention) * 1e4 for q in strip.quotes]
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    def test_pillar_rows_of_the_strip_grid_are_its_own_grid_rows(self, convention):
+        # curve pillars inside periods cut the exact pieces of every grid that spans them
+        curve = DiscountCurve(pillars=((0.6, 0.985), (2.2, 0.93), (4.1, 0.86)))
+        strip = preset_strip("lehman-2008-06-12")
+        contracts, grid, rows, columns = _strip_legs(strip, curve, convention)
+        assert len(contracts) == len(columns) == rows.shape[1] == 5
+        for j, (contract, own_columns) in enumerate(zip(contracts, columns)):
+            own = leg_grid(contract.schedule, curve, convention, strip.tenors)
+            assert np.array_equal(grid.times[own_columns], own.times)
+            assert np.array_equal(rows[:, j][:, own_columns], own.rows([-1])[:, 0])
+            assert not rows[:, j][:, ~own_columns].any()
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    @pytest.mark.parametrize("fit", [bootstrap_intensity, calibrate_at1p, calibrate_sbtv])
+    def test_tenor_a_round_off_short_of_a_payment_date(self, flat_curve, fit, convention):
+        # make_schedule ends the 3y pillar at 2.9999999999, while the strip grid
+        # holds the 10y schedule's 3.0 date at that payment index: the pillar's
+        # columns run to that date, not to its tenor
+        strip = small_strip([100.0, 150.0, 180.0, 200.0, 210.0],
+                            tenors=(1.0, 2.9999999999, 5.0, 7.0, 10.0))
+        _, report = fit(strip, flat_curve, convention=convention)
+        assert report.exact
+        assert max(abs(e) for e in report.repricing_errors_bp) < 0.01

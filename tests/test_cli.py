@@ -69,6 +69,19 @@ class TestCalibrateCommand:
         assert doc["config"]["quotes_file"] == str(f)
         assert doc["models"]["at1p"]["parameters"]["bucket_ends"] == [1.0, 3.0, 5.0]
 
+    def test_quotes_file_with_byte_order_mark(self, capsys, outdir, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        f = tmp_path / "q.csv"
+        text = "tenor_years,spread_bp\n1.0,50\n3.0,80\n5.0,100\n"
+        reports = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            f.write_text(text, encoding=encoding)
+            code, _, err = run(capsys, "calibrate", "--quotes", str(f))
+            assert code == 0, err
+            reports.append((outdir / "calibration.json").read_bytes())
+        assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert reports[0] == reports[1]
+
     def test_byte_identical_reruns(self, capsys, outdir):
         run(capsys, "calibrate", "--preset", "lehman-2008-09-12")
         first = (outdir / "calibration.json").read_bytes()

@@ -36,4 +36,7 @@ def test_calibration_traffic_prints_one_line_per_fit():
         (convention, model) for convention in ("postponed", "exact")
         for model in ("intensity", "at1p", "sbtv")]
     assert all("parameters" in x or "error" in x for x in lines)
+    fitted = [x for x in lines if "parameters" in x]
+    assert fitted and all(len(x["repricing_errors_bp"]) == len(x["spreads_bp"])
+                          and max(map(abs, x["repricing_errors_bp"])) < 0.01 for x in fitted)
     assert "polishes" in lines[2]["diagnostics"]["step1"]
