@@ -282,7 +282,9 @@ def _sbtv_step1(strip, legs, h1, b):
     (clipped into the box), all 27 in one kernel call, and a bounded
     trust-region least-squares polish (TRF, every point inside the box) is
     run from the best few, in rank order; ties are broken by the smaller H2
-    so the result is deterministic.  The polishes stop once the best cost is
+    so the result is deterministic.  A start whose spreads are not finite
+    (survival vanishes there, as at a large negative b) is not polished, and
+    CalibrationError is raised when no start is finite.  The polishes stop once the best cost is
     at most STEP1_TOL: the three residuals are then zero to about 1e-6 bp,
     and a later polish could beat that only by round-off.  A polish that
     misses a zero falls back on the next start; off the presets the
@@ -353,9 +355,14 @@ def _sbtv_step1(strip, legs, h1, b):
     lower, upper = np.array([h1 + 1e-6, 0.0, 1e-3]), np.array([1.0 - 1e-6, 1.0, 2.0])
     starts = np.clip(list(itertools.product([h1 + 0.15, h1 + 0.3, h1 + 0.45], [0.35, 0.65, 0.95],
                                             [0.10, 0.20, 0.40])), lower, upper)
-    costs = np.sum(gaps(*survival_rows(starts)[1:]) ** 2, axis=1)
-    ranked = [starts[i] for i in sorted(range(len(starts)),
-                                        key=lambda i: (costs[i], starts[i, 0]))]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        start_gaps = gaps(*survival_rows(starts)[1:])  # non-finite where survival vanishes
+        costs = np.sum(start_gaps ** 2, axis=1)
+    finite = np.flatnonzero(np.all(np.isfinite(start_gaps), axis=1))
+    if finite.size == 0:
+        raise CalibrationError("SBTV step 1: the model spreads are not finite at any start "
+                               "(survival vanishes or overflows); check b and h1")
+    ranked = [starts[i] for i in sorted(finite, key=lambda i: (costs[i], starts[i, 0]))]
     best = None
     for polishes, x0 in enumerate(ranked[:STEP1_POLISH_STARTS], start=1):
         res = least_squares(residuals, x0, jac=jacobian, bounds=(lower, upper), method="trf",

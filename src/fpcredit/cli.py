@@ -94,7 +94,7 @@ def _load_calibration(path: Path, model: str):
     if not path.exists():
         raise DomainError(f"parameter file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DomainError(f"{path} is not a JSON file: {exc}") from None
     if not isinstance(doc, dict) or doc.get("schema_version") != "1" \
@@ -197,17 +197,18 @@ def cmd_price_ers(args) -> int:
     contracts = {rho: make_ers_contract(rho=rho, **terms) for rho in rhos}
 
     calibrated = {m: _calibrate_one(m, strip, curve, config)[0] for m in models}
-    table: dict = {m: {} for m in models}
-    low_stats = False
+    # model by model: the sampler then draws each model's firm paths once
+    results: dict[str, dict[float, ErsPricingResult]] = {
+        m: {rho: ers_fair_spread(calibrated[m], contracts[rho], curve, sim) for rho in rhos}
+        for m in models}
+    table = {m: {str(rho): r.as_dict() for rho, r in cells.items()}
+             for m, cells in results.items()}
+    low_stats = any(r.diagnostics.get("low_statistics", False)
+                    for cells in results.values() for r in cells.values())
     print(f"{'rho':>6} " + " ".join(f"{m:>16}" for m in models))
     for rho in rhos:
-        row = []
-        for model in models:
-            result: ErsPricingResult = ers_fair_spread(calibrated[model], contracts[rho],
-                                                       curve, sim)
-            table[model][str(rho)] = result.as_dict()
-            low_stats = low_stats or result.diagnostics.get("low_statistics", False)
-            row.append(f"{result.fair_spread_bp:7.2f}+-{result.std_error_bp:5.2f}")
+        row = [f"{results[m][rho].fair_spread_bp:7.2f}+-{results[m][rho].std_error_bp:5.2f}"
+               for m in models]
         print(f"{rho:6.2f} " + " ".join(f"{cell:>16}" for cell in row))
     doc = {"schema_version": "1", "kind": "ers-pricing", "config": asdict(config),
            "contract": terms, "rhos": rhos, "results": table}

@@ -18,9 +18,15 @@ The sampler is exact and uses no time grid:
   Brownian motion at default exactly, bucket by bucket.
 - The equity at default then takes one Gaussian draw per defaulted path.
 
-Firm and equity variates come from separate child streams of the seed, so
-default times and the firm's Brownian motion do not depend on the
-correlation, and paths pair across correlations at a fixed seed.
+Firm and equity variates come from separate child streams of the seed, and
+none of the draws above depends on the correlation.  The last such draw is
+kept in one module-level slot, keyed on the model, the maturity, the path
+count and the seed, so a correlation sweep that calls model by model draws
+each model once, and its paths pair across correlations by construction.
+Each call then only mixes the two Brownian motions and maps them to the
+equity at default.  The slot keeps about 1 + 24 P(default) bytes per path,
+8 more with several barrier scenarios, until a call with another key
+replaces it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +81,9 @@ class ErsContract:
         return 1.0 - self.recovery
 
 
-# The sampler and the pricer peak at 70-105 bytes per path (more as more
-# paths default), so this caps a run's memory near 1 GB.
+# The sampler and the pricer peak at 35-115 bytes per path, more as more
+# paths default, the kept firm draw included, so this caps a run's memory
+# near 1.1 GB.
 MAX_PATHS = 10_000_000
 
 
@@ -188,53 +196,87 @@ def _equity_at_default(tau, shock, ers: ErsContract, curve: DiscountCurve):
     return ers.s0 * np.exp(r_int - (ers.dividend_yield + 0.5 * sig * sig) * tau + sig * shock)
 
 
+class _FirmDraw(NamedTuple):
+    """The correlation-free part of a joint path set, as read-only arrays."""
+
+    defaulted: np.ndarray          # bool per path
+    scenario: np.ndarray | None    # barrier scenario per path; None for one
+    tau: np.ndarray                # default time, on the defaulted paths
+    w1: np.ndarray                 # the firm's Brownian motion at default, likewise
+    w2: np.ndarray                 # the equity's own Brownian motion at default, likewise
+    default_prob_closed_form: float
+
+
+def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
+    """Draw scenarios, default times and both Brownian motions at default.
+
+    Every firm variate comes from one child stream of the seed and every
+    equity variate from another; nothing here depends on the correlation.
+    """
+    firm_rng, equity_rng = (np.random.default_rng(s)
+                            for s in np.random.SeedSequence(seed).spawn(2))
+    log_h = np.array([math.log(h) for h, _ in model.scenarios])
+    if log_h.size == 1:  # drawing the one scenario would still consume variates
+        scenario, x0 = None, -log_h[0]
+    else:
+        scenario = firm_rng.choice(log_h.size, size=n_paths,
+                                   p=[p for _, p in model.scenarios])
+        x0 = -log_h[scenario]
+    nu = 0.5 - model.b
+    v_star = _first_passage_variance(firm_rng, x0, nu, n_paths)
+
+    vols, clock = model.vols, model.vols.clock
+    knot_t = np.append(clock.knot_t[clock.knot_t < maturity], maturity)
+    knot_v = clock(knot_t)
+    sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
+    defaulted = v_star <= knot_v[-1]
+    v_def = v_star[defaulted]
+    w1 = _firm_bm_at_default(firm_rng, v_def, np.broadcast_to(x0, n_paths)[defaulted], nu,
+                             knot_v, sigmas)
+    tau = np.minimum(clock.inverse(v_def), maturity)  # the round trip can overshoot
+    w2 = np.sqrt(tau) * equity_rng.standard_normal(v_def.size)
+    for shared in (defaulted, scenario, tau, w1, w2):
+        if shared is not None:
+            shared.flags.writeable = False
+    return _FirmDraw(defaulted, scenario, tau, w1, w2, 1.0 - survival(model, maturity))
+
+
+_last_draw = None  # (key, _FirmDraw) of the last joint simulation
+
+
 def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
                          cfg: SimulationConfig) -> PathRecords:
     """Exact joint draw of the first-passage default time and the equity at
     default.
 
     With more than one barrier scenario, a scenario is drawn per path
-    first; AT1P, the one-scenario case, draws none.  Every firm variate
-    comes from one child stream of the seed and every equity variate from
-    another, so default times are identical across correlations at a
-    fixed seed.
+    first; AT1P, the one-scenario case, draws none.  The firm draw
+    (`_firm_draw`) does not depend on the correlation, and the last one is
+    kept: a call with the same model, maturity, path count and seed reuses
+    it, so default times are identical across correlations at a fixed seed
+    and only the equity at default is computed again.  `defaulted` and
+    `scenario` are then shared between the calls' records, and read-only.
     """
-    firm_rng, equity_rng = (np.random.default_rng(s)
-                            for s in np.random.SeedSequence(cfg.rng_seed).spawn(2))
-    n = cfg.n_paths
+    global _last_draw
     if not isinstance(model, (At1pParams, SbtvParams)):
         raise DomainError("joint simulation needs a first-passage model (use "
                           "simulate_intensity_paths for the hazard model)")
-    log_h = np.array([math.log(h) for h, _ in model.scenarios])
-    if log_h.size == 1:  # drawing the one scenario would still consume variates
-        scenario, x0 = None, -log_h[0]
-    else:
-        scenario = firm_rng.choice(log_h.size, size=n, p=[p for _, p in model.scenarios])
-        x0 = -log_h[scenario]
-    nu = 0.5 - model.b
-    v_star = _first_passage_variance(firm_rng, x0, nu, n)
+    key = (model, ers.maturity, cfg.n_paths, cfg.rng_seed)
+    slot = _last_draw
+    if slot is None or slot[0] != key:
+        _last_draw = None  # drop the old draw before making the new one
+        slot = _last_draw = key, _firm_draw(*key)
+    draw = slot[1]
 
-    vols, clock = model.vols, model.vols.clock
-    knot_t = np.append(clock.knot_t[clock.knot_t < ers.maturity], ers.maturity)
-    knot_v = clock(knot_t)
-    sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
-    defaulted = v_star <= knot_v[-1]
-    v_def = v_star[defaulted]
-    w1 = _firm_bm_at_default(firm_rng, v_def, np.broadcast_to(x0, n)[defaulted], nu, knot_v,
-                             sigmas)
-
-    tau = np.full(n, np.inf)
-    s_tau = np.full(n, np.nan)
-    tau_def = np.minimum(clock.inverse(v_def), ers.maturity)  # the round trip can overshoot
+    tau = np.full(cfg.n_paths, np.inf)
+    s_tau = np.full(cfg.n_paths, np.nan)
     rho = ers.rho
-    w2 = np.sqrt(tau_def) * equity_rng.standard_normal(v_def.size)
-    tau[defaulted] = tau_def
-    s_tau[defaulted] = _equity_at_default(
-        tau_def, rho * w1 + math.sqrt(1.0 - rho * rho) * w2, ers, curve)
-    pd_closed = 1.0 - survival(model, ers.maturity)
-    return PathRecords(defaulted=defaulted, tau=tau, s_tau=s_tau,
-                       default_prob_closed_form=pd_closed, scenario=scenario,
-                       diagnostics={"seed": cfg.rng_seed})
+    tau[draw.defaulted] = draw.tau
+    s_tau[draw.defaulted] = _equity_at_default(
+        draw.tau, rho * draw.w1 + math.sqrt(1.0 - rho * rho) * draw.w2, ers, curve)
+    return PathRecords(defaulted=draw.defaulted, tau=tau, s_tau=s_tau,
+                       default_prob_closed_form=draw.default_prob_closed_form,
+                       scenario=draw.scenario, diagnostics={"seed": cfg.rng_seed})
 
 
 def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract, curve: DiscountCurve,

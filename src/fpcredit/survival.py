@@ -177,7 +177,8 @@ def first_passage_slope(log_h, b: float, cv):
     s = np.asarray(cv, dtype=float)
     sd = np.sqrt(s)
     d1 = (0.5 * (2.0 * b - 1.0) * s - log_h) / sd
-    density = np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+    with np.errstate(over="ignore"):  # d1^2 overflows only where the density is 0
+        density = np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
     return log_h * density / (s * sd)
 
 

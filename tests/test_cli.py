@@ -125,6 +125,19 @@ class TestPriceCdsCommand:
         assert code == 0
         assert float(out.split("price (postponed): ")[1].split(" bp")[0]) > 0
 
+    def test_report_with_byte_order_mark(self, capsys, report, tmp_path):
+        # the same report re-saved by an editor that writes a UTF-8 byte-order mark
+        bom = tmp_path / "bom.json"
+        bom.write_text(report.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        outputs = []
+        for path in (report, bom):
+            code, out, err = run(capsys, "price-cds", "--params", str(path),
+                                 "--model", "sbtv", "--tenor", "5", "--spread-bp", "277")
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_missing_params_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "price-cds", "--params", str(tmp_path / "no.json"),
                            "--model", "at1p", "--tenor", "5", "--spread-bp", "100")
@@ -265,7 +278,7 @@ class TestBadInputsExitWithMessage:
                                      "--model", model, f"--flat-rate={rate}")
 
 
-SWEEP_VALUES = ("nan", "inf", "0", "-0.5", "1e300")
+SWEEP_VALUES = ("nan", "inf", "0", "-0.5", "-1e6", "1e300")
 
 
 class TestNumericFlagSweep:
@@ -290,6 +303,13 @@ class TestNumericFlagSweep:
     @pytest.mark.parametrize("flag", ["--flat-rate", "--h1", "--b", "--recovery"])
     def test_calibrate(self, capsys, flag, value):
         self.check(capsys, "calibrate", "--preset", "lehman-2007-07-10", f"{flag}={value}")
+
+    @pytest.mark.parametrize("value", SWEEP_VALUES)
+    @pytest.mark.parametrize("flag", ["--flat-rate", "--h1", "--b", "--recovery"])
+    def test_calibrate_sbtv(self, capsys, flag, value):
+        # SBTV alone: with every model, an error of an earlier one ends the run first
+        self.check(capsys, "calibrate", "--preset", "lehman-2008-06-12", "--model", "sbtv",
+                   f"{flag}={value}")
 
     @pytest.mark.parametrize("value", SWEEP_VALUES)
     @pytest.mark.parametrize("flag", ["--tenor", "--spread-bp"])
@@ -406,6 +426,33 @@ class TestPriceErsCommand:
                            "--seed", "7")
         assert code == 1
         assert err.startswith("error: fair ERS spread undefined")
+
+    def test_sweep_draws_each_model_once_and_reports_each_cell_as_run_alone(
+            self, capsys, outdir, monkeypatch):
+        # scripts/run_ers_table.py's sweep runs model by model, one firm draw per
+        # first-passage model, and prints and saves each cell as a cold run of it alone
+        from fpcredit import mc
+        draws, draw = [], mc._firm_draw
+        monkeypatch.setattr(mc, "_firm_draw", lambda *key: draws.append(key) or draw(*key))
+        monkeypatch.setattr(mc, "_last_draw", None)
+        models, rhos = ["at1p", "sbtv", "intensity"], ["-1", "-0.2", "0", "0.5", "1"]
+        sweep = ("price-ers", "--preset", "ers-paper-2009-09-16", "--paths", "20000")
+        code, out, _ = run(capsys, *sweep, "--models", ",".join(models),
+                           f"--rho={','.join(rhos)}")
+        assert code == 0 and len(draws) == 2
+        results = json.loads((outdir / "ers_pricing.json").read_text())["results"]
+        rows = []
+        for rho in rhos:
+            cells = []
+            for model in models:
+                monkeypatch.setattr(mc, "_last_draw", None)
+                _, alone, _ = run(capsys, *sweep, "--models", model, f"--rho={rho}")
+                row = alone.splitlines()[1]
+                cells.append(row[7:])
+                cell = json.loads((outdir / "ers_pricing.json").read_text())["results"][model]
+                assert cell == {str(float(rho)): results[model][str(float(rho))]}
+            rows.append(f"{row[:6]} " + " ".join(cells))
+        assert out.splitlines()[1:1 + len(rhos)] == rows
 
     def test_deterministic_reruns(self, capsys, outdir):
         args = ("price-ers", "--preset", "ers-paper-2009-09-16", "--models",

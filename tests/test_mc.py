@@ -143,6 +143,7 @@ class TestDefaultSampling:
         model = At1pParams(0.4, 0.0, VolatilityTermStructure((0.7, 5.7), (0.4, 0.25)))
         v_maturity = model.vols.clock(ers.maturity)
         assert model.vols.clock.inverse(v_maturity) > ers.maturity
+        monkeypatch.setattr(mc, "_last_draw", None)  # keep the patched draw out of the slot
         monkeypatch.setattr(mc, "_first_passage_variance",
                             lambda rng, x0, nu, n: np.full(n, v_maturity))
         paths = simulate_joint_paths(model, ers, curve,
@@ -237,6 +238,82 @@ class TestExactSampler:
         assert np.array_equal(a.defaulted, b.defaulted)
         np.testing.assert_allclose(b.tau[b.defaulted], a.tau[a.defaulted], rtol=1e-12)
         np.testing.assert_allclose(b.s_tau[b.defaulted], a.s_tau[a.defaulted], rtol=1e-12)
+
+
+class TestFirmDrawSlot:
+    """simulate_joint_paths keeps its last firm draw, keyed on the model, the
+    maturity, the path count and the seed."""
+
+    MODEL = SbtvParams(((0.3, 0.4), (0.6, 0.6)), 0.0, THREE_BUCKETS)
+    CFG = SimulationConfig(n_paths=20_000, rng_seed=13)
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The key of every firm draw made, from an empty slot."""
+        monkeypatch.setattr(mc, "_last_draw", None)
+        keys, draw = [], mc._firm_draw
+
+        def counted(*key):
+            assert mc._last_draw is None  # the old draw goes before the new one is made
+            keys.append(key)
+            return draw(*key)
+
+        monkeypatch.setattr(mc, "_firm_draw", counted)
+        return keys
+
+    def test_hit_is_bit_identical_to_a_cold_draw(self, curve, draws):
+        at_half = make_ers_contract(rho=0.5)
+        simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.0), curve, self.CFG)
+        # an equal model built anew hits, as a recalibrated one does
+        hit = simulate_joint_paths(SbtvParams.from_dict(self.MODEL.to_dict()), at_half, curve,
+                                   self.CFG)
+        assert len(draws) == 1
+        simulate_joint_paths(flat_at1p(), at_half, curve, self.CFG)
+        cold = simulate_joint_paths(self.MODEL, at_half, curve, self.CFG)
+        assert len(draws) == 3
+        assert hit.defaulted.any() and hit.scenario is not None
+        for name in ("defaulted", "scenario", "tau"):
+            assert np.array_equal(getattr(hit, name), getattr(cold, name))
+        assert np.array_equal(hit.s_tau, cold.s_tau, equal_nan=True)
+        assert hit.default_prob_closed_form == cold.default_prob_closed_form
+
+    @pytest.mark.parametrize("part", ["b", "H", "sigma", "bucket_end", "maturity", "n_paths",
+                                      "rng_seed"])
+    def test_each_key_part_misses_when_it_changes(self, curve, draws, part):
+        ends, sigmas = THREE_BUCKETS.bucket_ends, THREE_BUCKETS.sigmas
+        model, ers, cfg = self.MODEL, make_ers_contract(rho=0.0), self.CFG
+        changed = {
+            "b": (SbtvParams(model.scenarios, 0.1, THREE_BUCKETS), ers, cfg),
+            "H": (SbtvParams(((0.3, 0.4), (0.65, 0.6)), 0.0, THREE_BUCKETS), ers, cfg),
+            "sigma": (SbtvParams(model.scenarios, 0.0, VolatilityTermStructure(
+                ends, sigmas[:2] + (0.31,))), ers, cfg),
+            "bucket_end": (SbtvParams(model.scenarios, 0.0, VolatilityTermStructure(
+                (1.0, 2.5, 4.0), sigmas)), ers, cfg),
+            "maturity": (model, make_ers_contract(rho=0.0, maturity=4.0), cfg),
+            "n_paths": (model, ers, SimulationConfig(n_paths=20_001, rng_seed=13)),
+            "rng_seed": (model, ers, SimulationConfig(n_paths=20_000, rng_seed=14)),
+        }[part]
+        simulate_joint_paths(model, ers, curve, cfg)
+        simulate_joint_paths(model, make_ers_contract(rho=0.7), curve, cfg)
+        assert len(draws) == 1
+        other_model, other_ers, other_cfg = changed
+        simulate_joint_paths(other_model, other_ers, curve, other_cfg)
+        assert len(draws) == 2
+
+    def test_cells_share_only_read_only_arrays(self, curve, draws):
+        a = simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.0), curve, self.CFG)
+        b = simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.5), curve, self.CFG)
+        assert len(draws) == 1
+        for name in ("defaulted", "scenario"):
+            shared = getattr(b, name)
+            assert shared is getattr(a, name)
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = shared[0]
+        for name in ("tau", "s_tau"):
+            assert not np.shares_memory(getattr(a, name), getattr(b, name))
+        before = a.s_tau.copy()
+        b.s_tau[:] = 0.0
+        assert np.array_equal(a.s_tau, before, equal_nan=True)
 
 
 class TestIntensityPaths:
