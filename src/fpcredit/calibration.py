@@ -282,9 +282,7 @@ def _sbtv_step1(strip, legs, h1, b):
     (clipped into the box), all 27 in one kernel call, and a bounded
     trust-region least-squares polish (TRF, every point inside the box) is
     run from the best few, in rank order; ties are broken by the smaller H2
-    so the result is deterministic.  A start whose spreads are not finite
-    (survival vanishes there, as at a large negative b) is not polished, and
-    CalibrationError is raised when no start is finite.  The polishes stop once the best cost is
+    so the result is deterministic.  The polishes stop once the best cost is
     at most STEP1_TOL: the three residuals are then zero to about 1e-6 bp,
     and a later polish could beat that only by round-off.  A polish that
     misses a zero falls back on the next start; off the presets the
@@ -301,6 +299,10 @@ def _sbtv_step1(strip, legs, h1, b):
     dQ/ds = log H phi(d1) / s^1.5 (`first_passage_slope`) and
     dQ/dlog H = -2 phi(d1) / sqrt(s) - a H^a Phi(d2)
     = -2 s dQ/ds / log H - a H^a Phi(d2).
+
+    A start whose spreads are not finite (survival vanishes there, as at a
+    large negative b) is not polished, and CalibrationError is raised when no
+    start is finite.
     """
     _, grid, rows, columns = legs
     times = grid.times[columns[2]]
