@@ -301,8 +301,10 @@ def _sbtv_step1(strip, legs, h1, b):
     = -2 s dQ/ds / log H - a H^a Phi(d2).
 
     A start whose spreads are not finite (survival vanishes there, as at a
-    large negative b) is not polished, and CalibrationError is raised when no
-    start is finite.
+    large negative b) is not polished, nor is the rest of a polish that
+    reaches a point whose gradient is not finite (TRF itself rejects a trial
+    step with non-finite spreads), and CalibrationError is raised when every
+    start fails.
     """
     _, grid, rows, columns = legs
     times = grid.times[columns[2]]
@@ -352,7 +354,10 @@ def _sbtv_step1(strip, legs, h1, b):
         directions[2, 1:] = 2.0 * sigma_bar * t * (p1 * dq_ds[0] + (1.0 - p1) * dq_ds[1])
         d_legs = legs @ directions.T  # d (protection, premium) / d (h2, p1, sigma_bar)
         spread_bp = lgd * protection / premium * 1e4
-        return (lgd * 1e4 * d_legs[:3] - spread_bp[:, None] * d_legs[3:]) / premium[:, None]
+        jac = (lgd * 1e4 * d_legs[:3] - spread_bp[:, None] * d_legs[3:]) / premium[:, None]
+        if not math.isfinite(np.dot(spread_bp - quoted_bp, jac).sum()):
+            raise FloatingPointError  # TRF's gradient, J^T residuals: no step from x
+        return jac
 
     lower, upper = np.array([h1 + 1e-6, 0.0, 1e-3]), np.array([1.0 - 1e-6, 1.0, 2.0])
     starts = np.clip(list(itertools.product([h1 + 0.15, h1 + 0.3, h1 + 0.45], [0.35, 0.65, 0.95],
@@ -360,20 +365,24 @@ def _sbtv_step1(strip, legs, h1, b):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         start_gaps = gaps(*survival_rows(starts)[1:])  # non-finite where survival vanishes
         costs = np.sum(start_gaps ** 2, axis=1)
-    finite = np.flatnonzero(np.all(np.isfinite(start_gaps), axis=1))
-    if finite.size == 0:
+        finite = np.flatnonzero(np.all(np.isfinite(start_gaps), axis=1))
+        ranked = [starts[i] for i in sorted(finite, key=lambda i: (costs[i], starts[i, 0]))]
+        best = None
+        for polishes, x0 in enumerate(ranked[:STEP1_POLISH_STARTS], start=1):
+            try:
+                res = least_squares(residuals, x0, jac=jacobian, bounds=(lower, upper),
+                                    method="trf", xtol=STEP1_TOL, ftol=STEP1_TOL, gtol=STEP1_TOL)
+            except FloatingPointError:  # a failed start, like one with non-finite spreads
+                continue
+            cand = (res.cost, res.x[0], res.x)  # ties broken by smallest H2
+            if best is None or cand[:2] < best[:2]:
+                best = cand
+            if best[0] <= STEP1_TOL:  # an exact fit: a later polish could gain only round-off
+                break
+    if best is None:
         raise CalibrationError("SBTV step 1: the model spreads are not finite at any start "
-                               "(survival vanishes or overflows); check b and h1")
-    ranked = [starts[i] for i in sorted(finite, key=lambda i: (costs[i], starts[i, 0]))]
-    best = None
-    for polishes, x0 in enumerate(ranked[:STEP1_POLISH_STARTS], start=1):
-        res = least_squares(residuals, x0, jac=jacobian, bounds=(lower, upper), method="trf",
-                            xtol=STEP1_TOL, ftol=STEP1_TOL, gtol=STEP1_TOL)
-        cand = (res.cost, res.x[0], res.x)  # ties broken by smallest H2
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-        if best[0] <= STEP1_TOL:  # an exact fit: a later polish could gain only round-off
-            break
+                               "or along any polish (survival vanishes or overflows); "
+                               "check b and h1")
     cost, _, x = best
     h2, p1, sigma_bar = (float(v) for v in x)
     step1 = {"h2": h2, "p1": p1, "sigma_bar": sigma_bar,

@@ -24,9 +24,10 @@ kept in one module-level slot, keyed on the model, the maturity, the path
 count and the seed, so a correlation sweep that calls model by model draws
 each model once, and its paths pair across correlations by construction.
 Each call then only mixes the two Brownian motions and maps them to the
-equity at default.  The slot keeps about 1 + 24 P(default) bytes per path,
-8 more with several barrier scenarios, until a call with another key
-replaces it.
+equity at default; its records and the pricer hold both only on the
+defaulted paths, and do no work on the others.  The slot keeps about
+1 + 24 P(default) bytes per path, 8 more with several barrier scenarios,
+until a call with another key replaces it.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ class ErsContract:
         return 1.0 - self.recovery
 
 
-# The sampler and the pricer peak at 35-115 bytes per path, more as more
-# paths default, the kept firm draw included, so this caps a run's memory
-# near 1.1 GB.
+# A cold sampler call and the pricer peak at 14-106 bytes per path, more as
+# more paths default, the kept firm draw included, so this caps a run's
+# memory near 1.1 GB.
 MAX_PATHS = 10_000_000
 
 
@@ -102,14 +103,23 @@ class SimulationConfig:
 
 @dataclass
 class PathRecords:
-    """Per-path simulation output sufficient for ERS pricing."""
+    """Simulation output sufficient for ERS pricing; `tau` and `s_tau` hold one
+    entry per defaulted path, in the order `defaulted` selects them."""
 
-    defaulted: np.ndarray          # bool
-    tau: np.ndarray                # default time; +inf where not defaulted
-    s_tau: np.ndarray              # equity at default; nan where not defaulted
+    defaulted: np.ndarray          # bool per path
+    tau: np.ndarray                # default time, on the defaulted paths
+    s_tau: np.ndarray              # equity at default, likewise
     default_prob_closed_form: float
     scenario: np.ndarray | None = None        # barrier scenario per path; None for one
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if getattr(self.defaulted, "dtype", None) != bool or self.defaulted.ndim != 1:
+            raise DomainError("defaulted must be a 1-d bool array")
+        k = np.count_nonzero(self.defaulted)
+        for name in ("tau", "s_tau"):
+            if np.shape(getattr(self, name)) != (k,):
+                raise DomainError(f"{name} must be 1-d with one entry per defaulted path ({k})")
 
     @property
     def n_paths(self) -> int:
@@ -254,8 +264,9 @@ def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
     (`_firm_draw`) does not depend on the correlation, and the last one is
     kept: a call with the same model, maturity, path count and seed reuses
     it, so default times are identical across correlations at a fixed seed
-    and only the equity at default is computed again.  `defaulted` and
-    `scenario` are then shared between the calls' records, and read-only.
+    and only the equity at default is computed again.  `defaulted`,
+    `scenario` and `tau` are then shared between the calls' records, and
+    read-only; `s_tau` is each call's own.
     """
     global _last_draw
     if not isinstance(model, (At1pParams, SbtvParams)):
@@ -266,15 +277,10 @@ def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
     if slot is None or slot[0] != key:
         _last_draw = None  # drop the old draw before making the new one
         slot = _last_draw = key, _firm_draw(*key)
-    draw = slot[1]
-
-    tau = np.full(cfg.n_paths, np.inf)
-    s_tau = np.full(cfg.n_paths, np.nan)
-    rho = ers.rho
-    tau[draw.defaulted] = draw.tau
-    s_tau[draw.defaulted] = _equity_at_default(
+    draw, rho = slot[1], ers.rho
+    s_tau = _equity_at_default(
         draw.tau, rho * draw.w1 + math.sqrt(1.0 - rho * rho) * draw.w2, ers, curve)
-    return PathRecords(defaulted=draw.defaulted, tau=tau, s_tau=s_tau,
+    return PathRecords(defaulted=draw.defaulted, tau=draw.tau, s_tau=s_tau,
                        default_prob_closed_form=draw.default_prob_closed_form,
                        scenario=draw.scenario, diagnostics={"seed": cfg.rng_seed})
 
@@ -285,19 +291,13 @@ def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract, curve: Disco
     piecewise-exponential survival, independent of the equity path.
 
     Only the defaulted paths' equity value matters for the adjustment, and
-    under independence S_tau can be sampled exactly in one shot.
+    under independence S_tau can be sampled exactly in one shot on them.
     """
     rng = np.random.default_rng(cfg.rng_seed)
-    n = cfg.n_paths
-    tau = hazard.clock.inverse(-np.log(rng.random(n)))
+    tau = hazard.clock.inverse(-np.log(rng.random(cfg.n_paths)))
     defaulted = tau <= ers.maturity
-    tau = np.where(defaulted, tau, np.inf)
-
-    s_tau = np.full(n, np.nan)
-    if np.any(defaulted):
-        td = tau[defaulted]
-        s_tau[defaulted] = _equity_at_default(
-            td, np.sqrt(td) * rng.standard_normal(td.size), ers, curve)
+    tau = tau[defaulted]
+    s_tau = _equity_at_default(tau, np.sqrt(tau) * rng.standard_normal(tau.size), ers, curve)
     pd_closed = 1.0 - survival(hazard, ers.maturity)
     return PathRecords(defaulted=defaulted, tau=tau, s_tau=s_tau,
                        default_prob_closed_form=pd_closed,
@@ -341,31 +341,32 @@ def ers_npv_at_default(tau, s_tau, ers: ErsContract, curve: DiscountCurve, sprea
 
 
 def _cva_estimate(paths: PathRecords, payoff) -> CvaEstimate:
-    """Estimates of E[payoff] from its values on the defaulted paths (0 elsewhere).
+    """Estimates of E[payoff] from its k values on the defaulted paths (0 on the others).
 
     The control variate is the default indicator.  Its regression
     coefficient cov(payoff, 1{default}) / var(1{default}) is exactly the
     mean payoff given default, beta, so the controlled estimate is the
     closed-form P(default) * beta, and the controlled payoff deviates from
     its mean by payoff - beta on the defaulted paths and by 0 elsewhere.
+    The plain estimate m = beta * k / n deviates by payoff - m there and by
+    -m on the others.
     """
-    n = paths.n_paths
-    if payoff.size == 0:
+    n, k = paths.n_paths, payoff.size
+    if k == 0:
         return CvaEstimate(0.0, 0.0, 0.0, 0.0, low_statistics=True)
     beta = float(np.mean(payoff))
     se = math.sqrt(float(np.sum((payoff - beta) ** 2)) / (n - 1)) / math.sqrt(n)
-    plain = np.zeros(n)
-    plain[paths.defaulted] = payoff
-    return CvaEstimate(paths.default_prob_closed_form * beta, se, float(np.mean(plain)),
-                       float(np.std(plain, ddof=1) / math.sqrt(n)))
+    m = beta * k / n
+    plain_ss = float(np.sum((payoff - m) ** 2)) + (n - k) * m * m
+    return CvaEstimate(paths.default_prob_closed_form * beta, se, m,
+                       math.sqrt(plain_ss / (n - 1)) / math.sqrt(n))
 
 
 def ers_cva_term(paths: PathRecords, ers: ErsContract, curve: DiscountCurve,
                  spread: float) -> CvaEstimate:
     """Monte Carlo counterparty adjustment LGD * E[1{default} (P(0,tau) NPV(tau))^+],
     controlled by the default indicator."""
-    d = paths.defaulted
-    fixed, per_spread, _ = _npv_terms(paths.tau[d], paths.s_tau[d], ers, curve)
+    fixed, per_spread, _ = _npv_terms(paths.tau, paths.s_tau, ers, curve)
     return _cva_estimate(paths, ers.lgd * np.maximum(fixed + per_spread * spread, 0.0))
 
 
@@ -380,8 +381,7 @@ def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract,
     rising.  1 - slope is a sum of terms >= 0, 0 only on the one input with no
     root: P(default) = 1, zero recovery and every default before T_1.
     """
-    d = paths.defaulted
-    fixed, per_spread, annuity = _npv_terms(paths.tau[d], paths.s_tau[d], ers, curve)
+    fixed, per_spread, annuity = _npv_terms(paths.tau, paths.s_tau, ers, curve)
     if annuity <= 1e-300:
         raise DegenerateInputError("zero premium annuity: fair ERS spread undefined")
     denom = ers.stock_count * ers.s0 * annuity
@@ -406,7 +406,7 @@ def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract,
     trace.append(0.0)
     payoff = ers.lgd * np.maximum(value, 0.0)
     est = _cva_estimate(paths, payoff)
-    pd_mc = float(np.mean(paths.defaulted))
+    pd_mc = payoff.size / paths.n_paths
     se_bp = est.std_error / denom * 1e4
     diag = {
         "iterations": len(trace),

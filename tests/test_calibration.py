@@ -207,6 +207,27 @@ class TestSbtvStep1:
         with pytest.raises(CalibrationError, match="5.0y quote"):
             calibrate_sbtv(strip, flat_curve, convention=convention)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_polish_whose_gradient_is_not_finite_fails_its_start(self, monkeypatch,
+                                                                  flat_curve, bad):
+        # TRF would stop in its SVD at such an iterate; the next start reaches the zero
+        real, calls = calibration.first_passage_slope, []
+
+        def bad_once(log_h, b, s):
+            calls.append(s)
+            return real(log_h, b, s) * (bad if len(calls) == 1 else 1.0)
+
+        monkeypatch.setattr(calibration, "first_passage_slope", bad_once)
+        *_, step1 = sbtv_step1(preset_strip("lehman-2008-06-12"), flat_curve, "postponed")
+        assert step1["polishes"] == 2 and step1["rms_bp"] < 1e-10
+
+    def test_no_polish_with_a_finite_gradient_is_a_calibration_error(self, monkeypatch,
+                                                                     flat_curve):
+        monkeypatch.setattr(calibration, "first_passage_slope",
+                            lambda log_h, b, s: np.full((len(log_h), len(s)), math.nan))
+        with pytest.raises(CalibrationError, match="along any polish"):
+            sbtv_step1(preset_strip("lehman-2008-06-12"), flat_curve, "postponed")
+
     def test_poor_step1_fit_warns(self, flat_curve):
         strip = small_strip([50.0, 300.0, 250.0, 240.0, 230.0], tenors=(1.0, 3.0, 5.0, 7.0, 10.0))
         _, report = calibrate_sbtv(strip, flat_curve)

@@ -311,6 +311,13 @@ class TestNumericFlagSweep:
         self.check(capsys, "calibrate", "--preset", "lehman-2008-06-12", "--model", "sbtv",
                    f"{flag}={value}")
 
+    @pytest.mark.parametrize("b", ["-300", "-500", "-1000"])
+    def test_calibrate_sbtv_at_moderately_negative_b(self, capsys, b):
+        # some step-1 polishes reach points where survival vanishes, and at -1000
+        # TRF's gradient overflows at a start with finite spreads
+        self.check(capsys, "calibrate", "--preset", "lehman-2008-06-12", "--model", "sbtv",
+                   f"--b={b}")
+
     @pytest.mark.parametrize("value", SWEEP_VALUES)
     @pytest.mark.parametrize("flag", ["--tenor", "--spread-bp"])
     def test_price_cds(self, capsys, report, flag, value):

@@ -31,12 +31,9 @@ def killed_density(y, x0, mu, v):
 
 
 def equity_ratio(paths, ers, curve):
-    """P(0,tau) e^{q tau} S_tau / s0 on defaulted paths, 0 on the others."""
-    d = paths.defaulted
-    out = np.zeros(paths.n_paths)
-    out[d] = (np.asarray(curve.discount(paths.tau[d])) * np.exp(ers.dividend_yield * paths.tau[d])
-              * paths.s_tau[d] / ers.s0)
-    return out
+    """P(0,tau) e^{q tau} S_tau / s0 on the defaulted paths."""
+    return (np.asarray(curve.discount(paths.tau)) * np.exp(ers.dividend_yield * paths.tau)
+            * paths.s_tau / ers.s0)
 
 
 def survival_from(y, mu, v):
@@ -89,6 +86,51 @@ class TestConfig:
                 make_ers_contract(stock_count=stock_count)
 
 
+class TestPathRecords:
+    """`defaulted` is a bool per path; tau and s_tau hold one entry per defaulted path."""
+
+    DEFAULTED = np.array([False, True, False, True, True])
+
+    def records(self, **changes):
+        fields = {"defaulted": self.DEFAULTED, "tau": np.array([0.5, 1.0, 2.0]),
+                  "s_tau": np.array([18.0, 20.0, 22.0]), "default_prob_closed_form": 0.5}
+        return PathRecords(**{**fields, **changes})
+
+    def test_one_entry_per_defaulted_path(self):
+        assert self.records().n_paths == 5
+        none = self.records(defaulted=np.zeros(5, dtype=bool), tau=np.empty(0), s_tau=[])
+        assert none.n_paths == 5
+
+    @pytest.mark.parametrize("defaulted", [
+        [False, True, False, True, True],
+        np.array([0, 1, 0, 1, 1]),
+        np.array([0.0, 1.0, 0.0, 1.0, 1.0]),
+        np.array([[False, True, False, True, True]]),
+        np.bool_(True),
+    ], ids=["list", "int", "float", "2-d", "0-d"])
+    def test_defaulted_must_be_a_1d_bool_array(self, defaulted):
+        with pytest.raises(DomainError, match="defaulted must be a 1-d bool array"):
+            self.records(defaulted=defaulted)
+
+    @pytest.mark.parametrize("value", [
+        np.array([0.5, 1.0]),
+        np.array([0.5, 1.0, 2.0, 3.0]),
+        np.array([[0.5, 1.0, 2.0]]),
+        np.float64(0.5),
+    ], ids=["too-few", "too-many", "2-d", "0-d"])
+    @pytest.mark.parametrize("name", ["tau", "s_tau"])
+    def test_tau_and_s_tau_need_one_entry_per_defaulted_path(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be 1-d with one entry per "
+                                              r"defaulted path \(3\)"):
+            self.records(**{name: value})
+
+    def test_the_per_path_layout_is_rejected(self):
+        # n entries, +inf and nan on the paths that survive
+        with pytest.raises(DomainError, match="one entry per defaulted path"):
+            self.records(tau=np.array([np.inf, 0.5, np.inf, 1.0, 2.0]),
+                         s_tau=np.array([np.nan, 18.0, np.nan, 20.0, 22.0]))
+
+
 class TestDefaultSampling:
     def test_default_prob_matches_closed_form_with_bridge(self, curve, ers):
         model = flat_at1p(sigma=0.25)
@@ -105,7 +147,7 @@ class TestDefaultSampling:
         paths = simulate_joint_paths(model, ers, curve,
                                      SimulationConfig(n_paths=5_000, rng_seed=1))
         assert not paths.defaulted.any()
-        assert np.all(np.isinf(paths.tau))
+        assert paths.tau.size == paths.s_tau.size == 0
 
     def test_default_times_identical_across_correlation(self, curve):
         # the firm path consumes the same draws whatever rho is, so default
@@ -135,7 +177,7 @@ class TestDefaultSampling:
         b = simulate_joint_paths(mix, ers, curve, cfg)
         assert a.defaulted.any() and a.scenario is None and b.scenario is None
         assert np.array_equal(a.tau, b.tau)
-        assert np.array_equal(a.s_tau, b.s_tau, equal_nan=True)
+        assert np.array_equal(a.s_tau, b.s_tau)
 
     def test_default_at_the_maturity_variance_stays_at_maturity(self, monkeypatch, curve, ers):
         # the 5y maturity falls inside the (0.7, 5.7] bucket, where inverting the
@@ -156,7 +198,7 @@ class TestDefaultSampling:
         ers = make_ers_contract(rho=0.0)
         paths = simulate_joint_paths(At1pParams(0.4, 0.0, THREE_BUCKETS), ers, curve,
                                      SimulationConfig(n_paths=80_000, rng_seed=5))
-        ratio = equity_ratio(paths, ers, curve)[paths.defaulted]
+        ratio = equity_ratio(paths, ers, curve)
         se = ratio.std(ddof=1) / math.sqrt(ratio.size)
         assert abs(ratio.mean() - 1.0) < 4 * se
 
@@ -166,7 +208,7 @@ class TestDefaultSampling:
         a = simulate_joint_paths(model, ers, curve, cfg)
         b = simulate_joint_paths(model, ers, curve, cfg)
         assert np.array_equal(a.tau, b.tau)
-        assert np.array_equal(a.s_tau, b.s_tau, equal_nan=True)
+        assert np.array_equal(a.s_tau, b.s_tau)
         c = simulate_joint_paths(model, ers, curve,
                                  SimulationConfig(n_paths=3_000, rng_seed=43))
         assert not np.array_equal(a.tau, c.tau)
@@ -203,7 +245,7 @@ class TestExactSampler:
         for t in (1.0, 3.0, 5.0):
             pd_cf = 1.0 - survival(model, t)
             se = math.sqrt(pd_cf * (1 - pd_cf) / cfg.n_paths)
-            assert abs(np.mean(paths.tau <= t) - pd_cf) < 3.5 * se
+            assert abs(np.count_nonzero(paths.tau <= t) / cfg.n_paths - pd_cf) < 3.5 * se
 
     @pytest.mark.parametrize("rho", [-0.6, 0.8])
     def test_firm_brownian_at_default_has_girsanov_law(self, curve, rho):
@@ -217,7 +259,8 @@ class TestExactSampler:
         ers = make_ers_contract(rho=rho)
         paths = simulate_joint_paths(model, ers, curve,
                                      SimulationConfig(n_paths=200_000, rng_seed=37))
-        y = equity_ratio(paths, ers, curve)
+        y = np.zeros(paths.n_paths)  # 0 on the paths that survive
+        y[paths.defaulted] = equity_ratio(paths, ers, curve)
         a = ers.equity_vol * rho
         x0, v1, v2 = -math.log(h), s1 ** 2 * t1, s2 ** 2 * (ers.maturity - t1)
         survived, _ = quad(lambda z: (killed_density(z, x0, -0.5 + a / s1, v1)
@@ -236,8 +279,8 @@ class TestExactSampler:
         b = simulate_joint_paths(two, ers, curve, cfg)
         assert a.defaulted.any()
         assert np.array_equal(a.defaulted, b.defaulted)
-        np.testing.assert_allclose(b.tau[b.defaulted], a.tau[a.defaulted], rtol=1e-12)
-        np.testing.assert_allclose(b.s_tau[b.defaulted], a.s_tau[a.defaulted], rtol=1e-12)
+        np.testing.assert_allclose(b.tau, a.tau, rtol=1e-12)
+        np.testing.assert_allclose(b.s_tau, a.s_tau, rtol=1e-12)
 
 
 class TestFirmDrawSlot:
@@ -274,7 +317,7 @@ class TestFirmDrawSlot:
         assert hit.defaulted.any() and hit.scenario is not None
         for name in ("defaulted", "scenario", "tau"):
             assert np.array_equal(getattr(hit, name), getattr(cold, name))
-        assert np.array_equal(hit.s_tau, cold.s_tau, equal_nan=True)
+        assert np.array_equal(hit.s_tau, cold.s_tau)
         assert hit.default_prob_closed_form == cold.default_prob_closed_form
 
     @pytest.mark.parametrize("part", ["b", "H", "sigma", "bucket_end", "maturity", "n_paths",
@@ -304,16 +347,15 @@ class TestFirmDrawSlot:
         a = simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.0), curve, self.CFG)
         b = simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.5), curve, self.CFG)
         assert len(draws) == 1
-        for name in ("defaulted", "scenario"):
+        for name in ("defaulted", "scenario", "tau"):
             shared = getattr(b, name)
             assert shared is getattr(a, name)
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = shared[0]
-        for name in ("tau", "s_tau"):
-            assert not np.shares_memory(getattr(a, name), getattr(b, name))
+        assert not np.shares_memory(a.s_tau, b.s_tau)
         before = a.s_tau.copy()
         b.s_tau[:] = 0.0
-        assert np.array_equal(a.s_tau, before, equal_nan=True)
+        assert np.array_equal(a.s_tau, before)
 
 
 class TestIntensityPaths:
@@ -395,11 +437,11 @@ class TestCvaAndFairSpread:
     @pytest.mark.parametrize("spread", [0.0, 0.001, 0.01])
     def test_control_variate_is_the_regression_estimate(self, curve, crisis_paths, spread):
         _, ers, _, paths = crisis_paths
-        d = paths.defaulted
         payoff = np.zeros(paths.n_paths)
-        payoff[d] = ers.lgd * np.maximum(
-            ers_npv_at_default(paths.tau[d], paths.s_tau[d], ers, curve, spread), 0.0)
-        value, std_error = regression_control_variate(payoff, d, paths.default_prob_closed_form)
+        payoff[paths.defaulted] = ers.lgd * np.maximum(
+            ers_npv_at_default(paths.tau, paths.s_tau, ers, curve, spread), 0.0)
+        value, std_error = regression_control_variate(payoff, paths.defaulted,
+                                                      paths.default_prob_closed_form)
         est = ers_cva_term(paths, ers, curve, spread)
         assert est.value == pytest.approx(value, rel=1e-12)
         assert est.std_error == pytest.approx(std_error, rel=1e-12)
@@ -417,6 +459,27 @@ class TestCvaAndFairSpread:
         assert est.value == pytest.approx(0.6 * payoff.mean(), rel=1e-14)
         assert est.plain_value == pytest.approx(payoff.mean(), rel=1e-14)
         assert est.std_error == pytest.approx(est.plain_std_error, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 1, 37, 500])
+    def test_plain_statistics_count_the_surviving_paths(self, curve, ers, k):
+        # the plain estimate sees a 0 on each of the n - k paths that survive,
+        # as the zero-padded payoff does
+        n, rng = 500, np.random.default_rng(k)
+        defaulted = np.zeros(n, dtype=bool)
+        defaulted[rng.choice(n, size=k, replace=False)] = True
+        tau, s_tau = rng.uniform(0.0, ers.maturity, k), rng.uniform(5.0, 35.0, k)
+        paths = PathRecords(defaulted=defaulted, tau=tau, s_tau=s_tau,
+                            default_prob_closed_form=0.3)
+        padded = np.zeros(n)
+        padded[defaulted] = ers.lgd * np.maximum(
+            ers_npv_at_default(tau, s_tau, ers, curve, 0.001), 0.0)
+        assert k < 2 or 0 < np.count_nonzero(padded) < k
+        est = ers_cva_term(paths, ers, curve, 0.001)
+        assert est.plain_value == pytest.approx(padded.mean(), rel=1e-13, abs=0)
+        assert est.plain_std_error == pytest.approx(padded.std(ddof=1) / math.sqrt(n),
+                                                    rel=1e-13, abs=0)
+        result = ers_fair_spread_from_paths(paths, ers, curve)
+        assert result.default_prob_mc == k / n == np.mean(defaulted)
 
     def test_fixed_point_discounts_once_per_path_set(self, curve, crisis_paths, monkeypatch):
         # the Newton steps reuse the residual-value terms built once per path set
@@ -442,7 +505,7 @@ class TestCvaAndFairSpread:
         # one bad defaulted path names its input instead of an all-nan fixed point
         _, ers, _, paths = crisis_paths
         data = {"tau": paths.tau.copy(), "s_tau": paths.s_tau.copy()}
-        data[field][np.flatnonzero(paths.defaulted)[0]] = math.nan
+        data[field][0] = math.nan
         bad = PathRecords(defaulted=paths.defaulted, **data,
                           default_prob_closed_form=paths.default_prob_closed_form)
         with pytest.raises(DomainError, match=name):
@@ -491,8 +554,7 @@ class TestCvaAndFairSpread:
 
     def test_fair_spread_is_the_breakpoint_root(self, curve, crisis_paths):
         _, ers, cfg, paths = crisis_paths
-        d = paths.defaulted
-        fixed, per_spread, annuity = mc._npv_terms(paths.tau[d], paths.s_tau[d], ers, curve)
+        fixed, per_spread, annuity = mc._npv_terms(paths.tau, paths.s_tau, ers, curve)
         c = paths.default_prob_closed_form * ers.lgd / (fixed.size * ers.s0 * annuity)
         roots = fixed_point_by_breakpoints(fixed, per_spread, c)
         result = ers_fair_spread_from_paths(paths, ers, curve)

@@ -40,3 +40,17 @@ def test_calibration_traffic_prints_one_line_per_fit():
     assert fitted and all(len(x["repricing_errors_bp"]) == len(x["spreads_bp"])
                           and max(map(abs, x["repricing_errors_bp"])) < 0.01 for x in fitted)
     assert "polishes" in lines[2]["diagnostics"]["step1"]
+
+
+def test_ers_traffic_prints_one_line_per_cell():
+    done = run_script("ers_traffic.py", ["--paths", "3000", "--seeds", "1"])
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(x["preset"], x["seed"], x["model"], x["rho"]) for x in lines] == [
+        (preset, 20090916, model, rho) for preset in ("ers-paper-2009-09-16", "lehman-2008-09-12")
+        for model in ("at1p", "sbtv", "intensity") for rho in (-1.0, -0.2, 0.0, 0.5, 1.0)]
+    assert all(x["result"]["diagnostics"]["n_paths"] == 3000 for x in lines)
+    for preset in ("ers-paper-2009-09-16", "lehman-2008-09-12"):
+        # the intensity model is blind to the correlation: one price at every rho
+        anchor = [x["result"] for x in lines if (x["preset"], x["model"]) == (preset, "intensity")]
+        assert anchor[0]["fair_spread_bp"] > 0 and all(r == anchor[0] for r in anchor)
