@@ -15,7 +15,9 @@ search inside the bracket (`_newton_in_bracket`).  The models differ in
 the kernel, the clock rate, the bracket and the reported parameters.  The
 scenario model needs a preliminary best-fit of (H2, p1, sigma_bar) on the
 first three quotes before its volatility bootstrap: a bounded least-squares
-fit with the analytic Jacobian of the closed-form kernel, on the same grid.
+fit with the analytic Jacobian of the closed-form kernel, on the same grid,
+polished by a box-safeguarded Newton iteration (`_polish`), with scipy's
+trust-region least squares as its fallback.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ SIGMA_LO, SIGMA_HI = 1e-4, 5.0
 LAMBDA_LO, LAMBDA_HI = 0.0, 10.0
 CDS_FREQUENCY = 4
 STEP1_POLISH_STARTS = 4
-STEP1_TOL = 1e-12  # xtol, ftol and gtol of the step-1 least-squares polish
+STEP1_TOL = 1e-12  # an exact step-1 fit's cost, where Newton finishes; TRF's xtol, ftol, gtol
+STEP1_NEWTON_CAP = 12  # Newton's iterations per polish, and halvings per line search
+STEP1_NEWTON_CUTS = 6  # steps in a row that the box may cut before Newton gives up
 
 
 @dataclass
@@ -104,9 +108,11 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
     Step 1 best-fits (H2, p1, sigma_bar) to the first three quotes with a
     flat volatility: a deterministic multi-start bounded least-squares fit
     of the three spread errors in bp, which stops at the first start that
-    fits them exactly.  Step 2 freezes (H2, p1) and bootstraps every bucket
-    volatility to an exact fit, the first one's root-finder started at
-    sigma_bar.
+    fits them exactly.  Each start is polished by Newton's method kept inside
+    the box, and by scipy's TRF only where Newton does not finish at an exact
+    fit; `diagnostics.step1.newton_polishes` counts the polishes Newton
+    finished.  Step 2 freezes (H2, p1) and bootstraps every bucket volatility
+    to an exact fit, the first one's root-finder started at sigma_bar.
     """
     if not 0 < h1 < 1:
         raise DomainError("H1/V0 must lie in (0, 1)")
@@ -279,15 +285,15 @@ def _sbtv_step1(strip, legs, h1, b):
 
     The residuals are the three model-minus-quoted spreads in bp.  Their
     sum of squares is evaluated at every point of a fixed 3x3x3 start grid
-    (clipped into the box), all 27 in one kernel call, and a bounded
-    trust-region least-squares polish (TRF, every point inside the box) is
-    run from the best few, in rank order; ties are broken by the smaller H2
-    so the result is deterministic.  The polishes stop once the best cost is
-    at most STEP1_TOL: the three residuals are then zero to about 1e-6 bp,
-    and a later polish could beat that only by round-off.  A polish that
-    misses a zero falls back on the next start; off the presets the
-    best-ranked start sometimes stops in a local minimum where a later one
-    reaches the zero.  The three pillars' rows in `legs` (`_strip_legs`), on
+    (clipped into the box), all 27 in one kernel call, and a polish
+    (`_polish`: Newton kept inside the box, or TRF where Newton does not
+    finish) is run from the best few, in rank order; ties are broken by the
+    smaller H2 so the result is deterministic.  The polishes stop once the
+    best cost is at most STEP1_TOL: the three residuals are then zero to
+    about 1e-6 bp, and a later polish could beat that only by round-off.  A
+    polish that misses a zero falls back on the next start; off the presets
+    the best-ranked start sometimes stops in a local minimum where a later
+    one reaches the zero.  The three pillars' rows in `legs` (`_strip_legs`), on
     the third one's columns, are a 6-row matrix on survival there, kept
     C-contiguous so its products round as on that pillar's own grid.  A flat
     volatility has cumulative variance s = sigma_bar^2 t, so an evaluation is
@@ -301,10 +307,10 @@ def _sbtv_step1(strip, legs, h1, b):
     = -2 s dQ/ds / log H - a H^a Phi(d2).
 
     A start whose spreads are not finite (survival vanishes there, as at a
-    large negative b) is not polished, nor is the rest of a polish that
-    reaches a point whose gradient is not finite (TRF itself rejects a trial
-    step with non-finite spreads), and CalibrationError is raised when every
-    start fails.
+    large negative b) is not polished.  A polish that reaches a point whose
+    gradient is not finite hands the start from Newton to TRF, and fails the
+    start if TRF reaches one too (both reject a trial step with non-finite
+    spreads); CalibrationError is raised when every start fails.
     """
     _, grid, rows, columns = legs
     times = grid.times[columns[2]]
@@ -356,7 +362,7 @@ def _sbtv_step1(strip, legs, h1, b):
         spread_bp = lgd * protection / premium * 1e4
         jac = (lgd * 1e4 * d_legs[:3] - spread_bp[:, None] * d_legs[3:]) / premium[:, None]
         if not math.isfinite(np.dot(spread_bp - quoted_bp, jac).sum()):
-            raise FloatingPointError  # TRF's gradient, J^T residuals: no step from x
+            raise FloatingPointError  # the gradient J^T residuals: no step from x
         return jac
 
     lower, upper = np.array([h1 + 1e-6, 0.0, 1e-3]), np.array([1.0 - 1e-6, 1.0, 2.0])
@@ -367,14 +373,14 @@ def _sbtv_step1(strip, legs, h1, b):
         costs = np.sum(start_gaps ** 2, axis=1)
         finite = np.flatnonzero(np.all(np.isfinite(start_gaps), axis=1))
         ranked = [starts[i] for i in sorted(finite, key=lambda i: (costs[i], starts[i, 0]))]
-        best = None
+        best, newton_polishes = None, 0
         for polishes, x0 in enumerate(ranked[:STEP1_POLISH_STARTS], start=1):
             try:
-                res = least_squares(residuals, x0, jac=jacobian, bounds=(lower, upper),
-                                    method="trf", xtol=STEP1_TOL, ftol=STEP1_TOL, gtol=STEP1_TOL)
+                cost, x, newton_finished = _polish(residuals, jacobian, x0, lower, upper)
             except FloatingPointError:  # a failed start, like one with non-finite spreads
                 continue
-            cand = (res.cost, res.x[0], res.x)  # ties broken by smallest H2
+            newton_polishes += newton_finished
+            cand = (cost, x[0], x)  # ties broken by smallest H2
             if best is None or cand[:2] < best[:2]:
                 best = cand
             if best[0] <= STEP1_TOL:  # an exact fit: a later polish could gain only round-off
@@ -388,5 +394,58 @@ def _sbtv_step1(strip, legs, h1, b):
     step1 = {"h2": h2, "p1": p1, "sigma_bar": sigma_bar,
              "objective_bp2": float(2.0 * cost), "rms_bp": math.sqrt(2.0 * cost / 3.0),
              "multi_start_points": len(starts), "polishes": polishes,
-             "objective_evaluations": evaluations}
+             "newton_polishes": newton_polishes, "objective_evaluations": evaluations}
     return h2, p1, sigma_bar, step1
+
+
+def _polish(residuals, jacobian, x0, lower, upper):
+    """Least-squares polish of `residuals` r from x0 inside the box [lower, upper]:
+    (cost, x, newton_finished), cost = |r|^2 / 2.
+
+    Newton's method, globalised by a line search on the cost (Nocedal & Wright,
+    Numerical Optimization, 2nd ed., section 11.2): the step d solves J d = -r by
+    least squares, is cut to 0.995 of the distance to the box (fraction to the
+    boundary, ibid. section 19) and is halved until the cost falls by 1e-4 t |r|^2,
+    t the fraction of d taken; a trial with non-finite residuals fails.  Newton
+    finishes on a step below 1e-12 (1 + |x|), taken unless it raises the cost, at a
+    cost within STEP1_TOL.  Otherwise scipy's TRF polishes from x0: after a failed
+    line search, STEP1_NEWTON_CAP iterations, a gradient that is not finite
+    (`jacobian` raises FloatingPointError, which propagates from TRF), or more than
+    STEP1_NEWTON_CUTS steps in a row cut by the box.  Near a zero, which lies inside
+    the box, the steps are not cut: such a run is crawling towards a face.
+    """
+    x, r = x0, residuals(x0)
+    cost = 0.5 * (r @ r)
+    cut = 0  # the steps in a row that the box has cut
+    try:
+        for _ in range(STEP1_NEWTON_CAP):
+            d = np.linalg.lstsq(jacobian(x), -r)[0]
+            moving = d != 0.0
+            room = (np.where(d > 0.0, upper, lower) - x)[moving] / d[moving]
+            t = min(1.0, 0.995 * room.min(initial=np.inf))
+            cut = cut + 1 if t < 1.0 else 0
+            if cut > STEP1_NEWTON_CUTS:
+                break
+            if np.linalg.norm(t * d) <= 1e-12 * (1.0 + np.linalg.norm(x)):
+                trial = x + t * d
+                r_trial = residuals(trial)
+                if r_trial @ r_trial <= r @ r:
+                    x, cost = trial, 0.5 * (r_trial @ r_trial)
+                if cost <= STEP1_TOL:
+                    return cost, x, True
+                break
+            for _ in range(STEP1_NEWTON_CAP):
+                trial = x + t * d
+                r_trial = residuals(trial)
+                cost_trial = 0.5 * (r_trial @ r_trial)
+                if cost_trial <= cost - 2e-4 * t * cost:  # False where it is not finite
+                    break
+                t *= 0.5
+            else:
+                break
+            x, r, cost = trial, r_trial, cost_trial
+    except FloatingPointError:
+        pass
+    res = least_squares(residuals, x0, jac=jacobian, bounds=(lower, upper), method="trf",
+                        xtol=STEP1_TOL, ftol=STEP1_TOL, gtol=STEP1_TOL)
+    return res.cost, res.x, False

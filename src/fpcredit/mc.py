@@ -229,8 +229,11 @@ def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
     if log_h.size == 1:  # drawing the one scenario would still consume variates
         scenario, x0 = None, -log_h[0]
     else:
-        scenario = firm_rng.choice(log_h.size, size=n_paths,
-                                   p=[p for _, p in model.scenarios])
+        # Generator.choice(size=n_paths, p=...) without its checks and binary search:
+        # the same uniforms, each counted against the cdf normalised as numpy does
+        cdf = np.cumsum([p for _, p in model.scenarios])
+        cdf /= cdf[-1]
+        scenario = (firm_rng.random(n_paths)[:, None] >= cdf[:-1]).sum(axis=1)
         x0 = -log_h[scenario]
     nu = 0.5 - model.b
     v_star = _first_passage_variance(firm_rng, x0, nu, n_paths)
@@ -291,12 +294,21 @@ def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract, curve: Disco
     piecewise-exponential survival, independent of the equity path.
 
     Only the defaulted paths' equity value matters for the adjustment, and
-    under independence S_tau can be sampled exactly in one shot on them.
+    under independence S_tau can be sampled exactly in one shot on them.  Each
+    path defaults where the clock c reaches its unit exponential draw, and only
+    the draws up to c(T (1 + 1e-9)) (1 + 1e-9), T the maturity, are inverted:
+    past that margin, in time and in the clock, no rounding of the inverse comes
+    back to T, so the defaulted paths are those of inverting every draw.
     """
     rng = np.random.default_rng(cfg.rng_seed)
-    tau = hazard.clock.inverse(-np.log(rng.random(cfg.n_paths)))
-    defaulted = tau <= ers.maturity
-    tau = tau[defaulted]
+    clock, maturity = hazard.clock, ers.maturity
+    level = -np.log(rng.random(cfg.n_paths))
+    near = np.flatnonzero(level <= clock(maturity * (1.0 + 1e-9)) * (1.0 + 1e-9))
+    tau = clock.inverse(level[near])
+    hit = tau <= maturity
+    defaulted = np.zeros(cfg.n_paths, dtype=bool)
+    defaulted[near[hit]] = True
+    tau = tau[hit]
     s_tau = _equity_at_default(tau, np.sqrt(tau) * rng.standard_normal(tau.size), ers, curve)
     pd_closed = 1.0 - survival(hazard, ers.maturity)
     return PathRecords(defaulted=defaulted, tau=tau, s_tau=s_tau,

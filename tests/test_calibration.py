@@ -189,12 +189,96 @@ class TestSbtvStep1:
     def test_falls_back_past_a_polish_that_misses_the_zero(self, monkeypatch, flat_curve,
                                                           convention):
         # the best-ranked start stops in a local minimum; the next reaches the zero
-        costs = _record_polish_costs(monkeypatch)
+        polishes = _record_polishes(monkeypatch)
         strip = small_strip([443.7691, 546.9414, 561.0056])
         *_, step1 = sbtv_step1(strip, flat_curve, convention)
+        costs = _costs(polishes)
         assert step1["polishes"] == len(costs) == 2
         assert costs[0] > 100.0 and costs[1] <= calibration.STEP1_TOL
         assert step1["rms_bp"] < 1e-10
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    @pytest.mark.parametrize("name", sorted(STRIP_PRESETS))
+    def test_newton_finishes_at_the_trf_point(self, monkeypatch, flat_curve, name, convention):
+        # Newton's polish from the best-ranked start ends where TRF's from it does
+        polishes = _record_polishes(monkeypatch)
+        h2, p1, sigma_bar, step1 = sbtv_step1(preset_strip(name), flat_curve, convention)
+        assert step1["polishes"] == step1["newton_polishes"] == len(polishes) == 1
+        (args, (cost, x, newton_finished)), = polishes
+        assert newton_finished and cost <= calibration.STEP1_TOL
+        assert (h2, p1, sigma_bar) == tuple(x)
+        monkeypatch.setattr(calibration, "STEP1_NEWTON_CAP", 0)  # TRF alone
+        _, trf_x, trf_newton = calibration._polish(*args)
+        assert not trf_newton
+        assert x == pytest.approx(trf_x, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    @pytest.mark.parametrize("spreads", [
+        [443.7691, 546.9414, 561.0056], [300.0, 200.0, 100.0], [50.0, 300.0, 250.0]])
+    def test_every_polish_point_is_inside_the_open_box(self, monkeypatch, flat_curve,
+                                                       spreads, convention):
+        # Newton's fraction-to-boundary rule, like TRF, never evaluates a point on
+        # or past a bound, also where the steps run towards a face
+        points = []
+        real = calibration._polish
+
+        def recording(residuals, jacobian, x0, lower, upper):
+            def seen(x):
+                points.append((x.copy(), lower, upper))
+                return residuals(x)
+            return real(seen, jacobian, x0, lower, upper)
+
+        monkeypatch.setattr(calibration, "_polish", recording)
+        for strip in (small_strip(spreads), preset_strip("lehman-2008-09-12")):
+            sbtv_step1(strip, flat_curve, convention)
+        assert len(points) > 20
+        assert all(np.all(lower < x) and np.all(x < upper) for x, lower, upper in points)
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    @pytest.mark.parametrize("spreads", [[300.0, 200.0, 100.0], [50.0, 300.0, 250.0]])
+    def test_without_a_zero_every_polish_is_trf_alone(self, monkeypatch, flat_curve,
+                                                       spreads, convention):
+        # the inverted and the humped strip: no point fits them, so Newton never
+        # finishes, and step 1 ends bit for bit where TRF alone from each start does
+        strip = small_strip(spreads)
+        *fit, step1 = sbtv_step1(strip, flat_curve, convention)
+        assert step1["newton_polishes"] == 0
+        assert step1["polishes"] == calibration.STEP1_POLISH_STARTS
+        monkeypatch.setattr(calibration, "STEP1_NEWTON_CAP", 0)
+        *trf_fit, trf_step1 = sbtv_step1(strip, flat_curve, convention)
+        assert fit == trf_fit
+        assert trf_step1["objective_evaluations"] < step1["objective_evaluations"]
+        assert ({**step1, "objective_evaluations": 0}
+                == {**trf_step1, "objective_evaluations": 0})
+
+    def test_newton_at_its_iteration_cap_is_not_accepted(self, monkeypatch):
+        # Newton on x^2 = a takes full steps and stops in its m-th iteration, on a step
+        # below 1e-12.  Capped at m - 1 iterations it ends on the same point, at a cost
+        # within STEP1_TOL, but not on that stop: the polish is TRF's from x0
+        target = np.array([0.5, 0.7, 1.3])
+        x0, lower, upper = np.ones(3), np.full(3, 0.1), np.full(3, 2.0)
+        points, jacobians = [], []
+
+        def residuals(x):
+            points.append(x)
+            return x * x - target
+
+        def jacobian(x):
+            jacobians.append(x)
+            return np.diag(2.0 * x)
+
+        cost, _, newton_finished = calibration._polish(residuals, jacobian, x0, lower, upper)
+        assert newton_finished and cost <= calibration.STEP1_TOL
+        iterations = len(jacobians)
+        assert iterations > 3 and len(points) == iterations + 1  # x0, one trial per iteration
+        monkeypatch.setattr(calibration, "STEP1_NEWTON_CAP", iterations - 1)
+        points.clear()
+        capped = calibration._polish(residuals, jacobian, x0, lower, upper)
+        at_cap = points[iterations - 1]  # x0 and the full steps come before TRF's points
+        assert 0.5 * np.sum(residuals(at_cap) ** 2) <= calibration.STEP1_TOL
+        monkeypatch.setattr(calibration, "STEP1_NEWTON_CAP", 0)
+        trf = calibration._polish(residuals, jacobian, x0, lower, upper)
+        assert not capped[2] and capped[0] == trf[0] and np.array_equal(capped[1], trf[1])
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
     def test_inverted_strip_keeps_its_residual(self, flat_curve, convention):
@@ -210,7 +294,23 @@ class TestSbtvStep1:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_polish_whose_gradient_is_not_finite_fails_its_start(self, monkeypatch,
                                                                   flat_curve, bad):
-        # TRF would stop in its SVD at such an iterate; the next start reaches the zero
+        # the gradient at the first start is not finite for Newton, then for TRF (which
+        # would stop in its SVD there): the start fails, and the next reaches the zero
+        real, calls = calibration.first_passage_slope, []
+
+        def bad_twice(log_h, b, s):
+            calls.append(s)
+            return real(log_h, b, s) * (bad if len(calls) <= 2 else 1.0)
+
+        monkeypatch.setattr(calibration, "first_passage_slope", bad_twice)
+        polishes = _record_polishes(monkeypatch)
+        *_, step1 = sbtv_step1(preset_strip("lehman-2008-06-12"), flat_curve, "postponed")
+        assert step1["polishes"] == 2 and step1["rms_bp"] < 1e-10
+        assert len(polishes) == 1  # the first polish raised
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_gradient_not_finite_for_newton_hands_the_start_to_trf(self, monkeypatch,
+                                                                    flat_curve, bad):
         real, calls = calibration.first_passage_slope, []
 
         def bad_once(log_h, b, s):
@@ -219,7 +319,8 @@ class TestSbtvStep1:
 
         monkeypatch.setattr(calibration, "first_passage_slope", bad_once)
         *_, step1 = sbtv_step1(preset_strip("lehman-2008-06-12"), flat_curve, "postponed")
-        assert step1["polishes"] == 2 and step1["rms_bp"] < 1e-10
+        assert step1["polishes"] == 1 and step1["newton_polishes"] == 0
+        assert step1["rms_bp"] < 1e-10
 
     def test_no_polish_with_a_finite_gradient_is_a_calibration_error(self, monkeypatch,
                                                                      flat_curve):
@@ -240,8 +341,9 @@ class TestSbtvStep1:
         [443.7691, 546.9414, 561.0056], [300.0, 200.0, 100.0], [50.0, 300.0, 250.0],
         [200.0, 300.0, 350.0], [20.0, 40.0, 60.0]])
     def test_stops_only_at_an_exact_fit(self, monkeypatch, flat_curve, spreads, convention):
-        costs = _record_polish_costs(monkeypatch)
+        polishes = _record_polishes(monkeypatch)
         *_, step1 = sbtv_step1(small_strip(spreads), flat_curve, convention)
+        costs = _costs(polishes)
         assert step1["polishes"] == len(costs) <= calibration.STEP1_POLISH_STARTS
         assert step1["objective_bp2"] == 2.0 * min(costs)
         assert all(c > calibration.STEP1_TOL for c in costs[:-1])
@@ -271,7 +373,7 @@ class TestSbtvStep1:
         # at the TestLegGridReuse points and on the sigma_bar = 1e-3 and h2 = 1 - 1e-6
         # bounds (at sigma_bar = 1e-3 survival is 1 to the last bit unless H2 is near 1);
         # a five-point central difference, its steps kept below 1 - h2
-        monkeypatch.setattr(calibration, "least_squares", _capture_objective)
+        monkeypatch.setattr(calibration, "_polish", _capture_objective)
         with pytest.raises(_Captured) as captured:
             sbtv_step1(preset_strip("lehman-2008-09-12"), flat_curve, convention)
         residuals, jacobian = captured.value.args
@@ -390,26 +492,31 @@ class TestParameterDicts:
         assert cls.from_dict(json.loads(json.dumps(report.parameters))) == params
 
 
-def _record_polish_costs(monkeypatch):
-    """Wrap step 1's `least_squares`; the returned list collects each polish's cost."""
-    costs = []
-    real = calibration.least_squares
+def _record_polishes(monkeypatch):
+    """Wrap step 1's `_polish`; the returned list collects the arguments and the
+    result, (cost, x, newton_finished), of each polish that returns."""
+    polishes = []
+    real = calibration._polish
 
-    def recording(*args, **kwargs):
-        res = real(*args, **kwargs)
-        costs.append(res.cost)
-        return res
+    def recording(*args):
+        result = real(*args)
+        polishes.append((args, result))
+        return result
 
-    monkeypatch.setattr(calibration, "least_squares", recording)
-    return costs
+    monkeypatch.setattr(calibration, "_polish", recording)
+    return polishes
+
+
+def _costs(polishes):
+    return [cost for _, (cost, _, _) in polishes]
 
 
 class _Captured(Exception):
     pass
 
 
-def _capture_objective(fun, x0, **kwargs):
-    raise _Captured(fun, kwargs.get("jac"))
+def _capture_objective(residuals, jacobian, x0, lower, upper):
+    raise _Captured(residuals, jacobian)
 
 
 class TestLegGridReuse:
@@ -426,7 +533,7 @@ class TestLegGridReuse:
         spreads = [fair_spread(make_schedule(0.0, t, 4), flat_curve, params, 0.4, convention)
                    for t in tenors]
         strip = CdsQuoteStrip(tuple(CdsQuote(t, s * 1e4) for t, s in zip(tenors, spreads)))
-        monkeypatch.setattr(calibration, "least_squares", _capture_objective)
+        monkeypatch.setattr(calibration, "_polish", _capture_objective)
         with pytest.raises(_Captured) as captured:
             sbtv_step1(strip, flat_curve, convention, h1)
         residuals = captured.value.args[0]

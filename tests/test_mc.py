@@ -169,6 +169,28 @@ class TestDefaultSampling:
         frac = np.mean(paths.scenario == 0)
         assert frac == pytest.approx(0.7, abs=3 * math.sqrt(0.7 * 0.3 / 50_000))
 
+    @pytest.mark.parametrize("scenarios", [((0.4, 0.962), (0.73, 0.038)),
+                                           ((0.3, 0.2), (0.6, 0.5), (0.85, 0.3))])
+    def test_scenario_draw_is_generator_choice(self, monkeypatch, scenarios):
+        # the scenarios firm_rng.choice(k, size=n, p=...) draws, and the firm stream
+        # left where choice leaves it for the first-passage draw that follows
+        model = SbtvParams(scenarios, 0.0, THREE_BUCKETS)
+        states, real = [], mc._first_passage_variance
+
+        def recording(rng, x0, nu, n):
+            states.append(rng.bit_generator.state)
+            return real(rng, x0, nu, n)
+
+        monkeypatch.setattr(mc, "_first_passage_variance", recording)
+        for seed in (1, 7, 4244, 20090916):
+            draw = mc._firm_draw(model, 5.0, 20_000, seed)
+            firm_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+            chosen = firm_rng.choice(len(scenarios), size=20_000,
+                                     p=[p for _, p in scenarios])
+            assert np.array_equal(draw.scenario, chosen)
+            assert draw.scenario.dtype == chosen.dtype
+            assert states[-1] == firm_rng.bit_generator.state
+
     def test_one_scenario_sbtv_draws_the_at1p_paths(self, curve, ers):
         at1p = At1pParams(0.4, 0.0, THREE_BUCKETS)
         mix = SbtvParams(at1p.scenarios, 0.0, THREE_BUCKETS)
@@ -366,6 +388,57 @@ class TestIntensityPaths:
         pd_cf = paths.default_prob_closed_form
         se = math.sqrt(pd_cf * (1 - pd_cf) / cfg.n_paths)
         assert abs(paths.defaulted.mean() - pd_cf) < 3.5 * se
+
+    @pytest.mark.parametrize("hazard", [
+        HazardCurve((2.0, 30.0), (0.05, 0.03)),
+        HazardCurve((1.0, 3.0, 5.0, 7.0), (0.23, 0.09, 0.05, 0.06)),  # 5y on a knot
+        HazardCurve((4.99, 5.0, 10.0), (1e-4, 10.0, 0.02))])  # a step up at maturity
+    def test_records_equal_inverting_every_draw(self, curve, ers, hazard):
+        for seed in (1, 9, 4244):
+            cfg = SimulationConfig(n_paths=20_000, rng_seed=seed)
+            paths = simulate_intensity_paths(hazard, ers, curve, cfg)
+            rng = np.random.default_rng(seed)
+            tau = hazard.clock.inverse(-np.log(rng.random(cfg.n_paths)))
+            defaulted = tau <= ers.maturity
+            tau = tau[defaulted]
+            s_tau = mc._equity_at_default(
+                tau, np.sqrt(tau) * rng.standard_normal(tau.size), ers, curve)
+            assert defaulted.any() and not defaulted.all()
+            assert np.array_equal(paths.defaulted, defaulted)
+            assert np.array_equal(paths.tau, tau) and np.array_equal(paths.s_tau, s_tau)
+
+    @pytest.mark.parametrize("hazard", [
+        HazardCurve((1.0, 3.0, 5.0, 7.0), (0.23, 0.09, 0.05, 0.06)),
+        HazardCurve((0.7, 5.7), (0.4, 0.25)),
+        # a step up at maturity: up to ~2e4 ulps past the clock there invert to 5.0
+        HazardCurve((5.0, 10.0), (1e-4, 10.0)),
+        HazardCurve((4.9, 10.0), (1e-4, 10.0))])
+    def test_draws_at_the_maturity_clock_default_as_when_every_draw_is_inverted(
+            self, monkeypatch, curve, ers, hazard):
+        # exponential draws from 1e7 ulps below the clock at maturity to 1e7 above,
+        # densest near it, where the inverse rounds either way
+        c = hazard.clock(ers.maturity)
+        far = np.logspace(3.0, 7.0, 400)
+        ulps = np.concatenate((-far[::-1], np.arange(-1000, 1001), far))
+        exposure = c + ulps * np.spacing(c)
+        real_rng = np.random.default_rng
+
+        class Draws:
+            def __init__(self, seed):
+                self.normals = real_rng(seed)
+
+            def random(self, n):
+                return np.exp(-exposure)
+
+            def standard_normal(self, n):
+                return self.normals.standard_normal(n)
+
+        monkeypatch.setattr(np.random, "default_rng", Draws)
+        paths = simulate_intensity_paths(
+            hazard, ers, curve, SimulationConfig(n_paths=exposure.size, rng_seed=3))
+        tau = hazard.clock.inverse(-np.log(np.exp(-exposure)))
+        assert np.array_equal(paths.defaulted, tau <= ers.maturity)
+        assert 0 < paths.defaulted.sum() < exposure.size
 
     def test_zero_hazard_gives_zero_spread(self, curve, ers):
         hazard = HazardCurve((30.0,), (0.0,))
