@@ -12,9 +12,8 @@ from .errors import (CalibrationError, ConfigurationError, DegenerateInputError,
                      DomainError, FpcreditError)
 from .mc import (CvaEstimate, ErsContract, ErsPricingResult, PathRecords,
                  SimulationConfig, ers_cva_term, ers_fair_spread,
-                 ers_fair_spread_from_paths, ers_npv_at_default,
-                 make_ers_contract, simulate_intensity_paths,
-                 simulate_joint_paths)
+                 ers_fair_spread_from_paths, make_ers_contract,
+                 simulate_intensity_paths, simulate_joint_paths)
 from .presets import preset_checksum, preset_strip
 from .quotes import CdsQuote, CdsQuoteStrip, read_quote_csv, write_quote_csv
 from .survival import (At1pParams, HazardCurve, SbtvParams,

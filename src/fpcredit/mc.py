@@ -25,9 +25,8 @@ count and the seed, so a correlation sweep that calls model by model draws
 each model once, and its paths pair across correlations by construction.
 Each call then only mixes the two Brownian motions and maps them to the
 equity at default; its records and the pricer hold both only on the
-defaulted paths, and do no work on the others.  The slot keeps about
-1 + 24 P(default) bytes per path, 8 more with several barrier scenarios,
-until a call with another key replaces it.
+defaulted paths, and do no work on the others.  The slot keeps
+24 P(default) bytes per path until a call with another key replaces it.
 """
 
 from __future__ import annotations
@@ -82,9 +81,9 @@ class ErsContract:
         return 1.0 - self.recovery
 
 
-# A cold sampler call and the pricer peak at 14-106 bytes per path, more as
+# A cold sampler call and the pricer peak at 14-98 bytes per path, more as
 # more paths default, the kept firm draw included, so this caps a run's
-# memory near 1.1 GB.
+# memory near 1 GB.
 MAX_PATHS = 10_000_000
 
 
@@ -103,27 +102,33 @@ class SimulationConfig:
 
 @dataclass
 class PathRecords:
-    """Simulation output sufficient for ERS pricing; `tau` and `s_tau` hold one
-    entry per defaulted path, in the order `defaulted` selects them."""
+    """Simulation output sufficient for ERS pricing: the path count, and the
+    default time and the equity at default on the k <= n_paths paths that
+    default.  The pricer sees a 0 on each of the others."""
 
-    defaulted: np.ndarray          # bool per path
-    tau: np.ndarray                # default time, on the defaulted paths
+    n_paths: int
+    tau: np.ndarray                # default time, one entry per defaulted path
     s_tau: np.ndarray              # equity at default, likewise
     default_prob_closed_form: float
-    scenario: np.ndarray | None = None        # barrier scenario per path; None for one
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if getattr(self.defaulted, "dtype", None) != bool or self.defaulted.ndim != 1:
-            raise DomainError("defaulted must be a 1-d bool array")
-        k = np.count_nonzero(self.defaulted)
-        for name in ("tau", "s_tau"):
-            if np.shape(getattr(self, name)) != (k,):
-                raise DomainError(f"{name} must be 1-d with one entry per defaulted path ({k})")
-
-    @property
-    def n_paths(self) -> int:
-        return self.defaulted.size
+        _require_integer(self, "n_paths")
+        if self.n_paths < 2:
+            raise DomainError("n_paths must be at least 2")
+        require_finite(self, "default_prob_closed_form")
+        if not 0 <= self.default_prob_closed_form <= 1:
+            raise DomainError("default_prob_closed_form must lie in [0, 1]")
+        if np.ndim(self.tau) != 1 or np.size(self.tau) > self.n_paths:
+            raise DomainError(f"tau must be 1-d with one entry per defaulted path, "
+                              f"at most n_paths ({self.n_paths})")
+        if np.shape(self.s_tau) != np.shape(self.tau):
+            raise DomainError(f"s_tau must be 1-d with one entry per defaulted path, "
+                              f"as tau ({np.size(self.tau)})")
+        for name, value in (("default time tau", self.tau),
+                            ("equity at default s_tau", self.s_tau)):
+            if not np.all(np.isfinite(value)):
+                raise DomainError(f"{name} must be finite")
 
 
 @dataclass
@@ -207,10 +212,9 @@ def _equity_at_default(tau, shock, ers: ErsContract, curve: DiscountCurve):
 
 
 class _FirmDraw(NamedTuple):
-    """The correlation-free part of a joint path set, as read-only arrays."""
+    """The correlation-free part of a joint path set, on the defaulted paths
+    only, as read-only arrays: 24 bytes per defaulted path."""
 
-    defaulted: np.ndarray          # bool per path
-    scenario: np.ndarray | None    # barrier scenario per path; None for one
     tau: np.ndarray                # default time, on the defaulted paths
     w1: np.ndarray                 # the firm's Brownian motion at default, likewise
     w2: np.ndarray                 # the equity's own Brownian motion at default, likewise
@@ -227,14 +231,14 @@ def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
                             for s in np.random.SeedSequence(seed).spawn(2))
     log_h = np.array([math.log(h) for h, _ in model.scenarios])
     if log_h.size == 1:  # drawing the one scenario would still consume variates
-        scenario, x0 = None, -log_h[0]
+        x0 = -log_h[0]
     else:
         # Generator.choice(size=n_paths, p=...) without its checks and binary search:
-        # the same uniforms, each counted against the cdf normalised as numpy does
+        # the same uniforms, each counted against the cdf normalised as numpy does;
+        # the scenario index per path is a temporary
         cdf = np.cumsum([p for _, p in model.scenarios])
         cdf /= cdf[-1]
-        scenario = (firm_rng.random(n_paths)[:, None] >= cdf[:-1]).sum(axis=1)
-        x0 = -log_h[scenario]
+        x0 = -log_h[(firm_rng.random(n_paths)[:, None] >= cdf[:-1]).sum(axis=1)]
     nu = 0.5 - model.b
     v_star = _first_passage_variance(firm_rng, x0, nu, n_paths)
 
@@ -248,10 +252,9 @@ def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
                              knot_v, sigmas)
     tau = np.minimum(clock.inverse(v_def), maturity)  # the round trip can overshoot
     w2 = np.sqrt(tau) * equity_rng.standard_normal(v_def.size)
-    for shared in (defaulted, scenario, tau, w1, w2):
-        if shared is not None:
-            shared.flags.writeable = False
-    return _FirmDraw(defaulted, scenario, tau, w1, w2, 1.0 - survival(model, maturity))
+    for shared in (tau, w1, w2):
+        shared.flags.writeable = False
+    return _FirmDraw(tau, w1, w2, 1.0 - survival(model, maturity))
 
 
 _last_draw = None  # (key, _FirmDraw) of the last joint simulation
@@ -267,9 +270,8 @@ def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
     (`_firm_draw`) does not depend on the correlation, and the last one is
     kept: a call with the same model, maturity, path count and seed reuses
     it, so default times are identical across correlations at a fixed seed
-    and only the equity at default is computed again.  `defaulted`,
-    `scenario` and `tau` are then shared between the calls' records, and
-    read-only; `s_tau` is each call's own.
+    and only the equity at default is computed again.  `tau` is then shared
+    between the calls' records, and read-only; `s_tau` is each call's own.
     """
     global _last_draw
     if not isinstance(model, (At1pParams, SbtvParams)):
@@ -283,9 +285,9 @@ def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
     draw, rho = slot[1], ers.rho
     s_tau = _equity_at_default(
         draw.tau, rho * draw.w1 + math.sqrt(1.0 - rho * rho) * draw.w2, ers, curve)
-    return PathRecords(defaulted=draw.defaulted, tau=draw.tau, s_tau=s_tau,
+    return PathRecords(n_paths=cfg.n_paths, tau=draw.tau, s_tau=s_tau,
                        default_prob_closed_form=draw.default_prob_closed_form,
-                       scenario=draw.scenario, diagnostics={"seed": cfg.rng_seed})
+                       diagnostics={"seed": cfg.rng_seed})
 
 
 def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract, curve: DiscountCurve,
@@ -303,15 +305,11 @@ def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract, curve: Disco
     rng = np.random.default_rng(cfg.rng_seed)
     clock, maturity = hazard.clock, ers.maturity
     level = -np.log(rng.random(cfg.n_paths))
-    near = np.flatnonzero(level <= clock(maturity * (1.0 + 1e-9)) * (1.0 + 1e-9))
-    tau = clock.inverse(level[near])
-    hit = tau <= maturity
-    defaulted = np.zeros(cfg.n_paths, dtype=bool)
-    defaulted[near[hit]] = True
-    tau = tau[hit]
+    tau = clock.inverse(level[level <= clock(maturity * (1.0 + 1e-9)) * (1.0 + 1e-9)])
+    tau = tau[tau <= maturity]
     s_tau = _equity_at_default(tau, np.sqrt(tau) * rng.standard_normal(tau.size), ers, curve)
     pd_closed = 1.0 - survival(hazard, ers.maturity)
-    return PathRecords(defaulted=defaulted, tau=tau, s_tau=s_tau,
+    return PathRecords(n_paths=cfg.n_paths, tau=tau, s_tau=s_tau,
                        default_prob_closed_form=pd_closed,
                        diagnostics={"seed": cfg.rng_seed, "model": "intensity"})
 
@@ -329,9 +327,6 @@ def _npv_terms(tau, s_tau, ers: ErsContract, curve: DiscountCurve):
         per_spread = K*S0 * sum_{i >= beta(tau)} P(0,T_i) alpha_i
     """
     tau, s_tau = np.asarray(tau, dtype=float), np.asarray(s_tau, dtype=float)
-    for name, value in (("default time tau", tau), ("equity at default s_tau", s_tau)):
-        if not np.all(np.isfinite(value)):
-            raise DomainError(f"{name} must be finite")
     if np.any(tau > ers.maturity):
         raise DomainError("default after maturity: residual NPV undefined")
     sched = ers.schedule
@@ -343,13 +338,6 @@ def _npv_terms(tau, s_tau, ers: ErsContract, curve: DiscountCurve):
     fixed = (ks0 * curve.discount(sched.previous_date(tau))
              - ers.stock_count * curve.discount(tau) * s_tau)
     return fixed, per_spread, float(tails[0])
-
-
-def ers_npv_at_default(tau, s_tau, ers: ErsContract, curve: DiscountCurve, spread: float):
-    """Discounted-to-0 residual swap value at default, P(0,tau) * NPV(tau)."""
-    fixed, per_spread, _ = _npv_terms(tau, s_tau, ers, curve)
-    out = fixed + per_spread * spread
-    return float(out) if np.isscalar(tau) else out
 
 
 def _cva_estimate(paths: PathRecords, payoff) -> CvaEstimate:

@@ -1,11 +1,21 @@
 """Independent reference implementations that the tests check the library against,
-and hand-built inputs."""
+hand-built inputs, and the library's residual NPV at default in the oracle's form."""
 
 import math
 
 import numpy as np
 
-from fpcredit import DiscountCurve, DomainError, ErsContract, PathRecords
+from fpcredit import DiscountCurve, DomainError, ErsContract, PathRecords, mc
+
+
+def npv_three_term(tau, s_tau, ers: ErsContract, curve: DiscountCurve, spread: float):
+    """The library's discounted residual swap value at default, P(0,tau) * NPV(tau):
+    fixed + per_spread * spread from `mc._npv_terms`, the three-term form the
+    pricer uses, for a scalar or an array of defaults.  Not an oracle: the tests
+    check it against `ers_npv_at_default_termwise`."""
+    fixed, per_spread, _ = mc._npv_terms(tau, s_tau, ers, curve)
+    out = fixed + per_spread * spread
+    return float(out) if np.isscalar(tau) else out
 
 
 def ers_npv_at_default_termwise(tau: float, s_tau: float, ers: ErsContract,
@@ -80,5 +90,5 @@ def early_default_paths(ers: ErsContract, default_prob: float, n: int = 1_000) -
     recovery the fair-spread equation has no root."""
     rng = np.random.default_rng(5)
     tau = rng.uniform(0.0, ers.schedule.dates[0], n)
-    return PathRecords(defaulted=np.ones(n, dtype=bool), tau=tau, s_tau=rng.uniform(5.0, 25.0, n),
+    return PathRecords(n_paths=n, tau=tau, s_tau=rng.uniform(5.0, 25.0, n),
                        default_prob_closed_form=default_prob)

@@ -8,11 +8,11 @@ from scipy.stats import norm
 from fpcredit import (At1pParams, DegenerateInputError, DiscountCurve, DomainError,
                       HazardCurve, PathRecords, SbtvParams, SimulationConfig,
                       VolatilityTermStructure, at1p_survival, ers_cva_term, ers_fair_spread,
-                      ers_fair_spread_from_paths, ers_npv_at_default, make_ers_contract,
-                      sbtv_survival, simulate_intensity_paths, simulate_joint_paths)
+                      ers_fair_spread_from_paths, make_ers_contract, sbtv_survival,
+                      simulate_intensity_paths, simulate_joint_paths)
 from fpcredit import mc
 from oracles import (early_default_paths, ers_npv_at_default_termwise,
-                     fixed_point_by_breakpoints, regression_control_variate)
+                     fixed_point_by_breakpoints, npv_three_term, regression_control_variate)
 
 # three buckets and a flat tail: the 5y maturity lies past the last bucket
 THREE_BUCKETS = VolatilityTermStructure((1.0, 2.0, 4.0), (0.35, 0.25, 0.30))
@@ -34,6 +34,19 @@ def equity_ratio(paths, ers, curve):
     """P(0,tau) e^{q tau} S_tau / s0 on the defaulted paths."""
     return (np.asarray(curve.discount(paths.tau)) * np.exp(ers.dividend_yield * paths.tau)
             * paths.s_tau / ers.s0)
+
+
+def record_starts(monkeypatch):
+    """The start x0 of every first-passage draw made from here on, from an empty slot."""
+    monkeypatch.setattr(mc, "_last_draw", None)
+    starts, real = [], mc._first_passage_variance
+
+    def recording(rng, x0, nu, n):
+        starts.append(x0)
+        return real(rng, x0, nu, n)
+
+    monkeypatch.setattr(mc, "_first_passage_variance", recording)
+    return starts
 
 
 def survival_from(y, mu, v):
@@ -87,46 +100,56 @@ class TestConfig:
 
 
 class TestPathRecords:
-    """`defaulted` is a bool per path; tau and s_tau hold one entry per defaulted path."""
-
-    DEFAULTED = np.array([False, True, False, True, True])
+    """The path count n, and tau and s_tau on the k <= n paths that default."""
 
     def records(self, **changes):
-        fields = {"defaulted": self.DEFAULTED, "tau": np.array([0.5, 1.0, 2.0]),
+        fields = {"n_paths": 5, "tau": np.array([0.5, 1.0, 2.0]),
                   "s_tau": np.array([18.0, 20.0, 22.0]), "default_prob_closed_form": 0.5}
         return PathRecords(**{**fields, **changes})
 
     def test_one_entry_per_defaulted_path(self):
         assert self.records().n_paths == 5
-        none = self.records(defaulted=np.zeros(5, dtype=bool), tau=np.empty(0), s_tau=[])
-        assert none.n_paths == 5
+        assert self.records(n_paths=np.int64(3)).n_paths == 3
+        none = self.records(n_paths=2, tau=np.empty(0), s_tau=[])
+        assert none.n_paths == 2 and none.tau.size == 0
+        for p in (0.0, 1.0):
+            assert self.records(default_prob_closed_form=p).default_prob_closed_form == p
 
-    @pytest.mark.parametrize("defaulted", [
-        [False, True, False, True, True],
-        np.array([0, 1, 0, 1, 1]),
-        np.array([0.0, 1.0, 0.0, 1.0, 1.0]),
-        np.array([[False, True, False, True, True]]),
-        np.bool_(True),
-    ], ids=["list", "int", "float", "2-d", "0-d"])
-    def test_defaulted_must_be_a_1d_bool_array(self, defaulted):
-        with pytest.raises(DomainError, match="defaulted must be a 1-d bool array"):
-            self.records(defaulted=defaulted)
-
-    @pytest.mark.parametrize("value", [
-        np.array([0.5, 1.0]),
-        np.array([0.5, 1.0, 2.0, 3.0]),
-        np.array([[0.5, 1.0, 2.0]]),
-        np.float64(0.5),
-    ], ids=["too-few", "too-many", "2-d", "0-d"])
-    @pytest.mark.parametrize("name", ["tau", "s_tau"])
-    def test_tau_and_s_tau_need_one_entry_per_defaulted_path(self, name, value):
-        with pytest.raises(DomainError, match=f"^{name} must be 1-d with one entry per "
-                                              r"defaulted path \(3\)"):
-            self.records(**{name: value})
+    @pytest.mark.parametrize("changes, message", [
+        ({"n_paths": 5.0}, "n_paths must be an integer"),
+        ({"n_paths": True}, "n_paths must be an integer"),
+        ({"n_paths": "5"}, "n_paths must be an integer"),
+        ({"n_paths": None}, "n_paths must be an integer"),
+        ({"n_paths": 0, "tau": np.empty(0), "s_tau": np.empty(0)}, "n_paths must be at least 2"),
+        ({"n_paths": 1, "tau": np.array([0.5]), "s_tau": np.array([18.0])},
+         "n_paths must be at least 2"),
+        ({"n_paths": 2}, r"^tau must be 1-d with one entry per defaulted path, at most "
+                         r"n_paths \(2\)"),
+        ({"tau": np.array([0.5, 1.0])}, r"^s_tau must be 1-d .* as tau \(2\)"),
+        ({"s_tau": np.array([18.0, 20.0, 22.0, 24.0])}, r"^s_tau must be 1-d .* as tau \(3\)"),
+        ({"tau": np.array([[0.5, 1.0, 2.0]])}, "^tau must be 1-d"),
+        ({"tau": np.float64(0.5)}, "^tau must be 1-d"),
+        ({"s_tau": np.array([[18.0, 20.0, 22.0]])}, "^s_tau must be 1-d"),
+        ({"s_tau": np.float64(18.0)}, "^s_tau must be 1-d"),
+        ({"tau": np.array([0.5, np.nan, 2.0])}, "^default time tau must be finite"),
+        ({"tau": np.array([0.5, 1.0, np.inf])}, "^default time tau must be finite"),
+        ({"tau": np.array([-np.inf, 1.0, 2.0])}, "^default time tau must be finite"),
+        ({"s_tau": np.array([18.0, np.nan, 22.0])}, "^equity at default s_tau must be finite"),
+        ({"s_tau": np.array([np.inf, 20.0, 22.0])}, "^equity at default s_tau must be finite"),
+        ({"s_tau": np.array([18.0, 20.0, -np.inf])}, "^equity at default s_tau must be finite"),
+        ({"default_prob_closed_form": math.nan}, "default_prob_closed_form must be a finite"),
+        ({"default_prob_closed_form": -0.1}, r"default_prob_closed_form must lie in \[0, 1\]"),
+        ({"default_prob_closed_form": 1.5}, r"default_prob_closed_form must lie in \[0, 1\]"),
+    ], ids=["n-float", "n-bool", "n-str", "n-none", "n-0", "n-1", "k>n", "tau-shorter",
+            "s-longer", "tau-2-d", "tau-0-d", "s-2-d", "s-0-d", "tau-nan", "tau-inf", "tau-neg-inf",
+            "s-nan", "s-inf", "s-neg-inf", "pd-nan", "pd-neg", "pd-above-1"])
+    def test_rejects(self, changes, message):
+        with pytest.raises(DomainError, match=message):
+            self.records(**changes)
 
     def test_the_per_path_layout_is_rejected(self):
         # n entries, +inf and nan on the paths that survive
-        with pytest.raises(DomainError, match="one entry per defaulted path"):
+        with pytest.raises(DomainError, match="must be finite"):
             self.records(tau=np.array([np.inf, 0.5, np.inf, 1.0, 2.0]),
                          s_tau=np.array([np.nan, 18.0, np.nan, 20.0, 22.0]))
 
@@ -137,7 +160,7 @@ class TestDefaultSampling:
         cfg = SimulationConfig(n_paths=60_000, rng_seed=7)
         paths = simulate_joint_paths(model, ers, curve, cfg)
         pd_cf = 1.0 - at1p_survival(model, ers.maturity)
-        pd_mc = paths.defaulted.mean()
+        pd_mc = paths.tau.size / paths.n_paths
         se = math.sqrt(pd_cf * (1 - pd_cf) / cfg.n_paths)
         assert abs(pd_mc - pd_cf) < 3.5 * se
         assert paths.default_prob_closed_form == pytest.approx(pd_cf)
@@ -146,7 +169,7 @@ class TestDefaultSampling:
         model = flat_at1p(h=1e-6, sigma=0.15)
         paths = simulate_joint_paths(model, ers, curve,
                                      SimulationConfig(n_paths=5_000, rng_seed=1))
-        assert not paths.defaulted.any()
+        assert paths.n_paths == 5_000
         assert paths.tau.size == paths.s_tau.size == 0
 
     def test_default_times_identical_across_correlation(self, curve):
@@ -161,12 +184,14 @@ class TestDefaultSampling:
         assert np.array_equal(taus[0], taus[1])
         assert np.array_equal(taus[0], taus[2])
 
-    def test_sbtv_scenario_frequencies(self, curve, ers):
+    def test_sbtv_scenario_frequencies(self, monkeypatch, curve, ers):
         vols = VolatilityTermStructure((30.0,), (0.2,))
         model = SbtvParams(((0.3, 0.7), (0.8, 0.3)), 0.0, vols)
-        paths = simulate_joint_paths(model, ers, curve,
-                                     SimulationConfig(n_paths=50_000, rng_seed=3))
-        frac = np.mean(paths.scenario == 0)
+        starts = record_starts(monkeypatch)
+        simulate_joint_paths(model, ers, curve, SimulationConfig(n_paths=50_000, rng_seed=3))
+        (x0,) = starts  # the start of each path is -log H of its scenario
+        assert x0.shape == (50_000,)
+        frac = np.mean(x0 == -math.log(0.3))
         assert frac == pytest.approx(0.7, abs=3 * math.sqrt(0.7 * 0.3 / 50_000))
 
     @pytest.mark.parametrize("scenarios", [((0.4, 0.962), (0.73, 0.038)),
@@ -175,29 +200,33 @@ class TestDefaultSampling:
         # the scenarios firm_rng.choice(k, size=n, p=...) draws, and the firm stream
         # left where choice leaves it for the first-passage draw that follows
         model = SbtvParams(scenarios, 0.0, THREE_BUCKETS)
-        states, real = [], mc._first_passage_variance
+        log_h = np.array([math.log(h) for h, _ in scenarios])
+        states, starts, real = [], [], mc._first_passage_variance
 
         def recording(rng, x0, nu, n):
             states.append(rng.bit_generator.state)
+            starts.append(x0)
             return real(rng, x0, nu, n)
 
         monkeypatch.setattr(mc, "_first_passage_variance", recording)
         for seed in (1, 7, 4244, 20090916):
-            draw = mc._firm_draw(model, 5.0, 20_000, seed)
+            mc._firm_draw(model, 5.0, 20_000, seed)
             firm_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
             chosen = firm_rng.choice(len(scenarios), size=20_000,
                                      p=[p for _, p in scenarios])
-            assert np.array_equal(draw.scenario, chosen)
-            assert draw.scenario.dtype == chosen.dtype
+            assert starts[-1].dtype == np.float64
+            assert np.array_equal(starts[-1], -log_h[chosen])
             assert states[-1] == firm_rng.bit_generator.state
 
-    def test_one_scenario_sbtv_draws_the_at1p_paths(self, curve, ers):
+    def test_one_scenario_sbtv_draws_the_at1p_paths(self, monkeypatch, curve, ers):
         at1p = At1pParams(0.4, 0.0, THREE_BUCKETS)
         mix = SbtvParams(at1p.scenarios, 0.0, THREE_BUCKETS)
         cfg = SimulationConfig(n_paths=20_000, rng_seed=17)
+        starts = record_starts(monkeypatch)
         a = simulate_joint_paths(at1p, ers, curve, cfg)
         b = simulate_joint_paths(mix, ers, curve, cfg)
-        assert a.defaulted.any() and a.scenario is None and b.scenario is None
+        assert a.tau.size > 0
+        assert len(starts) == 2 and all(np.ndim(x0) == 0 for x0 in starts)  # no scenario draw
         assert np.array_equal(a.tau, b.tau)
         assert np.array_equal(a.s_tau, b.s_tau)
 
@@ -212,7 +241,7 @@ class TestDefaultSampling:
                             lambda rng, x0, nu, n: np.full(n, v_maturity))
         paths = simulate_joint_paths(model, ers, curve,
                                      SimulationConfig(n_paths=100, rng_seed=1))
-        assert paths.defaulted.all() and np.all(paths.tau == ers.maturity)
+        assert paths.tau.size == paths.n_paths == 100 and np.all(paths.tau == ers.maturity)
 
     def test_equity_martingale_at_default(self, curve):
         # at rho = 0 the equity is independent of the firm, so its
@@ -281,8 +310,9 @@ class TestExactSampler:
         ers = make_ers_contract(rho=rho)
         paths = simulate_joint_paths(model, ers, curve,
                                      SimulationConfig(n_paths=200_000, rng_seed=37))
-        y = np.zeros(paths.n_paths)  # 0 on the paths that survive
-        y[paths.defaulted] = equity_ratio(paths, ers, curve)
+        # padded with a 0 for each path that survives: the mean and SE ignore path order
+        y = np.concatenate((equity_ratio(paths, ers, curve),
+                            np.zeros(paths.n_paths - paths.tau.size)))
         a = ers.equity_vol * rho
         x0, v1, v2 = -math.log(h), s1 ** 2 * t1, s2 ** 2 * (ers.maturity - t1)
         survived, _ = quad(lambda z: (killed_density(z, x0, -0.5 + a / s1, v1)
@@ -299,8 +329,7 @@ class TestExactSampler:
         cfg = SimulationConfig(n_paths=20_000, rng_seed=31)
         a = simulate_joint_paths(one, ers, curve, cfg)
         b = simulate_joint_paths(two, ers, curve, cfg)
-        assert a.defaulted.any()
-        assert np.array_equal(a.defaulted, b.defaulted)
+        assert 0 < a.tau.size == b.tau.size
         np.testing.assert_allclose(b.tau, a.tau, rtol=1e-12)
         np.testing.assert_allclose(b.s_tau, a.s_tau, rtol=1e-12)
 
@@ -336,9 +365,8 @@ class TestFirmDrawSlot:
         simulate_joint_paths(flat_at1p(), at_half, curve, self.CFG)
         cold = simulate_joint_paths(self.MODEL, at_half, curve, self.CFG)
         assert len(draws) == 3
-        assert hit.defaulted.any() and hit.scenario is not None
-        for name in ("defaulted", "scenario", "tau"):
-            assert np.array_equal(getattr(hit, name), getattr(cold, name))
+        assert hit.tau.size > 0 and hit.n_paths == cold.n_paths == self.CFG.n_paths
+        assert np.array_equal(hit.tau, cold.tau)
         assert np.array_equal(hit.s_tau, cold.s_tau)
         assert hit.default_prob_closed_form == cold.default_prob_closed_form
 
@@ -369,15 +397,23 @@ class TestFirmDrawSlot:
         a = simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.0), curve, self.CFG)
         b = simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.5), curve, self.CFG)
         assert len(draws) == 1
-        for name in ("defaulted", "scenario", "tau"):
-            shared = getattr(b, name)
-            assert shared is getattr(a, name)
-            with pytest.raises(ValueError, match="read-only"):
-                shared[0] = shared[0]
+        assert a.n_paths == b.n_paths == self.CFG.n_paths
+        assert b.tau is a.tau
+        with pytest.raises(ValueError, match="read-only"):
+            b.tau[0] = b.tau[0]
         assert not np.shares_memory(a.s_tau, b.s_tau)
         before = a.s_tau.copy()
         b.s_tau[:] = 0.0
         assert np.array_equal(a.s_tau, before)
+
+    def test_the_slot_holds_the_defaulted_paths_only(self, curve, draws):
+        # tau, w1 and w2 as float64 on the k defaulted paths, and no per-path array
+        paths = simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.0), curve, self.CFG)
+        k = paths.tau.size
+        assert 0 < k < self.CFG.n_paths and len(self.MODEL.scenarios) == 2
+        draw = mc._last_draw[1]
+        assert sum(a.nbytes for a in draw if isinstance(a, np.ndarray)) == 24 * k
+        assert all(not a.flags.writeable for a in draw if isinstance(a, np.ndarray))
 
 
 class TestIntensityPaths:
@@ -387,7 +423,7 @@ class TestIntensityPaths:
         paths = simulate_intensity_paths(hazard, ers, curve, cfg)
         pd_cf = paths.default_prob_closed_form
         se = math.sqrt(pd_cf * (1 - pd_cf) / cfg.n_paths)
-        assert abs(paths.defaulted.mean() - pd_cf) < 3.5 * se
+        assert abs(paths.tau.size / paths.n_paths - pd_cf) < 3.5 * se
 
     @pytest.mark.parametrize("hazard", [
         HazardCurve((2.0, 30.0), (0.05, 0.03)),
@@ -404,7 +440,7 @@ class TestIntensityPaths:
             s_tau = mc._equity_at_default(
                 tau, np.sqrt(tau) * rng.standard_normal(tau.size), ers, curve)
             assert defaulted.any() and not defaulted.all()
-            assert np.array_equal(paths.defaulted, defaulted)
+            assert paths.n_paths == cfg.n_paths and paths.tau.size == np.count_nonzero(defaulted)
             assert np.array_equal(paths.tau, tau) and np.array_equal(paths.s_tau, s_tau)
 
     @pytest.mark.parametrize("hazard", [
@@ -437,8 +473,11 @@ class TestIntensityPaths:
         paths = simulate_intensity_paths(
             hazard, ers, curve, SimulationConfig(n_paths=exposure.size, rng_seed=3))
         tau = hazard.clock.inverse(-np.log(np.exp(-exposure)))
-        assert np.array_equal(paths.defaulted, tau <= ers.maturity)
-        assert 0 < paths.defaulted.sum() < exposure.size
+        # the exposures increase and the inverse is monotone, so the paths that
+        # default are a prefix, and their count fixes them
+        assert paths.tau.size == np.count_nonzero(tau <= ers.maturity)
+        assert np.array_equal(paths.tau, tau[:paths.tau.size])
+        assert 0 < paths.tau.size < exposure.size == paths.n_paths
 
     def test_zero_hazard_gives_zero_spread(self, curve, ers):
         hazard = HazardCurve((30.0,), (0.0,))
@@ -455,7 +494,7 @@ class TestResidualNpv:
         for curve in (DiscountCurve(flat_rate=0.03),
                       DiscountCurve(pillars=((1.0, 0.97), (3.0, 0.90), (6.0, 0.80)))):
             for s_tau in (12.0, 20.0, 31.0):
-                simplified = ers_npv_at_default(tau, s_tau, ers, curve, spread)
+                simplified = npv_three_term(tau, s_tau, ers, curve, spread)
                 termwise = ers_npv_at_default_termwise(tau, s_tau, ers, curve, spread)
                 assert simplified == pytest.approx(termwise, abs=1e-10)
 
@@ -463,33 +502,37 @@ class TestResidualNpv:
         # with r = q = X = 0 the residual value collapses to S0 - S_tau
         contract = make_ers_contract(dividend_yield=0.0, rho=0.0)
         curve = DiscountCurve(flat_rate=0.0)
-        assert ers_npv_at_default(1.3, 14.0, contract, curve, 0.0) == pytest.approx(
+        assert npv_three_term(1.3, 14.0, contract, curve, 0.0) == pytest.approx(
             20.0 - 14.0, abs=1e-12)
-        assert ers_npv_at_default(1.3, 26.0, contract, curve, 0.0) == pytest.approx(
+        assert npv_three_term(1.3, 26.0, contract, curve, 0.0) == pytest.approx(
             20.0 - 26.0, abs=1e-12)
 
     def test_vectorized_matches_scalar(self, curve, ers):
         taus = np.array([0.4, 1.7, 3.2])
         s = np.array([15.0, 22.0, 18.0])
-        vec = ers_npv_at_default(taus, s, ers, curve, 0.001)
+        vec = npv_three_term(taus, s, ers, curve, 0.001)
         for i in range(3):
             assert vec[i] == pytest.approx(
-                ers_npv_at_default(float(taus[i]), float(s[i]), ers, curve, 0.001))
+                npv_three_term(float(taus[i]), float(s[i]), ers, curve, 0.001))
 
     def test_default_after_maturity_rejected(self, curve, ers):
         with pytest.raises(DomainError):
-            ers_npv_at_default(5.5, 20.0, ers, curve, 0.0)
+            npv_three_term(5.5, 20.0, ers, curve, 0.0)
         with pytest.raises(DomainError):
             ers_npv_at_default_termwise(5.5, 20.0, ers, curve, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_default_data_rejected(self, curve, ers, bad):
-        with pytest.raises(DomainError, match="default time tau"):
-            ers_npv_at_default(bad, 20.0, ers, curve, 0.0)
-        with pytest.raises(DomainError, match="equity at default s_tau"):
-            ers_npv_at_default(2.0, bad, ers, curve, 0.0)
-        with pytest.raises(DomainError, match="s_tau"):
-            ers_npv_at_default(np.array([0.4, 2.0]), np.array([15.0, bad]), ers, curve, 0.0)
+    def test_non_finite_default_data_rejected(self, bad):
+        def records(tau, s_tau):
+            return PathRecords(n_paths=10, tau=np.array(tau), s_tau=np.array(s_tau),
+                               default_prob_closed_form=0.2)
+
+        with pytest.raises(DomainError, match="default time tau must be finite"):
+            records([bad], [20.0])
+        with pytest.raises(DomainError, match="equity at default s_tau must be finite"):
+            records([2.0], [bad])
+        with pytest.raises(DomainError, match="equity at default s_tau must be finite"):
+            records([0.4, 2.0], [15.0, bad])
 
 
 @pytest.fixture(scope="module")
@@ -510,10 +553,13 @@ class TestCvaAndFairSpread:
     @pytest.mark.parametrize("spread", [0.0, 0.001, 0.01])
     def test_control_variate_is_the_regression_estimate(self, curve, crisis_paths, spread):
         _, ers, _, paths = crisis_paths
-        payoff = np.zeros(paths.n_paths)
-        payoff[paths.defaulted] = ers.lgd * np.maximum(
-            ers_npv_at_default(paths.tau, paths.s_tau, ers, curve, spread), 0.0)
-        value, std_error = regression_control_variate(payoff, paths.defaulted,
+        # the defaulted paths first, then a 0 for each path that survives: the
+        # regression's statistics ignore path order
+        n, k = paths.n_paths, paths.tau.size
+        payoff = np.zeros(n)
+        payoff[:k] = ers.lgd * np.maximum(
+            npv_three_term(paths.tau, paths.s_tau, ers, curve, spread), 0.0)
+        value, std_error = regression_control_variate(payoff, np.arange(n) < k,
                                                       paths.default_prob_closed_form)
         est = ers_cva_term(paths, ers, curve, spread)
         assert est.value == pytest.approx(value, rel=1e-12)
@@ -524,9 +570,8 @@ class TestCvaAndFairSpread:
         rng = np.random.default_rng(5)
         n = 1_000
         tau, s_tau = rng.uniform(0.0, ers.maturity, n), rng.uniform(5.0, 35.0, n)
-        paths = PathRecords(defaulted=np.ones(n, dtype=bool), tau=tau, s_tau=s_tau,
-                            default_prob_closed_form=0.6)
-        payoff = ers.lgd * np.maximum(ers_npv_at_default(tau, s_tau, ers, curve, 0.001), 0.0)
+        paths = PathRecords(n_paths=n, tau=tau, s_tau=s_tau, default_prob_closed_form=0.6)
+        payoff = ers.lgd * np.maximum(npv_three_term(tau, s_tau, ers, curve, 0.001), 0.0)
         assert 0 < np.count_nonzero(payoff) < n
         est = ers_cva_term(paths, ers, curve, 0.001)
         assert est.value == pytest.approx(0.6 * payoff.mean(), rel=1e-14)
@@ -541,11 +586,10 @@ class TestCvaAndFairSpread:
         defaulted = np.zeros(n, dtype=bool)
         defaulted[rng.choice(n, size=k, replace=False)] = True
         tau, s_tau = rng.uniform(0.0, ers.maturity, k), rng.uniform(5.0, 35.0, k)
-        paths = PathRecords(defaulted=defaulted, tau=tau, s_tau=s_tau,
-                            default_prob_closed_form=0.3)
+        paths = PathRecords(n_paths=n, tau=tau, s_tau=s_tau, default_prob_closed_form=0.3)
         padded = np.zeros(n)
         padded[defaulted] = ers.lgd * np.maximum(
-            ers_npv_at_default(tau, s_tau, ers, curve, 0.001), 0.0)
+            npv_three_term(tau, s_tau, ers, curve, 0.001), 0.0)
         assert k < 2 or 0 < np.count_nonzero(padded) < k
         est = ers_cva_term(paths, ers, curve, 0.001)
         assert est.plain_value == pytest.approx(padded.mean(), rel=1e-13, abs=0)
@@ -574,17 +618,15 @@ class TestCvaAndFairSpread:
 
     @pytest.mark.parametrize("field, name", [("tau", "default time tau"),
                                              ("s_tau", "equity at default s_tau")])
-    def test_non_finite_path_data_rejected(self, curve, crisis_paths, field, name):
-        # one bad defaulted path names its input instead of an all-nan fixed point
-        _, ers, _, paths = crisis_paths
+    def test_non_finite_path_data_rejected(self, crisis_paths, field, name):
+        # one bad defaulted path names its input when the path set is built,
+        # before any pricing can run an all-nan fixed point
+        _, _, _, paths = crisis_paths
         data = {"tau": paths.tau.copy(), "s_tau": paths.s_tau.copy()}
         data[field][0] = math.nan
-        bad = PathRecords(defaulted=paths.defaulted, **data,
-                          default_prob_closed_form=paths.default_prob_closed_form)
-        with pytest.raises(DomainError, match=name):
-            ers_fair_spread_from_paths(bad, ers, curve)
-        with pytest.raises(DomainError, match=name):
-            ers_cva_term(bad, ers, curve, 0.001)
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            PathRecords(n_paths=paths.n_paths, **data,
+                        default_prob_closed_form=paths.default_prob_closed_form)
 
     def test_no_defaults_yields_zero_estimate(self, curve, ers):
         model = flat_at1p(h=1e-6, sigma=0.15)
