@@ -163,12 +163,6 @@ class PaymentSchedule:
         """
         return np.searchsorted(self.dates, np.asarray(t, dtype=float), side="right") + 1
 
-    def previous_date(self, t):
-        """T_{beta(t)-1}: the last schedule time (start included) at or before t."""
-        idx = np.searchsorted(self.dates, np.asarray(t, dtype=float), side="right")
-        padded = np.concatenate(([self.start], self.dates))
-        return padded[idx]
-
 
 def make_schedule(start: float, end: float, frequency: int) -> PaymentSchedule:
     """Evenly spaced payment grid with accruals 1/frequency; final date equals end."""

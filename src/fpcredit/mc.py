@@ -15,7 +15,8 @@ The sampler is exact and uses no time grid:
 - Given v*, x on [0, v*] is a 3-d Bessel bridge from x0 to 0 whatever the
   drift (Williams' path decomposition).  It is drawn at the vol-bucket ends
   before v* as the norm of a 3-d Brownian bridge, which gives the firm's
-  Brownian motion at default exactly, bucket by bucket.
+  Brownian motion at default exactly, bucket by bucket.  At each bucket end
+  the bridge runs only on the paths that have not defaulted by then.
 - The equity at default then takes one Gaussian draw per defaulted path.
 
 Firm and equity variates come from separate child streams of the seed, and
@@ -81,9 +82,9 @@ class ErsContract:
         return 1.0 - self.recovery
 
 
-# A cold sampler call and the pricer peak at 14-98 bytes per path, more as
+# A cold sampler call and the pricer peak at 13-89 bytes per path, more as
 # more paths default, the kept firm draw included, so this caps a run's
-# memory near 1 GB.
+# memory near 0.9 GB.
 MAX_PATHS = 10_000_000
 
 
@@ -177,31 +178,52 @@ def _first_passage_variance(rng, x0, nu, n):
 
 
 def _firm_bm_at_default(rng, v_star, x0, nu, knot_v, sigmas):
-    """The firm's calendar-time Brownian motion W1 at default.
+    """The firm's calendar-time Brownian motion W1 at default, on paths with
+    v* <= knot_v[-1]; x0 is one start for every path, or one per path.
 
     In the variance clock W1 runs as b(v) = x(v) - x0 + nu*v, and
     dW1 = db / sigma inside a vol bucket.  `knot_v` holds 0, the bucket-end
     variances and the maturity's; `sigmas` the vol of each piece between
     them.  At the bucket ends before v*, x is the norm of a 3-d Brownian
     bridge from (x0, 0, 0) to the origin on [0, v*]; at v* it is 0.
+
+    The bridge runs on the live paths only, those with v* past the bucket
+    end, and each path gets its W1 once, in the piece where it defaults:
+    the sum of its increments so far plus (b(v*) - b at the last bucket end)
+    / sigma.  One (m, 3) normal draw per bucket end, m the live paths, in
+    path order.
     """
     b_end = nu * v_star - x0
-    y = np.zeros((v_star.size, 3))
-    y[:, 0] = x0
-    b_prev = np.zeros(v_star.size)
-    w1 = np.zeros(v_star.size)
+    w1 = b_end / sigmas[0]  # final on the paths that default in the first piece
+    live = np.flatnonzero(knot_v[1] < v_star)
+    v, b_fin = v_star[live], b_end[live]
+    if np.ndim(x0):
+        x0 = x0[live]
+    y = np.zeros((3, live.size))
+    y[0] = x0
+    acc = b_prev = np.zeros(live.size)
     v_prev = 0.0
-    for v_k, sigma in zip(knot_v[1:-1], sigmas):
-        live = v_k < v_star
-        shrink = (v_star[live] - v_k) / (v_star[live] - v_prev)
+    for v_k, v_next, sigma, sigma_next in zip(knot_v[1:-1], knot_v[2:], sigmas, sigmas[1:]):
+        shrink = (v - v_k) / (v - v_prev)
         sd = np.sqrt((v_k - v_prev) * shrink)
-        y[live] = (y[live] * shrink[:, None]
-                   + sd[:, None] * rng.standard_normal((shrink.size, 3)))
-        b_k = b_end.copy()
-        b_k[live] = np.linalg.norm(y[live], axis=1) - x0[live] + nu * v_k
-        w1 += (b_k - b_prev) / sigma
-        b_prev, v_prev = b_k, v_k
-    return w1 + (b_end - b_prev) / sigmas[-1]
+        z = rng.standard_normal((live.size, 3)).T
+        for i in range(3):  # row by row: sd broadcast over all of z at once is slower
+            y[i] *= shrink
+            y[i] += sd * z[i]
+        del z  # freed before the arrays below are made, or it sets the peak
+        # the norm, summed in the order np.linalg.norm(axis=1) sums a 3-column row
+        b_k = np.sqrt((y[0] * y[0] + y[1] * y[1]) + y[2] * y[2]) - x0 + nu * v_k
+        acc = acc + (b_k - b_prev) / sigma
+        on = v_next < v
+        gone = np.flatnonzero(~on)  # the paths that default in the next piece
+        w1[live[gone]] = acc[gone] + (b_fin[gone] - b_k[gone]) / sigma_next
+        keep = np.flatnonzero(on)
+        y = y.take(keep, axis=1)  # y[:, keep] would interleave the rows in memory
+        live, v, b_fin, acc, b_prev = live[keep], v[keep], b_fin[keep], acc[keep], b_k[keep]
+        if np.ndim(x0):
+            x0 = x0[keep]
+        v_prev = v_k
+    return w1
 
 
 def _equity_at_default(tau, shock, ers: ErsContract, curve: DiscountCurve):
@@ -248,7 +270,7 @@ def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
     sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
     defaulted = v_star <= knot_v[-1]
     v_def = v_star[defaulted]
-    w1 = _firm_bm_at_default(firm_rng, v_def, np.broadcast_to(x0, n_paths)[defaulted], nu,
+    w1 = _firm_bm_at_default(firm_rng, v_def, x0[defaulted] if np.ndim(x0) else x0, nu,
                              knot_v, sigmas)
     tau = np.minimum(clock.inverse(v_def), maturity)  # the round trip can overshoot
     w2 = np.sqrt(tau) * equity_rng.standard_normal(v_def.size)
@@ -334,8 +356,9 @@ def _npv_terms(tau, s_tau, ers: ErsContract, curve: DiscountCurve):
     # tail annuities from T_1, ..., T_n, and 0 past the last payment date
     tails = np.append(np.cumsum(annuity_terms[::-1])[::-1], 0.0)
     ks0 = ers.stock_count * ers.s0
-    per_spread = ks0 * tails[sched.next_payment_index(tau) - 1]
-    fixed = (ks0 * curve.discount(sched.previous_date(tau))
+    idx = sched.next_payment_index(tau) - 1  # T_{beta(tau)-1} is (T_0, T_1, ...)[idx]
+    per_spread = ks0 * tails[idx]
+    fixed = (ks0 * curve.discount(np.append(sched.start, sched.dates))[idx]
              - ers.stock_count * curve.discount(tau) * s_tau)
     return fixed, per_spread, float(tails[0])
 

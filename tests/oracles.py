@@ -92,3 +92,36 @@ def early_default_paths(ers: ErsContract, default_prob: float, n: int = 1_000) -
     tau = rng.uniform(0.0, ers.schedule.dates[0], n)
     return PathRecords(n_paths=n, tau=tau, s_tau=rng.uniform(5.0, 25.0, n),
                        default_prob_closed_form=default_prob)
+
+
+def firm_bm_at_default_dense(rng, v_star, x0, nu, knot_v, sigmas):
+    """`mc._firm_bm_at_default` as it stood before it ran on the live paths
+    only: the bridge state is kept on every defaulted path, and each bucket
+    end adds 0 to the W1 of the paths that defaulted before it.  x0 is one
+    start per path.
+
+    The firm's calendar-time Brownian motion W1 at default.
+
+    In the variance clock W1 runs as b(v) = x(v) - x0 + nu*v, and
+    dW1 = db / sigma inside a vol bucket.  `knot_v` holds 0, the bucket-end
+    variances and the maturity's; `sigmas` the vol of each piece between
+    them.  At the bucket ends before v*, x is the norm of a 3-d Brownian
+    bridge from (x0, 0, 0) to the origin on [0, v*]; at v* it is 0.
+    """
+    b_end = nu * v_star - x0
+    y = np.zeros((v_star.size, 3))
+    y[:, 0] = x0
+    b_prev = np.zeros(v_star.size)
+    w1 = np.zeros(v_star.size)
+    v_prev = 0.0
+    for v_k, sigma in zip(knot_v[1:-1], sigmas):
+        live = v_k < v_star
+        shrink = (v_star[live] - v_k) / (v_star[live] - v_prev)
+        sd = np.sqrt((v_k - v_prev) * shrink)
+        y[live] = (y[live] * shrink[:, None]
+                   + sd[:, None] * rng.standard_normal((shrink.size, 3)))
+        b_k = b_end.copy()
+        b_k[live] = np.linalg.norm(y[live], axis=1) - x0[live] + nu * v_k
+        w1 += (b_k - b_prev) / sigma
+        b_prev, v_prev = b_k, v_k
+    return w1 + (b_end - b_prev) / sigmas[-1]

@@ -12,7 +12,8 @@ from fpcredit import (At1pParams, DegenerateInputError, DiscountCurve, DomainErr
                       simulate_intensity_paths, simulate_joint_paths)
 from fpcredit import mc
 from oracles import (early_default_paths, ers_npv_at_default_termwise,
-                     fixed_point_by_breakpoints, npv_three_term, regression_control_variate)
+                     firm_bm_at_default_dense, fixed_point_by_breakpoints, npv_three_term,
+                     regression_control_variate)
 
 # three buckets and a flat tail: the 5y maturity lies past the last bucket
 THREE_BUCKETS = VolatilityTermStructure((1.0, 2.0, 4.0), (0.35, 0.25, 0.30))
@@ -282,6 +283,37 @@ class TestExactSampler:
         per_path = mc._first_passage_variance(np.random.default_rng(11), np.full(n, x0), nu, n)
         assert np.array_equal(one, per_path)
 
+    @pytest.mark.parametrize("k", [0, 1, 5_000])
+    @pytest.mark.parametrize("per_path_x0", [False, True], ids=["one-x0", "per-path-x0"])
+    @pytest.mark.parametrize("vols", [
+        VolatilityTermStructure((10.0,), (0.3,)),
+        VolatilityTermStructure((1.0, 3.0, 30.0), (0.35, 0.2, 0.3)),
+        VolatilityTermStructure((0.5, 1.0, 2.0, 3.5), (0.4, 0.25, 0.3, 0.45)),
+    ], ids=["no-bucket-end", "3-pieces", "5-pieces-tail"])
+    def test_bridge_on_the_live_paths_is_the_dense_bridge(self, vols, per_path_x0, k):
+        # the same W1 bit for bit, the sign of zero included, from the same
+        # variates: the stream ends in the same state
+        maturity, nu = 5.0, 0.5
+        clock = vols.clock  # the knots as _firm_draw builds them
+        knot_t = np.append(clock.knot_t[clock.knot_t < maturity], maturity)
+        knot_v = clock(knot_t)
+        sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
+        rng = np.random.default_rng(19)
+        v_star = knot_v[-1] * (1.0 - rng.random(k))
+        v_star[1::97] = np.resize(knot_v[1:], v_star[1::97].size)  # exactly at a knot
+        x0 = (np.where(rng.random(k) < 0.4, -math.log(0.3), -math.log(0.6)) if per_path_x0
+              else -math.log(0.4))
+        if k > 1:
+            assert np.count_nonzero(v_star > knot_v[-2]) > 100
+            assert np.isin(knot_v[1:], v_star).all()
+        ours, dense = np.random.default_rng(23), np.random.default_rng(23)
+        w1 = mc._firm_bm_at_default(ours, v_star, x0, nu, knot_v, sigmas)
+        expected = firm_bm_at_default_dense(dense, v_star, np.broadcast_to(x0, k), nu,
+                                            knot_v, sigmas)
+        assert w1.dtype == expected.dtype and w1.shape == (k,)
+        assert w1.tobytes() == expected.tobytes()
+        assert ours.bit_generator.state == dense.bit_generator.state
+
     @pytest.mark.parametrize("model, survival", [
         (At1pParams(0.4, 0.0, THREE_BUCKETS), at1p_survival),
         (At1pParams(0.4, 0.5, THREE_BUCKETS), at1p_survival),
@@ -497,6 +529,31 @@ class TestResidualNpv:
                 simplified = npv_three_term(tau, s_tau, ers, curve, spread)
                 termwise = ers_npv_at_default_termwise(tau, s_tau, ers, curve, spread)
                 assert simplified == pytest.approx(termwise, abs=1e-10)
+
+    @pytest.mark.parametrize("curve", [
+        DiscountCurve(flat_rate=0.03),
+        DiscountCurve(pillars=((0.75, 0.985), (1.0, 0.97), (3.0, 0.90))),
+    ], ids=["flat", "pillars"])
+    def test_terms_at_payment_dates_equal_a_path_by_path_evaluation(self, curve, ers):
+        # on, just below and just above every schedule time: bit for bit what
+        # scalar discount factors give, summed as _npv_terms sums its tails
+        sched = ers.schedule
+        times = np.append(sched.start, sched.dates)
+        tau = np.concatenate((times, np.nextafter(times[1:], -np.inf),
+                              np.nextafter(times[:-1], np.inf)))
+        s_tau = np.random.default_rng(3).uniform(5.0, 30.0, tau.size)
+        fixed, per_spread, _ = mc._npv_terms(tau, s_tau, ers, curve)
+        ks0 = ers.stock_count * ers.s0
+        for i, (t, s) in enumerate(zip(tau.tolist(), s_tau.tolist())):
+            last = max(u for u in times.tolist() if u <= t)
+            tail = 0.0
+            for date, accrual in zip(sched.dates[::-1].tolist(), sched.accruals[::-1].tolist()):
+                if date <= t:
+                    break
+                tail += curve.discount(date) * accrual
+            assert fixed[i] == (ks0 * curve.discount(last)
+                                - ers.stock_count * curve.discount(t) * s), t
+            assert per_spread[i] == ks0 * tail, t
 
     def test_zero_rate_zero_dividend_closed_form(self):
         # with r = q = X = 0 the residual value collapses to S0 - S_tau
