@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Compare two runs of calibration_traffic.py or ers_traffic.py, line by line.
+
+    python scripts/traffic_diff.py OLD.jsonl NEW.jsonl
+
+Lines are paired by their label fields (strip, convention and model, or
+preset, seed, model and rho).  The script prints the labels found in one
+run only, then each pair whose `error` or `warnings` differ, then, for each
+numeric field, the largest absolute and the largest relative change over
+all pairs, with the pair where each occurs.  A field is a path into the
+line, such as `diagnostics.step1.objective_bp2`; the entries of a list
+share one field, such as `parameters.sigmas[]`.  The relative change is
+|new - old| / |old|, and inf where old is 0 and new is not.
+"""
+
+import argparse
+import json
+import math
+import sys
+
+LABELS = ("strip", "preset", "seed", "convention", "model", "rho")
+
+
+def read_run(path) -> dict:
+    with open(path, encoding="utf-8") as f:
+        lines = [json.loads(text) for text in f if text.strip()]
+    return {tuple((k, line[k]) for k in LABELS if k in line): line for line in lines}
+
+
+def numbers(value, path=""):
+    """(field, number) for every number in a line, bools left out."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from numbers(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from numbers(item, f"{path}[]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, float(value)
+
+
+def label_text(label) -> str:
+    return " ".join(f"{k}={v}" for k, v in label)
+
+
+def compare(old: dict, new: dict) -> list[str]:
+    out = [f"only in {side}: {label_text(label)}"
+           for side, ours, theirs in (("OLD", old, new), ("NEW", new, old))
+           for label in ours if label not in theirs]
+    largest = {}  # field -> [(abs change, label), (rel change, label)]
+    for label in old.keys() & new.keys():
+        a, b = old[label], new[label]
+        for key in ("error", "warnings"):
+            if a.get(key) != b.get(key):
+                out.append(f"{key} differs at {label_text(label)}: "
+                           f"{a.get(key)!r} -> {b.get(key)!r}")
+        fields_a, fields_b = {}, {}
+        for fields, line in ((fields_a, a), (fields_b, b)):
+            for field, x in numbers(line):
+                fields.setdefault(field, []).append(x)
+        for field in fields_a.keys() & fields_b.keys():
+            if len(fields_a[field]) != len(fields_b[field]):
+                out.append(f"{field} changes length at {label_text(label)}")
+                continue
+            for x, y in zip(fields_a[field], fields_b[field]):
+                change = abs(y - x)
+                if math.isnan(change):
+                    change = 0.0 if math.isnan(x) and math.isnan(y) else math.inf
+                rel = change / abs(x) if x else (0.0 if change == 0.0 else math.inf)
+                best = largest.setdefault(field, [(0.0, None), (0.0, None)])
+                for i, c in enumerate((change, rel)):
+                    if c > best[i][0]:
+                        best[i] = (c, label)
+    for field in sorted(largest):
+        (change, at), (rel, rel_at) = largest[field]
+        if change or rel:
+            out.append(f"{field}: max abs {change:.3g} at {label_text(at)}; "
+                       f"max rel {rel:.3g} at {label_text(rel_at)}")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("old", help="the JSON lines of the reference run")
+    parser.add_argument("new", help="the JSON lines of the run to compare")
+    args = parser.parse_args(argv)
+    old, new = read_run(args.old), read_run(args.new)
+    out = compare(old, new)
+    print(f"{len(old.keys() & new.keys())} paired lines, "
+          f"{sum(old[k] == new[k] for k in old.keys() & new.keys())} identical")
+    print("\n".join(out) if out else "no numeric field changes")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

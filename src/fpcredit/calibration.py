@@ -16,8 +16,8 @@ the kernel, the clock rate, the bracket and the reported parameters.  The
 scenario model needs a preliminary best-fit of (H2, p1, sigma_bar) on the
 first three quotes before its volatility bootstrap: a bounded least-squares
 fit with the analytic Jacobian of the closed-form kernel, on the same grid,
-polished by a box-safeguarded Newton iteration (`_polish`), with scipy's
-trust-region least squares as its fallback.
+each start polished by a Levenberg-Marquardt iteration kept in the box by
+projection (`_polish`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import log_ndtr
 
 from .cds import CdsContract, leg_grid
@@ -43,9 +42,9 @@ SIGMA_LO, SIGMA_HI = 1e-4, 5.0
 LAMBDA_LO, LAMBDA_HI = 0.0, 10.0
 CDS_FREQUENCY = 4
 STEP1_POLISH_STARTS = 4
-STEP1_TOL = 1e-12  # an exact step-1 fit's cost, where Newton finishes; TRF's xtol, ftol, gtol
-STEP1_NEWTON_CAP = 12  # Newton's iterations per polish, and halvings per line search
-STEP1_NEWTON_CUTS = 6  # steps in a row that the box may cut before Newton gives up
+STEP1_TOL = 1e-12  # an exact step-1 fit's cost: the polishes stop at the first start there
+STEP1_ITERATIONS = 200  # steps per polish, a safety net: on the traffic every polish stops by 101
+H2_GAP = 1e-6  # step 1 keeps H2 this far from H1 and from 1
 
 
 @dataclass
@@ -106,18 +105,18 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
     """Two-step scenario-barrier calibration with two barrier scenarios.
 
     Step 1 best-fits (H2, p1, sigma_bar) to the first three quotes with a
-    flat volatility: a deterministic multi-start bounded least-squares fit
-    of the three spread errors in bp, which stops at the first start that
-    fits them exactly.  Each start is polished by Newton's method kept inside
-    the box, and by scipy's TRF only where Newton does not finish at an exact
-    fit; `diagnostics.step1.newton_polishes` counts the polishes Newton
-    finished.  Step 2 freezes (H2, p1) and bootstraps every bucket volatility
-    to an exact fit, the first one's root-finder started at sigma_bar.
+    flat volatility: a deterministic multi-start bounded least-squares fit of
+    the three spread errors in bp, each start polished by Levenberg-Marquardt
+    in the box, which stops at the first start that fits them exactly.  Step 2
+    freezes (H2, p1) and bootstraps every bucket volatility to an exact fit,
+    the first one's root-finder started at sigma_bar.
     """
     if not 0 < h1 < 1:
         raise DomainError("H1/V0 must lie in (0, 1)")
     if not math.isfinite(b):
         raise DomainError(f"b must be a finite number, got {b!r}")
+    if not h1 + H2_GAP < 1.0 - H2_GAP:
+        raise DomainError(f"H1/V0 must lie below 1 - {2 * H2_GAP} to leave room for H2, got {h1!r}")
     if len(strip.quotes) < 3:
         raise DomainError("SBTV requires at least 3 quotes")
     legs = _strip_legs(strip, curve, convention)
@@ -286,11 +285,11 @@ def _sbtv_step1(strip, legs, h1, b):
     The residuals are the three model-minus-quoted spreads in bp.  Their
     sum of squares is evaluated at every point of a fixed 3x3x3 start grid
     (clipped into the box), all 27 in one kernel call, and a polish
-    (`_polish`: Newton kept inside the box, or TRF where Newton does not
-    finish) is run from the best few, in rank order; ties are broken by the
-    smaller H2 so the result is deterministic.  The polishes stop once the
-    best cost is at most STEP1_TOL: the three residuals are then zero to
-    about 1e-6 bp, and a later polish could beat that only by round-off.  A
+    (`_polish`: Levenberg-Marquardt, projected into the box) is run from the
+    best few, in rank order; ties are broken by the smaller H2 so the result
+    is deterministic.  The polishes stop once the best cost is at most
+    STEP1_TOL: the three residuals are then zero to about 1e-6 bp, and a
+    later polish could beat that only by round-off.  A
     polish that misses a zero falls back on the next start; off the presets
     the best-ranked start sometimes stops in a local minimum where a later
     one reaches the zero.  The three pillars' rows in `legs` (`_strip_legs`), on
@@ -307,10 +306,9 @@ def _sbtv_step1(strip, legs, h1, b):
     = -2 s dQ/ds / log H - a H^a Phi(d2).
 
     A start whose spreads are not finite (survival vanishes there, as at a
-    large negative b) is not polished.  A polish that reaches a point whose
-    gradient is not finite hands the start from Newton to TRF, and fails the
-    start if TRF reaches one too (both reject a trial step with non-finite
-    spreads); CalibrationError is raised when every start fails.
+    large negative b) is not polished.  A polish refuses a trial step whose
+    spreads are not finite, and fails its start where it reaches a point whose
+    gradient is not finite; CalibrationError is raised when every start fails.
     """
     _, grid, rows, columns = legs
     times = grid.times[columns[2]]
@@ -360,12 +358,9 @@ def _sbtv_step1(strip, legs, h1, b):
         directions[2, 1:] = 2.0 * sigma_bar * t * (p1 * dq_ds[0] + (1.0 - p1) * dq_ds[1])
         d_legs = legs @ directions.T  # d (protection, premium) / d (h2, p1, sigma_bar)
         spread_bp = lgd * protection / premium * 1e4
-        jac = (lgd * 1e4 * d_legs[:3] - spread_bp[:, None] * d_legs[3:]) / premium[:, None]
-        if not math.isfinite(np.dot(spread_bp - quoted_bp, jac).sum()):
-            raise FloatingPointError  # the gradient J^T residuals: no step from x
-        return jac
+        return (lgd * 1e4 * d_legs[:3] - spread_bp[:, None] * d_legs[3:]) / premium[:, None]
 
-    lower, upper = np.array([h1 + 1e-6, 0.0, 1e-3]), np.array([1.0 - 1e-6, 1.0, 2.0])
+    lower, upper = np.array([h1 + H2_GAP, 0.0, 1e-3]), np.array([1.0 - H2_GAP, 1.0, 2.0])
     starts = np.clip(list(itertools.product([h1 + 0.15, h1 + 0.3, h1 + 0.45], [0.35, 0.65, 0.95],
                                             [0.10, 0.20, 0.40])), lower, upper)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -373,13 +368,12 @@ def _sbtv_step1(strip, legs, h1, b):
         costs = np.sum(start_gaps ** 2, axis=1)
         finite = np.flatnonzero(np.all(np.isfinite(start_gaps), axis=1))
         ranked = [starts[i] for i in sorted(finite, key=lambda i: (costs[i], starts[i, 0]))]
-        best, newton_polishes = None, 0
+        best = None
         for polishes, x0 in enumerate(ranked[:STEP1_POLISH_STARTS], start=1):
             try:
-                cost, x, newton_finished = _polish(residuals, jacobian, x0, lower, upper)
+                cost, x = _polish(residuals, jacobian, x0, lower, upper)
             except FloatingPointError:  # a failed start, like one with non-finite spreads
                 continue
-            newton_polishes += newton_finished
             cand = (cost, x[0], x)  # ties broken by smallest H2
             if best is None or cand[:2] < best[:2]:
                 best = cand
@@ -394,58 +388,62 @@ def _sbtv_step1(strip, legs, h1, b):
     step1 = {"h2": h2, "p1": p1, "sigma_bar": sigma_bar,
              "objective_bp2": float(2.0 * cost), "rms_bp": math.sqrt(2.0 * cost / 3.0),
              "multi_start_points": len(starts), "polishes": polishes,
-             "newton_polishes": newton_polishes, "objective_evaluations": evaluations}
+             "objective_evaluations": evaluations}
     return h2, p1, sigma_bar, step1
 
 
-def _polish(residuals, jacobian, x0, lower, upper):
-    """Least-squares polish of `residuals` r from x0 inside the box [lower, upper]:
-    (cost, x, newton_finished), cost = |r|^2 / 2.
+def _polish(residuals, jacobian, x, lower, upper):
+    """Least-squares polish of `residuals` r from x inside the box [lower, upper]:
+    (cost, x), cost = |r|^2 / 2.
 
-    Newton's method, globalised by a line search on the cost (Nocedal & Wright,
-    Numerical Optimization, 2nd ed., section 11.2): the step d solves J d = -r by
-    least squares, is cut to 0.995 of the distance to the box (fraction to the
-    boundary, ibid. section 19) and is halved until the cost falls by 1e-4 t |r|^2,
-    t the fraction of d taken; a trial with non-finite residuals fails.  Newton
-    finishes on a step below 1e-12 (1 + |x|), taken unless it raises the cost, at a
-    cost within STEP1_TOL.  Otherwise scipy's TRF polishes from x0: after a failed
-    line search, STEP1_NEWTON_CAP iterations, a gradient that is not finite
-    (`jacobian` raises FloatingPointError, which propagates from TRF), or more than
-    STEP1_NEWTON_CUTS steps in a row cut by the box.  Near a zero, which lies inside
-    the box, the steps are not cut: such a run is crawling towards a face.
+    Levenberg-Marquardt (More, 1978) kept in the box by projection (Kanzow,
+    Yamashita & Fukushima, J. Comput. Appl. Math. 172, 2004).  A variable on a bound
+    whose gradient g = J^T r points out of the box is held there.  The others take
+    the Gauss-Newton step, by least squares, while mu = 0, and then the step that
+    solves (J^T J + mu D^2) d = -g, D^2 the diagonal of J^T J (Marquardt's scaling;
+    1 for a zero column).  x + d, clipped into the box, is taken if the cost falls.
+    The first refused step sets mu to 1e-4; then Nielsen's update: a refused step
+    multiplies mu by nu and doubles nu, a taken one multiplies mu by max(1/3,
+    1 - (2 rho - 1)^3), rho the cost's fall over the linear model's, and resets nu
+    to 2.  The polish stops on a step below 1e-12 (1 + |x|) or a predicted fall
+    within STEP1_TOL of the cost (a minimum off the quotes), that step taken unless
+    it raises the cost; STEP1_ITERATIONS is a safety net.  A gradient that is not
+    finite raises FloatingPointError: no step leaves x, so the start fails.
     """
-    x, r = x0, residuals(x0)
+    r = residuals(x)
     cost = 0.5 * (r @ r)
-    cut = 0  # the steps in a row that the box has cut
-    try:
-        for _ in range(STEP1_NEWTON_CAP):
-            d = np.linalg.lstsq(jacobian(x), -r)[0]
-            moving = d != 0.0
-            room = (np.where(d > 0.0, upper, lower) - x)[moving] / d[moving]
-            t = min(1.0, 0.995 * room.min(initial=np.inf))
-            cut = cut + 1 if t < 1.0 else 0
-            if cut > STEP1_NEWTON_CUTS:
-                break
-            if np.linalg.norm(t * d) <= 1e-12 * (1.0 + np.linalg.norm(x)):
-                trial = x + t * d
-                r_trial = residuals(trial)
-                if r_trial @ r_trial <= r @ r:
-                    x, cost = trial, 0.5 * (r_trial @ r_trial)
-                if cost <= STEP1_TOL:
-                    return cost, x, True
-                break
-            for _ in range(STEP1_NEWTON_CAP):
-                trial = x + t * d
-                r_trial = residuals(trial)
-                cost_trial = 0.5 * (r_trial @ r_trial)
-                if cost_trial <= cost - 2e-4 * t * cost:  # False where it is not finite
-                    break
-                t *= 0.5
-            else:
-                break
-            x, r, cost = trial, r_trial, cost_trial
-    except FloatingPointError:
-        pass
-    res = least_squares(residuals, x0, jac=jacobian, bounds=(lower, upper), method="trf",
-                        xtol=STEP1_TOL, ftol=STEP1_TOL, gtol=STEP1_TOL)
-    return res.cost, res.x, False
+    mu, nu, jac = 0.0, 2.0, None
+    for _ in range(STEP1_ITERATIONS):
+        if jac is None:  # at a new point; a refused step keeps J and the free set
+            jac = jacobian(x)
+            gradient = r @ jac
+            if not math.isfinite(gradient.sum()):
+                raise FloatingPointError
+            free = ~np.where(gradient > 0.0, x <= lower, x >= upper)
+            columns, gradient = jac[:, free], gradient[free]
+            curvature = columns.T @ columns
+            scaling = curvature.diagonal()
+            scaling = np.diag(np.where(scaling > 0.0, scaling, 1.0))
+            small = (1e-12 * (1.0 + math.sqrt(x @ x))) ** 2
+        if mu == 0.0:
+            d_free = np.linalg.lstsq(columns, -r)[0]
+            predicted = -0.5 * (gradient @ d_free)  # the fall of the cost in the linear model
+        else:
+            d_free = np.linalg.solve(curvature + mu * scaling, -gradient)
+            predicted = 0.5 * (mu * (d_free @ scaling @ d_free) - gradient @ d_free)
+        d = np.zeros_like(x)
+        d[free] = d_free
+        trial = np.minimum(np.maximum(x + d, lower), upper)
+        step = trial - x
+        r_trial = residuals(trial)
+        cost_trial = 0.5 * (r_trial @ r_trial)
+        if step @ step <= small or predicted <= STEP1_TOL * cost:
+            return (cost_trial, trial) if cost_trial <= cost else (cost, x)
+        if cost_trial < cost:
+            if mu != 0.0:
+                rho = (cost - cost_trial) / predicted
+                mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+            x, r, cost, jac = trial, r_trial, cost_trial, None
+        else:
+            mu, nu = (mu * nu if mu else 1e-4), 2.0 * nu
+    return cost, x

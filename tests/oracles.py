@@ -4,8 +4,10 @@ hand-built inputs, and the library's residual NPV at default in the oracle's for
 import math
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from fpcredit import DiscountCurve, DomainError, ErsContract, PathRecords, mc
+from fpcredit.calibration import STEP1_TOL
 
 
 def npv_three_term(tau, s_tau, ers: ErsContract, curve: DiscountCurve, spread: float):
@@ -125,3 +127,22 @@ def firm_bm_at_default_dense(rng, v_star, x0, nu, knot_v, sigmas):
         w1 += (b_k - b_prev) / sigma
         b_prev, v_prev = b_k, v_k
     return w1 + (b_end - b_prev) / sigmas[-1]
+
+
+def trf_polish(residuals, jacobian, x0, lower, upper):
+    """scipy's trust-region reflective least squares (TRF) from x0 inside the box:
+    (cost, x), cost = |r|^2 / 2, with xtol, ftol and gtol at STEP1_TOL.  Put in
+    place of `calibration._polish`, it makes SBTV step 1 TRF alone from each ranked
+    start, as step 1 ran before its own polish.  A trial point with non-finite
+    residuals makes TRF shrink its region; a Jacobian whose gradient J^T r is not
+    finite raises FloatingPointError, as the polish does, since TRF's SVD would
+    stop on it."""
+    def checked(x):
+        jac = jacobian(x)
+        if not np.isfinite(residuals(x) @ jac).all():
+            raise FloatingPointError
+        return jac
+
+    res = least_squares(residuals, x0, jac=checked, bounds=(lower, upper), method="trf",
+                        xtol=STEP1_TOL, ftol=STEP1_TOL, gtol=STEP1_TOL)
+    return res.cost, res.x

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +12,12 @@ from fpcredit import (CalibrationError, CdsContract, CdsQuote, CdsQuoteStrip,
                       DegenerateInputError, DiscountCurve, DomainError,
                       VolatilityTermStructure, bootstrap_intensity, calibrate_at1p,
                       calibrate_sbtv, cds_price, fair_spread, leg_grid, make_schedule)
+import fpcredit
 from fpcredit import calibration, cds
 from fpcredit.calibration import _sbtv_step1, _strip_legs, pillar_contract
 from fpcredit.presets import STRIP_PRESETS, preset_strip
 from fpcredit.survival import At1pParams, HazardCurve, SbtvParams, survival
+from oracles import trf_polish
 
 # published calibration outputs for the three dated strips
 PUBLISHED = {
@@ -169,6 +175,29 @@ class TestSbtvCalibration:
         with pytest.raises(DomainError, match="b must be"):
             calibrate_sbtv(preset_strip("lehman-2007-07-10"), flat_curve, b=float("nan"))
 
+    @pytest.mark.parametrize("h1", [1.0 - 2e-6, 0.999999, 0.9999995])
+    def test_rejects_h1_that_leaves_no_room_for_h2(self, flat_curve, h1):
+        # step 1 keeps H2 in [h1 + 1e-6, 1 - 1e-6]; here that box is empty
+        with pytest.raises(DomainError, match="room for H2"):
+            calibrate_sbtv(preset_strip("lehman-2008-06-12"), flat_curve, h1=h1)
+
+    def test_h1_just_below_the_limit_is_a_typed_calibration_error(self, flat_curve):
+        # H2 has a box, but with both barriers this close to V0 no volatility
+        # reprices the 1y quote
+        with pytest.raises(CalibrationError, match="1.0y quote"):
+            calibrate_sbtv(preset_strip("lehman-2008-06-12"), flat_curve, h1=0.99999)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # step 1 has one solver of its own; the package imports no scipy.optimize
+        code = "import sys, fpcredit; print('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(fpcredit.__file__).parent.parent),
+                          os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     def test_deterministic(self, flat_curve):
         strip = preset_strip("lehman-2007-07-10")
         pa, _ = calibrate_sbtv(strip, flat_curve)
@@ -198,87 +227,107 @@ class TestSbtvStep1:
         assert step1["rms_bp"] < 1e-10
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
-    @pytest.mark.parametrize("name", sorted(STRIP_PRESETS))
-    def test_newton_finishes_at_the_trf_point(self, monkeypatch, flat_curve, name, convention):
-        # Newton's polish from the best-ranked start ends where TRF's from it does
-        polishes = _record_polishes(monkeypatch)
-        h2, p1, sigma_bar, step1 = sbtv_step1(preset_strip(name), flat_curve, convention)
-        assert step1["polishes"] == step1["newton_polishes"] == len(polishes) == 1
-        (args, (cost, x, newton_finished)), = polishes
-        assert newton_finished and cost <= calibration.STEP1_TOL
-        assert (h2, p1, sigma_bar) == tuple(x)
-        monkeypatch.setattr(calibration, "STEP1_NEWTON_CAP", 0)  # TRF alone
-        _, trf_x, trf_newton = calibration._polish(*args)
-        assert not trf_newton
-        assert x == pytest.approx(trf_x, rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("strip", [
+        *(preset_strip(name) for name in sorted(STRIP_PRESETS)),
+        small_strip([443.7691, 546.9414, 561.0056]), small_strip([300.0, 200.0, 100.0]),
+        small_strip([50.0, 300.0, 250.0])],
+        ids=[*sorted(STRIP_PRESETS), "missed-zero", "inverted", "humped"])
+    def test_ends_no_higher_than_trf_from_the_same_starts(self, monkeypatch, flat_curve,
+                                                          strip, convention):
+        # TRF alone from each ranked start (the oracle) is the reference: step 1 ends
+        # at no higher cost, and where both fit exactly, at the same point.  An exact
+        # fit's cost is round-off (below 1e-20 bp^2), so costs are compared above
+        # STEP1_TOL only
+        *fit, step1 = sbtv_step1(strip, flat_curve, convention)
+        monkeypatch.setattr(calibration, "_polish", trf_polish)
+        *trf_fit, trf_step1 = sbtv_step1(strip, flat_curve, convention)
+        cost, trf_cost = step1["objective_bp2"] / 2.0, trf_step1["objective_bp2"] / 2.0
+        assert cost <= max(trf_cost * (1.0 + 1e-9), calibration.STEP1_TOL)
+        if trf_cost <= calibration.STEP1_TOL:
+            assert cost <= calibration.STEP1_TOL
+            assert fit == pytest.approx(trf_fit, rel=1e-9, abs=0.0)
+            assert step1["polishes"] == trf_step1["polishes"]
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
     @pytest.mark.parametrize("spreads", [
         [443.7691, 546.9414, 561.0056], [300.0, 200.0, 100.0], [50.0, 300.0, 250.0]])
-    def test_every_polish_point_is_inside_the_open_box(self, monkeypatch, flat_curve,
-                                                       spreads, convention):
-        # Newton's fraction-to-boundary rule, like TRF, never evaluates a point on
-        # or past a bound, also where the steps run towards a face
-        points = []
+    def test_every_polish_point_is_inside_the_closed_box(self, monkeypatch, flat_curve,
+                                                         spreads, convention):
+        # the polish clips each step into the box, so it evaluates points on a face,
+        # never past one; each polish stops on its own rule, before the step cap
+        points, steps = [], []
         real = calibration._polish
 
         def recording(residuals, jacobian, x0, lower, upper):
             def seen(x):
                 points.append((x.copy(), lower, upper))
                 return residuals(x)
-            return real(seen, jacobian, x0, lower, upper)
+            start = len(points)
+            try:
+                return real(seen, jacobian, x0, lower, upper)
+            finally:
+                steps.append(len(points) - start - 1)  # the start is not a step
 
         monkeypatch.setattr(calibration, "_polish", recording)
         for strip in (small_strip(spreads), preset_strip("lehman-2008-09-12")):
             sbtv_step1(strip, flat_curve, convention)
         assert len(points) > 20
-        assert all(np.all(lower < x) and np.all(x < upper) for x, lower, upper in points)
+        assert all(np.all(lower <= x) and np.all(x <= upper) for x, lower, upper in points)
+        assert any(np.any(x == lower) or np.any(x == upper) for x, lower, upper in points)
+        assert max(steps) < calibration.STEP1_ITERATIONS
 
-    @pytest.mark.parametrize("convention", ["postponed", "exact"])
-    @pytest.mark.parametrize("spreads", [[300.0, 200.0, 100.0], [50.0, 300.0, 250.0]])
-    def test_without_a_zero_every_polish_is_trf_alone(self, monkeypatch, flat_curve,
-                                                       spreads, convention):
-        # the inverted and the humped strip: no point fits them, so Newton never
-        # finishes, and step 1 ends bit for bit where TRF alone from each start does
-        strip = small_strip(spreads)
-        *fit, step1 = sbtv_step1(strip, flat_curve, convention)
-        assert step1["newton_polishes"] == 0
-        assert step1["polishes"] == calibration.STEP1_POLISH_STARTS
-        monkeypatch.setattr(calibration, "STEP1_NEWTON_CAP", 0)
-        *trf_fit, trf_step1 = sbtv_step1(strip, flat_curve, convention)
-        assert fit == trf_fit
-        assert trf_step1["objective_evaluations"] < step1["objective_evaluations"]
-        assert ({**step1, "objective_evaluations": 0}
-                == {**trf_step1, "objective_evaluations": 0})
-
-    def test_newton_at_its_iteration_cap_is_not_accepted(self, monkeypatch):
-        # Newton on x^2 = a takes full steps and stops in its m-th iteration, on a step
-        # below 1e-12.  Capped at m - 1 iterations it ends on the same point, at a cost
-        # within STEP1_TOL, but not on that stop: the polish is TRF's from x0
-        target = np.array([0.5, 0.7, 1.3])
-        x0, lower, upper = np.ones(3), np.full(3, 0.1), np.full(3, 2.0)
-        points, jacobians = [], []
+    def test_polish_holds_a_variable_whose_gradient_points_out_of_the_box(self):
+        # r = A x - b, whose zero (2, 0) lies outside the unit box.  The first step is
+        # clipped to (1, 0); there the gradient points out at x0 = 1, so x0 is held,
+        # and x1 alone moves to the box's minimum.  Moving both would clip back to
+        # (1, 0) and stop there
+        a = np.array([[1.0, 0.8], [0.8, 1.0], [0.3, -0.2]])
+        b = a @ np.array([2.0, 0.0])
+        points = []
 
         def residuals(x):
-            points.append(x)
-            return x * x - target
+            points.append(x.copy())
+            return a @ x - b
 
-        def jacobian(x):
-            jacobians.append(x)
-            return np.diag(2.0 * x)
+        cost, x = calibration._polish(residuals, lambda x: a, np.full(2, 0.25),
+                                      np.zeros(2), np.ones(2))
+        x1 = a[:, 1] @ (b - a[:, 0]) / (a[:, 1] @ a[:, 1])  # least squares at x0 = 1
+        assert x[0] == 1.0 and x[1] == pytest.approx(x1, rel=1e-14)
+        assert np.array_equal(points[1], [1.0, 0.0])
+        assert cost == pytest.approx(0.5 * np.sum((a @ [1.0, x1] - b) ** 2), rel=1e-14)
 
-        cost, _, newton_finished = calibration._polish(residuals, jacobian, x0, lower, upper)
-        assert newton_finished and cost <= calibration.STEP1_TOL
-        iterations = len(jacobians)
-        assert iterations > 3 and len(points) == iterations + 1  # x0, one trial per iteration
-        monkeypatch.setattr(calibration, "STEP1_NEWTON_CAP", iterations - 1)
-        points.clear()
-        capped = calibration._polish(residuals, jacobian, x0, lower, upper)
-        at_cap = points[iterations - 1]  # x0 and the full steps come before TRF's points
-        assert 0.5 * np.sum(residuals(at_cap) ** 2) <= calibration.STEP1_TOL
-        monkeypatch.setattr(calibration, "STEP1_NEWTON_CAP", 0)
-        trf = calibration._polish(residuals, jacobian, x0, lower, upper)
-        assert not capped[2] and capped[0] == trf[0] and np.array_equal(capped[1], trf[1])
+    def test_polish_stops_where_the_model_predicts_no_fall(self):
+        # r = (x - 1, x^2 - 4) has no zero, and Gauss-Newton converges only linearly
+        # to its minimum, a root of 2 x^3 - 7 x - 1.  The polish stops once the linear
+        # model predicts a fall within STEP1_TOL of the cost; on the step rule alone
+        # it would take 16 evaluations
+        points = []
+
+        def residuals(x):
+            points.append(x.copy())
+            return np.array([x[0] - 1.0, x[0] ** 2 - 4.0])
+
+        _, x = calibration._polish(residuals, lambda x: np.array([[1.0], [2.0 * x[0]]]),
+                                   np.array([3.0]), np.array([-10.0]), np.array([10.0]))
+        assert x[0] == pytest.approx(max(np.roots([2.0, 0.0, -7.0, -1.0]).real), rel=1e-9)
+        assert len(points) <= 10
+
+    def test_polish_damps_a_step_that_raises_the_cost(self):
+        # r = (x - 2)^2 - 1 in one variable, from 2 + 1e-3: the Gauss-Newton step
+        # lands near x = 502, where the cost is far higher; it is refused, and the
+        # damped steps reach the zero at x = 3
+        points = []
+
+        def residuals(x):
+            points.append(x.copy())
+            return (x - 2.0) ** 2 - 1.0
+
+        x0 = np.array([2.0 + 1e-3])
+        cost, x = calibration._polish(residuals, lambda x: np.diag(2.0 * (x - 2.0)), x0,
+                                      np.array([-1e3]), np.array([1e3]))
+        assert points[1][0] > 500.0  # the refused Gauss-Newton step
+        assert cost <= calibration.STEP1_TOL and x[0] == pytest.approx(3.0, rel=1e-12)
+        assert len(points) < 40
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
     def test_inverted_strip_keeps_its_residual(self, flat_curve, convention):
@@ -294,23 +343,8 @@ class TestSbtvStep1:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_polish_whose_gradient_is_not_finite_fails_its_start(self, monkeypatch,
                                                                   flat_curve, bad):
-        # the gradient at the first start is not finite for Newton, then for TRF (which
-        # would stop in its SVD there): the start fails, and the next reaches the zero
-        real, calls = calibration.first_passage_slope, []
-
-        def bad_twice(log_h, b, s):
-            calls.append(s)
-            return real(log_h, b, s) * (bad if len(calls) <= 2 else 1.0)
-
-        monkeypatch.setattr(calibration, "first_passage_slope", bad_twice)
-        polishes = _record_polishes(monkeypatch)
-        *_, step1 = sbtv_step1(preset_strip("lehman-2008-06-12"), flat_curve, "postponed")
-        assert step1["polishes"] == 2 and step1["rms_bp"] < 1e-10
-        assert len(polishes) == 1  # the first polish raised
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_a_gradient_not_finite_for_newton_hands_the_start_to_trf(self, monkeypatch,
-                                                                    flat_curve, bad):
+        # the gradient at the first start is not finite: no step leaves it, so the
+        # start fails, and the next one reaches the zero
         real, calls = calibration.first_passage_slope, []
 
         def bad_once(log_h, b, s):
@@ -318,9 +352,10 @@ class TestSbtvStep1:
             return real(log_h, b, s) * (bad if len(calls) == 1 else 1.0)
 
         monkeypatch.setattr(calibration, "first_passage_slope", bad_once)
+        polishes = _record_polishes(monkeypatch)
         *_, step1 = sbtv_step1(preset_strip("lehman-2008-06-12"), flat_curve, "postponed")
-        assert step1["polishes"] == 1 and step1["newton_polishes"] == 0
-        assert step1["rms_bp"] < 1e-10
+        assert step1["polishes"] == 2 and step1["rms_bp"] < 1e-10
+        assert len(polishes) == 1  # the first polish raised
 
     def test_no_polish_with_a_finite_gradient_is_a_calibration_error(self, monkeypatch,
                                                                      flat_curve):
@@ -494,7 +529,7 @@ class TestParameterDicts:
 
 def _record_polishes(monkeypatch):
     """Wrap step 1's `_polish`; the returned list collects the arguments and the
-    result, (cost, x, newton_finished), of each polish that returns."""
+    result, (cost, x), of each polish that returns."""
     polishes = []
     real = calibration._polish
 
@@ -508,7 +543,7 @@ def _record_polishes(monkeypatch):
 
 
 def _costs(polishes):
-    return [cost for _, (cost, _, _) in polishes]
+    return [cost for _, (cost, _) in polishes]
 
 
 class _Captured(Exception):

@@ -181,6 +181,10 @@ class TestBadInputsExitWithMessage:
         assert "(0, 1)" in self.check(capsys, "calibrate", "--preset", "lehman-2007-07-10",
                                       "--model", model, "--h1", h1)
 
+    def test_sbtv_h1_that_leaves_no_room_for_h2(self, capsys):
+        assert "room for H2" in self.check(capsys, "calibrate", "--preset", "lehman-2008-06-12",
+                                           "--model", "sbtv", "--h1", "0.999999")
+
     @pytest.mark.parametrize("content", [
         '{"bucket_ends": [1.0]}',
         '{"schema_version": "1", "kind": "ers-pricing", "models": {}}',

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from fpcredit.calibration import STEP1_POLISH_STARTS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -40,7 +42,7 @@ def test_calibration_traffic_prints_one_line_per_fit():
     assert fitted and all(len(x["repricing_errors_bp"]) == len(x["spreads_bp"])
                           and max(map(abs, x["repricing_errors_bp"])) < 0.01 for x in fitted)
     step1s = [x["diagnostics"]["step1"] for x in fitted if x["model"] == "sbtv"]
-    assert step1s and all(0 <= s["newton_polishes"] <= s["polishes"] for s in step1s)
+    assert step1s and all(1 <= s["polishes"] <= STEP1_POLISH_STARTS for s in step1s)
 
 
 def test_ers_traffic_prints_one_line_per_cell():
@@ -55,3 +57,37 @@ def test_ers_traffic_prints_one_line_per_cell():
         # the intensity model is blind to the correlation: one price at every rho
         anchor = [x["result"] for x in lines if (x["preset"], x["model"]) == (preset, "intensity")]
         assert anchor[0]["fair_spread_bp"] > 0 and all(r == anchor[0] for r in anchor)
+
+
+def test_traffic_diff_pairs_lines_and_reports_changes(tmp_path):
+    # a small calibration run against a copy in reverse order (lines pair by their
+    # labels) with one fit's survivals moved and another fit turned into an error
+    done = run_script("calibration_traffic.py", ["--strips", "1"])
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    changed = []
+    for x in reversed(lines):
+        if (x["convention"], x["model"]) == ("exact", "at1p"):
+            x = {**x, "pillar_survivals": [q * (1.0 + 1e-6) for q in x["pillar_survivals"]]}
+        elif (x["convention"], x["model"]) == ("exact", "sbtv"):
+            x = {"strip": x["strip"], "convention": "exact", "model": "sbtv",
+                 "spreads_bp": x["spreads_bp"], "error": "CalibrationError: made up"}
+        changed.append(x)
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_text(done.stdout)
+    new.write_text("".join(json.dumps(x) + "\n" for x in changed))
+
+    same = run_script("traffic_diff.py", [str(old), str(old)])
+    assert same.returncode == 0, same.stderr
+    assert same.stdout.splitlines() == [f"{len(lines)} paired lines, {len(lines)} identical",
+                                        "no numeric field changes"]
+    diff = run_script("traffic_diff.py", [str(old), str(new)])
+    assert diff.returncode == 0, diff.stderr
+    out = diff.stdout.splitlines()
+    assert out[0] == f"{len(lines)} paired lines, {len(lines) - 2} identical"
+    label = f"strip={lines[0]['strip']} convention=exact"
+    assert [line for line in out if line.startswith("error differs")] == [
+        f"error differs at {label} model=sbtv: None -> 'CalibrationError: made up'"]
+    assert [line for line in out if line.startswith("pillar_survivals[]:")] == [
+        f"pillar_survivals[]: max abs {max(lines[4]['pillar_survivals']) * 1e-6:.3g} at "
+        f"{label} model=at1p; max rel 1e-06 at {label} model=at1p"]
