@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two runs of calibration_traffic.py or ers_traffic.py, line by line.
 
-    python scripts/traffic_diff.py OLD.jsonl NEW.jsonl
+    python scripts/traffic_diff.py OLD.jsonl NEW.jsonl [--max-rel TOL]
 
 Lines are paired by their label fields (strip, convention and model, or
 preset, seed, model and rho).  The script prints the labels found in one
@@ -9,8 +9,16 @@ run only, then each pair whose `error` or `warnings` differ, then, for each
 numeric field, the largest absolute and the largest relative change over
 all pairs, with the pair where each occurs.  A field is a path into the
 line, such as `diagnostics.step1.objective_bp2`; the entries of a list
-share one field, such as `parameters.sigmas[]`.  The relative change is
-|new - old| / |old|, and inf where old is 0 and new is not.
+share one field, such as `parameters.sigmas[]`.  In one pair, a field's
+absolute change is the largest |new - old| over its entries, and its
+relative change is that over the largest |old|, inf where every old entry
+is 0 and some new one is not.  So a list is measured against its own scale:
+the last steps of a solver trace, differences of nearly equal numbers, are
+not read as large changes on their own.
+
+The exit code is 0.  With --max-rel TOL it is 1 when a label is in one run
+only, an `error` or `warnings` differs, a list field changes length, or a
+field's relative change exceeds TOL.
 """
 
 import argparse
@@ -43,12 +51,14 @@ def label_text(label) -> str:
     return " ".join(f"{k}={v}" for k, v in label)
 
 
-def compare(old: dict, new: dict) -> list[str]:
+def compare(old: dict, new: dict) -> tuple[list[str], dict, bool]:
+    """(report lines, {field: [(abs change, label), (rel change, label)]}, and
+    whether a label, an error, warnings or a list's length differs)."""
     out = [f"only in {side}: {label_text(label)}"
            for side, ours, theirs in (("OLD", old, new), ("NEW", new, old))
            for label in ours if label not in theirs]
-    largest = {}  # field -> [(abs change, label), (rel change, label)]
-    for label in old.keys() & new.keys():
+    largest = {}
+    for label in (label for label in old if label in new):  # in file order
         a, b = old[label], new[label]
         for key in ("error", "warnings"):
             if a.get(key) != b.get(key):
@@ -59,37 +69,48 @@ def compare(old: dict, new: dict) -> list[str]:
             for field, x in numbers(line):
                 fields.setdefault(field, []).append(x)
         for field in fields_a.keys() & fields_b.keys():
-            if len(fields_a[field]) != len(fields_b[field]):
+            xs, ys = fields_a[field], fields_b[field]
+            if len(xs) != len(ys):
                 out.append(f"{field} changes length at {label_text(label)}")
                 continue
-            for x, y in zip(fields_a[field], fields_b[field]):
-                change = abs(y - x)
-                if math.isnan(change):
-                    change = 0.0 if math.isnan(x) and math.isnan(y) else math.inf
-                rel = change / abs(x) if x else (0.0 if change == 0.0 else math.inf)
-                best = largest.setdefault(field, [(0.0, None), (0.0, None)])
-                for i, c in enumerate((change, rel)):
-                    if c > best[i][0]:
-                        best[i] = (c, label)
+            change, scale = 0.0, max(map(abs, xs))
+            for x, y in zip(xs, ys):
+                step = abs(y - x)
+                if math.isnan(step):
+                    step = 0.0 if math.isnan(x) and math.isnan(y) else math.inf
+                change = max(change, step)
+            rel = change / scale if scale else (0.0 if change == 0.0 else math.inf)
+            best = largest.setdefault(field, [(0.0, None), (0.0, None)])
+            for i, c in enumerate((change, rel)):
+                if c > best[i][0]:
+                    best[i] = (c, label)
+    mismatched = bool(out)
     for field in sorted(largest):
         (change, at), (rel, rel_at) = largest[field]
         if change or rel:
             out.append(f"{field}: max abs {change:.3g} at {label_text(at)}; "
                        f"max rel {rel:.3g} at {label_text(rel_at)}")
-    return out
+    return out, largest, mismatched
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("old", help="the JSON lines of the reference run")
     parser.add_argument("new", help="the JSON lines of the run to compare")
+    parser.add_argument("--max-rel", type=float, metavar="TOL",
+                        help="exit 1 on a mismatch or a relative change above TOL")
     args = parser.parse_args(argv)
     old, new = read_run(args.old), read_run(args.new)
-    out = compare(old, new)
+    out, largest, mismatched = compare(old, new)
     print(f"{len(old.keys() & new.keys())} paired lines, "
           f"{sum(old[k] == new[k] for k in old.keys() & new.keys())} identical")
     print("\n".join(out) if out else "no numeric field changes")
-    return 0
+    if args.max_rel is None:
+        return 0
+    over = sorted(field for field, (_, (rel, _)) in largest.items() if not rel <= args.max_rel)
+    if over:
+        print(f"relative change above {args.max_rel:g}: {', '.join(over)}")
+    return 1 if mismatched or over else 0
 
 
 if __name__ == "__main__":

@@ -23,6 +23,9 @@ from .errors import DomainError, require_finite
 
 VALID_FREQUENCIES = (1, 2, 4, 12)
 MAX_TENOR_YEARS = 100
+# PaymentSchedule.next_payment_index counts up to this many dates (an int8
+# count), and binary-searches longer schedules
+COUNTED_DATES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,17 +110,28 @@ class DiscountCurve:
             last_forward = (knot_c[-1] - knot_c[-2]) / (knot_t[-1] - knot_t[-2])
             object.__setattr__(self, "_clock", Clock(knot_t, knot_c, float(last_forward)))
 
-    def discount(self, t):
-        """P(0, t) for scalar or array t >= 0."""
+    def rate_integral(self, t):
+        """-log P(0, t) for scalar or array t >= 0: the flat rate times t, or the
+        pillar clock (the integral of the forward rate)."""
         t_arr = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore"):  # an overflowing integral is +-inf
+            out = self._rate_integral(t_arr)
+        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+    def discount(self, t):
+        """P(0, t) = exp(-rate_integral(t)) for scalar or array t >= 0."""
+        t_arr = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore"):  # an overflowing integral discounts to 0 or inf
+            out = np.exp(-self._rate_integral(t_arr))
+        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+    def _rate_integral(self, t_arr):
         if np.any(t_arr < 0):
             raise DomainError("discount time must be non-negative")
         if self.flat_rate is not None:
-            with np.errstate(over="ignore"):  # an overflowing rate * t discounts to 0 or inf
-                out = np.exp(-self.flat_rate * t_arr)
-        else:
-            out = np.exp(-self._clock(t_arr))
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+            return self.flat_rate * t_arr
+        clock = self._clock
+        return _linear(t_arr, clock.knot_t, clock.knot_c, lambda dt: clock.tail_rate * dt)
 
     def forward_integral(self, t1: float, t2: float) -> float:
         """Integral of the instantaneous short rate over [t1, t2], i.e. log(P(0,t1)/P(0,t2))."""
@@ -157,11 +171,22 @@ class PaymentSchedule:
         return float(self.dates[-1])
 
     def next_payment_index(self, t):
-        """beta(t): 1-based index of the first payment date strictly after t.
+        """beta(t): 1-based index of the first payment date strictly after t, as
+        an intp array of t's shape; n + 1 past the last of the n dates, and at NaN.
 
-        Right-continuous and non-decreasing; beta(T_i) = i + 1.
+        Right-continuous and non-decreasing; beta(T_i) = i + 1.  Up to
+        `COUNTED_DATES` dates it counts the dates after each t, one pass over t
+        per date, which beats a binary search per t; above, it searches.
         """
-        return np.searchsorted(self.dates, np.asarray(t, dtype=float), side="right") + 1
+        t_arr = np.asarray(t, dtype=float)
+        n = self.dates.size
+        if n > COUNTED_DATES:
+            return np.searchsorted(self.dates, t_arr, side="right") + 1
+        after = np.zeros(t_arr.shape, dtype=np.int8)
+        is_after = np.empty(t_arr.shape, dtype=bool)
+        for d in self.dates:
+            after += np.less(t_arr, d, out=is_after).view(np.int8)
+        return np.subtract(n + 1, after, dtype=np.intp)
 
 
 def make_schedule(start: float, end: float, frequency: int) -> PaymentSchedule:

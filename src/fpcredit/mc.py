@@ -82,7 +82,7 @@ class ErsContract:
         return 1.0 - self.recovery
 
 
-# A cold sampler call and the pricer peak at 13-89 bytes per path, more as
+# A cold sampler call and the pricer peak at 9-89 bytes per path, more as
 # more paths default, the kept firm draw included, so this caps a run's
 # memory near 0.9 GB.
 MAX_PATHS = 10_000_000
@@ -196,14 +196,16 @@ def _firm_bm_at_default(rng, v_star, x0, nu, knot_v, sigmas):
     b_end = nu * v_star - x0
     w1 = b_end / sigmas[0]  # final on the paths that default in the first piece
     live = np.flatnonzero(knot_v[1] < v_star)
-    v, b_fin = v_star[live], b_end[live]
+    v, b_fin = v_star.take(live), b_end.take(live)
     if np.ndim(x0):
-        x0 = x0[live]
+        x0 = x0.take(live)
     y = np.zeros((3, live.size))
     y[0] = x0
     acc = b_prev = np.zeros(live.size)
     v_prev = 0.0
-    for v_k, v_next, sigma, sigma_next in zip(knot_v[1:-1], knot_v[2:], sigmas, sigmas[1:]):
+    last = knot_v.size - 2  # the bucket end before the maturity's
+    for k in range(1, last + 1):
+        v_k, sigma, sigma_next = knot_v[k], sigmas[k - 1], sigmas[k]
         shrink = (v - v_k) / (v - v_prev)
         sd = np.sqrt((v_k - v_prev) * shrink)
         z = rng.standard_normal((live.size, 3)).T
@@ -214,14 +216,17 @@ def _firm_bm_at_default(rng, v_star, x0, nu, knot_v, sigmas):
         # the norm, summed in the order np.linalg.norm(axis=1) sums a 3-column row
         b_k = np.sqrt((y[0] * y[0] + y[1] * y[1]) + y[2] * y[2]) - x0 + nu * v_k
         acc = acc + (b_k - b_prev) / sigma
-        on = v_next < v
+        if k == last:  # every path still live defaults in the last piece
+            w1[live] = acc + (b_fin - b_k) / sigma_next
+            break
+        on = knot_v[k + 1] < v
         gone = np.flatnonzero(~on)  # the paths that default in the next piece
-        w1[live[gone]] = acc[gone] + (b_fin[gone] - b_k[gone]) / sigma_next
+        w1[live.take(gone)] = acc.take(gone) + (b_fin.take(gone) - b_k.take(gone)) / sigma_next
         keep = np.flatnonzero(on)
         y = y.take(keep, axis=1)  # y[:, keep] would interleave the rows in memory
-        live, v, b_fin, acc, b_prev = live[keep], v[keep], b_fin[keep], acc[keep], b_k[keep]
+        live, v, b_fin, acc, b_prev = (a.take(keep) for a in (live, v, b_fin, acc, b_k))
         if np.ndim(x0):
-            x0 = x0[keep]
+            x0 = x0.take(keep)
         v_prev = v_k
     return w1
 
@@ -229,8 +234,8 @@ def _firm_bm_at_default(rng, v_star, x0, nu, knot_v, sigmas):
 def _equity_at_default(tau, shock, ers: ErsContract, curve: DiscountCurve):
     """S_tau given the value at tau of the Brownian motion driving the equity."""
     sig = ers.equity_vol
-    r_int = -np.log(np.asarray(curve.discount(tau)))
-    return ers.s0 * np.exp(r_int - (ers.dividend_yield + 0.5 * sig * sig) * tau + sig * shock)
+    drift = curve.rate_integral(tau) - (ers.dividend_yield + 0.5 * sig * sig) * tau
+    return ers.s0 * np.exp(drift + sig * shock)
 
 
 class _FirmDraw(NamedTuple):
@@ -268,10 +273,12 @@ def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
     knot_t = np.append(clock.knot_t[clock.knot_t < maturity], maturity)
     knot_v = clock(knot_t)
     sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
-    defaulted = v_star <= knot_v[-1]
-    v_def = v_star[defaulted]
-    w1 = _firm_bm_at_default(firm_rng, v_def, x0[defaulted] if np.ndim(x0) else x0, nu,
-                             knot_v, sigmas)
+    defaulted = np.flatnonzero(v_star <= knot_v[-1])
+    v_def = v_star.take(defaulted)
+    if np.ndim(x0):
+        x0 = x0.take(defaulted)
+    del v_star, defaulted  # freed before the bridge, where a draw with many defaults peaks
+    w1 = _firm_bm_at_default(firm_rng, v_def, x0, nu, knot_v, sigmas)
     tau = np.minimum(clock.inverse(v_def), maturity)  # the round trip can overshoot
     w2 = np.sqrt(tau) * equity_rng.standard_normal(v_def.size)
     for shared in (tau, w1, w2):
@@ -357,8 +364,9 @@ def _npv_terms(tau, s_tau, ers: ErsContract, curve: DiscountCurve):
     tails = np.append(np.cumsum(annuity_terms[::-1])[::-1], 0.0)
     ks0 = ers.stock_count * ers.s0
     idx = sched.next_payment_index(tau) - 1  # T_{beta(tau)-1} is (T_0, T_1, ...)[idx]
-    per_spread = ks0 * tails[idx]
-    fixed = (ks0 * curve.discount(np.append(sched.start, sched.dates))[idx]
+    # each table scaled before the gather: the same products, on n + 1 entries only
+    per_spread = (ks0 * tails).take(idx)
+    fixed = ((ks0 * curve.discount(np.append(sched.start, sched.dates))).take(idx)
              - ers.stock_count * curve.discount(tau) * s_tau)
     return fixed, per_spread, float(tails[0])
 

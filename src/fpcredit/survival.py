@@ -215,7 +215,7 @@ def barrier_level(params: At1pParams, curve: DiscountCurve, t, payout_rate: floa
     Equivalently H times the expected firm value times exp(-B * cumvar).
     """
     t_arr = np.asarray(t, dtype=float)
-    rate_integral = -np.log(curve.discount(t_arr))  # raises DomainError for negative times
+    rate_integral = curve.rate_integral(t_arr)  # raises DomainError for negative times
     cv = params.vols.clock(t_arr)
     out = params.h_over_v0 * np.exp(rate_integral - payout_rate * t_arr - params.b * np.asarray(cv))
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out

@@ -267,6 +267,17 @@ class TestBadInputsExitWithMessage:
         assert "pillar" in self.check(capsys, "price-cds", "--params", str(path),
                                       "--model", "at1p", "--tenor", "5", "--spread-bp", "100")
 
+    def test_report_whose_pillar_curve_overflows(self, capsys, outdir):
+        # the forward beyond 2y is about -690, so P(0, t) overflows on a 100y schedule
+        run(capsys, "calibrate", "--preset", "lehman-2008-06-12", "--model", "at1p")
+        path = outdir / "calibration.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["pillars"] = [[1.0, 1e-300], [2.0, 1.0]]
+        path.write_text(json.dumps(doc))
+        err = self.check(capsys, "price-cds", "--params", str(path), "--model", "at1p",
+                         "--tenor", "100", "--spread-bp", "100")
+        assert "infinite premium annuity" in err and "RuntimeWarning" not in err
+
     def test_deeply_nested_report(self, capsys, tmp_path):
         f = tmp_path / "r.json"
         f.write_text("[" * 100_000)

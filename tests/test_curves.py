@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fpcredit import DiscountCurve, DomainError, make_schedule
+from fpcredit import DiscountCurve, DomainError, PaymentSchedule, make_schedule
+from fpcredit.cds import leg_grid
 from fpcredit.curves import Clock
+
+# a pillar curve whose forward beyond 1y is about -690, so P(0, t) overflows near 2.03y
+OVERFLOWING_PILLARS = ((1.0, 1e-300), (2.0, 1.0))
 
 
 class TestDiscountCurve:
@@ -66,6 +70,52 @@ class TestDiscountCurve:
         curve = DiscountCurve(flat_rate=rate)
         assert curve.discount(lo) >= curve.discount(hi)
         assert 0.0 < curve.discount(hi) <= 1.0
+
+
+class TestRateIntegral:
+    CURVES = [DiscountCurve(flat_rate=0.03), DiscountCurve(flat_rate=-0.02),
+              DiscountCurve(flat_rate=1e308),
+              DiscountCurve(pillars=((0.5, 0.99), (2.0, 0.95), (7.0, 0.80))),
+              DiscountCurve(pillars=OVERFLOWING_PILLARS)]
+    TIMES = np.concatenate(([0.0, 0.25, 0.5, 1.0, 2.0, 7.0, 30.0, 100.0],
+                            np.random.default_rng(5).uniform(0.0, 12.0, 200)))
+
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_discount_is_the_exponential_of_its_negative(self, curve):
+        # bit for bit, on arrays and on scalars, and without a warning where it overflows
+        with np.errstate(over="ignore"):
+            expected = np.exp(-curve.rate_integral(self.TIMES))
+        assert np.array_equal(curve.discount(self.TIMES), expected)
+        for t, df in zip(self.TIMES, expected):
+            assert type(curve.rate_integral(float(t))) is float
+            assert curve.discount(float(t)) == df
+            assert curve.discount(np.asarray(t)) == df
+
+    def test_flat_curve_is_the_rate_times_t(self):
+        curve = DiscountCurve(flat_rate=0.03)
+        assert np.array_equal(curve.rate_integral(self.TIMES), 0.03 * self.TIMES)
+        assert DiscountCurve(flat_rate=1e308).rate_integral(50.0) == math.inf
+
+    def test_pillar_curve_is_minus_the_log_of_its_pillars(self):
+        pillars = ((0.5, 0.99), (2.0, 0.95), (7.0, 0.80))
+        curve = DiscountCurve(pillars=pillars)
+        for t, df in pillars:
+            assert curve.rate_integral(t) == pytest.approx(-math.log(df), rel=1e-15)
+        assert curve.rate_integral(0.0) == 0.0
+
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_negative_time_rejected(self, curve):
+        with pytest.raises(DomainError, match="non-negative"):
+            curve.rate_integral(-0.1)
+        with pytest.raises(DomainError, match="non-negative"):
+            curve.rate_integral(np.array([1.0, -1e-300]))
+
+    def test_overflowing_pillar_curve_is_a_typed_error_in_the_legs(self):
+        # warnings are errors here, so an overflow warning in discount would fail first
+        curve = DiscountCurve(pillars=OVERFLOWING_PILLARS)
+        assert curve.discount(100.0) == math.inf
+        with pytest.raises(DomainError, match="infinite premium annuity"):
+            leg_grid(make_schedule(0.0, 100.0, 4), curve)
 
 
 class TestClock:
@@ -146,6 +196,26 @@ class TestSchedule:
         ts = sorted(ts)
         betas = [int(sched.next_payment_index(t)) for t in ts]
         assert betas == sorted(betas)
+
+    @pytest.mark.parametrize("n", [1, 10, 32, 33, 1200])
+    def test_next_payment_index_is_the_binary_search(self, n):
+        # counted up to 32 dates, searched above: the same index either way
+        sched = PaymentSchedule(start=0.0, dates=np.sort(
+            np.random.default_rng(n).uniform(0.0, 0.1 * n, n)) + np.arange(n) * 1e-3)
+        dates = sched.dates
+        keys = np.concatenate((np.random.default_rng(7).uniform(-1.0, dates[-1] + 1.0, 500),
+                               dates, np.nextafter(dates, -np.inf), [-0.5, -1e300, 0.0],
+                               [dates[-1] + 1.0, 1e300, np.inf, -np.inf, np.nan]))
+        for t in (keys, keys[::-1].reshape(2, -1)):
+            got = sched.next_payment_index(t)
+            assert got.dtype == np.intp and got.shape == t.shape
+            assert np.array_equal(got, np.searchsorted(dates, t, side="right") + 1)
+        for key in keys:
+            expected = np.searchsorted(dates, key, side="right") + 1
+            for t in (float(key), np.asarray(key), np.float64(key)):
+                got = sched.next_payment_index(t)
+                assert np.shape(got) == () and np.asarray(got).dtype == np.intp
+                assert got == expected
 
     def test_deterministic_construction(self):
         a = make_schedule(0.0, 7.0, 4)

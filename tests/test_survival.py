@@ -185,6 +185,20 @@ class TestBarrierLevel:
         assert barrier_level(params, curve, 6.0) == pytest.approx(
             0.4 / curve.discount(6.0), rel=1e-12)
 
+    @pytest.mark.parametrize("curve", [
+        DiscountCurve(flat_rate=0.03), DiscountCurve(flat_rate=-0.01),
+        DiscountCurve(pillars=((0.5, 0.99), (2.0, 0.95), (7.0, 0.80)))])
+    def test_reads_the_rate_integral_as_minus_the_log_of_discount(self, curve):
+        # the same level as through -log P(0, t), to round-off
+        params = At1pParams(0.4, 0.3, LEHMAN_2007_VOLS)
+        t = np.linspace(0.0, 12.0, 97)
+        old = params.h_over_v0 * np.exp(-np.log(curve.discount(t)) - 0.01 * t
+                                        - params.b * params.vols.clock(t))
+        assert np.allclose(barrier_level(params, curve, t, 0.01), old, rtol=1e-15, atol=0)
+        assert barrier_level(params, curve, 3.0, 0.01) == pytest.approx(old[24], rel=1e-15)
+        with pytest.raises(DomainError):
+            barrier_level(params, curve, -1.0)
+
 
 class TestSbtvSurvival:
     def test_published_scenario_mixture_2007(self):
