@@ -9,16 +9,13 @@ run only, then each pair whose `error` or `warnings` differ, then, for each
 numeric field, the largest absolute and the largest relative change over
 all pairs, with the pair where each occurs.  A field is a path into the
 line, such as `diagnostics.step1.objective_bp2`; the entries of a list
-share one field, such as `parameters.sigmas[]`.  In one pair, a field's
-absolute change is the largest |new - old| over its entries, and its
-relative change is that over the largest |old|, inf where every old entry
-is 0 and some new one is not.  So a list is measured against its own scale:
-the last steps of a solver trace, differences of nearly equal numbers, are
-not read as large changes on their own.
+share one field, such as `parameters.sigmas[]`.  The relative change is
+|new - old| / |old|, and inf where old is 0 and new is not.
 
 The exit code is 0.  With --max-rel TOL it is 1 when a label is in one run
-only, an `error` or `warnings` differs, a list field changes length, or a
-field's relative change exceeds TOL.
+only, an `error` or `warnings` differs, a numeric field is in one line of a
+pair only (left out, or turned into null or text), a list field changes
+length, or an entry's relative change exceeds TOL.
 """
 
 import argparse
@@ -53,7 +50,8 @@ def label_text(label) -> str:
 
 def compare(old: dict, new: dict) -> tuple[list[str], dict, bool]:
     """(report lines, {field: [(abs change, label), (rel change, label)]}, and
-    whether a label, an error, warnings or a list's length differs)."""
+    whether a label, an error, warnings, a field's presence or a list's length
+    differs)."""
     out = [f"only in {side}: {label_text(label)}"
            for side, ours, theirs in (("OLD", old, new), ("NEW", new, old))
            for label in ours if label not in theirs]
@@ -68,22 +66,23 @@ def compare(old: dict, new: dict) -> tuple[list[str], dict, bool]:
         for fields, line in ((fields_a, a), (fields_b, b)):
             for field, x in numbers(line):
                 fields.setdefault(field, []).append(x)
+        for side, ours, theirs in (("OLD", fields_a, fields_b), ("NEW", fields_b, fields_a)):
+            alone = sorted(ours.keys() - theirs.keys())
+            if alone:
+                out.append(f"only in {side} at {label_text(label)}: {', '.join(alone)}")
         for field in fields_a.keys() & fields_b.keys():
-            xs, ys = fields_a[field], fields_b[field]
-            if len(xs) != len(ys):
+            if len(fields_a[field]) != len(fields_b[field]):
                 out.append(f"{field} changes length at {label_text(label)}")
                 continue
-            change, scale = 0.0, max(map(abs, xs))
-            for x, y in zip(xs, ys):
-                step = abs(y - x)
-                if math.isnan(step):
-                    step = 0.0 if math.isnan(x) and math.isnan(y) else math.inf
-                change = max(change, step)
-            rel = change / scale if scale else (0.0 if change == 0.0 else math.inf)
-            best = largest.setdefault(field, [(0.0, None), (0.0, None)])
-            for i, c in enumerate((change, rel)):
-                if c > best[i][0]:
-                    best[i] = (c, label)
+            for x, y in zip(fields_a[field], fields_b[field]):
+                change = abs(y - x)
+                if math.isnan(change):
+                    change = 0.0 if math.isnan(x) and math.isnan(y) else math.inf
+                rel = change / abs(x) if x else (0.0 if change == 0.0 else math.inf)
+                best = largest.setdefault(field, [(0.0, None), (0.0, None)])
+                for i, c in enumerate((change, rel)):
+                    if c > best[i][0]:
+                        best[i] = (c, label)
     mismatched = bool(out)
     for field in sorted(largest):
         (change, at), (rel, rel_at) = largest[field]

@@ -23,9 +23,6 @@ from .errors import DomainError, require_finite
 
 VALID_FREQUENCIES = (1, 2, 4, 12)
 MAX_TENOR_YEARS = 100
-# PaymentSchedule.next_payment_index counts up to this many dates (an int8
-# count), and binary-searches longer schedules
-COUNTED_DATES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +123,11 @@ class DiscountCurve:
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def _rate_integral(self, t_arr):
+        if self.flat_rate is None:
+            return self._clock(t_arr)
         if np.any(t_arr < 0):
             raise DomainError("discount time must be non-negative")
-        if self.flat_rate is not None:
-            return self.flat_rate * t_arr
-        clock = self._clock
-        return _linear(t_arr, clock.knot_t, clock.knot_c, lambda dt: clock.tail_rate * dt)
+        return self.flat_rate * t_arr
 
     def forward_integral(self, t1: float, t2: float) -> float:
         """Integral of the instantaneous short rate over [t1, t2], i.e. log(P(0,t1)/P(0,t2))."""
@@ -174,18 +170,17 @@ class PaymentSchedule:
         """beta(t): 1-based index of the first payment date strictly after t, as
         an intp array of t's shape; n + 1 past the last of the n dates, and at NaN.
 
-        Right-continuous and non-decreasing; beta(T_i) = i + 1.  Up to
-        `COUNTED_DATES` dates it counts the dates after each t, one pass over t
-        per date, which beats a binary search per t; above, it searches.
+        Right-continuous and non-decreasing; beta(T_i) = i + 1.  It counts the
+        dates after each t, one pass over t per date into the narrowest unsigned
+        count that holds n, which beats a binary search per t on the short
+        schedules of the ERS contracts.
         """
         t_arr = np.asarray(t, dtype=float)
         n = self.dates.size
-        if n > COUNTED_DATES:
-            return np.searchsorted(self.dates, t_arr, side="right") + 1
-        after = np.zeros(t_arr.shape, dtype=np.int8)
+        after = np.zeros(t_arr.shape, dtype=np.min_scalar_type(n))
         is_after = np.empty(t_arr.shape, dtype=bool)
         for d in self.dates:
-            after += np.less(t_arr, d, out=is_after).view(np.int8)
+            after += np.less(t_arr, d, out=is_after)
         return np.subtract(n + 1, after, dtype=np.intp)
 
 

@@ -197,9 +197,10 @@ class TestSchedule:
         betas = [int(sched.next_payment_index(t)) for t in ts]
         assert betas == sorted(betas)
 
-    @pytest.mark.parametrize("n", [1, 10, 32, 33, 1200])
+    @pytest.mark.parametrize("n", [1, 10, 32, 33, 255, 256, 1200])
     def test_next_payment_index_is_the_binary_search(self, n):
-        # counted up to 32 dates, searched above: the same index either way
+        # counted into a uint8 up to 255 dates and a uint16 above: the index of
+        # a binary search either way
         sched = PaymentSchedule(start=0.0, dates=np.sort(
             np.random.default_rng(n).uniform(0.0, 0.1 * n, n)) + np.arange(n) * 1e-3)
         dates = sched.dates

@@ -104,24 +104,30 @@ def test_traffic_diff_max_rel_fails_a_mismatch_or_a_move_above_it(tmp_path):
                 "result": {"fair_spread_bp": spread, "delta_x_trace_bp": trace}, **extra}
 
     old = write("old.jsonl", [cell(1, 300.0, [300.0, 1e-6, 0.0]), cell(2, 80.0, [80.0, 0.0])])
-    # the trace's last step moves by 1e-2 of itself, 3e-11 of the trace's scale
-    close = write("close.jsonl", [cell(1, 300.0 * (1 + 1e-13), [300.0, 1.01e-6, 0.0]),
+    close = write("close.jsonl", [cell(1, 300.0 * (1 + 1e-13), [300.0, 1e-6 * (1 + 1e-11), 0.0]),
                                   cell(2, 80.0, [80.0, 0.0])])
     cases = {
         "moved": [cell(1, 300.0 * (1 + 1e-9), [300.0, 1e-6, 0.0]), cell(2, 80.0, [80.0, 0.0])],
+        # a small entry moves by 1e-2 of itself, 3e-11 of the largest entry
+        "small entry": [cell(1, 300.0, [300.0, 1.01e-6, 0.0]), cell(2, 80.0, [80.0, 0.0])],
         "one side": [cell(1, 300.0, [300.0, 1e-6, 0.0])],
         "error": [cell(1, 300.0, [300.0, 1e-6, 0.0]), cell(2, 80.0, [80.0, 0.0], error="E")],
         "warnings": [cell(1, 300.0, [300.0, 1e-6, 0.0]),
                      cell(2, 80.0, [80.0, 0.0], warnings=["w"])],
-        "length": [cell(1, 300.0, [300.0, 1e-6]), cell(2, 80.0, [80.0, 0.0])]}
+        "length": [cell(1, 300.0, [300.0, 1e-6]), cell(2, 80.0, [80.0, 0.0])],
+        "null": [cell(1, None, [300.0, 1e-6, 0.0]), cell(2, 80.0, [80.0, 0.0])],
+        "dropped": [cell(1, 300.0, [300.0, 1e-6, 0.0]),
+                    {"preset": "p", "seed": 2, "model": "at1p", "rho": 0.0,
+                     "result": {"delta_x_trace_bp": [80.0, 0.0]}}]}
     for new in [close] + [write(f"{i}.jsonl", lines) for i, lines in enumerate(cases.values())]:
         assert run_script("traffic_diff.py", [old, new]).returncode == 0
     done = run_script("traffic_diff.py", [old, close, "--max-rel", "1e-10"])
     assert done.returncode == 0, done.stdout
-    assert "delta_x_trace_bp[]: max abs 1e-08" in done.stdout
+    assert "delta_x_trace_bp[]: max abs 1e-17" in done.stdout
     for name, lines in cases.items():
         done = run_script("traffic_diff.py", [old, write("new.jsonl", lines),
                                               "--max-rel", "1e-10"])
         assert done.returncode == 1, (name, done.stdout)
+    assert "only in OLD at preset=p seed=2 model=at1p rho=0.0: result.fair_spread_bp" in done.stdout
     assert "above 1e-14: result.delta_x_trace_bp[], result.fair_spread_bp" in run_script(
         "traffic_diff.py", [old, close, "--max-rel", "1e-14"]).stdout
