@@ -131,7 +131,7 @@ class DiscountCurve:
 
     def forward_integral(self, t1: float, t2: float) -> float:
         """Integral of the instantaneous short rate over [t1, t2], i.e. log(P(0,t1)/P(0,t2))."""
-        return math.log(self.discount(t1) / self.discount(t2))
+        return self.rate_integral(t2) - self.rate_integral(t1)
 
 
 @dataclass(frozen=True)
@@ -171,15 +171,18 @@ class PaymentSchedule:
         an intp array of t's shape; n + 1 past the last of the n dates, and at NaN.
 
         Right-continuous and non-decreasing; beta(T_i) = i + 1.  It counts the
-        dates after each t, one pass over t per date into the narrowest unsigned
-        count that holds n, which beats a binary search per t on the short
-        schedules of the ERS contracts.
+        dates after each t into the narrowest unsigned count that holds n, which
+        beats a binary search per t on the short schedules of the ERS contracts.
+        Only the dates between the least and the greatest t (NaN sorts past every
+        date) take a pass over t: those below are after no t, those above after all.
         """
         t_arr = np.asarray(t, dtype=float)
         n = self.dates.size
-        after = np.zeros(t_arr.shape, dtype=np.min_scalar_type(n))
+        lo, hi = np.searchsorted(self.dates, (np.fmin.reduce(t_arr, axis=None, initial=np.inf),
+                                              np.max(t_arr, initial=-np.inf)), side="right")
+        after = np.full(t_arr.shape, n - hi, dtype=np.min_scalar_type(n))
         is_after = np.empty(t_arr.shape, dtype=bool)
-        for d in self.dates:
+        for d in self.dates[lo:hi]:
             after += np.less(t_arr, d, out=is_after)
         return np.subtract(n + 1, after, dtype=np.intp)
 

@@ -25,9 +25,10 @@ kept in one module-level slot, keyed on the model, the maturity, the path
 count and the seed, so a correlation sweep that calls model by model draws
 each model once, and its paths pair across correlations by construction.
 Each call then only mixes the two Brownian motions and maps them to the
-equity at default; its records and the pricer hold both only on the
-defaulted paths, and do no work on the others.  The slot keeps
-24 P(default) bytes per path until a call with another key replaces it.
+discounted equity at default P(0,tau) S_tau, which needs no curve; its
+records and the pricer hold both only on the defaulted paths, and do no
+work on the others.  The slot keeps 24 P(default) bytes per path until a
+call with another key replaces it.
 """
 
 from __future__ import annotations
@@ -104,12 +105,13 @@ class SimulationConfig:
 @dataclass
 class PathRecords:
     """Simulation output sufficient for ERS pricing: the path count, and the
-    default time and the equity at default on the k <= n_paths paths that
-    default.  The pricer sees a 0 on each of the others."""
+    default time and the discounted equity at default P(0,tau) S_tau on the
+    k <= n_paths paths that default.  The pricer sees a 0 on each of the
+    others."""
 
     n_paths: int
     tau: np.ndarray                # default time, one entry per defaulted path
-    s_tau: np.ndarray              # equity at default, likewise
+    discounted_s_tau: np.ndarray   # P(0,tau) S_tau, likewise
     default_prob_closed_form: float
     diagnostics: dict = field(default_factory=dict)
 
@@ -123,11 +125,12 @@ class PathRecords:
         if np.ndim(self.tau) != 1 or np.size(self.tau) > self.n_paths:
             raise DomainError(f"tau must be 1-d with one entry per defaulted path, "
                               f"at most n_paths ({self.n_paths})")
-        if np.shape(self.s_tau) != np.shape(self.tau):
-            raise DomainError(f"s_tau must be 1-d with one entry per defaulted path, "
-                              f"as tau ({np.size(self.tau)})")
+        if np.shape(self.discounted_s_tau) != np.shape(self.tau):
+            raise DomainError(f"discounted_s_tau must be 1-d with one entry per defaulted "
+                              f"path, as tau ({np.size(self.tau)})")
         for name, value in (("default time tau", self.tau),
-                            ("equity at default s_tau", self.s_tau)):
+                            ("discounted equity at default discounted_s_tau",
+                             self.discounted_s_tau)):
             if not np.all(np.isfinite(value)):
                 raise DomainError(f"{name} must be finite")
 
@@ -231,11 +234,11 @@ def _firm_bm_at_default(rng, v_star, x0, nu, knot_v, sigmas):
     return w1
 
 
-def _equity_at_default(tau, shock, ers: ErsContract, curve: DiscountCurve):
-    """S_tau given the value at tau of the Brownian motion driving the equity."""
+def _equity_at_default(tau, shock, ers: ErsContract):
+    """P(0,tau) S_tau given the value at tau of the Brownian motion driving the
+    equity: the discount factor cancels the rate drift, whatever the curve."""
     sig = ers.equity_vol
-    drift = curve.rate_integral(tau) - (ers.dividend_yield + 0.5 * sig * sig) * tau
-    return ers.s0 * np.exp(drift + sig * shock)
+    return ers.s0 * np.exp(sig * shock - (ers.dividend_yield + 0.5 * sig * sig) * tau)
 
 
 class _FirmDraw(NamedTuple):
@@ -289,8 +292,7 @@ def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
 _last_draw = None  # (key, _FirmDraw) of the last joint simulation
 
 
-def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
-                         cfg: SimulationConfig) -> PathRecords:
+def simulate_joint_paths(model, ers: ErsContract, cfg: SimulationConfig) -> PathRecords:
     """Exact joint draw of the first-passage default time and the equity at
     default.
 
@@ -300,7 +302,8 @@ def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
     kept: a call with the same model, maturity, path count and seed reuses
     it, so default times are identical across correlations at a fixed seed
     and only the equity at default is computed again.  `tau` is then shared
-    between the calls' records, and read-only; `s_tau` is each call's own.
+    between the calls' records, and read-only; `discounted_s_tau` is each
+    call's own.
     """
     global _last_draw
     if not isinstance(model, (At1pParams, SbtvParams)):
@@ -312,14 +315,14 @@ def simulate_joint_paths(model, ers: ErsContract, curve: DiscountCurve,
         _last_draw = None  # drop the old draw before making the new one
         slot = _last_draw = key, _firm_draw(*key)
     draw, rho = slot[1], ers.rho
-    s_tau = _equity_at_default(
-        draw.tau, rho * draw.w1 + math.sqrt(1.0 - rho * rho) * draw.w2, ers, curve)
-    return PathRecords(n_paths=cfg.n_paths, tau=draw.tau, s_tau=s_tau,
+    discounted_s_tau = _equity_at_default(
+        draw.tau, rho * draw.w1 + math.sqrt(1.0 - rho * rho) * draw.w2, ers)
+    return PathRecords(n_paths=cfg.n_paths, tau=draw.tau, discounted_s_tau=discounted_s_tau,
                        default_prob_closed_form=draw.default_prob_closed_form,
                        diagnostics={"seed": cfg.rng_seed})
 
 
-def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract, curve: DiscountCurve,
+def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract,
                              cfg: SimulationConfig) -> PathRecords:
     """Reduced-form cross-check: default time by inverse transform of the
     piecewise-exponential survival, independent of the equity path.
@@ -336,14 +339,15 @@ def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract, curve: Disco
     level = -np.log(rng.random(cfg.n_paths))
     tau = clock.inverse(level[level <= clock(maturity * (1.0 + 1e-9)) * (1.0 + 1e-9)])
     tau = tau[tau <= maturity]
-    s_tau = _equity_at_default(tau, np.sqrt(tau) * rng.standard_normal(tau.size), ers, curve)
+    shock = np.sqrt(tau) * rng.standard_normal(tau.size)
+    discounted_s_tau = _equity_at_default(tau, shock, ers)
     pd_closed = 1.0 - survival(hazard, ers.maturity)
-    return PathRecords(n_paths=cfg.n_paths, tau=tau, s_tau=s_tau,
+    return PathRecords(n_paths=cfg.n_paths, tau=tau, discounted_s_tau=discounted_s_tau,
                        default_prob_closed_form=pd_closed,
                        diagnostics={"seed": cfg.rng_seed, "model": "intensity"})
 
 
-def _npv_terms(tau, s_tau, ers: ErsContract, curve: DiscountCurve):
+def _npv_terms(tau, discounted_s_tau, ers: ErsContract, curve: DiscountCurve):
     """(fixed, per_spread, annuity): the residual swap value at default,
     P(0,tau) * NPV(tau), is fixed + per_spread * X at spread X, and
     per_spread <= K*S0 * annuity exactly, both read off the same tail sums.
@@ -354,20 +358,23 @@ def _npv_terms(tau, s_tau, ers: ErsContract, curve: DiscountCurve):
 
         fixed      = K*S0 * P(0, T_{beta(tau)-1}) - K * P(0,tau) * S_tau
         per_spread = K*S0 * sum_{i >= beta(tau)} P(0,T_i) alpha_i
+
+    The curve is read once, at T_0, ..., T_n: P(0,tau) * S_tau comes discounted.
     """
-    tau, s_tau = np.asarray(tau, dtype=float), np.asarray(s_tau, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    discounted_s_tau = np.asarray(discounted_s_tau, dtype=float)
     if np.any(tau > ers.maturity):
         raise DomainError("default after maturity: residual NPV undefined")
     sched = ers.schedule
-    annuity_terms = curve.discount(sched.dates) * sched.accruals
+    discounts = curve.discount(np.append(sched.start, sched.dates))  # P(0, T_0), ..., P(0, T_n)
+    annuity_terms = discounts[1:] * sched.accruals
     # tail annuities from T_1, ..., T_n, and 0 past the last payment date
     tails = np.append(np.cumsum(annuity_terms[::-1])[::-1], 0.0)
     ks0 = ers.stock_count * ers.s0
     idx = sched.next_payment_index(tau) - 1  # T_{beta(tau)-1} is (T_0, T_1, ...)[idx]
     # each table scaled before the gather: the same products, on n + 1 entries only
     per_spread = (ks0 * tails).take(idx)
-    fixed = ((ks0 * curve.discount(np.append(sched.start, sched.dates))).take(idx)
-             - ers.stock_count * curve.discount(tau) * s_tau)
+    fixed = (ks0 * discounts).take(idx) - ers.stock_count * discounted_s_tau
     return fixed, per_spread, float(tails[0])
 
 
@@ -397,7 +404,7 @@ def ers_cva_term(paths: PathRecords, ers: ErsContract, curve: DiscountCurve,
                  spread: float) -> CvaEstimate:
     """Monte Carlo counterparty adjustment LGD * E[1{default} (P(0,tau) NPV(tau))^+],
     controlled by the default indicator."""
-    fixed, per_spread, _ = _npv_terms(paths.tau, paths.s_tau, ers, curve)
+    fixed, per_spread, _ = _npv_terms(paths.tau, paths.discounted_s_tau, ers, curve)
     return _cva_estimate(paths, ers.lgd * np.maximum(fixed + per_spread * spread, 0.0))
 
 
@@ -412,7 +419,7 @@ def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract,
     rising.  1 - slope is a sum of terms >= 0, 0 only on the one input with no
     root: P(default) = 1, zero recovery and every default before T_1.
     """
-    fixed, per_spread, annuity = _npv_terms(paths.tau, paths.s_tau, ers, curve)
+    fixed, per_spread, annuity = _npv_terms(paths.tau, paths.discounted_s_tau, ers, curve)
     if annuity <= 1e-300:
         raise DegenerateInputError("zero premium annuity: fair ERS spread undefined")
     denom = ers.stock_count * ers.s0 * annuity
@@ -461,8 +468,8 @@ def ers_fair_spread(model, ers: ErsContract, curve: DiscountCurve,
                     cfg: SimulationConfig) -> ErsPricingResult:
     """Draw one path set under the credit model and solve it (ers_fair_spread_from_paths)."""
     if isinstance(model, HazardCurve):
-        paths = simulate_intensity_paths(model, ers, curve, cfg)
+        paths = simulate_intensity_paths(model, ers, cfg)
     else:
-        paths = simulate_joint_paths(model, ers, curve, cfg)
+        paths = simulate_joint_paths(model, ers, cfg)
     return ers_fair_spread_from_paths(paths, ers, curve)
 

@@ -13,9 +13,9 @@ from fpcredit.calibration import STEP1_TOL
 def npv_three_term(tau, s_tau, ers: ErsContract, curve: DiscountCurve, spread: float):
     """The library's discounted residual swap value at default, P(0,tau) * NPV(tau):
     fixed + per_spread * spread from `mc._npv_terms`, the three-term form the
-    pricer uses, for a scalar or an array of defaults.  Not an oracle: the tests
-    check it against `ers_npv_at_default_termwise`."""
-    fixed, per_spread, _ = mc._npv_terms(tau, s_tau, ers, curve)
+    pricer uses, for a scalar or an array of defaults with the equity S_tau at
+    each.  Not an oracle: the tests check it against `ers_npv_at_default_termwise`."""
+    fixed, per_spread, _ = mc._npv_terms(tau, curve.discount(tau) * s_tau, ers, curve)
     out = fixed + per_spread * spread
     return float(out) if np.isscalar(tau) else out
 
@@ -92,7 +92,7 @@ def early_default_paths(ers: ErsContract, default_prob: float, n: int = 1_000) -
     recovery the fair-spread equation has no root."""
     rng = np.random.default_rng(5)
     tau = rng.uniform(0.0, ers.schedule.dates[0], n)
-    return PathRecords(n_paths=n, tau=tau, s_tau=rng.uniform(5.0, 25.0, n),
+    return PathRecords(n_paths=n, tau=tau, discounted_s_tau=rng.uniform(5.0, 25.0, n),
                        default_prob_closed_form=default_prob)
 
 

@@ -73,7 +73,7 @@ def ers_sweep(ers_calibrations, flat_curve):
         model = ers_calibrations[model_name]
         for rho in RHOS:
             ers = make_ers_contract(rho=rho)
-            paths = simulate_joint_paths(model, ers, flat_curve, cfg)
+            paths = simulate_joint_paths(model, ers, cfg)
             result = ers_fair_spread_from_paths(paths, ers, flat_curve)
             x = result.fair_spread_bp * 1e-4
             est = ers_cva_term(paths, ers, flat_curve, x)
@@ -174,7 +174,7 @@ class TestCriterion4ScenarioTrajectory:
 
 class TestCriterion5McVsClosedForm:
     def test_default_probability_within_three_standard_errors(
-            self, ers_calibrations, lehman_calibrations, flat_curve):
+            self, ers_calibrations, lehman_calibrations):
         t0 = time.perf_counter()
         cfg = SimulationConfig(n_paths=100_000, rng_seed=20090916)
         ers = make_ers_contract(rho=0.0)
@@ -184,7 +184,7 @@ class TestCriterion5McVsClosedForm:
                   for name in LEHMAN_PRESETS]
         details, ok = [], True
         for label, model in cases:
-            paths = simulate_joint_paths(model, ers, flat_curve, cfg)
+            paths = simulate_joint_paths(model, ers, cfg)
             pd_cf = paths.default_prob_closed_form
             pd_mc = paths.tau.size / paths.n_paths
             se = math.sqrt(max(pd_cf * (1 - pd_cf), 1e-12) / cfg.n_paths)

@@ -442,7 +442,7 @@ class TestPriceErsCommand:
         from fpcredit import cli, mc
         monkeypatch.setitem(cli.ERS_CONTRACT_TERMS, "recovery", 0.0)
         monkeypatch.setattr(mc, "simulate_joint_paths",
-                            lambda model, ers, curve, cfg: early_default_paths(ers, 1.0))
+                            lambda model, ers, cfg: early_default_paths(ers, 1.0))
         code, _, err = run(capsys, "price-ers", "--preset", "ers-paper-2009-09-16",
                            "--models", "at1p", "--rho", "0.5", "--paths", "5000",
                            "--seed", "7")

@@ -103,6 +103,15 @@ class TestRateIntegral:
             assert curve.rate_integral(t) == pytest.approx(-math.log(df), rel=1e-15)
         assert curve.rate_integral(0.0) == 0.0
 
+    def test_forward_integral_is_the_difference_of_rate_integrals(self):
+        # at 1000% both discount factors underflow to 0, and their ratio would be 0 / 0
+        forward = DiscountCurve(flat_rate=1000.0).forward_integral(1.0, 2.0)
+        assert type(forward) is float and forward == 1000.0
+        curve = DiscountCurve(pillars=((0.5, 0.99), (2.0, 0.95), (7.0, 0.80)))
+        for t1, t2 in ((0.0, 0.5), (0.3, 1.7), (1.0, 7.0), (5.0, 12.0)):
+            assert curve.forward_integral(t1, t2) == pytest.approx(
+                math.log(curve.discount(t1) / curve.discount(t2)), rel=1e-13)
+
     @pytest.mark.parametrize("curve", CURVES)
     def test_negative_time_rejected(self, curve):
         with pytest.raises(DomainError, match="non-negative"):
@@ -207,7 +216,8 @@ class TestSchedule:
         keys = np.concatenate((np.random.default_rng(7).uniform(-1.0, dates[-1] + 1.0, 500),
                                dates, np.nextafter(dates, -np.inf), [-0.5, -1e300, 0.0],
                                [dates[-1] + 1.0, 1e300, np.inf, -np.inf, np.nan]))
-        for t in (keys, keys[::-1].reshape(2, -1)):
+        for t in (keys, keys[::-1].reshape(2, -1), np.empty(0), np.array([np.nan]),
+                  np.array([np.nan, 0.3]), np.array([np.inf, np.nan])):
             got = sched.next_payment_index(t)
             assert got.dtype == np.intp and got.shape == t.shape
             assert np.array_equal(got, np.searchsorted(dates, t, side="right") + 1)

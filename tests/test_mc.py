@@ -18,6 +18,8 @@ from oracles import (early_default_paths, ers_npv_at_default_termwise,
 # three buckets and a flat tail: the 5y maturity lies past the last bucket
 THREE_BUCKETS = VolatilityTermStructure((1.0, 2.0, 4.0), (0.35, 0.25, 0.30))
 
+NON_FINITE_EQUITY = "^discounted equity at default discounted_s_tau must be finite"
+
 
 def flat_at1p(h=0.4, sigma=0.25, b=0.0, end=30.0):
     return At1pParams(h_over_v0=h, b=b,
@@ -31,10 +33,9 @@ def killed_density(y, x0, mu, v):
             - math.exp(-2.0 * mu * x0) * norm.pdf((y + x0 - mu * v) / sd)) / sd
 
 
-def equity_ratio(paths, ers, curve):
+def equity_ratio(paths, ers):
     """P(0,tau) e^{q tau} S_tau / s0 on the defaulted paths."""
-    return (np.asarray(curve.discount(paths.tau)) * np.exp(ers.dividend_yield * paths.tau)
-            * paths.s_tau / ers.s0)
+    return np.exp(ers.dividend_yield * paths.tau) * paths.discounted_s_tau / ers.s0
 
 
 def record_starts(monkeypatch):
@@ -101,17 +102,18 @@ class TestConfig:
 
 
 class TestPathRecords:
-    """The path count n, and tau and s_tau on the k <= n paths that default."""
+    """The path count n, and tau and discounted_s_tau on the k <= n paths that default."""
 
     def records(self, **changes):
         fields = {"n_paths": 5, "tau": np.array([0.5, 1.0, 2.0]),
-                  "s_tau": np.array([18.0, 20.0, 22.0]), "default_prob_closed_form": 0.5}
+                  "discounted_s_tau": np.array([18.0, 20.0, 22.0]),
+                  "default_prob_closed_form": 0.5}
         return PathRecords(**{**fields, **changes})
 
     def test_one_entry_per_defaulted_path(self):
         assert self.records().n_paths == 5
         assert self.records(n_paths=np.int64(3)).n_paths == 3
-        none = self.records(n_paths=2, tau=np.empty(0), s_tau=[])
+        none = self.records(n_paths=2, tau=np.empty(0), discounted_s_tau=[])
         assert none.n_paths == 2 and none.tau.size == 0
         for p in (0.0, 1.0):
             assert self.records(default_prob_closed_form=p).default_prob_closed_form == p
@@ -121,23 +123,25 @@ class TestPathRecords:
         ({"n_paths": True}, "n_paths must be an integer"),
         ({"n_paths": "5"}, "n_paths must be an integer"),
         ({"n_paths": None}, "n_paths must be an integer"),
-        ({"n_paths": 0, "tau": np.empty(0), "s_tau": np.empty(0)}, "n_paths must be at least 2"),
-        ({"n_paths": 1, "tau": np.array([0.5]), "s_tau": np.array([18.0])},
+        ({"n_paths": 0, "tau": np.empty(0), "discounted_s_tau": np.empty(0)},
+         "n_paths must be at least 2"),
+        ({"n_paths": 1, "tau": np.array([0.5]), "discounted_s_tau": np.array([18.0])},
          "n_paths must be at least 2"),
         ({"n_paths": 2}, r"^tau must be 1-d with one entry per defaulted path, at most "
                          r"n_paths \(2\)"),
-        ({"tau": np.array([0.5, 1.0])}, r"^s_tau must be 1-d .* as tau \(2\)"),
-        ({"s_tau": np.array([18.0, 20.0, 22.0, 24.0])}, r"^s_tau must be 1-d .* as tau \(3\)"),
+        ({"tau": np.array([0.5, 1.0])}, r"^discounted_s_tau must be 1-d .* as tau \(2\)"),
+        ({"discounted_s_tau": np.array([18.0, 20.0, 22.0, 24.0])},
+         r"^discounted_s_tau must be 1-d .* as tau \(3\)"),
         ({"tau": np.array([[0.5, 1.0, 2.0]])}, "^tau must be 1-d"),
         ({"tau": np.float64(0.5)}, "^tau must be 1-d"),
-        ({"s_tau": np.array([[18.0, 20.0, 22.0]])}, "^s_tau must be 1-d"),
-        ({"s_tau": np.float64(18.0)}, "^s_tau must be 1-d"),
+        ({"discounted_s_tau": np.array([[18.0, 20.0, 22.0]])}, "^discounted_s_tau must be 1-d"),
+        ({"discounted_s_tau": np.float64(18.0)}, "^discounted_s_tau must be 1-d"),
         ({"tau": np.array([0.5, np.nan, 2.0])}, "^default time tau must be finite"),
         ({"tau": np.array([0.5, 1.0, np.inf])}, "^default time tau must be finite"),
         ({"tau": np.array([-np.inf, 1.0, 2.0])}, "^default time tau must be finite"),
-        ({"s_tau": np.array([18.0, np.nan, 22.0])}, "^equity at default s_tau must be finite"),
-        ({"s_tau": np.array([np.inf, 20.0, 22.0])}, "^equity at default s_tau must be finite"),
-        ({"s_tau": np.array([18.0, 20.0, -np.inf])}, "^equity at default s_tau must be finite"),
+        ({"discounted_s_tau": np.array([18.0, np.nan, 22.0])}, NON_FINITE_EQUITY),
+        ({"discounted_s_tau": np.array([np.inf, 20.0, 22.0])}, NON_FINITE_EQUITY),
+        ({"discounted_s_tau": np.array([18.0, 20.0, -np.inf])}, NON_FINITE_EQUITY),
         ({"default_prob_closed_form": math.nan}, "default_prob_closed_form must be a finite"),
         ({"default_prob_closed_form": -0.1}, r"default_prob_closed_form must lie in \[0, 1\]"),
         ({"default_prob_closed_form": 1.5}, r"default_prob_closed_form must lie in \[0, 1\]"),
@@ -152,44 +156,43 @@ class TestPathRecords:
         # n entries, +inf and nan on the paths that survive
         with pytest.raises(DomainError, match="must be finite"):
             self.records(tau=np.array([np.inf, 0.5, np.inf, 1.0, 2.0]),
-                         s_tau=np.array([np.nan, 18.0, np.nan, 20.0, 22.0]))
+                         discounted_s_tau=np.array([np.nan, 18.0, np.nan, 20.0, 22.0]))
 
 
 class TestDefaultSampling:
-    def test_default_prob_matches_closed_form_with_bridge(self, curve, ers):
+    def test_default_prob_matches_closed_form_with_bridge(self, ers):
         model = flat_at1p(sigma=0.25)
         cfg = SimulationConfig(n_paths=60_000, rng_seed=7)
-        paths = simulate_joint_paths(model, ers, curve, cfg)
+        paths = simulate_joint_paths(model, ers, cfg)
         pd_cf = 1.0 - at1p_survival(model, ers.maturity)
         pd_mc = paths.tau.size / paths.n_paths
         se = math.sqrt(pd_cf * (1 - pd_cf) / cfg.n_paths)
         assert abs(pd_mc - pd_cf) < 3.5 * se
         assert paths.default_prob_closed_form == pytest.approx(pd_cf)
 
-    def test_remote_barrier_produces_no_defaults(self, curve, ers):
+    def test_remote_barrier_produces_no_defaults(self, ers):
         model = flat_at1p(h=1e-6, sigma=0.15)
-        paths = simulate_joint_paths(model, ers, curve,
-                                     SimulationConfig(n_paths=5_000, rng_seed=1))
+        paths = simulate_joint_paths(model, ers, SimulationConfig(n_paths=5_000, rng_seed=1))
         assert paths.n_paths == 5_000
-        assert paths.tau.size == paths.s_tau.size == 0
+        assert paths.tau.size == paths.discounted_s_tau.size == 0
 
-    def test_default_times_identical_across_correlation(self, curve):
+    def test_default_times_identical_across_correlation(self):
         # the firm path consumes the same draws whatever rho is, so default
         # times must coincide at a fixed seed
         model = flat_at1p(sigma=0.3)
         cfg = SimulationConfig(n_paths=4_000, rng_seed=11)
         taus = []
         for rho in (-1.0, 0.0, 0.9):
-            paths = simulate_joint_paths(model, make_ers_contract(rho=rho), curve, cfg)
+            paths = simulate_joint_paths(model, make_ers_contract(rho=rho), cfg)
             taus.append(paths.tau)
         assert np.array_equal(taus[0], taus[1])
         assert np.array_equal(taus[0], taus[2])
 
-    def test_sbtv_scenario_frequencies(self, monkeypatch, curve, ers):
+    def test_sbtv_scenario_frequencies(self, monkeypatch, ers):
         vols = VolatilityTermStructure((30.0,), (0.2,))
         model = SbtvParams(((0.3, 0.7), (0.8, 0.3)), 0.0, vols)
         starts = record_starts(monkeypatch)
-        simulate_joint_paths(model, ers, curve, SimulationConfig(n_paths=50_000, rng_seed=3))
+        simulate_joint_paths(model, ers, SimulationConfig(n_paths=50_000, rng_seed=3))
         (x0,) = starts  # the start of each path is -log H of its scenario
         assert x0.shape == (50_000,)
         frac = np.mean(x0 == -math.log(0.3))
@@ -219,19 +222,19 @@ class TestDefaultSampling:
             assert np.array_equal(starts[-1], -log_h[chosen])
             assert states[-1] == firm_rng.bit_generator.state
 
-    def test_one_scenario_sbtv_draws_the_at1p_paths(self, monkeypatch, curve, ers):
+    def test_one_scenario_sbtv_draws_the_at1p_paths(self, monkeypatch, ers):
         at1p = At1pParams(0.4, 0.0, THREE_BUCKETS)
         mix = SbtvParams(at1p.scenarios, 0.0, THREE_BUCKETS)
         cfg = SimulationConfig(n_paths=20_000, rng_seed=17)
         starts = record_starts(monkeypatch)
-        a = simulate_joint_paths(at1p, ers, curve, cfg)
-        b = simulate_joint_paths(mix, ers, curve, cfg)
+        a = simulate_joint_paths(at1p, ers, cfg)
+        b = simulate_joint_paths(mix, ers, cfg)
         assert a.tau.size > 0
         assert len(starts) == 2 and all(np.ndim(x0) == 0 for x0 in starts)  # no scenario draw
         assert np.array_equal(a.tau, b.tau)
-        assert np.array_equal(a.s_tau, b.s_tau)
+        assert np.array_equal(a.discounted_s_tau, b.discounted_s_tau)
 
-    def test_default_at_the_maturity_variance_stays_at_maturity(self, monkeypatch, curve, ers):
+    def test_default_at_the_maturity_variance_stays_at_maturity(self, monkeypatch, ers):
         # the 5y maturity falls inside the (0.7, 5.7] bucket, where inverting the
         # clock at its own value c(5) rounds to just past 5
         model = At1pParams(0.4, 0.0, VolatilityTermStructure((0.7, 5.7), (0.4, 0.25)))
@@ -240,29 +243,27 @@ class TestDefaultSampling:
         monkeypatch.setattr(mc, "_last_draw", None)  # keep the patched draw out of the slot
         monkeypatch.setattr(mc, "_first_passage_variance",
                             lambda rng, x0, nu, n: np.full(n, v_maturity))
-        paths = simulate_joint_paths(model, ers, curve,
-                                     SimulationConfig(n_paths=100, rng_seed=1))
+        paths = simulate_joint_paths(model, ers, SimulationConfig(n_paths=100, rng_seed=1))
         assert paths.tau.size == paths.n_paths == 100 and np.all(paths.tau == ers.maturity)
 
-    def test_equity_martingale_at_default(self, curve):
+    def test_equity_martingale_at_default(self):
         # at rho = 0 the equity is independent of the firm, so its
         # discounted, dividend-adjusted value at default has mean s0
         ers = make_ers_contract(rho=0.0)
-        paths = simulate_joint_paths(At1pParams(0.4, 0.0, THREE_BUCKETS), ers, curve,
+        paths = simulate_joint_paths(At1pParams(0.4, 0.0, THREE_BUCKETS), ers,
                                      SimulationConfig(n_paths=80_000, rng_seed=5))
-        ratio = equity_ratio(paths, ers, curve)
+        ratio = equity_ratio(paths, ers)
         se = ratio.std(ddof=1) / math.sqrt(ratio.size)
         assert abs(ratio.mean() - 1.0) < 4 * se
 
-    def test_seed_determinism(self, curve, ers):
+    def test_seed_determinism(self, ers):
         model = flat_at1p(sigma=0.3)
         cfg = SimulationConfig(n_paths=3_000, rng_seed=42)
-        a = simulate_joint_paths(model, ers, curve, cfg)
-        b = simulate_joint_paths(model, ers, curve, cfg)
+        a = simulate_joint_paths(model, ers, cfg)
+        b = simulate_joint_paths(model, ers, cfg)
         assert np.array_equal(a.tau, b.tau)
-        assert np.array_equal(a.s_tau, b.s_tau)
-        c = simulate_joint_paths(model, ers, curve,
-                                 SimulationConfig(n_paths=3_000, rng_seed=43))
+        assert np.array_equal(a.discounted_s_tau, b.discounted_s_tau)
+        c = simulate_joint_paths(model, ers, SimulationConfig(n_paths=3_000, rng_seed=43))
         assert not np.array_equal(a.tau, c.tau)
 
 
@@ -320,18 +321,18 @@ class TestExactSampler:
         (At1pParams(0.4, 0.8, THREE_BUCKETS), at1p_survival),
         (SbtvParams(((0.3, 0.6), (0.7, 0.4)), 0.0, THREE_BUCKETS), sbtv_survival),
     ], ids=["b=0", "b=0.5", "b=0.8", "sbtv"])
-    def test_default_time_matches_closed_form(self, curve, model, survival):
+    def test_default_time_matches_closed_form(self, model, survival):
         # one case per first-passage branch: inverse Gaussian (B < 1/2),
         # Levy (B = 1/2) and the defective law (B > 1/2)
         cfg = SimulationConfig(n_paths=200_000, rng_seed=29)
-        paths = simulate_joint_paths(model, make_ers_contract(rho=0.5), curve, cfg)
+        paths = simulate_joint_paths(model, make_ers_contract(rho=0.5), cfg)
         for t in (1.0, 3.0, 5.0):
             pd_cf = 1.0 - survival(model, t)
             se = math.sqrt(pd_cf * (1 - pd_cf) / cfg.n_paths)
             assert abs(np.count_nonzero(paths.tau <= t) / cfg.n_paths - pd_cf) < 3.5 * se
 
     @pytest.mark.parametrize("rho", [-0.6, 0.8])
-    def test_firm_brownian_at_default_has_girsanov_law(self, curve, rho):
+    def test_firm_brownian_at_default_has_girsanov_law(self, rho):
         # With Y = P(0,tau) e^{q tau} S_tau / s0 = exp(a W1(tau) - a^2 tau / 2) * (an
         # independent mean-one factor), a = sigma_S rho, optional stopping gives
         # E[Y; tau <= T] = Q(tau <= T) with the firm's variance-clock drift shifted
@@ -340,10 +341,9 @@ class TestExactSampler:
         h, t1, s1, s2 = 0.4, 1.5, 0.4, 0.2
         model = At1pParams(h, 0.0, VolatilityTermStructure((t1, 30.0), (s1, s2)))
         ers = make_ers_contract(rho=rho)
-        paths = simulate_joint_paths(model, ers, curve,
-                                     SimulationConfig(n_paths=200_000, rng_seed=37))
+        paths = simulate_joint_paths(model, ers, SimulationConfig(n_paths=200_000, rng_seed=37))
         # padded with a 0 for each path that survives: the mean and SE ignore path order
-        y = np.concatenate((equity_ratio(paths, ers, curve),
+        y = np.concatenate((equity_ratio(paths, ers),
                             np.zeros(paths.n_paths - paths.tau.size)))
         a = ers.equity_vol * rho
         x0, v1, v2 = -math.log(h), s1 ** 2 * t1, s2 ** 2 * (ers.maturity - t1)
@@ -353,17 +353,17 @@ class TestExactSampler:
         se = y.std(ddof=1) / math.sqrt(y.size)
         assert abs(y.mean() - (1.0 - survived)) < 4 * se
 
-    def test_splitting_a_flat_bucket_leaves_paths_unchanged(self, curve):
+    def test_splitting_a_flat_bucket_leaves_paths_unchanged(self):
         # the bridge terms telescope when both pieces share one vol
         one = At1pParams(0.4, 0.0, VolatilityTermStructure((30.0,), (0.3,)))
         two = At1pParams(0.4, 0.0, VolatilityTermStructure((2.3, 30.0), (0.3, 0.3)))
         ers = make_ers_contract(rho=0.7)
         cfg = SimulationConfig(n_paths=20_000, rng_seed=31)
-        a = simulate_joint_paths(one, ers, curve, cfg)
-        b = simulate_joint_paths(two, ers, curve, cfg)
+        a = simulate_joint_paths(one, ers, cfg)
+        b = simulate_joint_paths(two, ers, cfg)
         assert 0 < a.tau.size == b.tau.size
         np.testing.assert_allclose(b.tau, a.tau, rtol=1e-12)
-        np.testing.assert_allclose(b.s_tau, a.s_tau, rtol=1e-12)
+        np.testing.assert_allclose(b.discounted_s_tau, a.discounted_s_tau, rtol=1e-12)
 
 
 class TestFirmDrawSlot:
@@ -387,24 +387,23 @@ class TestFirmDrawSlot:
         monkeypatch.setattr(mc, "_firm_draw", counted)
         return keys
 
-    def test_hit_is_bit_identical_to_a_cold_draw(self, curve, draws):
+    def test_hit_is_bit_identical_to_a_cold_draw(self, draws):
         at_half = make_ers_contract(rho=0.5)
-        simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.0), curve, self.CFG)
+        simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.0), self.CFG)
         # an equal model built anew hits, as a recalibrated one does
-        hit = simulate_joint_paths(SbtvParams.from_dict(self.MODEL.to_dict()), at_half, curve,
-                                   self.CFG)
+        hit = simulate_joint_paths(SbtvParams.from_dict(self.MODEL.to_dict()), at_half, self.CFG)
         assert len(draws) == 1
-        simulate_joint_paths(flat_at1p(), at_half, curve, self.CFG)
-        cold = simulate_joint_paths(self.MODEL, at_half, curve, self.CFG)
+        simulate_joint_paths(flat_at1p(), at_half, self.CFG)
+        cold = simulate_joint_paths(self.MODEL, at_half, self.CFG)
         assert len(draws) == 3
         assert hit.tau.size > 0 and hit.n_paths == cold.n_paths == self.CFG.n_paths
         assert np.array_equal(hit.tau, cold.tau)
-        assert np.array_equal(hit.s_tau, cold.s_tau)
+        assert np.array_equal(hit.discounted_s_tau, cold.discounted_s_tau)
         assert hit.default_prob_closed_form == cold.default_prob_closed_form
 
     @pytest.mark.parametrize("part", ["b", "H", "sigma", "bucket_end", "maturity", "n_paths",
                                       "rng_seed"])
-    def test_each_key_part_misses_when_it_changes(self, curve, draws, part):
+    def test_each_key_part_misses_when_it_changes(self, draws, part):
         ends, sigmas = THREE_BUCKETS.bucket_ends, THREE_BUCKETS.sigmas
         model, ers, cfg = self.MODEL, make_ers_contract(rho=0.0), self.CFG
         changed = {
@@ -418,29 +417,29 @@ class TestFirmDrawSlot:
             "n_paths": (model, ers, SimulationConfig(n_paths=20_001, rng_seed=13)),
             "rng_seed": (model, ers, SimulationConfig(n_paths=20_000, rng_seed=14)),
         }[part]
-        simulate_joint_paths(model, ers, curve, cfg)
-        simulate_joint_paths(model, make_ers_contract(rho=0.7), curve, cfg)
+        simulate_joint_paths(model, ers, cfg)
+        simulate_joint_paths(model, make_ers_contract(rho=0.7), cfg)
         assert len(draws) == 1
         other_model, other_ers, other_cfg = changed
-        simulate_joint_paths(other_model, other_ers, curve, other_cfg)
+        simulate_joint_paths(other_model, other_ers, other_cfg)
         assert len(draws) == 2
 
-    def test_cells_share_only_read_only_arrays(self, curve, draws):
-        a = simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.0), curve, self.CFG)
-        b = simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.5), curve, self.CFG)
+    def test_cells_share_only_read_only_arrays(self, draws):
+        a = simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.0), self.CFG)
+        b = simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.5), self.CFG)
         assert len(draws) == 1
         assert a.n_paths == b.n_paths == self.CFG.n_paths
         assert b.tau is a.tau
         with pytest.raises(ValueError, match="read-only"):
             b.tau[0] = b.tau[0]
-        assert not np.shares_memory(a.s_tau, b.s_tau)
-        before = a.s_tau.copy()
-        b.s_tau[:] = 0.0
-        assert np.array_equal(a.s_tau, before)
+        assert not np.shares_memory(a.discounted_s_tau, b.discounted_s_tau)
+        before = a.discounted_s_tau.copy()
+        b.discounted_s_tau[:] = 0.0
+        assert np.array_equal(a.discounted_s_tau, before)
 
-    def test_the_slot_holds_the_defaulted_paths_only(self, curve, draws):
+    def test_the_slot_holds_the_defaulted_paths_only(self, draws):
         # tau, w1 and w2 as float64 on the k defaulted paths, and no per-path array
-        paths = simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.0), curve, self.CFG)
+        paths = simulate_joint_paths(self.MODEL, make_ers_contract(rho=0.0), self.CFG)
         k = paths.tau.size
         assert 0 < k < self.CFG.n_paths and len(self.MODEL.scenarios) == 2
         draw = mc._last_draw[1]
@@ -449,10 +448,10 @@ class TestFirmDrawSlot:
 
 
 class TestIntensityPaths:
-    def test_default_prob_matches_closed_form(self, curve, ers):
+    def test_default_prob_matches_closed_form(self, ers):
         hazard = HazardCurve((2.0, 30.0), (0.05, 0.03))
         cfg = SimulationConfig(n_paths=80_000, rng_seed=9)
-        paths = simulate_intensity_paths(hazard, ers, curve, cfg)
+        paths = simulate_intensity_paths(hazard, ers, cfg)
         pd_cf = paths.default_prob_closed_form
         se = math.sqrt(pd_cf * (1 - pd_cf) / cfg.n_paths)
         assert abs(paths.tau.size / paths.n_paths - pd_cf) < 3.5 * se
@@ -461,19 +460,20 @@ class TestIntensityPaths:
         HazardCurve((2.0, 30.0), (0.05, 0.03)),
         HazardCurve((1.0, 3.0, 5.0, 7.0), (0.23, 0.09, 0.05, 0.06)),  # 5y on a knot
         HazardCurve((4.99, 5.0, 10.0), (1e-4, 10.0, 0.02))])  # a step up at maturity
-    def test_records_equal_inverting_every_draw(self, curve, ers, hazard):
+    def test_records_equal_inverting_every_draw(self, ers, hazard):
         for seed in (1, 9, 4244):
             cfg = SimulationConfig(n_paths=20_000, rng_seed=seed)
-            paths = simulate_intensity_paths(hazard, ers, curve, cfg)
+            paths = simulate_intensity_paths(hazard, ers, cfg)
             rng = np.random.default_rng(seed)
             tau = hazard.clock.inverse(-np.log(rng.random(cfg.n_paths)))
             defaulted = tau <= ers.maturity
             tau = tau[defaulted]
-            s_tau = mc._equity_at_default(
-                tau, np.sqrt(tau) * rng.standard_normal(tau.size), ers, curve)
+            discounted_s_tau = mc._equity_at_default(
+                tau, np.sqrt(tau) * rng.standard_normal(tau.size), ers)
             assert defaulted.any() and not defaulted.all()
             assert paths.n_paths == cfg.n_paths and paths.tau.size == np.count_nonzero(defaulted)
-            assert np.array_equal(paths.tau, tau) and np.array_equal(paths.s_tau, s_tau)
+            assert np.array_equal(paths.tau, tau)
+            assert np.array_equal(paths.discounted_s_tau, discounted_s_tau)
 
     @pytest.mark.parametrize("hazard", [
         HazardCurve((1.0, 3.0, 5.0, 7.0), (0.23, 0.09, 0.05, 0.06)),
@@ -482,7 +482,7 @@ class TestIntensityPaths:
         HazardCurve((5.0, 10.0), (1e-4, 10.0)),
         HazardCurve((4.9, 10.0), (1e-4, 10.0))])
     def test_draws_at_the_maturity_clock_default_as_when_every_draw_is_inverted(
-            self, monkeypatch, curve, ers, hazard):
+            self, monkeypatch, ers, hazard):
         # exponential draws from 1e7 ulps below the clock at maturity to 1e7 above,
         # densest near it, where the inverse rounds either way
         c = hazard.clock(ers.maturity)
@@ -503,7 +503,7 @@ class TestIntensityPaths:
 
         monkeypatch.setattr(np.random, "default_rng", Draws)
         paths = simulate_intensity_paths(
-            hazard, ers, curve, SimulationConfig(n_paths=exposure.size, rng_seed=3))
+            hazard, ers, SimulationConfig(n_paths=exposure.size, rng_seed=3))
         tau = hazard.clock.inverse(-np.log(np.exp(-exposure)))
         # the exposures increase and the inverse is monotone, so the paths that
         # default are a prefix, and their count fixes them
@@ -541,18 +541,17 @@ class TestResidualNpv:
         times = np.append(sched.start, sched.dates)
         tau = np.concatenate((times, np.nextafter(times[1:], -np.inf),
                               np.nextafter(times[:-1], np.inf)))
-        s_tau = np.random.default_rng(3).uniform(5.0, 30.0, tau.size)
-        fixed, per_spread, _ = mc._npv_terms(tau, s_tau, ers, curve)
+        discounted_s_tau = np.random.default_rng(3).uniform(5.0, 30.0, tau.size)
+        fixed, per_spread, _ = mc._npv_terms(tau, discounted_s_tau, ers, curve)
         ks0 = ers.stock_count * ers.s0
-        for i, (t, s) in enumerate(zip(tau.tolist(), s_tau.tolist())):
+        for i, (t, s) in enumerate(zip(tau.tolist(), discounted_s_tau.tolist())):
             last = max(u for u in times.tolist() if u <= t)
             tail = 0.0
             for date, accrual in zip(sched.dates[::-1].tolist(), sched.accruals[::-1].tolist()):
                 if date <= t:
                     break
                 tail += curve.discount(date) * accrual
-            assert fixed[i] == (ks0 * curve.discount(last)
-                                - ers.stock_count * curve.discount(t) * s), t
+            assert fixed[i] == ks0 * curve.discount(last) - ers.stock_count * s, t
             assert per_spread[i] == ks0 * tail, t
 
     def test_zero_rate_zero_dividend_closed_form(self):
@@ -580,24 +579,25 @@ class TestResidualNpv:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_default_data_rejected(self, bad):
-        def records(tau, s_tau):
-            return PathRecords(n_paths=10, tau=np.array(tau), s_tau=np.array(s_tau),
+        def records(tau, discounted_s_tau):
+            return PathRecords(n_paths=10, tau=np.array(tau),
+                               discounted_s_tau=np.array(discounted_s_tau),
                                default_prob_closed_form=0.2)
 
         with pytest.raises(DomainError, match="default time tau must be finite"):
             records([bad], [20.0])
-        with pytest.raises(DomainError, match="equity at default s_tau must be finite"):
+        with pytest.raises(DomainError, match=NON_FINITE_EQUITY):
             records([2.0], [bad])
-        with pytest.raises(DomainError, match="equity at default s_tau must be finite"):
+        with pytest.raises(DomainError, match=NON_FINITE_EQUITY):
             records([0.4, 2.0], [15.0, bad])
 
 
 @pytest.fixture(scope="module")
-def crisis_paths(curve):
+def crisis_paths():
     model = flat_at1p(sigma=0.3)
     ers = make_ers_contract(rho=0.5)
     cfg = SimulationConfig(n_paths=50_000, rng_seed=13)
-    return model, ers, cfg, simulate_joint_paths(model, ers, curve, cfg)
+    return model, ers, cfg, simulate_joint_paths(model, ers, cfg)
 
 
 class TestCvaAndFairSpread:
@@ -614,8 +614,8 @@ class TestCvaAndFairSpread:
         # regression's statistics ignore path order
         n, k = paths.n_paths, paths.tau.size
         payoff = np.zeros(n)
-        payoff[:k] = ers.lgd * np.maximum(
-            npv_three_term(paths.tau, paths.s_tau, ers, curve, spread), 0.0)
+        fixed, per_spread, _ = mc._npv_terms(paths.tau, paths.discounted_s_tau, ers, curve)
+        payoff[:k] = ers.lgd * np.maximum(fixed + per_spread * spread, 0.0)
         value, std_error = regression_control_variate(payoff, np.arange(n) < k,
                                                       paths.default_prob_closed_form)
         est = ers_cva_term(paths, ers, curve, spread)
@@ -627,7 +627,8 @@ class TestCvaAndFairSpread:
         rng = np.random.default_rng(5)
         n = 1_000
         tau, s_tau = rng.uniform(0.0, ers.maturity, n), rng.uniform(5.0, 35.0, n)
-        paths = PathRecords(n_paths=n, tau=tau, s_tau=s_tau, default_prob_closed_form=0.6)
+        paths = PathRecords(n_paths=n, tau=tau, discounted_s_tau=curve.discount(tau) * s_tau,
+                            default_prob_closed_form=0.6)
         payoff = ers.lgd * np.maximum(npv_three_term(tau, s_tau, ers, curve, 0.001), 0.0)
         assert 0 < np.count_nonzero(payoff) < n
         est = ers_cva_term(paths, ers, curve, 0.001)
@@ -643,7 +644,8 @@ class TestCvaAndFairSpread:
         defaulted = np.zeros(n, dtype=bool)
         defaulted[rng.choice(n, size=k, replace=False)] = True
         tau, s_tau = rng.uniform(0.0, ers.maturity, k), rng.uniform(5.0, 35.0, k)
-        paths = PathRecords(n_paths=n, tau=tau, s_tau=s_tau, default_prob_closed_form=0.3)
+        paths = PathRecords(n_paths=n, tau=tau, discounted_s_tau=curve.discount(tau) * s_tau,
+                            default_prob_closed_form=0.3)
         padded = np.zeros(n)
         padded[defaulted] = ers.lgd * np.maximum(
             npv_three_term(tau, s_tau, ers, curve, 0.001), 0.0)
@@ -658,7 +660,7 @@ class TestCvaAndFairSpread:
     def test_fixed_point_discounts_once_per_path_set(self, curve, crisis_paths, monkeypatch):
         # the Newton steps reuse the residual-value terms built once per path set
         _, ers, _, paths = crisis_paths
-        calm = simulate_joint_paths(flat_at1p(sigma=0.2), ers, curve,
+        calm = simulate_joint_paths(flat_at1p(sigma=0.2), ers,
                                     SimulationConfig(n_paths=5_000, rng_seed=3))
         calls = []
         discount = DiscountCurve.discount
@@ -673,13 +675,34 @@ class TestCvaAndFairSpread:
         assert iterations[0] != iterations[1]
         assert counts[1] == counts[0]
 
+    @pytest.mark.parametrize("model", [
+        flat_at1p(sigma=0.3),
+        SbtvParams(((0.3, 0.4), (0.6, 0.6)), 0.0, THREE_BUCKETS),
+        HazardCurve((2.0, 30.0), (0.08, 0.05))], ids=["at1p", "sbtv", "intensity"])
+    def test_the_curve_is_read_at_the_payment_dates_only(self, monkeypatch, ers, model):
+        # the equity at default comes discounted, so no curve read sees the
+        # default times: one discount call, on the start and the n payment dates
+        reads = []
+        for name in ("discount", "rate_integral"):
+            real = getattr(DiscountCurve, name)
+            monkeypatch.setattr(DiscountCurve, name, lambda self, t, name=name, real=real:
+                                reads.append((name, np.size(t))) or real(self, t))
+        monkeypatch.setattr(mc, "_last_draw", None)  # a cold draw
+        curve = DiscountCurve(pillars=((1.0, 0.97), (3.0, 0.90), (6.0, 0.80)))
+        result = ers_fair_spread(model, ers, curve, SimulationConfig(n_paths=20_000, rng_seed=3))
+        n = ers.schedule.dates.size
+        assert result.diagnostics["paths_defaulted"] > 100 * (n + 1)
+        assert max(size for _, size in reads) <= n + 1
+        assert reads == [("discount", n + 1)]
+
     @pytest.mark.parametrize("field, name", [("tau", "default time tau"),
-                                             ("s_tau", "equity at default s_tau")])
+                                             ("discounted_s_tau",
+                                              "discounted equity at default discounted_s_tau")])
     def test_non_finite_path_data_rejected(self, crisis_paths, field, name):
         # one bad defaulted path names its input when the path set is built,
         # before any pricing can run an all-nan fixed point
         _, _, _, paths = crisis_paths
-        data = {"tau": paths.tau.copy(), "s_tau": paths.s_tau.copy()}
+        data = {"tau": paths.tau.copy(), "discounted_s_tau": paths.discounted_s_tau.copy()}
         data[field][0] = math.nan
         with pytest.raises(DomainError, match=f"^{name} must be finite"):
             PathRecords(n_paths=paths.n_paths, **data,
@@ -687,8 +710,7 @@ class TestCvaAndFairSpread:
 
     def test_no_defaults_yields_zero_estimate(self, curve, ers):
         model = flat_at1p(h=1e-6, sigma=0.15)
-        paths = simulate_joint_paths(model, ers, curve,
-                                     SimulationConfig(n_paths=2_000, rng_seed=2))
+        paths = simulate_joint_paths(model, ers, SimulationConfig(n_paths=2_000, rng_seed=2))
         est = ers_cva_term(paths, ers, curve, 0.0)
         assert (est.value, est.std_error) == (0.0, 0.0)
         assert est.low_statistics
@@ -726,7 +748,7 @@ class TestCvaAndFairSpread:
 
     def test_fair_spread_is_the_breakpoint_root(self, curve, crisis_paths):
         _, ers, cfg, paths = crisis_paths
-        fixed, per_spread, annuity = mc._npv_terms(paths.tau, paths.s_tau, ers, curve)
+        fixed, per_spread, annuity = mc._npv_terms(paths.tau, paths.discounted_s_tau, ers, curve)
         c = paths.default_prob_closed_form * ers.lgd / (fixed.size * ers.s0 * annuity)
         roots = fixed_point_by_breakpoints(fixed, per_spread, c)
         result = ers_fair_spread_from_paths(paths, ers, curve)
