@@ -7,17 +7,17 @@ root-finding problem in that pillar's bucket parameter so the pillar CDS
 reprices to zero at its quoted spread, holding earlier buckets fixed.  Each
 model is a "clock" (cumulative variance, or cumulative hazard) that grows
 at a constant rate inside a bucket, and a kernel that maps the clock to
-survival; the root-finder moves only the last bucket's clock and builds no
-model object.  A pillar's price is linear in survival, a weight row of the
-fit's one leg grid (`_strip_legs`) dotted with the kernel, and so is its
-slope with the kernel's derivative: each root is a safeguarded Newton
-search inside the bracket (`_newton_in_bracket`).  The models differ in
-the kernel, the clock rate, the bracket and the reported parameters.  The
-scenario model needs a preliminary best-fit of (H2, p1, sigma_bar) on the
-first three quotes before its volatility bootstrap: a bounded least-squares
-fit with the analytic Jacobian of the closed-form kernel, on the same grid,
-each start polished by a Levenberg-Marquardt iteration kept in the box by
-projection (`_polish`).
+survival and its derivative in one call; the root-finder moves only the last
+bucket's clock and builds no model object.  A pillar's price is linear in
+survival, a weight row of the fit's one leg grid (`_strip_legs`) dotted with
+the kernel, and so is its slope with the kernel's derivative: each root is a
+safeguarded Newton search inside the bracket (`_newton_in_bracket`).  The
+models differ in the kernel, the clock rate, the bracket and the reported
+parameters.  The scenario model needs a preliminary best-fit of (H2, p1,
+sigma_bar) on the first three quotes before its volatility bootstrap: a
+bounded least-squares fit with the analytic Jacobian of the closed-form
+kernel, on the same grid, each start polished by a Levenberg-Marquardt
+iteration kept in the box by projection (`_polish`).
 """
 
 from __future__ import annotations
@@ -27,15 +27,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .cds import CdsContract, leg_grid
-from .curves import Clock, DiscountCurve, make_schedule
+from .curves import DiscountCurve, make_schedule, period_count
 from .errors import CalibrationError, DomainError
 from .quotes import CdsQuoteStrip
 from .survival import (At1pParams, HazardCurve, SbtvParams,
-                       VolatilityTermStructure, first_passage_slope,
-                       first_passage_survival, mixture_survival, survival)
+                       VolatilityTermStructure, first_passage, mixture_survival,
+                       survival)
 
 PRICE_TOL = 1e-12
 SIGMA_LO, SIGMA_HI = 1e-4, 5.0
@@ -85,8 +84,7 @@ def bootstrap_intensity(strip: CdsQuoteStrip, curve: DiscountCurve,
                         convention: str = "postponed") -> tuple[HazardCurve, CalibrationReport]:
     """Sequentially solve each bucket's constant intensity so the pillar CDS reprices."""
     return _bootstrap(strip, _strip_legs(strip, curve, convention), "intensity", HazardCurve,
-                      lambda c: np.exp(-c), lambda c: -np.exp(-c), lambda lam: (lam, 1.0),
-                      (LAMBDA_LO, LAMBDA_HI))
+                      _hazard_survival, lambda lam: (lam, 1.0), (LAMBDA_LO, LAMBDA_HI))
 
 
 def calibrate_at1p(strip: CdsQuoteStrip, curve: DiscountCurve, h_over_v0: float = 0.4,
@@ -140,15 +138,30 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
 # -- internals ---------------------------------------------------------------
 
 def _strip_legs(strip, curve, convention):
-    """The pillar contracts, the fit's one leg grid (the longest pillar's, cut at the
-    tenors), the pillars' leg rows on it and each pillar's own grid as columns of it,
-    up to its date at the pillar's payment index, which can lie a round-off past the
-    tenor.  On those columns the rows are the own grid's rows to the bit."""
-    contracts = [pillar_contract(q.tenor, q.spread_bp, strip.recovery) for q in strip.quotes]
-    grid = leg_grid(contracts[-1].schedule, curve, convention, strip.tenors)
-    ends = [c.schedule.dates.size for c in contracts]  # grid.times[n]: a pillar's last date
+    """The pillars as (date count, spread, LGD) triples, the fit's one leg grid (the
+    longest pillar's contract's, cut at the tenors), the pillars' leg rows on it and
+    each pillar's own grid as columns of it, up to the grid's date at the pillar's
+    payment index, which can lie a round-off past the tenor.  On those columns the rows
+    are the own grid's rows to the bit.  A tenor that is not a whole number of quarterly
+    periods raises DomainError naming it."""
+    ends = []  # grid.times[n]: a pillar's last date
+    for tenor in strip.tenors:
+        try:
+            ends.append(period_count(0.0, tenor, CDS_FREQUENCY))
+        except DomainError:
+            raise DomainError(f"quote tenor {tenor}y is not a whole number of quarterly "
+                              "periods") from None
+    longest = pillar_contract(strip.tenors[-1], strip.spreads_bp[-1], strip.recovery)
+    pillars = [(n, q.spread_bp * 1e-4, longest.lgd) for n, q in zip(ends, strip.quotes)]
+    grid = leg_grid(longest.schedule, curve, convention, strip.tenors)
     columns = [grid.times <= grid.times[n] for n in ends]
-    return contracts, grid, grid.rows(np.subtract(ends, 1)), columns
+    return pillars, grid, grid.rows(np.subtract(ends, 1)), columns
+
+
+def _hazard_survival(c):
+    """Survival exp(-c) at cumulative hazard c, and its derivative in c."""
+    q = np.exp(-c)
+    return q, -q
 
 
 def _bootstrap_vols(strip, legs, model_name, scenarios, b, params, start=None):
@@ -158,50 +171,57 @@ def _bootstrap_vols(strip, legs, model_name, scenarios, b, params, start=None):
     return _bootstrap(strip, legs, model_name,
                       lambda tenors, sigmas: params(VolatilityTermStructure(tenors, sigmas)),
                       lambda cv: mixture_survival(scenarios, b, cv),
-                      lambda cv: mixture_survival(scenarios, b, cv, first_passage_slope),
                       lambda sigma: (sigma * sigma, 2.0 * sigma), (SIGMA_LO, SIGMA_HI), start)
 
 
-def _bootstrap(strip, legs, model_name, family, kernel, slope, rate, bracket, start=None):
+def _bootstrap(strip, legs, model_name, family, kernel, rate, bracket, start=None):
     """Walk the strip outwards and root-find each pillar's bucket parameter so
     its CDS reprices, earlier buckets frozen.
 
-    Survival is `kernel(c)` of a clock c(t) that is piecewise linear in t and
-    runs at rate(x)[0] inside a bucket with parameter x; `slope` is the
-    kernel's derivative and rate(x)[1] the rate's.  A pillar's price is its
+    Survival and its derivative are `kernel(c)` of a clock c(t) that is
+    piecewise linear in t and runs at rate(x)[0] inside a bucket with
+    parameter x; rate(x)[1] is the rate's derivative.  A pillar's price is its
     weight row w (`_strip_legs`) dotted with survival on its columns.  Survival
-    up to the previous tenor t_prev is read once, into a fixed part; the later
-    times see c(t_prev) + rate(x) (t - t_prev), so a price and its slope in x
-    are two dot products.  `_newton_in_bracket` solves each pillar from the
-    previous bucket's root (the first from `start`, if given) and stops at a
-    price within the row's round-off, eps sum |w|.  `family(tenors, xs)`
-    builds the fitted model, once the walk ends; `bracket` bounds each root.
-    The grid is cut at the model's knots, so a pillar's columns are the grid
-    `cds_legs` builds for it; the report reprices all pillars on one read.
+    up to the previous tenor t_prev is read once, into a fixed part, in the
+    same kernel call as the later times at both bracket ends; the later times
+    see c(t_prev) + rate(x) (t - t_prev), so a price and its slope in x are
+    one kernel call and two dot products.  `_newton_in_bracket` solves each
+    pillar from the previous bucket's root (the first from `start`, if given)
+    and stops at a price within the row's round-off, eps sum |w|.
+    `family(tenors, xs)` builds the fitted model, once the walk ends; `bracket`
+    bounds each root.  The grid is cut at the model's knots, so a pillar's
+    columns are the grid `cds_legs` builds for it; the report reprices all
+    pillars and reads their survivals on one read of the grid.
     """
     tenors = strip.tenors
-    contracts, grid, rows, columns = legs
+    pillars, grid, rows, columns = legs
     lo_x, hi_x = bracket
     xs: list[float] = []
     knot_t, knot_c = [0.0], [0.0]  # the clock at the bucket ends so far
     iterations, flagged = [], []
-    for tenor, contract, protection, premium, own in zip(tenors, contracts, *rows, columns):
+    for tenor, (_, spread, lgd), protection, premium, own in zip(tenors, pillars, *rows,
+                                                                  columns):
         t_prev, c_prev = knot_t[-1], knot_c[-1]
         times = grid.times[own]
         later = times > t_prev
-        weights = (contract.lgd * protection - contract.spread * premium)[own]
-        fixed = weights[~later] @ kernel(Clock(knot_t, knot_c, 0.0)(times[~later]))
+        weights = (lgd * protection - spread * premium)[own]
         resolution = np.finfo(float).eps * np.abs(weights).sum()  # survival is in [0, 1]
-        weights, elapsed = weights[later], times[later] - t_prev
+        earlier = ~later
+        fixed_weights, weights = weights[earlier], weights[later]
+        elapsed = times[later] - t_prev
         slope_weights = weights * elapsed
+        # one kernel call: the clock through the knots up to t_prev, then both bracket ends
+        q, _ = kernel(np.concatenate((np.interp(times[earlier], knot_t, knot_c),
+                                      *(c_prev + rate(x)[0] * elapsed for x in bracket))))
+        m = elapsed.size
+        fixed = fixed_weights @ q[:-2 * m]
+        lo, hi = float(fixed + weights @ q[-2 * m:-m]), float(fixed + weights @ q[-m:])
 
         def price_and_slope(x: float):
             clock_rate, rate_slope = rate(x)
-            c = c_prev + clock_rate * elapsed
-            return (float(fixed + weights @ kernel(c)),
-                    lambda: rate_slope * float(slope_weights @ slope(c)))
+            q, dq_dc = kernel(c_prev + clock_rate * elapsed)
+            return float(fixed + weights @ q), rate_slope * float(slope_weights @ dq_dc)
 
-        (lo, _), (hi, _) = price_and_slope(lo_x), price_and_slope(hi_x)
         if abs(lo) < PRICE_TOL:
             # the quote is repriced at the bracket floor (no diffusion, no hazard)
             flagged.append(tenor)
@@ -223,14 +243,15 @@ def _bootstrap(strip, legs, model_name, family, kernel, slope, rate, bracket, st
         knot_c.append(c_prev + rate(root)[0] * (tenor - t_prev))
     model = family(tenors, xs)
     warnings = [f"bucket parameter at bracket bound for tenors {flagged}"] if flagged else []
-    pillar_survivals = [float(q) for q in survival(model, np.asarray(tenors))]
+    q = survival(model, grid.times)
+    pillar_survivals = [float(q[n]) for n, _, _ in pillars]
     if any(b > a + 1e-12 for a, b in zip(pillar_survivals, pillar_survivals[1:])):
         warnings.append("non-monotone pillar survivals: quote strip admits arbitrage")
-    protection, premium = grid.legs(survival(model, grid.times))
+    protection, premium = grid.legs(q)
     return model, CalibrationReport(
         model=model_name, parameters=model.to_dict(),
-        repricing_errors_bp=[c.value(protection[:c.schedule.dates.size],
-                                     premium[:c.schedule.dates.size]) * 1e4 for c in contracts],
+        repricing_errors_bp=[(lgd * float(protection[n - 1]) - spread * float(premium[n - 1]))
+                             * 1e4 for n, spread, lgd in pillars],
         pillar_survivals=pillar_survivals,
         diagnostics={"solver": "newton-bisection", "iterations": iterations,
                      "bracket": [lo_x, hi_x]},
@@ -241,9 +262,9 @@ def _bootstrap(strip, legs, model_name, family, kernel, slope, rate, bracket, st
 def _newton_in_bracket(price_and_slope, bracket, prices, resolution, x=None):
     """The root of a price that changes sign on `bracket` = (lo, hi), where it is
     `prices`, by Newton's method safeguarded inside the bracket (rtsafe, Press et al.,
-    Numerical Recipes, section 9.4).  `price_and_slope(x)` is the price and a function
-    giving its derivative, called only if the search goes on.  The search starts at x,
-    or at the false-position point of the ends when x is None or outside the bracket.
+    Numerical Recipes, section 9.4).  `price_and_slope(x)` is the price and its
+    derivative at x.  The search starts at x, or at the false-position point of the
+    ends when x is None or outside the bracket.
     Each evaluation narrows the bracket to the side where the price changes sign; a
     Newton step that would leave the bracket, or that fails to halve the step before
     last, gives way to bisection, so the steps shrink at least geometrically.  The
@@ -259,11 +280,10 @@ def _newton_in_bracket(price_and_slope, bracket, prices, resolution, x=None):
     step = before_last = hi - lo
     evaluations = 0
     while True:
-        price, slope_at_x = price_and_slope(x)
+        price, slope = price_and_slope(x)
         evaluations += 1
         if abs(price) <= resolution:
             return x, evaluations
-        slope = slope_at_x()
         if price < 0.0:
             below = x
         else:
@@ -297,13 +317,11 @@ def _sbtv_step1(strip, legs, h1, b):
     C-contiguous so its products round as on that pillar's own grid.  A flat
     volatility has cumulative variance s = sigma_bar^2 t, so an evaluation is
     one kernel call and one matrix product, and builds no model.  The
-    Jacobian is analytic and reuses the evaluation at its point: the mixture
-    is linear in p1, the legs are linear in survival, so the Jacobian is the
-    leg matrix times the survival's three derivatives.  The kernel
-    Q = Phi(d1) - H^a Phi(d2), with a = 2B - 1 and H^a phi(d2) = phi(d1), has
-    dQ/ds = log H phi(d1) / s^1.5 (`first_passage_slope`) and
-    dQ/dlog H = -2 phi(d1) / sqrt(s) - a H^a Phi(d2)
-    = -2 s dQ/ds / log H - a H^a Phi(d2).
+    Jacobian is analytic and makes no kernel call: the mixture is linear in
+    p1, the legs are linear in survival, so the Jacobian is the leg matrix
+    times the survival's three derivatives, read from the evaluation at its
+    point.  There the kernel (`first_passage`) gives dQ/ds and H^a Phi(d2),
+    a = 2B - 1, and dQ/dlog H = -2 s dQ/ds / log H - a H^a Phi(d2).
 
     A start whose spreads are not finite (survival vanishes there, as at a
     large negative b) is not polished.  A polish refuses a trial step whose
@@ -319,18 +337,21 @@ def _sbtv_step1(strip, legs, h1, b):
     a = 2.0 * b - 1.0
     t = times[1:]  # times[0] is the start, where survival is 1 for every x
     evaluations = 0
-    last = None  # (x, the kernel's two survival rows there, the three pillars' legs)
+    last = None  # (x, then survival_rows' outputs at x)
 
     def survival_rows(points):
         """The two scenarios' survival on the grid at each (h2, p1, sigma_bar) point,
-        and the mixture's legs: one kernel call for all the points."""
+        its slopes in the variance and in log H2, and the mixture's legs: one kernel
+        call for all the points."""
         nonlocal evaluations
         evaluations += len(points)
         h2, p1, sigma_bar = points.T
         log_h = np.stack((np.full(len(points), log_h1), np.log(h2)), axis=1)[:, :, None]
-        q = first_passage_survival(log_h, b, (sigma_bar ** 2)[:, None, None] * times)
+        s = (sigma_bar ** 2)[:, None, None] * times
+        q, dq_ds, second = first_passage(log_h, b, s)
+        dq_dlog_h2 = -2.0 * s[:, 0] * dq_ds[:, 1] / log_h[:, 1] - a * second[:, 1]
         pillar_legs = (p1[:, None] * q[:, 0] + (1.0 - p1[:, None]) * q[:, 1]) @ legs.T
-        return q, pillar_legs[:, :3], pillar_legs[:, 3:]
+        return q, dq_ds, dq_dlog_h2, pillar_legs[:, :3], pillar_legs[:, 3:]
 
     def evaluate(x):
         nonlocal last
@@ -342,20 +363,15 @@ def _sbtv_step1(strip, legs, h1, b):
         return lgd * protection / premium * 1e4 - quoted_bp
 
     def residuals(x) -> np.ndarray:
-        return gaps(*evaluate(x)[1:])
+        return gaps(*evaluate(x)[3:])
 
     def jacobian(x) -> np.ndarray:
-        q, protection, premium = evaluate(x)
+        q, dq_ds, dq_dlog_h2, protection, premium = evaluate(x)
         h2, p1, sigma_bar = x
-        log_h = np.array([[log_h1], [math.log(h2)]])
-        s = sigma_bar ** 2 * t
-        dq_ds = first_passage_slope(log_h, b, s)
-        dq_dlog_h2 = -2.0 * s * dq_ds[1] / log_h[1] - a * np.exp(
-            a * log_h[1] + log_ndtr((log_h[1] + 0.5 * a * s) / np.sqrt(s)))
         directions = np.zeros((3, times.size))  # d survival / d (h2, p1, sigma_bar)
-        directions[0, 1:] = (1.0 - p1) / h2 * dq_dlog_h2
+        directions[0, 1:] = (1.0 - p1) / h2 * dq_dlog_h2[1:]
         directions[1] = q[0] - q[1]
-        directions[2, 1:] = 2.0 * sigma_bar * t * (p1 * dq_ds[0] + (1.0 - p1) * dq_ds[1])
+        directions[2, 1:] = 2.0 * sigma_bar * t * (p1 * dq_ds[0, 1:] + (1.0 - p1) * dq_ds[1, 1:])
         d_legs = legs @ directions.T  # d (protection, premium) / d (h2, p1, sigma_bar)
         spread_bp = lgd * protection / premium * 1e4
         return (lgd * 1e4 * d_legs[:3] - spread_bp[:, None] * d_legs[3:]) / premium[:, None]
@@ -364,7 +380,7 @@ def _sbtv_step1(strip, legs, h1, b):
     starts = np.clip(list(itertools.product([h1 + 0.15, h1 + 0.3, h1 + 0.45], [0.35, 0.65, 0.95],
                                             [0.10, 0.20, 0.40])), lower, upper)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        start_gaps = gaps(*survival_rows(starts)[1:])  # non-finite where survival vanishes
+        start_gaps = gaps(*survival_rows(starts)[3:])  # non-finite where survival vanishes
         costs = np.sum(start_gaps ** 2, axis=1)
         finite = np.flatnonzero(np.all(np.isfinite(start_gaps), axis=1))
         ranked = [starts[i] for i in sorted(finite, key=lambda i: (costs[i], starts[i, 0]))]

@@ -187,6 +187,14 @@ class PaymentSchedule:
         return np.subtract(n + 1, after, dtype=np.intp)
 
 
+def period_count(start: float, end: float, frequency: int) -> int:
+    """The number of periods of 1/frequency from start to end, a whole number to 1e-9."""
+    n = round((end - start) * frequency)
+    if n < 1 or abs(start + n * (1.0 / frequency) - end) > 1e-9:
+        raise DomainError("tenor must be an integer number of periods")
+    return n
+
+
 def make_schedule(start: float, end: float, frequency: int) -> PaymentSchedule:
     """Evenly spaced payment grid with accruals 1/frequency; final date equals end."""
     if not -math.inf < start < end < math.inf:
@@ -196,9 +204,7 @@ def make_schedule(start: float, end: float, frequency: int) -> PaymentSchedule:
     if frequency not in VALID_FREQUENCIES:
         raise DomainError(f"frequency must be one of {VALID_FREQUENCIES}")
     step = 1.0 / frequency
-    n = round((end - start) * frequency)
-    if n < 1 or abs(start + n * step - end) > 1e-9:
-        raise DomainError("tenor must be an integer number of periods")
+    n = period_count(start, end, frequency)
     dates = start + step * np.arange(1, n + 1)
     dates[-1] = end
     return PaymentSchedule(start=start, dates=dates, accruals=np.full(n, step))

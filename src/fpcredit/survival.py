@@ -144,63 +144,56 @@ class HazardCurve:
         return cls(bucket_ends=tuple(d["bucket_ends"]), lambdas=tuple(d["lambdas"]))
 
 
-def first_passage_survival(log_h, b: float, cv):
-    """Probability that the firm has not touched the barrier by cumulative variance cv.
+def first_passage(log_h, b: float, cv):
+    """Survival Q of the firm against the barrier at cumulative variance S = cv,
+    dQ/dS and (H/V0)^a Phi(d2), from one square root, d1 and d2.
 
     Closed form for GBM firm value against the exponential barrier:
 
-        Q = Phi((log(V0/H) + (2B-1)/2 * S) / sqrt(S))
-            - (H/V0)^(2B-1) * Phi((log(H/V0) + (2B-1)/2 * S) / sqrt(S))
+        Q = Phi(d1) - (H/V0)^a Phi(d2),  d1,2 = (-/+ log(H/V0) + a/2 * S) / sqrt(S)
 
-    with S = cv and log_h = log(H/V0) < 0.  The second term is evaluated in
-    log space so extreme volatilities probed by the calibrator cannot
-    overflow.  At S = 0 the arguments are +inf and -inf, so Q = 1 - 0 = 1
-    exactly (the firm starts above the barrier).  log_h and cv broadcast:
-    a column of barriers against a row of variances gives one row per barrier.
+    with a = 2B - 1 and log_h = log(H/V0) < 0.  The second term is evaluated
+    in log space so extreme volatilities probed by the calibrator cannot
+    overflow.  Since (H/V0)^a phi(d2) = phi(d1), dQ/dS = log(H/V0) phi(d1) / S^1.5
+    and dQ/dlog(H/V0) = -2 S dQ/dS / log(H/V0) - a (H/V0)^a Phi(d2).  At S = 0
+    the arguments are +inf and -inf, so Q = 1 - 0 = 1 exactly (the firm starts
+    above the barrier) and dQ/dS is nan.  log_h and cv broadcast: a column of
+    barriers against a row of variances gives one row per barrier.
     """
     a = 2.0 * b - 1.0
     s = np.asarray(cv, dtype=float)
     sd = np.sqrt(s)
     drift = 0.5 * a * s
-    with np.errstate(divide="ignore"):
-        first = ndtr((-log_h + drift) / sd)
-        # (H/V0)^(2B-1) * Phi(arg2) computed as exp(a*log h + log Phi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # at S = 0
+        d1 = (-log_h + drift) / sd
+        # (H/V0)^a * Phi(d2) computed as exp(a*log h + log Phi)
         second = np.exp(a * log_h + log_ndtr((log_h + drift) / sd))
-    return (first - second).clip(0.0, 1.0)
-
-
-def first_passage_slope(log_h, b: float, cv):
-    """dQ/dS of `first_passage_survival` at cumulative variance S = cv > 0:
-    log(H/V0) phi(d1) / S^1.5, with d1 = (log(V0/H) + (2B-1)/2 * S) / sqrt(S) the
-    first term's argument (the second term's derivative folds into it, since
-    (H/V0)^(2B-1) phi(d2) = phi(d1)).  Broadcasts as the survival does."""
-    s = np.asarray(cv, dtype=float)
-    sd = np.sqrt(s)
-    d1 = (0.5 * (2.0 * b - 1.0) * s - log_h) / sd
-    with np.errstate(over="ignore"):  # d1^2 overflows only where the density is 0
         density = np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
-    return log_h * density / (s * sd)
+        dq_ds = log_h * density / (s * sd)
+    return (ndtr(d1) - second).clip(0.0, 1.0), dq_ds, second
 
 
-def mixture_survival(scenarios, b: float, cv, kernel=first_passage_survival):
-    """sum_i p^i Q(H^i): survival at cumulative variance cv under the barrier
-    scenarios [(H^i/V0, p^i), ...]; with `kernel=first_passage_slope`, its
-    derivative in cv.  Several barriers broadcast against cv in one kernel
-    call; AT1P's one barrier skips the broadcast, which is slower on one row
-    and gives the same numbers."""
+def mixture_survival(scenarios, b: float, cv):
+    """sum_i p^i Q(H^i) and its derivative in cv: survival and its slope at
+    cumulative variance cv under the barrier scenarios [(H^i/V0, p^i), ...].
+    Several barriers broadcast against cv in one kernel call; AT1P's one
+    barrier skips the broadcast, which is slower on one row and gives the
+    same numbers."""
     if len(scenarios) == 1:
         [(h, p)] = scenarios
-        return p * kernel(math.log(h), b, cv)
+        q, dq_ds, _ = first_passage(math.log(h), b, cv)
+        return p * q, p * dq_ds
     log_h = np.array([math.log(h) for h, _ in scenarios])
-    q = kernel(log_h.reshape((-1,) + (1,) * np.ndim(cv)), b, cv)
-    return sum(p * q_i for (_, p), q_i in zip(scenarios, q))
+    q, dq_ds, _ = first_passage(log_h.reshape((-1,) + (1,) * np.ndim(cv)), b, cv)
+    return (sum(p * q_i for (_, p), q_i in zip(scenarios, q)),
+            sum(p * d_i for (_, p), d_i in zip(scenarios, dq_ds)))
 
 
 def sbtv_survival(params: SbtvParams | At1pParams, t):
     """Probability that the firm has not touched the barrier by time t, mixed
     over the barrier scenarios; AT1P is the one-scenario case."""
-    out = mixture_survival(params.scenarios, params.b,
-                           params.vols.clock(np.asarray(t, dtype=float)))
+    out, _ = mixture_survival(params.scenarios, params.b,
+                              params.vols.clock(np.asarray(t, dtype=float)))
     return float(out) if np.ndim(t) == 0 else out
 
 

@@ -344,14 +344,18 @@ class TestSbtvStep1:
     def test_a_polish_whose_gradient_is_not_finite_fails_its_start(self, monkeypatch,
                                                                   flat_curve, bad):
         # the gradient at the first start is not finite: no step leaves it, so the
-        # start fails, and the next one reaches the zero
-        real, calls = calibration.first_passage_slope, []
+        # start fails, and the next one reaches the zero.  The first kernel call scores
+        # the 27 starts, and the second is the first polish's start, whose slopes the
+        # Jacobian there reads
+        real, calls = calibration.first_passage, []
 
         def bad_once(log_h, b, s):
-            calls.append(s)
-            return real(log_h, b, s) * (bad if len(calls) == 1 else 1.0)
+            calls.append(len(log_h))
+            q, dq_ds, second = real(log_h, b, s)
+            scale = bad if calls == [27, 1] else 1.0
+            return q, dq_ds * scale, second * scale
 
-        monkeypatch.setattr(calibration, "first_passage_slope", bad_once)
+        monkeypatch.setattr(calibration, "first_passage", bad_once)
         polishes = _record_polishes(monkeypatch)
         *_, step1 = sbtv_step1(preset_strip("lehman-2008-06-12"), flat_curve, "postponed")
         assert step1["polishes"] == 2 and step1["rms_bp"] < 1e-10
@@ -359,8 +363,13 @@ class TestSbtvStep1:
 
     def test_no_polish_with_a_finite_gradient_is_a_calibration_error(self, monkeypatch,
                                                                      flat_curve):
-        monkeypatch.setattr(calibration, "first_passage_slope",
-                            lambda log_h, b, s: np.full((len(log_h), len(s)), math.nan))
+        real = calibration.first_passage
+
+        def no_slopes(log_h, b, s):
+            q, dq_ds, second = real(log_h, b, s)
+            return q, np.full_like(dq_ds, math.nan), np.full_like(second, math.nan)
+
+        monkeypatch.setattr(calibration, "first_passage", no_slopes)
         with pytest.raises(CalibrationError, match="along any polish"):
             sbtv_step1(preset_strip("lehman-2008-06-12"), flat_curve, "postponed")
 
@@ -388,15 +397,15 @@ class TestSbtvStep1:
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
     def test_evaluations_count_every_kernel_call(self, monkeypatch, flat_curve, convention):
         # the start scan is one kernel call with a row of barriers per start; each
-        # polish evaluation is one call at one point, which the analytic Jacobian shares
+        # polish evaluation is one call at one point, which the analytic Jacobian reads
         points = []  # per kernel call, the number of (h2, p1, sigma_bar) points
-        real = calibration.first_passage_survival
+        real = calibration.first_passage
 
         def counting(log_h, b, cv):
             points.append(len(log_h))
             return real(log_h, b, cv)
 
-        monkeypatch.setattr(calibration, "first_passage_survival", counting)
+        monkeypatch.setattr(calibration, "first_passage", counting)
         *_, step1 = sbtv_step1(preset_strip("lehman-2008-09-12"), flat_curve, convention)
         assert points[0] == step1["multi_start_points"] == 27
         assert len(points) > 1 and points[1:] == [1] * (len(points) - 1)
@@ -453,7 +462,7 @@ class TestBootstrapRoots:
 
         def price_and_slope(x):
             seen.append(x)
-            return math.atan(x), lambda: 1.0 / (1.0 + x * x)
+            return math.atan(x), 1.0 / (1.0 + x * x)
 
         root, evaluations = calibration._newton_in_bracket(
             price_and_slope, (-10.0, 5.0), (math.atan(-10.0), math.atan(5.0)), 0.0, 1.5)
@@ -469,13 +478,78 @@ class TestBootstrapRoots:
             raise AssertionError("the upper end is a root: no evaluation is needed")
 
         def price_and_slope(x):
-            return x * x - 4.0, lambda: 2.0 * x
+            return x * x - 4.0, 2.0 * x
 
         assert calibration._newton_in_bracket(
             never, (0.5, 2.0), (-3.75, 0.0), 1e-6, 1.0) == (2.0, 0)
         root, _ = calibration._newton_in_bracket(
             price_and_slope, (0.5, 2.0), (-3.75, 1e-300), 1e-6, 1.0)
         assert root < 2.0 and abs(root * root - 4.0) <= 1e-6
+
+
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    @pytest.mark.parametrize("fit", [bootstrap_intensity, calibrate_at1p, calibrate_sbtv])
+    def test_one_kernel_call_per_pillar_before_its_search(self, monkeypatch, flat_curve,
+                                                          fit, convention):
+        # each pillar reads its frozen times and both bracket ends in one kernel call,
+        # then one call per evaluation of its search, price and slope together; the
+        # step-1 Jacobian reads its point's evaluation and makes no kernel call
+        events, jacobians = [], []
+        real_bootstrap, real_search = calibration._bootstrap, calibration._newton_in_bracket
+        real_kernel, real_polish = calibration.first_passage, calibration._polish
+
+        def bootstrap(strip, legs, model_name, family, kernel, *args):
+            def counting(c):
+                events.append("kernel")
+                return kernel(c)
+            return real_bootstrap(strip, legs, model_name, family, counting, *args)
+
+        def search(*args):
+            events.append("search")
+            return real_search(*args)
+
+        def step1_kernel(*args):
+            events.append("step-1 jacobian" if jacobians and jacobians[-1] else "step 1")
+            return real_kernel(*args)
+
+        def polish(residuals, jacobian, *args):
+            def tracked(x):
+                jacobians.append(True)
+                try:
+                    return jacobian(x)
+                finally:
+                    jacobians.append(False)
+            return real_polish(residuals, tracked, *args)
+
+        monkeypatch.setattr(calibration, "_bootstrap", bootstrap)
+        monkeypatch.setattr(calibration, "_newton_in_bracket", search)
+        monkeypatch.setattr(calibration, "first_passage", step1_kernel)
+        monkeypatch.setattr(calibration, "_polish", polish)
+        _, report = fit(preset_strip("lehman-2008-09-12"), flat_curve, convention=convention)
+        iterations = report.diagnostics["iterations"]
+        assert len(iterations) == 5 and sum(iterations) > 5
+        assert [e for e in events if e != "step 1"] == [
+            e for n in iterations for e in ["kernel", "search"] + ["kernel"] * n]
+        if fit is calibrate_sbtv:  # one call scores the 27 starts, then one per point
+            step1 = report.diagnostics["step1"]
+            assert events.count("step 1") == step1["objective_evaluations"] - 27 + 1
+            assert jacobians.count(True) > 1
+        else:
+            assert not jacobians
+
+
+class TestQuoteTenors:
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    @pytest.mark.parametrize("fit", [bootstrap_intensity, calibrate_at1p, calibrate_sbtv])
+    @pytest.mark.parametrize("tenors, bad", [((2.1, 3.0, 5.0, 7.0, 10.0), "2.1"),
+                                             ((1.0, 3.0, 5.1, 7.0, 10.0), "5.1"),
+                                             ((1.0, 3.0, 5.0, 7.0, 10.1), "10.1")],
+                             ids=["first", "middle", "last"])
+    def test_a_tenor_off_the_quarters_is_named(self, flat_curve, fit, convention, tenors, bad):
+        strip = small_strip([100.0, 150.0, 180.0, 200.0, 210.0], tenors=tenors)
+        message = f"^quote tenor {bad}y is not a whole number of quarterly periods$"
+        with pytest.raises(DomainError, match=message.replace(".", r"\.")):
+            fit(strip, flat_curve, convention=convention)
 
 
 class TestDegenerateDiscounting:
@@ -657,9 +731,11 @@ class TestLegGridReuse:
         # curve pillars inside periods cut the exact pieces of every grid that spans them
         curve = DiscountCurve(pillars=((0.6, 0.985), (2.2, 0.93), (4.1, 0.86)))
         strip = preset_strip("lehman-2008-06-12")
-        contracts, grid, rows, columns = _strip_legs(strip, curve, convention)
-        assert len(contracts) == len(columns) == rows.shape[1] == 5
-        for j, (contract, own_columns) in enumerate(zip(contracts, columns)):
+        pillars, grid, rows, columns = _strip_legs(strip, curve, convention)
+        assert len(pillars) == len(columns) == rows.shape[1] == 5
+        for j, (quote, pillar, own_columns) in enumerate(zip(strip.quotes, pillars, columns)):
+            contract = pillar_contract(quote.tenor, quote.spread_bp, strip.recovery)
+            assert pillar == (contract.schedule.dates.size, contract.spread, contract.lgd)
             own = leg_grid(contract.schedule, curve, convention, strip.tenors)
             assert np.array_equal(grid.times[own_columns], own.times)
             assert np.array_equal(rows[:, j][:, own_columns], own.rows([-1])[:, 0])

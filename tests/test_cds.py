@@ -11,7 +11,7 @@ from fpcredit import (At1pParams, CdsContract, ConfigurationError,
                       calibrate_sbtv, cds, cds_legs, cds_price, fair_spread,
                       leg_grid, make_schedule)
 from fpcredit.presets import STRIP_PRESETS, preset_strip
-from fpcredit.survival import first_passage_survival, survival
+from fpcredit.survival import first_passage, survival
 
 
 def riskless():
@@ -193,7 +193,7 @@ class TestExactQuadrature:
         protection, _ = cds_legs(sched, DiscountCurve(flat_rate=r), params, "exact")
         x0, mu, mu_r = -math.log(h), -0.5, -math.sqrt(0.25 + 2.0 * r / sigma ** 2)
         oracle = math.exp(x0 * (mu_r - mu)) * (
-            1.0 - first_passage_survival(math.log(h), mu_r + 0.5, sigma ** 2 * sched.dates))
+            1.0 - first_passage(math.log(h), mu_r + 0.5, sigma ** 2 * sched.dates)[0])
         big = oracle > 1e-12
         assert big.any()
         assert protection[big] == pytest.approx(oracle[big], rel=1e-12)

@@ -167,6 +167,12 @@ class TestBadInputsExitWithMessage:
         f.write_text("tenor_years,spread_bp\n1.0,50\n3.0,nan\n5.0,100\n")
         assert "spread_bp" in self.check(capsys, "calibrate", "--quotes", str(f))
 
+    def test_quote_tenor_off_the_quarters(self, capsys, tmp_path):
+        f = tmp_path / "q.csv"
+        f.write_text("tenor_years,spread_bp\n1.0,50\n2.1,80\n5.0,100\n")
+        assert self.check(capsys, "calibrate", "--quotes", str(f)) == (
+            "error: quote tenor 2.1y is not a whole number of quarterly periods\n")
+
     def test_nan_flat_rate(self, capsys):
         assert "flat_rate" in self.check(capsys, "calibrate", "--preset", "lehman-2007-07-10",
                                          "--flat-rate", "nan")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fpcredit import (At1pParams, DiscountCurve, DomainError, HazardCurve,
                       SbtvParams, VolatilityTermStructure, at1p_survival,
                       barrier_level, intensity_survival, sbtv_survival)
-from fpcredit.survival import first_passage_slope, first_passage_survival, survival
+from fpcredit.survival import first_passage, survival
 
 LEHMAN_2007_VOLS = VolatilityTermStructure(
     bucket_ends=(1.0, 3.0, 5.0, 7.0, 10.0),
@@ -133,26 +133,42 @@ class TestFirstPassageKernel:
         hs = (0.05, 0.4, 0.7313, 0.97)
         t = np.array([0.0, 1e-9, 0.25, 1.0, 3.0, 5.0, 12.0, 40.0])
         column = np.array([[math.log(h)] for h in hs])
-        q = first_passage_survival(column, b, LEHMAN_2007_VOLS.clock(t))
-        assert q.shape == (len(hs), t.size)
+        q, dq_ds, second = first_passage(column, b, LEHMAN_2007_VOLS.clock(t))
+        assert q.shape == dq_ds.shape == second.shape == (len(hs), t.size)
         for h, row in zip(hs, q):
             assert np.array_equal(row, at1p_survival(At1pParams(h, b, LEHMAN_2007_VOLS), t))
         assert np.all(q[:, 0] == 1.0)
 
     @pytest.mark.parametrize("b", [-0.4, 0.3, 0.8])
     def test_slope_matches_central_differences(self, b):
-        # five-point central differences at a 1e-3 relative step, from variance 1e-8
-        # (where both are 0 or nearly) to 50; the bound adds their round-off
+        # five-point central differences at a 1e-3 relative step, in the variance from
+        # 1e-8 (where both are 0 or nearly) to 50, and in log H at each variance, where
+        # the slope is -2 S dQ/dS / log H - a H^a Phi(d2); the bound adds their round-off
         log_h = np.log([[0.05], [0.3], [0.7313], [0.97]])
         cv = np.geomspace(1e-8, 50.0, 61)
-        step = 1e-3 * cv
+        step, step_h = 1e-3 * cv, -1e-3 * log_h
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            slope = first_passage_slope(log_h, b, cv)
-            q = [first_passage_survival(log_h, b, cv + k * step) for k in (-2, -1, 1, 2)]
-        central = (8.0 * (q[2] - q[1]) - q[3] + q[0]) / (12.0 * step)
-        assert np.all(np.abs(slope - central) <= 1e-6 * np.abs(central) + 1e-15 / step)
-        assert slope.min() < -1.0 and np.all(slope <= 0.0)
+            _, slope, second = first_passage(log_h, b, cv)
+            slope_h = -2.0 * cv * slope / log_h - (2.0 * b - 1.0) * second
+            q = [first_passage(log_h, b, cv + k * step)[0] for k in (-2, -1, 1, 2)]
+            q_h = [first_passage(log_h + k * step_h, b, cv)[0] for k in (-2, -1, 1, 2)]
+        for derivative, q, step in ((slope, q, step), (slope_h, q_h, step_h)):
+            central = (8.0 * (q[2] - q[1]) - q[3] + q[0]) / (12.0 * step)
+            assert np.all(np.abs(derivative - central)
+                          <= 1e-6 * np.abs(central) + 1e-15 / step)
+            assert derivative.min() < -1.0 and np.all(derivative <= 0.0)
+
+    @pytest.mark.parametrize("b", [-300.0, 0.0, 0.3])
+    def test_q_is_survival_bit_for_bit(self, b):
+        # from t = 0, where Q is 1, with no RuntimeWarning
+        at1p = At1pParams(0.4, b, LEHMAN_2007_VOLS)
+        t = np.array([0.0, 1e-9, 0.25, 1.0, 3.0, 7.5, 12.0, 40.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, _, _ = first_passage(math.log(0.4), b, LEHMAN_2007_VOLS.clock(t))
+            assert np.array_equal(q, survival(at1p, t))
+        assert q[0] == 1.0
 
     def test_mixture_sums_the_scenarios_bit_for_bit(self):
         scenarios = ((0.3, 0.25), (0.6, 0.5), (0.9, 0.25))
@@ -227,8 +243,8 @@ class TestSbtvSurvival:
         assert at1p.scenarios == ((0.37, 1.0),)
         t = np.linspace(0.0, 12.0, 97)
         assert np.array_equal(survival(mix, t), survival(at1p, t))
-        assert np.array_equal(survival(at1p, t), first_passage_survival(
-            math.log(0.37), b, LEHMAN_2007_VOLS.clock(t)))
+        assert np.array_equal(survival(at1p, t), first_passage(
+            math.log(0.37), b, LEHMAN_2007_VOLS.clock(t))[0])
 
     @given(p1=st.floats(0.0, 1.0), t=st.floats(0.1, 10.0))
     @settings(max_examples=60)
