@@ -47,8 +47,7 @@ def main(argv=None) -> int:
                         help="price only the first N seeds of the grid")
     args = parser.parse_args(argv)
     curve = DiscountCurve(flat_rate=0.03)
-    terms = {k: v for k, v in ERS_CONTRACT_TERMS.items() if k != "quote_date"}
-    contracts = [(rho, make_ers_contract(rho=rho, **terms)) for rho in RHOS]
+    contracts = [(rho, make_ers_contract(rho=rho, **ERS_CONTRACT_TERMS)) for rho in RHOS]
     for preset in PRESETS:
         strip = preset_strip(preset)
         models = [(name, fit(strip, curve, convention="postponed")[0]) for name, fit in FITS]

@@ -15,7 +15,7 @@ from .mc import (CvaEstimate, ErsContract, ErsPricingResult, PathRecords,
                  ers_fair_spread_from_paths, make_ers_contract,
                  simulate_intensity_paths, simulate_joint_paths)
 from .presets import preset_checksum, preset_strip
-from .quotes import CdsQuote, CdsQuoteStrip, read_quote_csv, write_quote_csv
+from .quotes import CdsQuote, CdsQuoteStrip, read_quote_csv
 from .survival import (At1pParams, HazardCurve, SbtvParams,
-                       VolatilityTermStructure, at1p_survival, barrier_level,
-                       intensity_survival, sbtv_survival)
+                       VolatilityTermStructure, at1p_survival, intensity_survival,
+                       sbtv_survival)

@@ -15,18 +15,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .calibration import bootstrap_intensity, calibrate_at1p, calibrate_sbtv
-from .cds import CdsContract, cds_price, fair_spread
-from .curves import DiscountCurve, make_schedule
+from .calibration import (bootstrap_intensity, calibrate_at1p, calibrate_sbtv,
+                          pillar_contract)
+from .cds import cds_price, fair_spread
+from .curves import DiscountCurve
 from .errors import DomainError, FpcreditError
 from .mc import (ErsPricingResult, SimulationConfig, ers_fair_spread,
                  make_ers_contract)
-from .presets import (ERS_CONTRACT_TERMS, ERS_PRESET_NAME, PRESET_VERSION,
-                      STRIP_PRESETS, preset_checksum, preset_strip)
+from .presets import (ERS_CONTRACT_TERMS, PRESET_VERSION, STRIP_PRESETS, preset_checksum,
+                      preset_strip)
 from .quotes import read_quote_csv
 from .survival import At1pParams, HazardCurve, SbtvParams
 
@@ -164,10 +165,12 @@ def cmd_calibrate(args) -> int:
 def cmd_price_cds(args) -> int:
     params, config = _load_calibration(Path(args.params), args.model)
     curve = config.curve()
-    schedule = make_schedule(0.0, args.tenor, 4)
-    contract = CdsContract(schedule=schedule, spread=args.spread_bp * 1e-4,
-                           recovery=config.recovery)
-    fair = fair_spread(schedule, curve, params, config.recovery, config.convention)
+    try:
+        contract = pillar_contract(args.tenor, args.spread_bp, config.recovery)
+    except DomainError as exc:
+        raise DomainError(f"CDS of tenor {args.tenor!r} years and spread {args.spread_bp!r} bp: "
+                          f"{exc}") from None
+    fair = fair_spread(contract.schedule, curve, params, config.recovery, config.convention)
     print(f"model {args.model}, tenor {args.tenor}y, spread {args.spread_bp} bp")
     for convention in ("postponed", "exact"):
         price = cds_price(contract, curve, params, convention)
@@ -192,9 +195,7 @@ def cmd_price_ers(args) -> int:
             raise DomainError(f"{flag} lists an entry twice: {entries}")
     strip = _load_strip(args, config)
     curve = config.curve()
-    terms = dict(ERS_CONTRACT_TERMS)
-    terms.pop("quote_date", None)
-    contracts = {rho: make_ers_contract(rho=rho, **terms) for rho in rhos}
+    contracts = {rho: make_ers_contract(rho=rho, **ERS_CONTRACT_TERMS) for rho in rhos}
 
     calibrated = {m: _calibrate_one(m, strip, curve, config)[0] for m in models}
     # model by model: the sampler then draws each model's firm paths once
@@ -211,7 +212,7 @@ def cmd_price_ers(args) -> int:
                for m in models]
         print(f"{rho:6.2f} " + " ".join(f"{cell:>16}" for cell in row))
     doc = {"schema_version": "1", "kind": "ers-pricing", "config": asdict(config),
-           "contract": terms, "rhos": rhos, "results": table}
+           "contract": ERS_CONTRACT_TERMS, "rhos": rhos, "results": table}
     _write_report(doc, out_path)
     return 2 if low_stats else 0
 

@@ -15,7 +15,7 @@ Conventions used everywhere in this library:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class PaymentSchedule:
 
     start: float
     dates: np.ndarray
-    accruals: np.ndarray = field(default=None)
+    accruals: np.ndarray
 
     def __post_init__(self):
         dates = np.asarray(self.dates, dtype=float)
@@ -153,14 +153,10 @@ class PaymentSchedule:
                 or not -math.inf < self.start < dates[0]:
             raise DomainError("payment dates must be finite, strictly increasing and after start")
         object.__setattr__(self, "dates", dates)
-        if self.accruals is None:
-            prev = np.concatenate(([self.start], dates[:-1]))
-            object.__setattr__(self, "accruals", dates - prev)
-        else:
-            acc = np.asarray(self.accruals, dtype=float)
-            if acc.shape != dates.shape or np.any(acc <= 0):
-                raise DomainError("accruals must be positive and match dates")
-            object.__setattr__(self, "accruals", acc)
+        acc = np.asarray(self.accruals, dtype=float)
+        if acc.shape != dates.shape or np.any(acc <= 0):
+            raise DomainError("accruals must be positive and match dates")
+        object.__setattr__(self, "accruals", acc)
 
     @property
     def end(self) -> float:

@@ -1,8 +1,9 @@
 """Joint firm-value / equity sampling and counterparty-risk pricing of an
 equity return swap (ERS).
 
-Working variable for the firm is x = log(V / H(t)).  The rate and payout
-drifts cancel between V and the barrier, so in the variance clock
+Working variable for the firm is x = log(V / H(t)), against the barrier
+H(t) = H exp(int_0^t (r - k - B sigma^2) du) with payout rate k.  The rate
+and payout drifts cancel between V and the barrier, so in the variance clock
 v = int_0^t sigma^2 du, x is a Brownian motion with drift -nu, nu = 1/2 - B,
 started at x0 = log(V0 / H); default is its first passage to 0.
 

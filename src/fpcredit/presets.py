@@ -20,8 +20,8 @@ _STRIPS = {
 }
 
 # counterparty CDS bid/ask for the ERS study; mids are computed, not quoted
-_ERS_BID_ASK = ((1.0, 25.0, 31.0), (3.0, 34.0, 39.0), (5.0, 42.0, 47.0),
-                (7.0, 46.0, 51.0), (10.0, 50.0, 55.0))
+_ERS_STRIP = ("2009-09-16", ((1.0, 25.0, 31.0), (3.0, 34.0, 39.0), (5.0, 42.0, 47.0),
+                             (7.0, 46.0, 51.0), (10.0, 50.0, 55.0)))
 
 ERS_PRESET_NAME = "ers-paper-2009-09-16"
 
@@ -33,7 +33,6 @@ ERS_CONTRACT_TERMS = {
     "payment_frequency": 2,
     "recovery": 0.40,
     "stock_count": 1.0,
-    "quote_date": "2009-09-16",
 }
 
 STRIP_PRESETS = tuple(_STRIPS) + (ERS_PRESET_NAME,)
@@ -46,10 +45,10 @@ def preset_strip(name: str, recovery: float = 0.40) -> CdsQuoteStrip:
                        for t, s in zip(_LEHMAN_TENORS, spreads))
         return CdsQuoteStrip(quotes=quotes, recovery=recovery, quote_date=date)
     if name == ERS_PRESET_NAME:
+        date, bid_ask = _ERS_STRIP
         quotes = tuple(CdsQuote(tenor=t, spread_bp=0.5 * (bid + ask), bid_bp=bid, ask_bp=ask)
-                       for t, bid, ask in _ERS_BID_ASK)
-        return CdsQuoteStrip(quotes=quotes, recovery=recovery,
-                             quote_date=ERS_CONTRACT_TERMS["quote_date"])
+                       for t, bid, ask in bid_ask)
+        return CdsQuoteStrip(quotes=quotes, recovery=recovery, quote_date=date)
     raise KeyError(f"unknown preset {name!r}; available: {sorted(STRIP_PRESETS)}")
 
 
@@ -64,6 +63,6 @@ def preset_checksum(name: str) -> str:
         "quote_date": strip.quote_date,
     }
     if name == ERS_PRESET_NAME:
-        payload["contract"] = ERS_CONTRACT_TERMS
+        payload["contract"] = {**ERS_CONTRACT_TERMS, "quote_date": strip.quote_date}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

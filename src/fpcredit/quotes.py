@@ -1,4 +1,4 @@
-"""CDS quote strips and their CSV representation.
+"""CDS quote strips and the CSV format they are read from.
 
 CSV format: header ``tenor_years,spread_bp[,bid_bp,ask_bp]``, UTF-8,
 dot-decimal.  When the mid column is empty the mid is computed as
@@ -66,7 +66,7 @@ def _parse_float(text: str, line: int, column: str) -> float:
         raise DomainError(f"line {line}, column {column!r}: cannot parse {text!r} as a number")
 
 
-def read_quote_csv(text: str, recovery: float = 0.40, quote_date: str | None = None) -> CdsQuoteStrip:
+def read_quote_csv(text: str, recovery: float = 0.40) -> CdsQuoteStrip:
     """Parse a quote strip; errors name the offending line and column."""
     reader = csv.DictReader(io.StringIO(text), restval="")  # short rows: empty cells
     try:
@@ -93,19 +93,4 @@ def read_quote_csv(text: str, recovery: float = 0.40, quote_date: str | None = N
         else:
             raise DomainError(f"line {lineno}, column 'spread_bp': missing mid and no bid/ask to infer it")
         quotes.append(CdsQuote(tenor=tenor, spread_bp=mid, bid_bp=bid, ask_bp=ask))
-    return CdsQuoteStrip(quotes=tuple(quotes), recovery=recovery, quote_date=quote_date)
-
-
-def write_quote_csv(strip: CdsQuoteStrip) -> str:
-    has_ba = any(q.bid_bp is not None or q.ask_bp is not None for q in strip.quotes)
-    header = ["tenor_years", "spread_bp"] + (["bid_bp", "ask_bp"] if has_ba else [])
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for q in strip.quotes:
-        row = [repr(q.tenor), repr(q.spread_bp)]
-        if has_ba:
-            row += ["" if q.bid_bp is None else repr(q.bid_bp),
-                    "" if q.ask_bp is None else repr(q.ask_bp)]
-        writer.writerow(row)
-    return out.getvalue()
+    return CdsQuoteStrip(quotes=tuple(quotes), recovery=recovery)

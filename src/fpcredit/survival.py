@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .curves import Clock, DiscountCurve
+from .curves import Clock
 from .errors import DomainError, require_finite
 
 
@@ -200,18 +200,6 @@ def sbtv_survival(params: SbtvParams | At1pParams, t):
 def at1p_survival(params: At1pParams, t):
     """Probability that the firm has not touched the barrier by time t."""
     return sbtv_survival(params, t)
-
-
-def barrier_level(params: At1pParams, curve: DiscountCurve, t, payout_rate: float = 0.0):
-    """Barrier H(t) with V0 = 1: H * exp(int_0^t (r - k - B sigma^2) du).
-
-    Equivalently H times the expected firm value times exp(-B * cumvar).
-    """
-    t_arr = np.asarray(t, dtype=float)
-    rate_integral = curve.rate_integral(t_arr)  # raises DomainError for negative times
-    cv = params.vols.clock(t_arr)
-    out = params.h_over_v0 * np.exp(rate_integral - payout_rate * t_arr - params.b * np.asarray(cv))
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 def intensity_survival(hazard: HazardCurve, t):

@@ -1,15 +1,16 @@
+import dataclasses
 import functools
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpcredit import (CdsQuoteStrip, DomainError, FpcreditError, read_quote_csv,
-                      write_quote_csv)
-from fpcredit.cli import PARAMETER_CLASSES, _load_calibration, main
-from fpcredit.presets import preset_strip
+from fpcredit import CdsQuoteStrip, DomainError, FpcreditError, make_ers_contract, read_quote_csv
+from fpcredit.cli import PARAMETER_CLASSES, _load_calibration, build_parser, main
+from fpcredit.presets import ERS_CONTRACT_TERMS, preset_checksum, preset_strip
 from oracles import early_default_paths
 
 
@@ -233,6 +234,14 @@ class TestBadInputsExitWithMessage:
         assert "annuity" in self.check(capsys, "price-ers", "--preset", "ers-paper-2009-09-16",
                                        "--flat-rate", "1e308", "--models", "intensity",
                                        "--rho", "0", "--paths", "2000")
+
+    @pytest.mark.parametrize("tenor", ["2.1", "0", "-1", "nan"])
+    def test_bad_tenor_is_named(self, capsys, outdir, tenor):
+        run(capsys, "calibrate", "--preset", "lehman-2008-06-12", "--model", "intensity")
+        err = self.check(capsys, "price-cds", "--params", str(outdir / "calibration.json"),
+                         "--model", "intensity", f"--tenor={tenor}", "--spread-bp", "100")
+        [line] = err.splitlines()
+        assert f"tenor {float(tenor)!r} years" in line
 
     def test_tenor_above_cap(self, capsys, outdir):
         run(capsys, "calibrate", "--preset", "lehman-2008-06-12", "--model", "intensity")
@@ -482,6 +491,26 @@ class TestPriceErsCommand:
             rows.append(f"{row[:6]} " + " ".join(cells))
         assert out.splitlines()[1:1 + len(rhos)] == rows
 
+    @pytest.mark.parametrize("rho", build_parser().parse_args(["price-ers"]).rho.split(","))
+    def test_study_terms_are_the_contract_defaults(self, rho):
+        # the benchmark prices the contract from make_ers_contract's defaults
+        def assert_fields_equal(a, b):
+            for f in dataclasses.fields(a):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if dataclasses.is_dataclass(x):
+                    assert_fields_equal(x, y)
+                else:
+                    assert np.array_equal(x, y), f.name
+
+        assert_fields_equal(make_ers_contract(rho=float(rho)),
+                            make_ers_contract(rho=float(rho), **ERS_CONTRACT_TERMS))
+
+    @pytest.mark.parametrize("name, checksum", [
+        ("lehman-2007-07-10", "324a1d2ed26e536c"), ("lehman-2008-06-12", "0a78ffc86010222a"),
+        ("lehman-2008-09-12", "5743f4320e586754"), ("ers-paper-2009-09-16", "4c80c19dd6b58349")])
+    def test_preset_checksums_are_pinned(self, name, checksum):
+        assert preset_checksum(name) == checksum
+
     def test_deterministic_reruns(self, capsys, outdir):
         args = ("price-ers", "--preset", "ers-paper-2009-09-16", "--models",
                 "intensity", "--rho", "0", "--paths", "10000", "--seed", "5")
@@ -492,12 +521,15 @@ class TestPriceErsCommand:
 
 
 class TestQuoteCsv:
-    def test_roundtrip_identity(self):
+    def test_reads_the_ers_preset_exactly(self):
         strip = preset_strip("ers-paper-2009-09-16")
-        text = write_quote_csv(strip)
-        back = read_quote_csv(text, recovery=strip.recovery)
-        assert back.quotes == strip.quotes
-        assert write_quote_csv(back) == text
+        text = ("tenor_years,spread_bp,bid_bp,ask_bp\n"
+                "1.0,28.0,25.0,31.0\n"
+                "3.0,36.5,34.0,39.0\n"
+                "5.0,44.5,42.0,47.0\n"
+                "7.0,48.5,46.0,51.0\n"
+                "10.0,52.5,50.0,55.0\n")
+        assert read_quote_csv(text, recovery=strip.recovery).quotes == strip.quotes
 
     def test_mid_from_bid_ask(self):
         strip = read_quote_csv("tenor_years,spread_bp,bid_bp,ask_bp\n1.0,,25,31\n")

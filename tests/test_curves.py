@@ -211,7 +211,8 @@ class TestSchedule:
         # counted into a uint8 up to 255 dates and a uint16 above: the index of
         # a binary search either way
         sched = PaymentSchedule(start=0.0, dates=np.sort(
-            np.random.default_rng(n).uniform(0.0, 0.1 * n, n)) + np.arange(n) * 1e-3)
+            np.random.default_rng(n).uniform(0.0, 0.1 * n, n)) + np.arange(n) * 1e-3,
+            accruals=np.ones(n))
         dates = sched.dates
         keys = np.concatenate((np.random.default_rng(7).uniform(-1.0, dates[-1] + 1.0, 500),
                                dates, np.nextafter(dates, -np.inf), [-0.5, -1e300, 0.0],

@@ -50,7 +50,7 @@ class TestFiniteInputs:
         (0.0, (NAN,)), (0.0, (1.0, INF)), (NAN, (1.0,)), (-INF, (1.0,))])
     def test_payment_schedule(self, start, dates):
         with pytest.raises(DomainError):
-            PaymentSchedule(start, dates)
+            PaymentSchedule(start, dates, accruals=(1.0,) * len(dates))
 
     @pytest.mark.parametrize("start, end", [(0.0, NAN), (0.0, INF), (NAN, 5.0)])
     def test_make_schedule(self, start, end):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpcredit import (At1pParams, DiscountCurve, DomainError, HazardCurve,
-                      SbtvParams, VolatilityTermStructure, at1p_survival,
-                      barrier_level, intensity_survival, sbtv_survival)
+from fpcredit import (At1pParams, DomainError, HazardCurve, SbtvParams,
+                      VolatilityTermStructure, at1p_survival, intensity_survival,
+                      sbtv_survival)
 from fpcredit.survival import first_passage, survival
 
 LEHMAN_2007_VOLS = VolatilityTermStructure(
@@ -178,42 +178,6 @@ class TestFirstPassageKernel:
                        for h, p in scenarios)
         assert np.array_equal(sbtv_survival(params, t), expected)
         assert sbtv_survival(params, 2.0) == expected[2]
-
-
-class TestBarrierLevel:
-    def test_zero_drift_flat_barrier(self):
-        params = At1pParams(0.4, 0.0, flat_vols(0.2))
-        assert barrier_level(params, DiscountCurve(flat_rate=0.0), 7.0) == pytest.approx(0.4)
-
-    def test_grows_with_rates(self):
-        params = At1pParams(0.4, 0.0, flat_vols(0.2))
-        level = barrier_level(params, DiscountCurve(flat_rate=0.03), 1.0)
-        assert level == pytest.approx(0.4 * math.exp(0.03), rel=1e-12)
-
-    def test_volatility_exponent_lowers_barrier(self):
-        params = At1pParams(0.4, 0.5, flat_vols(0.2))
-        level = barrier_level(params, DiscountCurve(flat_rate=0.0), 1.0)
-        assert level == pytest.approx(0.4 * math.exp(-0.5 * 0.04), rel=1e-12)
-
-    def test_equals_h_over_discount_when_b_zero(self):
-        params = At1pParams(0.4, 0.0, flat_vols(0.2))
-        curve = DiscountCurve(flat_rate=0.025)
-        assert barrier_level(params, curve, 6.0) == pytest.approx(
-            0.4 / curve.discount(6.0), rel=1e-12)
-
-    @pytest.mark.parametrize("curve", [
-        DiscountCurve(flat_rate=0.03), DiscountCurve(flat_rate=-0.01),
-        DiscountCurve(pillars=((0.5, 0.99), (2.0, 0.95), (7.0, 0.80)))])
-    def test_reads_the_rate_integral_as_minus_the_log_of_discount(self, curve):
-        # the same level as through -log P(0, t), to round-off
-        params = At1pParams(0.4, 0.3, LEHMAN_2007_VOLS)
-        t = np.linspace(0.0, 12.0, 97)
-        old = params.h_over_v0 * np.exp(-np.log(curve.discount(t)) - 0.01 * t
-                                        - params.b * params.vols.clock(t))
-        assert np.allclose(barrier_level(params, curve, t, 0.01), old, rtol=1e-15, atol=0)
-        assert barrier_level(params, curve, 3.0, 0.01) == pytest.approx(old[24], rel=1e-15)
-        with pytest.raises(DomainError):
-            barrier_level(params, curve, -1.0)
 
 
 class TestSbtvSurvival:
