@@ -181,13 +181,13 @@ def _bootstrap(strip, legs, model_name, family, kernel, rate, bracket, start=Non
     Survival and its derivative are `kernel(c)` of a clock c(t) that is
     piecewise linear in t and runs at rate(x)[0] inside a bucket with
     parameter x; rate(x)[1] is the rate's derivative.  A pillar's price is its
-    weight row w (`_strip_legs`) dotted with survival on its columns.  Survival
-    up to the previous tenor t_prev is read once, into a fixed part, in the
-    same kernel call as the later times at both bracket ends; the later times
-    see c(t_prev) + rate(x) (t - t_prev), so a price and its slope in x are
-    one kernel call and two dot products.  `_newton_in_bracket` solves each
-    pillar from the previous bucket's root (the first from `start`, if given)
-    and stops at a price within the row's round-off, eps sum |w|.
+    weight row w (`_strip_legs`) dotted with survival on its columns.  The later
+    times see c(t_prev) + rate(x) (t - t_prev), t_prev the previous tenor, so a
+    price and its slope in x are one kernel call and two dot products.
+    `_newton_in_bracket` solves each pillar from the previous bucket's root (the
+    first from `start`, if given) and stops at a price within the row's round-off,
+    eps sum |w|.  One kernel call reads survival up to t_prev, into a fixed part,
+    and the later times at both bracket ends and at that start, if inside.
     `family(tenors, xs)` builds the fitted model, once the walk ends; `bracket`
     bounds each root.  The grid is cut at the model's knots, so a pillar's
     columns are the grid `cds_legs` builds for it; the report reprices all
@@ -210,12 +210,17 @@ def _bootstrap(strip, legs, model_name, family, kernel, rate, bracket, start=Non
         fixed_weights, weights = weights[earlier], weights[later]
         elapsed = times[later] - t_prev
         slope_weights = weights * elapsed
-        # one kernel call: the clock through the knots up to t_prev, then both bracket ends
-        q, _ = kernel(np.concatenate((np.interp(times[earlier], knot_t, knot_c),
-                                      *(c_prev + rate(x)[0] * elapsed for x in bracket))))
+        x = xs[-1] if xs else start  # the search's start
+        probes = bracket if x is None or not lo_x < x < hi_x else (*bracket, x)
+        # one kernel call: the clock through the knots up to t_prev, then each probe
+        q, dq_dc = kernel(np.concatenate((np.interp(times[earlier], knot_t, knot_c),
+                                          *(c_prev + rate(p)[0] * elapsed for p in probes))))
         m = elapsed.size
-        fixed = fixed_weights @ q[:-2 * m]
-        lo, hi = float(fixed + weights @ q[-2 * m:-m]), float(fixed + weights @ q[-m:])
+        q_fixed, *q_probes = np.split(q, q.size - m * np.arange(len(probes), 0, -1))
+        fixed = fixed_weights @ q_fixed
+        lo, hi, *first = (float(fixed + weights @ q_p) for q_p in q_probes)
+        if first:  # the start's price, then its slope
+            first.append(rate(x)[1] * float(slope_weights @ dq_dc[-m:]))
 
         def price_and_slope(x: float):
             clock_rate, rate_slope = rate(x)
@@ -234,7 +239,7 @@ def _bootstrap(strip, legs, model_name, family, kernel, rate, bracket, start=Non
                              "fixed_parameters": list(xs)})
         else:
             root, steps = _newton_in_bracket(price_and_slope, bracket, (lo, hi), resolution,
-                                             xs[-1] if xs else start)
+                                             x, first)
             if root < lo_x * 1.01 or root > hi_x * 0.99:
                 flagged.append(tenor)
         xs.append(root)
@@ -259,28 +264,30 @@ def _bootstrap(strip, legs, model_name, family, kernel, rate, bracket, start=Non
     )
 
 
-def _newton_in_bracket(price_and_slope, bracket, prices, resolution, x=None):
+def _newton_in_bracket(price_and_slope, bracket, prices, resolution, x=None, first=None):
     """The root of a price that changes sign on `bracket` = (lo, hi), where it is
     `prices`, by Newton's method safeguarded inside the bracket (rtsafe, Press et al.,
     Numerical Recipes, section 9.4).  `price_and_slope(x)` is the price and its
-    derivative at x.  The search starts at x, or at the false-position point of the
-    ends when x is None or outside the bracket.
+    derivative at x.  The search starts at x, where `first`, if given, is that price
+    and slope, or at the false-position point of the ends when x is None or outside
+    the bracket.
     Each evaluation narrows the bracket to the side where the price changes sign; a
     Newton step that would leave the bracket, or that fails to halve the step before
     last, gives way to bisection, so the steps shrink at least geometrically.  The
     search stops at a price within `resolution` of zero, or where neither step can
     move x any further; a zero price at hi returns hi.  Returns the root and the
-    number of evaluations, the ends' not counted."""
+    number of evaluations, the ends' not counted and the start's counted."""
     (lo, hi), (price_lo, price_hi) = bracket, prices
     if price_hi == 0.0:
         return hi, 0
     if x is None or not lo < x < hi:
-        x = lo - price_lo * (hi - lo) / (price_hi - price_lo)
+        x, first = lo - price_lo * (hi - lo) / (price_hi - price_lo), None
     below, above = (lo, hi) if price_lo < 0.0 else (hi, lo)  # price < 0 at below
     step = before_last = hi - lo
     evaluations = 0
     while True:
-        price, slope = price_and_slope(x)
+        price, slope = first or price_and_slope(x)
+        first = None
         evaluations += 1
         if abs(price) <= resolution:
             return x, evaluations
@@ -304,19 +311,21 @@ def _sbtv_step1(strip, legs, h1, b):
 
     The residuals are the three model-minus-quoted spreads in bp.  Their
     sum of squares is evaluated at every point of a fixed 3x3x3 start grid
-    (clipped into the box), all 27 in one kernel call, and a polish
-    (`_polish`: Levenberg-Marquardt, projected into the box) is run from the
-    best few, in rank order; ties are broken by the smaller H2 so the result
-    is deterministic.  The polishes stop once the best cost is at most
-    STEP1_TOL: the three residuals are then zero to about 1e-6 bp, and a
-    later polish could beat that only by round-off.  A
-    polish that misses a zero falls back on the next start; off the presets
-    the best-ranked start sometimes stops in a local minimum where a later
-    one reaches the zero.  The three pillars' rows in `legs` (`_strip_legs`), on
+    (clipped into the box), scored on 12 survival rows in one kernel call: H1 and
+    the three H2 against the three sigma_bar, each start mixing two rows' legs
+    (`objective_evaluations` counts 27).  A polish (`_polish`: Levenberg-Marquardt,
+    projected into the box) is run from the best few, in rank order; ties are
+    broken by the smaller H2 so the result is deterministic.  The polishes stop
+    once the best cost is at most STEP1_TOL: the three residuals are then zero to
+    about 1e-6 bp, and a later polish could beat that only by round-off.  A polish
+    that misses a zero falls back on the next start; off the presets the
+    best-ranked start sometimes stops in a local minimum where a later one
+    reaches the zero.  The three pillars' rows in `legs` (`_strip_legs`), on
     the third one's columns, are a 6-row matrix on survival there, kept
     C-contiguous so its products round as on that pillar's own grid.  A flat
     volatility has cumulative variance s = sigma_bar^2 t, so an evaluation is
-    one kernel call and one matrix product, and builds no model.  The
+    one kernel call on the two scenarios' rows and one product, and builds no
+    model.  The
     Jacobian is analytic and makes no kernel call: the mixture is linear in
     p1, the legs are linear in survival, so the Jacobian is the leg matrix
     times the survival's three derivatives, read from the evaluation at its
@@ -333,34 +342,28 @@ def _sbtv_step1(strip, legs, h1, b):
     legs = np.ascontiguousarray(rows[:, :3, columns[2]]).reshape(6, -1)  # 3 protection, 3 premium
     quoted_bp = np.array(strip.spreads_bp[:3])
     lgd = 1.0 - strip.recovery
-    log_h1 = math.log(h1)
+    log_h = np.array([[math.log(h1)], [0.0]])  # the scenarios' barriers, H2's set per point
     a = 2.0 * b - 1.0
     t = times[1:]  # times[0] is the start, where survival is 1 for every x
     evaluations = 0
-    last = None  # (x, then survival_rows' outputs at x)
-
-    def survival_rows(points):
-        """The two scenarios' survival on the grid at each (h2, p1, sigma_bar) point,
-        its slopes in the variance and in log H2, and the mixture's legs: one kernel
-        call for all the points."""
-        nonlocal evaluations
-        evaluations += len(points)
-        h2, p1, sigma_bar = points.T
-        log_h = np.stack((np.full(len(points), log_h1), np.log(h2)), axis=1)[:, :, None]
-        s = (sigma_bar ** 2)[:, None, None] * times
-        q, dq_ds, second = first_passage(log_h, b, s)
-        dq_dlog_h2 = -2.0 * s[:, 0] * dq_ds[:, 1] / log_h[:, 1] - a * second[:, 1]
-        pillar_legs = (p1[:, None] * q[:, 0] + (1.0 - p1[:, None]) * q[:, 1]) @ legs.T
-        return q, dq_ds, dq_dlog_h2, pillar_legs[:, :3], pillar_legs[:, 3:]
+    last = None  # (x, then evaluate's outputs at x)
 
     def evaluate(x):
-        nonlocal last
+        """The two scenarios' survival on the grid at x = (h2, p1, sigma_bar), its slopes
+        in the variance and in log H2, and the mixture's legs: one kernel call."""
+        nonlocal evaluations, last
         if last is None or not np.array_equal(last[0], x):
-            last = (x.copy(), *(v[0] for v in survival_rows(x[None])))
+            evaluations += 1
+            log_h[1] = np.log(x[:1])
+            s = x[2:] ** 2 * times
+            q, dq_ds, second = first_passage(log_h, b, s)
+            dq_dlog_h2 = -2.0 * s * dq_ds[1] / log_h[1] - a * second[1]
+            pillar_legs = (x[1] * q[0] + (1.0 - x[1]) * q[1]) @ legs.T
+            last = (x.copy(), q, dq_ds, dq_dlog_h2, pillar_legs[:3], pillar_legs[3:])
         return last[1:]
 
     def gaps(protection, premium):
-        return lgd * protection / premium * 1e4 - quoted_bp
+        return _spreads_bp(lgd, protection, premium) - quoted_bp
 
     def residuals(x) -> np.ndarray:
         return gaps(*evaluate(x)[3:])
@@ -373,14 +376,21 @@ def _sbtv_step1(strip, legs, h1, b):
         directions[1] = q[0] - q[1]
         directions[2, 1:] = 2.0 * sigma_bar * t * (p1 * dq_ds[0, 1:] + (1.0 - p1) * dq_ds[1, 1:])
         d_legs = legs @ directions.T  # d (protection, premium) / d (h2, p1, sigma_bar)
-        spread_bp = lgd * protection / premium * 1e4
+        spread_bp = _spreads_bp(lgd, protection, premium)
         return (lgd * 1e4 * d_legs[:3] - spread_bp[:, None] * d_legs[3:]) / premium[:, None]
 
     lower, upper = np.array([h1 + H2_GAP, 0.0, 1e-3]), np.array([1.0 - H2_GAP, 1.0, 2.0])
     starts = np.clip(list(itertools.product([h1 + 0.15, h1 + 0.3, h1 + 0.45], [0.35, 0.65, 0.95],
                                             [0.10, 0.20, 0.40])), lower, upper)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        start_gaps = gaps(*survival_rows(starts)[3:])  # non-finite where survival vanishes
+        # the starts (H2 slowest, sigma_bar fastest) read 12 distinct survival rows, H1
+        # and each H2 at each sigma_bar; a start mixes the legs of its two rows
+        log_barriers = np.log(np.concatenate(([h1], starts[::9, 0])))[:, None, None]
+        row_legs = first_passage(log_barriers, b, starts[:3, 2, None] ** 2 * times)[0] @ legs.T
+        p1 = starts[:9:3, 1, None, None]
+        start_legs = (p1 * row_legs[0] + (1.0 - p1) * row_legs[1:, None]).reshape(-1, 6)
+        evaluations += len(starts)
+        start_gaps = gaps(start_legs[:, :3], start_legs[:, 3:])  # not finite where Q vanishes
         costs = np.sum(start_gaps ** 2, axis=1)
         finite = np.flatnonzero(np.all(np.isfinite(start_gaps), axis=1))
         ranked = [starts[i] for i in sorted(finite, key=lambda i: (costs[i], starts[i, 0]))]
@@ -406,6 +416,11 @@ def _sbtv_step1(strip, legs, h1, b):
              "multi_start_points": len(starts), "polishes": polishes,
              "objective_evaluations": evaluations}
     return h2, p1, sigma_bar, step1
+
+
+def _spreads_bp(lgd, protection, premium):
+    """Fair spreads in bp from the protection and premium legs."""
+    return lgd * protection / premium * 1e4
 
 
 def _polish(residuals, jacobian, x, lower, upper):

@@ -187,18 +187,20 @@ def period_count(start: float, end: float, frequency: int) -> int:
     """The number of periods of 1/frequency from start to end, a whole number to 1e-9."""
     n = round((end - start) * frequency)
     if n < 1 or abs(start + n * (1.0 / frequency) - end) > 1e-9:
-        raise DomainError("tenor must be an integer number of periods")
+        raise DomainError(f"schedule from {start!r} to {end!r} is not a whole number of "
+                          f"periods of 1/{frequency} year")
     return n
 
 
 def make_schedule(start: float, end: float, frequency: int) -> PaymentSchedule:
     """Evenly spaced payment grid with accruals 1/frequency; final date equals end."""
     if not -math.inf < start < end < math.inf:
-        raise DomainError("schedule start and end must be finite, with end after start")
+        raise DomainError(f"schedule from {start!r} to {end!r}: start and end must be finite, "
+                          "with end after start")
     if end - start > MAX_TENOR_YEARS:
         raise DomainError(f"schedule longer than {MAX_TENOR_YEARS} years: {end - start!r}")
     if frequency not in VALID_FREQUENCIES:
-        raise DomainError(f"frequency must be one of {VALID_FREQUENCIES}")
+        raise DomainError(f"frequency must be one of {VALID_FREQUENCIES}, got {frequency!r}")
     step = 1.0 / frequency
     n = period_count(start, end, frequency)
     dates = start + step * np.arange(1, n + 1)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -345,14 +346,14 @@ class TestSbtvStep1:
                                                                   flat_curve, bad):
         # the gradient at the first start is not finite: no step leaves it, so the
         # start fails, and the next one reaches the zero.  The first kernel call scores
-        # the 27 starts, and the second is the first polish's start, whose slopes the
-        # Jacobian there reads
+        # the 27 starts on 4 barriers by 3 sigma_bar rows, and the second, on the two
+        # scenarios' rows, is the first polish's start, whose slopes the Jacobian reads
         real, calls = calibration.first_passage, []
 
         def bad_once(log_h, b, s):
-            calls.append(len(log_h))
+            calls.append(np.broadcast_shapes(np.shape(log_h), np.shape(s))[:-1])
             q, dq_ds, second = real(log_h, b, s)
-            scale = bad if calls == [27, 1] else 1.0
+            scale = bad if calls == [(4, 3), (2,)] else 1.0
             return q, dq_ds * scale, second * scale
 
         monkeypatch.setattr(calibration, "first_passage", bad_once)
@@ -396,20 +397,72 @@ class TestSbtvStep1:
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
     def test_evaluations_count_every_kernel_call(self, monkeypatch, flat_curve, convention):
-        # the start scan is one kernel call with a row of barriers per start; each
-        # polish evaluation is one call at one point, which the analytic Jacobian reads
-        points = []  # per kernel call, the number of (h2, p1, sigma_bar) points
+        # the start scan is one kernel call on H1 and the three start H2 against the
+        # three start sigma_bar; each polish evaluation is one call on the two
+        # scenarios' rows at one point, which the analytic Jacobian reads
+        rows, barriers = [], []  # per kernel call, the shape of its survival rows
         real = calibration.first_passage
 
         def counting(log_h, b, cv):
-            points.append(len(log_h))
+            rows.append(np.broadcast_shapes(np.shape(log_h), np.shape(cv))[:-1])
+            barriers.append(np.exp(log_h).ravel())
             return real(log_h, b, cv)
 
         monkeypatch.setattr(calibration, "first_passage", counting)
         *_, step1 = sbtv_step1(preset_strip("lehman-2008-09-12"), flat_curve, convention)
-        assert points[0] == step1["multi_start_points"] == 27
-        assert len(points) > 1 and points[1:] == [1] * (len(points) - 1)
-        assert step1["objective_evaluations"] == sum(points)
+        assert rows[0] == (4, 3) and step1["multi_start_points"] == 27
+        assert barriers[0] == pytest.approx([0.4, 0.55, 0.7, 0.85], rel=1e-15)
+        assert len(rows) > 1 and rows[1:] == [(2,)] * (len(rows) - 1)
+        assert step1["objective_evaluations"] == 27 + len(rows) - 1
+
+    @pytest.mark.parametrize("b", [0.3, -300.0])
+    @pytest.mark.parametrize("convention", ["postponed", "exact"])
+    @pytest.mark.parametrize("name", sorted(STRIP_PRESETS))
+    def test_start_scan_equals_each_start_evaluated_alone(self, monkeypatch, flat_curve,
+                                                          name, convention, b):
+        # the scan mixes the legs of 12 distinct survival rows per start.  Its spreads
+        # are those of one evaluation at each start to round-off, and so are the finite
+        # starts and their ranking, read as the order in which every finite start is
+        # polished, each polish failing.  A spread's protection leg cancels: at b = 0.3
+        # and sigma_bar = 0.1 it is 1e-9 of its terms, so the two summation orders agree
+        # to its round-off, 3e-12 bp, and to 2e-11 relative, not to 1e-12
+        spreads, polished = [], []
+        real_spreads = calibration._spreads_bp
+
+        def recording(*args):
+            spreads.append(real_spreads(*args))
+            return spreads[-1]
+
+        def failing(residuals, jacobian, x0, lower, upper):
+            polished.append((residuals, x0.copy(), lower, upper))
+            raise FloatingPointError
+
+        monkeypatch.setattr(calibration, "_spreads_bp", recording)
+        monkeypatch.setattr(calibration, "_polish", failing)
+        monkeypatch.setattr(calibration, "STEP1_POLISH_STARTS", 27)
+        strip, h1 = preset_strip(name), 0.4
+        with pytest.raises(CalibrationError, match="at any start"):
+            _sbtv_step1(strip, _strip_legs(strip, flat_curve, convention), h1, b)
+        scan = spreads[0]
+        residuals, _, lower, upper = polished[0]
+        starts = np.clip(list(itertools.product([h1 + 0.15, h1 + 0.3, h1 + 0.45],
+                                                [0.35, 0.65, 0.95], [0.10, 0.20, 0.40])),
+                         lower, upper)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gaps = np.array([residuals(x) for x in starts])  # not finite where Q vanishes
+        alone = gaps + strip.spreads_bp[:3]
+        finite = np.all(np.isfinite(alone), axis=1)
+        assert scan.shape == (27, 3) and finite.any()
+        assert np.array_equal(np.all(np.isfinite(scan), axis=1), finite)
+        assert scan[finite] == pytest.approx(alone[finite], rel=1e-12, abs=1e-10)
+        costs = np.sum(gaps ** 2, axis=1)
+        ranked = sorted(np.flatnonzero(finite), key=lambda i: (costs[i], starts[i, 0]))
+        assert np.array_equal([x0 for _, x0, _, _ in polished], starts[ranked])
+
+    def test_no_finite_start_is_a_calibration_error(self, flat_curve):
+        strip = preset_strip("lehman-2008-06-12")
+        with pytest.raises(CalibrationError, match="at any start"):
+            _sbtv_step1(strip, _strip_legs(strip, flat_curve, "postponed"), 0.4, -1e6)
 
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
     def test_analytic_jacobian_matches_finite_differences(self, monkeypatch, flat_curve,
@@ -487,14 +540,45 @@ class TestBootstrapRoots:
         assert root < 2.0 and abs(root * root - 4.0) <= 1e-6
 
 
+    @pytest.mark.parametrize("start", [-9.0, -1.0, 0.3, 1.5, 4.9])
+    def test_a_known_start_price_is_the_first_evaluation(self, start):
+        # given price_and_slope at its start, the search takes the same steps to the
+        # same root and counts the same evaluations, with one call fewer
+        seen = []
+
+        def price_and_slope(x):
+            seen.append(x)
+            return math.atan(x) - 0.2, 1.0 / (1.0 + x * x)
+
+        bracket, prices = (-10.0, 5.0), (math.atan(-10.0) - 0.2, math.atan(5.0) - 0.2)
+        search = calibration._newton_in_bracket(price_and_slope, bracket, prices, 1e-15, start)
+        calls, first = seen[:], price_and_slope(start)
+        seen.clear()
+        assert calibration._newton_in_bracket(
+            price_and_slope, bracket, prices, 1e-15, start, first) == search
+        assert seen == calls[1:] and calls[0] == start
+
+    @pytest.mark.parametrize("start", [-12.0, -10.0, 5.0, 7.0, None])
+    def test_a_start_price_outside_the_bracket_is_ignored(self, start):
+        # the search then starts at the false-position point; a zero price given
+        # for the start would end it there at once
+        def price_and_slope(x):
+            return math.atan(x) - 0.2, 1.0 / (1.0 + x * x)
+
+        bracket, prices = (-10.0, 5.0), (math.atan(-10.0) - 0.2, math.atan(5.0) - 0.2)
+        assert calibration._newton_in_bracket(
+            price_and_slope, bracket, prices, 1e-15, start, (0.0, 1.0)) == \
+            calibration._newton_in_bracket(price_and_slope, bracket, prices, 1e-15)
+
     @pytest.mark.parametrize("convention", ["postponed", "exact"])
     @pytest.mark.parametrize("fit", [bootstrap_intensity, calibrate_at1p, calibrate_sbtv])
     def test_one_kernel_call_per_pillar_before_its_search(self, monkeypatch, flat_curve,
                                                           fit, convention):
-        # each pillar reads its frozen times and both bracket ends in one kernel call,
-        # then one call per evaluation of its search, price and slope together; the
-        # step-1 Jacobian reads its point's evaluation and makes no kernel call
-        events, jacobians = [], []
+        # each pillar reads its frozen times, both bracket ends and, where it lies
+        # inside the bracket, the search's start in one kernel call; then one call per
+        # further evaluation of its search, price and slope together.  The step-1
+        # Jacobian reads its point's evaluation and makes no kernel call
+        events, jacobians, inside = [], [], []
         real_bootstrap, real_search = calibration._bootstrap, calibration._newton_in_bracket
         real_kernel, real_polish = calibration.first_passage, calibration._polish
 
@@ -504,9 +588,10 @@ class TestBootstrapRoots:
                 return kernel(c)
             return real_bootstrap(strip, legs, model_name, family, counting, *args)
 
-        def search(*args):
+        def search(price_and_slope, bracket, prices, resolution, x, first):
             events.append("search")
-            return real_search(*args)
+            inside.append(x is not None and bracket[0] < x < bracket[1])
+            return real_search(price_and_slope, bracket, prices, resolution, x, first)
 
         def step1_kernel(*args):
             events.append("step-1 jacobian" if jacobians and jacobians[-1] else "step 1")
@@ -528,12 +613,16 @@ class TestBootstrapRoots:
         _, report = fit(preset_strip("lehman-2008-09-12"), flat_curve, convention=convention)
         iterations = report.diagnostics["iterations"]
         assert len(iterations) == 5 and sum(iterations) > 5
+        # the first search starts from the previous root, SBTV's from sigma_bar
+        assert inside == [fit is calibrate_sbtv] + [True] * 4
         assert [e for e in events if e != "step 1"] == [
-            e for n in iterations for e in ["kernel", "search"] + ["kernel"] * n]
+            e for n, known in zip(iterations, inside)
+            for e in ["kernel", "search"] + ["kernel"] * (n - known)]
         if fit is calibrate_sbtv:  # one call scores the 27 starts, then one per point
             step1 = report.diagnostics["step1"]
             assert events.count("step 1") == step1["objective_evaluations"] - 27 + 1
             assert jacobians.count(True) > 1
+            assert iterations[0] == 1  # sigma_bar reprices the 1y quote: the search makes no call
         else:
             assert not jacobians
 

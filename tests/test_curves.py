@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fpcredit import DiscountCurve, DomainError, PaymentSchedule, make_schedule
+from fpcredit import (DiscountCurve, DomainError, PaymentSchedule, make_ers_contract,
+                      make_schedule)
 from fpcredit.cds import leg_grid
 from fpcredit.curves import Clock
 
@@ -186,6 +187,18 @@ class TestSchedule:
         with pytest.raises(DomainError, match="100 years"):
             make_schedule(0.0, 1e15, 4)  # refused before 4e15 dates are allocated
         assert make_schedule(0.0, 100.0, 12).dates.size == 1200
+
+    @pytest.mark.parametrize("maturity, frequency", [
+        (5.1, 2), (-1, 2), (0, 2), (math.nan, 2), (math.inf, 2), (0.1, 4)])
+    def test_a_refused_schedule_names_its_end(self, maturity, frequency):
+        # through the ERS contract, as a library caller builds one
+        with pytest.raises(DomainError, match=f"^schedule from 0.0 to {maturity!r}[ :]"):
+            make_ers_contract(maturity=maturity, payment_frequency=frequency)
+
+    def test_a_fractional_schedule_names_its_period(self):
+        with pytest.raises(DomainError, match=r"^schedule from 0.0 to 5.1 is not a whole "
+                                              r"number of periods of 1/2 year$"):
+            make_schedule(0.0, 5.1, 2)
 
     @given(t=st.floats(0.0, 4.999))
     def test_beta_brackets_time(self, t):
