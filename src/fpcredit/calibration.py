@@ -91,7 +91,7 @@ def calibrate_at1p(strip: CdsQuoteStrip, curve: DiscountCurve, h_over_v0: float 
                    b: float = 0.0, convention: str = "postponed") -> tuple[At1pParams, CalibrationReport]:
     """Bootstrap one volatility bucket per quote with the barrier fixed exogenously."""
     if not 0 < h_over_v0 < 1:
-        raise DomainError("H/V0 must lie in (0, 1)")
+        raise DomainError(f"H/V0 must lie in (0, 1), got {h_over_v0!r}")
     if not math.isfinite(b):
         raise DomainError(f"b must be a finite number, got {b!r}")
     return _bootstrap_vols(strip, _strip_legs(strip, curve, convention), "at1p",
@@ -110,7 +110,7 @@ def calibrate_sbtv(strip: CdsQuoteStrip, curve: DiscountCurve, h1: float = 0.4,
     the first one's root-finder started at sigma_bar.
     """
     if not 0 < h1 < 1:
-        raise DomainError("H1/V0 must lie in (0, 1)")
+        raise DomainError(f"H1/V0 must lie in (0, 1), got {h1!r}")
     if not math.isfinite(b):
         raise DomainError(f"b must be a finite number, got {b!r}")
     if not h1 + H2_GAP < 1.0 - H2_GAP:

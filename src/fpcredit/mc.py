@@ -12,7 +12,10 @@ The sampler is exact and uses no time grid:
 - The first-passage variance v* is inverse Gaussian for nu > 0 and Levy
   for nu = 0.  For nu < 0 it is finite with probability exp(2 nu x0) and
   then inverse Gaussian with drift |nu|.  The default time inverts the
-  cumulative-variance clock.
+  cumulative-variance clock.  With barrier scenarios (SBTV), each scenario
+  draws v* for every path on its own copy of the firm stream, past the
+  first on a helper thread, and each path keeps its own scenario's draw:
+  exactly the draw with one start per path, on any number of cores.
 - Given v*, x on [0, v*] is a 3-d Bessel bridge from x0 to 0 whatever the
   drift (Williams' path decomposition).  It is drawn at the vol-bucket ends
   before v* as the norm of a 3-d Brownian bridge, which gives the firm's
@@ -36,7 +39,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +92,9 @@ class ErsContract:
 
 # A cold sampler call and the pricer peak at 9-89 bytes per path, more as
 # more paths default, the kept firm draw included, so this caps a run's
-# memory near 0.9 GB.
+# memory near 0.9 GB.  SBTV's first-passage draw holds about 18 of them for
+# two scenarios: the scenario byte, v*, the other scenario's twin draw and
+# the mask that merges it (8 more per further scenario).
 MAX_PATHS = 10_000_000
 
 
@@ -170,15 +178,29 @@ def make_ers_contract(s0=20.0, equity_vol=0.20, dividend_yield=0.008, maturity=5
 
 def _first_passage_variance(rng, x0, nu, n):
     """First time, in the variance clock, that x0 - nu*v + W(v) reaches 0, on
-    n paths; +inf on paths that never reach it.  x0 is one start for every
-    path, or one per path: a scalar draws the same variates as a constant
-    array, and faster."""
+    n paths from the one start x0; +inf on paths that never reach it.
+
+    For nu != 0 each path takes one normal and one uniform, in path order
+    (numpy's wald is the Michael-Schucany-Haas sampler), and for nu < 0 one
+    more uniform per path after them; for nu = 0 one normal per path.  Which
+    words of the stream a path consumes never depends on x0, so calls with
+    different starts from the same stream state draw each path from the same
+    variates, as one call with a start per path would, and leave the stream
+    in the same state.
+    """
     if nu > 0:
         return rng.wald(x0 / nu, x0 * x0, size=n)
     if nu == 0:
         return x0 * x0 / rng.standard_normal(n) ** 2
     v_star = rng.wald(x0 / -nu, x0 * x0, size=n)
     return np.where(rng.random(n) < np.exp(2.0 * nu * x0), v_star, np.inf)
+
+
+def _twin(rng):
+    """A new generator in the state `rng` is in: it draws what `rng` would draw next."""
+    twin = np.random.Generator(type(rng.bit_generator)())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
 
 
 def _firm_bm_at_default(rng, v_star, x0, nu, knot_v, sigmas):
@@ -257,21 +279,38 @@ def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
 
     Every firm variate comes from one child stream of the seed and every
     equity variate from another; nothing here depends on the correlation.
+    With more than one barrier scenario, every scenario draws v* for all
+    paths from its own start: the first on the firm stream, the others on
+    twins of it, copied after the scenario draw, on helper threads (numpy
+    releases the GIL while it draws).  Each path keeps its own scenario's
+    v*, and `_first_passage_variance` says why that is exact whatever the
+    threads' timing.
     """
     firm_rng, equity_rng = (np.random.default_rng(s)
                             for s in np.random.SeedSequence(seed).spawn(2))
-    log_h = np.array([math.log(h) for h, _ in model.scenarios])
-    if log_h.size == 1:  # drawing the one scenario would still consume variates
-        x0 = -log_h[0]
+    starts = -np.array([math.log(h) for h, _ in model.scenarios])
+    nu = 0.5 - model.b
+    if starts.size == 1:  # drawing the one scenario would still consume variates
+        x0 = starts[0]
+        v_star = _first_passage_variance(firm_rng, x0, nu, n_paths)
     else:
         # Generator.choice(size=n_paths, p=...) without its checks and binary search:
-        # the same uniforms, each counted against the cdf normalised as numpy does;
-        # the scenario index per path is a temporary
+        # the same uniforms, each counted against the cdf normalised as numpy does
         cdf = np.cumsum([p for _, p in model.scenarios])
         cdf /= cdf[-1]
-        x0 = -log_h[(firm_rng.random(n_paths)[:, None] >= cdf[:-1]).sum(axis=1)]
-    nu = 0.5 - model.b
-    v_star = _first_passage_variance(firm_rng, x0, nu, n_paths)
+        u = firm_rng.random(n_paths)
+        scenario = np.zeros(n_paths, np.min_scalar_type(cdf.size - 1))
+        for c in cdf[:-1]:
+            scenario += u >= c
+        del u
+        twins = [_twin(firm_rng) for _ in starts[1:]]
+        with ThreadPoolExecutor(min(len(twins), os.cpu_count() or 1)) as pool:
+            drawn = pool.map(_first_passage_variance, twins, starts[1:],
+                             repeat(nu), repeat(n_paths))
+            v_star = _first_passage_variance(firm_rng, starts[0], nu, n_paths)
+            for i, twin in enumerate(drawn, 1):
+                np.copyto(v_star, twin, where=scenario == i)
+            del twin  # each twin is freed once merged, the last one before the bridge
 
     vols, clock = model.vols, model.vols.clock
     knot_t = np.append(clock.knot_t[clock.knot_t < maturity], maturity)
@@ -279,8 +318,9 @@ def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
     sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
     defaulted = np.flatnonzero(v_star <= knot_v[-1])
     v_def = v_star.take(defaulted)
-    if np.ndim(x0):
-        x0 = x0.take(defaulted)
+    if starts.size > 1:
+        x0 = starts.take(scenario.take(defaulted))
+        del scenario
     del v_star, defaulted  # freed before the bridge, where a draw with many defaults peaks
     w1 = _firm_bm_at_default(firm_rng, v_def, x0, nu, knot_v, sigmas)
     tau = np.minimum(clock.inverse(v_def), maturity)  # the round trip can overshoot
@@ -330,15 +370,23 @@ def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract,
 
     Only the defaulted paths' equity value matters for the adjustment, and
     under independence S_tau can be sampled exactly in one shot on them.  Each
-    path defaults where the clock c reaches its unit exponential draw, and only
-    the draws up to c(T (1 + 1e-9)) (1 + 1e-9), T the maturity, are inverted:
-    past that margin, in time and in the clock, no rounding of the inverse comes
-    back to T, so the defaulted paths are those of inverting every draw.
+    path defaults where the clock c reaches its unit exponential draw -log u,
+    and only the draws up to bound = c(T (1 + 1e-9)) (1 + 1e-9), T the
+    maturity, are inverted: past that margin, in time and in the clock, no
+    rounding of the inverse comes back to T, so the defaulted paths are those
+    of inverting every draw.  The log is taken only of the uniforms with
+    u >= exp(-bound) (1 - 1e-9), and those are then held to -log u <= bound:
+    the log and the exp err by a few ulps, far below the 1e-9 margin, so no
+    uniform left out could have passed.  For a bound above about 745,
+    exp(-bound) is 0 and every uniform is kept.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     clock, maturity = hazard.clock, ers.maturity
-    level = -np.log(rng.random(cfg.n_paths))
-    tau = clock.inverse(level[level <= clock(maturity * (1.0 + 1e-9)) * (1.0 + 1e-9)])
+    bound = clock(maturity * (1.0 + 1e-9)) * (1.0 + 1e-9)
+    u = rng.random(cfg.n_paths)
+    level = -np.log(u[u >= math.exp(-bound) * (1.0 - 1e-9)])
+    del u
+    tau = clock.inverse(level[level <= bound])
     tau = tau[tau <= maturity]
     shock = np.sqrt(tau) * rng.standard_normal(tau.size)
     discounted_s_tau = _equity_at_default(tau, shock, ers)

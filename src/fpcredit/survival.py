@@ -73,7 +73,8 @@ class At1pParams:
     def __post_init__(self):
         require_finite(self, "h_over_v0", "b")
         if not 0 < self.h_over_v0 < 1:
-            raise DomainError("H/V0 must lie in (0, 1): the firm must start above the barrier")
+            raise DomainError("H/V0 must lie in (0, 1): the firm must start above the barrier, "
+                              f"got {self.h_over_v0!r}")
 
     @property
     def scenarios(self) -> tuple[tuple[float, float], ...]:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +128,16 @@ class TestAt1pCalibration:
     def test_invalid_barrier(self, flat_curve):
         with pytest.raises(DomainError):
             calibrate_at1p(small_strip([50.0, 80.0, 100.0]), flat_curve, h_over_v0=1.2)
+
+    @pytest.mark.parametrize("h", [math.nan, 0.0, 1.0, -0.5])
+    @pytest.mark.parametrize("refuse", [
+        lambda strip, curve, h: calibrate_at1p(strip, curve, h_over_v0=h),
+        lambda strip, curve, h: calibrate_sbtv(strip, curve, h1=h),
+        lambda strip, curve, h: At1pParams(h, 0.0, VolatilityTermStructure((5.0,), (0.2,)))],
+        ids=["calibrate_at1p", "calibrate_sbtv", "At1pParams"])
+    def test_a_refused_barrier_names_its_value(self, flat_curve, refuse, h):
+        with pytest.raises(DomainError, match=f", got {re.escape(repr(h))}$"):
+            refuse(preset_strip("lehman-2008-09-12"), flat_curve, h)
 
     def test_rejects_non_finite_barrier_exponent(self, flat_curve):
         with pytest.raises(DomainError, match="b must be"):

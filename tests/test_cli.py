@@ -185,8 +185,9 @@ class TestBadInputsExitWithMessage:
     @pytest.mark.parametrize("model", ["at1p", "sbtv"])
     @pytest.mark.parametrize("h1", ["nan", "1.5"])
     def test_barrier_outside_unit_interval(self, capsys, model, h1):
-        assert "(0, 1)" in self.check(capsys, "calibrate", "--preset", "lehman-2007-07-10",
-                                      "--model", model, "--h1", h1)
+        err = self.check(capsys, "calibrate", "--preset", "lehman-2007-07-10",
+                         "--model", model, "--h1", h1)
+        assert "(0, 1)" in err and err.endswith(f", got {float(h1)!r}\n")
 
     def test_sbtv_h1_that_leaves_no_room_for_h2(self, capsys):
         assert "room for H2" in self.check(capsys, "calibrate", "--preset", "lehman-2008-06-12",

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from fpcredit import (At1pParams, DegenerateInputError, DiscountCurve, DomainErr
                       VolatilityTermStructure, at1p_survival, ers_cva_term, ers_fair_spread,
                       ers_fair_spread_from_paths, make_ers_contract, sbtv_survival,
                       simulate_intensity_paths, simulate_joint_paths)
-from fpcredit import mc
+from fpcredit import bootstrap_intensity, mc
+from fpcredit.presets import STRIP_PRESETS, preset_strip
 from oracles import (early_default_paths, ers_npv_at_default_termwise,
-                     firm_bm_at_default_dense, fixed_point_by_breakpoints, npv_three_term,
-                     regression_control_variate)
+                     firm_bm_at_default_dense, firm_draw_per_path,
+                     first_passage_variance_per_path, fixed_point_by_breakpoints,
+                     npv_three_term, regression_control_variate)
 
 # three buckets and a flat tail: the 5y maturity lies past the last bucket
 THREE_BUCKETS = VolatilityTermStructure((1.0, 2.0, 4.0), (0.35, 0.25, 0.30))
@@ -192,35 +196,47 @@ class TestDefaultSampling:
         vols = VolatilityTermStructure((30.0,), (0.2,))
         model = SbtvParams(((0.3, 0.7), (0.8, 0.3)), 0.0, vols)
         starts = record_starts(monkeypatch)
-        simulate_joint_paths(model, ers, SimulationConfig(n_paths=50_000, rng_seed=3))
-        (x0,) = starts  # the start of each path is -log H of its scenario
-        assert x0.shape == (50_000,)
-        frac = np.mean(x0 == -math.log(0.3))
+        # every path defaults at once at v* = x0 / 100, so tau names its start
+        monkeypatch.setattr(mc, "_first_passage_variance",
+                            lambda rng, x0, nu, n: starts.append(x0) or np.full(n, x0 / 100))
+        paths = simulate_joint_paths(model, ers, SimulationConfig(n_paths=50_000, rng_seed=3))
+        # one call per scenario, in any order, each with its scenario's one start
+        assert all(np.ndim(x0) == 0 for x0 in starts)
+        assert sorted(starts) == sorted(-math.log(h) for h, _ in model.scenarios)
+        tau_low_h = vols.clock.inverse(-math.log(0.3) / 100)
+        assert paths.tau.size == 50_000 and set(np.unique(paths.tau)) == {
+            tau_low_h, vols.clock.inverse(-math.log(0.8) / 100)}
+        frac = np.mean(paths.tau == tau_low_h)
         assert frac == pytest.approx(0.7, abs=3 * math.sqrt(0.7 * 0.3 / 50_000))
 
     @pytest.mark.parametrize("scenarios", [((0.4, 0.962), (0.73, 0.038)),
                                            ((0.3, 0.2), (0.6, 0.5), (0.85, 0.3))])
     def test_scenario_draw_is_generator_choice(self, monkeypatch, scenarios):
-        # the scenarios firm_rng.choice(k, size=n, p=...) draws, and the firm stream
-        # left where choice leaves it for the first-passage draw that follows
+        # the scenarios firm_rng.choice(k, size=n, p=...) draws, and every
+        # first-passage call, one per scenario, starts from the firm stream's
+        # state where choice leaves it
         model = SbtvParams(scenarios, 0.0, THREE_BUCKETS)
-        log_h = np.array([math.log(h) for h, _ in scenarios])
-        states, starts, real = [], [], mc._first_passage_variance
+        starts_of = -np.array([math.log(h) for h, _ in scenarios])
+        calls = []
 
-        def recording(rng, x0, nu, n):
-            states.append(rng.bit_generator.state)
-            starts.append(x0)
-            return real(rng, x0, nu, n)
+        def recording(rng, x0, nu, n):  # every path defaults at v* = x0 / 100
+            calls.append((rng.bit_generator.state, x0))
+            return np.full(n, x0 / 100)
 
         monkeypatch.setattr(mc, "_first_passage_variance", recording)
+        # below the first bucket end, so the bridge draws nothing
+        assert starts_of.max() / 100 < THREE_BUCKETS.clock(THREE_BUCKETS.bucket_ends[0])
         for seed in (1, 7, 4244, 20090916):
-            mc._firm_draw(model, 5.0, 20_000, seed)
+            calls.clear()
+            draw = mc._firm_draw(model, 5.0, 20_000, seed)
             firm_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
             chosen = firm_rng.choice(len(scenarios), size=20_000,
                                      p=[p for _, p in scenarios])
-            assert starts[-1].dtype == np.float64
-            assert np.array_equal(starts[-1], -log_h[chosen])
-            assert states[-1] == firm_rng.bit_generator.state
+            assert sorted(x0 for _, x0 in calls) == sorted(starts_of)
+            assert all(np.ndim(x0) == 0 and x0.dtype == np.float64 for _, x0 in calls)
+            assert all(state == firm_rng.bit_generator.state for state, _ in calls)
+            tau = np.minimum(THREE_BUCKETS.clock.inverse(starts_of[chosen] / 100), 5.0)
+            assert np.array_equal(draw.tau, tau)
 
     def test_one_scenario_sbtv_draws_the_at1p_paths(self, monkeypatch, ers):
         at1p = At1pParams(0.4, 0.0, THREE_BUCKETS)
@@ -278,10 +294,12 @@ class TestExactSampler:
 
     @pytest.mark.parametrize("nu", [0.5, 0.0, -0.3])
     def test_one_start_draws_as_one_start_per_path(self, nu):
-        # so AT1P's one barrier draws its first passages with scalar parameters
+        # so AT1P's one barrier, and each SBTV scenario, draw their first
+        # passages with scalar parameters
         x0, n = -math.log(0.4), 10_000
         one = mc._first_passage_variance(np.random.default_rng(11), x0, nu, n)
-        per_path = mc._first_passage_variance(np.random.default_rng(11), np.full(n, x0), nu, n)
+        per_path = first_passage_variance_per_path(np.random.default_rng(11), np.full(n, x0),
+                                                   nu, n)
         assert np.array_equal(one, per_path)
 
     @pytest.mark.parametrize("k", [0, 1, 5_000])
@@ -447,6 +465,41 @@ class TestFirmDrawSlot:
         assert all(not a.flags.writeable for a in draw if isinstance(a, np.ndarray))
 
 
+class TestScenarioTwins:
+    """SBTV draws each barrier scenario's first passages on its own copy of the
+    firm stream, the extra ones on helper threads, and each path keeps its own
+    scenario's draw: the paths of one draw with a start per path, bit for bit."""
+
+    @pytest.mark.parametrize("helper_last", [False, True], ids=["any-order", "helper-last"])
+    @pytest.mark.parametrize("b", [0.0, 0.5, 0.8], ids=["nu>0", "nu=0", "nu<0"])
+    @pytest.mark.parametrize("scenarios", [((0.4, 0.7), (0.73, 0.3)),
+                                           ((0.3, 0.2), (0.6, 0.5), (0.85, 0.3))],
+                             ids=["2-scenarios", "3-scenarios"])
+    def test_firm_draw_is_the_per_path_draw(self, monkeypatch, scenarios, b, helper_last):
+        model = SbtvParams(scenarios, b, THREE_BUCKETS)
+        caller, real, finished = threading.get_ident(), mc._first_passage_variance, []
+
+        def helper_sleeps(rng, x0, nu, n):
+            on_helper = threading.get_ident() != caller
+            if on_helper:
+                time.sleep(0.05)
+            v_star = real(rng, x0, nu, n)
+            finished.append(on_helper)
+            return v_star
+
+        if helper_last:
+            monkeypatch.setattr(mc, "_first_passage_variance", helper_sleeps)
+        for seed in (3, 4244, 20090916):
+            finished.clear()
+            draw = mc._firm_draw(model, 5.0, 20_000, seed)
+            expected = firm_draw_per_path(model, 5.0, 20_000, seed)
+            assert 0 < draw.tau.size < 20_000
+            for ours, theirs in zip(draw[:3], expected):
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+            if helper_last:  # the caller's own scenario was drawn first
+                assert finished == [False] + [True] * (len(scenarios) - 1)
+
+
 class TestIntensityPaths:
     def test_default_prob_matches_closed_form(self, ers):
         hazard = HazardCurve((2.0, 30.0), (0.05, 0.03))
@@ -459,8 +512,15 @@ class TestIntensityPaths:
     @pytest.mark.parametrize("hazard", [
         HazardCurve((2.0, 30.0), (0.05, 0.03)),
         HazardCurve((1.0, 3.0, 5.0, 7.0), (0.23, 0.09, 0.05, 0.06)),  # 5y on a knot
-        HazardCurve((4.99, 5.0, 10.0), (1e-4, 10.0, 0.02))])  # a step up at maturity
-    def test_records_equal_inverting_every_draw(self, ers, hazard):
+        HazardCurve((4.99, 5.0, 10.0), (1e-4, 10.0, 0.02)),  # a step up at maturity
+        HazardCurve((5.0, 10.0), (1e-4, 10.0)),
+        *STRIP_PRESETS,  # the preset's intensity fit
+        HazardCurve((30.0,), (0.0,)),
+        HazardCurve((30.0,), (200.0,))])  # exp(-c(T)) underflows to 0
+    def test_records_equal_inverting_every_draw(self, curve, ers, hazard):
+        # the sampler logs and inverts only the uniforms that can default
+        if isinstance(hazard, str):
+            hazard = bootstrap_intensity(preset_strip(hazard), curve)[0]
         for seed in (1, 9, 4244):
             cfg = SimulationConfig(n_paths=20_000, rng_seed=seed)
             paths = simulate_intensity_paths(hazard, ers, cfg)
@@ -470,7 +530,12 @@ class TestIntensityPaths:
             tau = tau[defaulted]
             discounted_s_tau = mc._equity_at_default(
                 tau, np.sqrt(tau) * rng.standard_normal(tau.size), ers)
-            assert defaulted.any() and not defaulted.all()
+            if hazard.lambdas == (0.0,):
+                assert not defaulted.any()
+            elif hazard.lambdas == (200.0,):
+                assert math.exp(-hazard.clock(ers.maturity)) == 0.0 and defaulted.all()
+            else:
+                assert defaulted.any() and not defaulted.all()
             assert paths.n_paths == cfg.n_paths and paths.tau.size == np.count_nonzero(defaulted)
             assert np.array_equal(paths.tau, tau)
             assert np.array_equal(paths.discounted_s_tau, discounted_s_tau)
