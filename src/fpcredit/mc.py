@@ -14,8 +14,9 @@ The sampler is exact and uses no time grid:
   then inverse Gaussian with drift |nu|.  The default time inverts the
   cumulative-variance clock.  With barrier scenarios (SBTV), each scenario
   draws v* for every path on its own copy of the firm stream, past the
-  first on a helper thread, and each path keeps its own scenario's draw:
-  exactly the draw with one start per path, on any number of cores.
+  first on a helper thread, and writes it into one shared buffer on that
+  scenario's paths only: exactly the draw with one start per path, on any
+  number of cores.
 - Given v*, x on [0, v*] is a 3-d Bessel bridge from x0 to 0 whatever the
   drift (Williams' path decomposition).  It is drawn at the vol-bucket ends
   before v* as the norm of a 3-d Brownian bridge, which gives the firm's
@@ -92,9 +93,8 @@ class ErsContract:
 
 # A cold sampler call and the pricer peak at 9-89 bytes per path, more as
 # more paths default, the kept firm draw included, so this caps a run's
-# memory near 0.9 GB.  SBTV's first-passage draw holds about 18 of them for
-# two scenarios: the scenario byte, v*, the other scenario's twin draw and
-# the mask that merges it (8 more per further scenario).
+# memory near 0.9 GB.  SBTV's first-passage draw holds 9 of them, the
+# scenario byte and v*, whatever the number of scenarios.
 MAX_PATHS = 10_000_000
 
 
@@ -176,24 +176,47 @@ def make_ers_contract(s0=20.0, equity_vol=0.20, dividend_yield=0.008, maturity=5
                        stock_count=stock_count)
 
 
-def _first_passage_variance(rng, x0, nu, n):
+# Paths per chunk of a first-passage draw: 64 KiB of float64.  The arrays a
+# draw allocates are this small, so on a helper thread they never make its
+# malloc arena map fresh pages or give them back, and a draw makes the same
+# page faults in every call, whichever arena the new thread is given.
+_DRAW_CHUNK = 8192
+
+
+def _first_passage_variance(rng, x0, nu, out, scenario=None, index=0):
     """First time, in the variance clock, that x0 - nu*v + W(v) reaches 0, on
-    n paths from the one start x0; +inf on paths that never reach it.
+    out.size paths from the one start x0; +inf on paths that never reach it.
+    Written into `out`: on every path, or, given a scenario index per path,
+    only on the paths of scenario `index`.  The masked copy and the boolean
+    assignment write the selected elements only, so draws for different
+    scenarios may fill one `out` at once from different threads.
 
     For nu != 0 each path takes one normal and one uniform, in path order
     (numpy's wald is the Michael-Schucany-Haas sampler), and for nu < 0 one
-    more uniform per path after them; for nu = 0 one normal per path.  Which
-    words of the stream a path consumes never depends on x0, so calls with
-    different starts from the same stream state draw each path from the same
-    variates, as one call with a start per path would, and leave the stream
-    in the same state.
+    more uniform per path after them; for nu = 0 one normal per path.  Every
+    path is drawn, written or not.  Which words of the stream a path
+    consumes never depends on x0, so calls with different starts from the
+    same stream state draw each path from the same variates, as one call
+    with a start per path would, and leave the stream in the same state.
+    Drawing in chunks of `_DRAW_CHUNK` paths changes no variate either.
     """
-    if nu > 0:
-        return rng.wald(x0 / nu, x0 * x0, size=n)
-    if nu == 0:
-        return x0 * x0 / rng.standard_normal(n) ** 2
-    v_star = rng.wald(x0 / -nu, x0 * x0, size=n)
-    return np.where(rng.random(n) < np.exp(2.0 * nu * x0), v_star, np.inf)
+    n = out.size
+    for lo in range(0, n, _DRAW_CHUNK):
+        size = min(_DRAW_CHUNK, n - lo)
+        if nu == 0:
+            v = x0 * x0 / rng.standard_normal(size) ** 2
+        else:
+            v = rng.wald(x0 / abs(nu), x0 * x0, size=size)
+        np.copyto(out[lo:lo + size], v,
+                  where=True if scenario is None else scenario[lo:lo + size] == index)
+    if nu < 0:  # finite with probability exp(2 nu x0)
+        p_hit = np.exp(2.0 * nu * x0)
+        for lo in range(0, n, _DRAW_CHUNK):
+            size = min(_DRAW_CHUNK, n - lo)
+            never = rng.random(size) >= p_hit
+            if scenario is not None:
+                never &= scenario[lo:lo + size] == index
+            out[lo:lo + size][never] = np.inf
 
 
 def _twin(rng):
@@ -282,17 +305,17 @@ def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
     With more than one barrier scenario, every scenario draws v* for all
     paths from its own start: the first on the firm stream, the others on
     twins of it, copied after the scenario draw, on helper threads (numpy
-    releases the GIL while it draws).  Each path keeps its own scenario's
-    v*, and `_first_passage_variance` says why that is exact whatever the
-    threads' timing.
+    releases the GIL while it draws).  They fill one v* buffer at once, each
+    scenario only on its own paths, and `_first_passage_variance` says why
+    that is exact whatever the threads' timing.
     """
     firm_rng, equity_rng = (np.random.default_rng(s)
                             for s in np.random.SeedSequence(seed).spawn(2))
     starts = -np.array([math.log(h) for h, _ in model.scenarios])
     nu = 0.5 - model.b
     if starts.size == 1:  # drawing the one scenario would still consume variates
-        x0 = starts[0]
-        v_star = _first_passage_variance(firm_rng, x0, nu, n_paths)
+        x0, v_star = starts[0], np.empty(n_paths)
+        _first_passage_variance(firm_rng, x0, nu, v_star)
     else:
         # Generator.choice(size=n_paths, p=...) without its checks and binary search:
         # the same uniforms, each counted against the cdf normalised as numpy does
@@ -304,13 +327,13 @@ def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
             scenario += u >= c
         del u
         twins = [_twin(firm_rng) for _ in starts[1:]]
+        v_star = np.empty(n_paths)  # allocated once the uniforms are freed
         with ThreadPoolExecutor(min(len(twins), os.cpu_count() or 1)) as pool:
-            drawn = pool.map(_first_passage_variance, twins, starts[1:],
-                             repeat(nu), repeat(n_paths))
-            v_star = _first_passage_variance(firm_rng, starts[0], nu, n_paths)
-            for i, twin in enumerate(drawn, 1):
-                np.copyto(v_star, twin, where=scenario == i)
-            del twin  # each twin is freed once merged, the last one before the bridge
+            helpers = pool.map(_first_passage_variance, twins, starts[1:], repeat(nu),
+                               repeat(v_star), repeat(scenario), range(1, starts.size))
+            _first_passage_variance(firm_rng, starts[0], nu, v_star, scenario, 0)
+            for _ in helpers:  # wait for every helper, and raise what any raised
+                pass
 
     vols, clock = model.vols, model.vols.clock
     knot_t = np.append(clock.knot_t[clock.knot_t < maturity], maturity)

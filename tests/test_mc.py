@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,14 +43,20 @@ def equity_ratio(paths, ers):
     return np.exp(ers.dividend_yield * paths.tau) * paths.discounted_s_tau / ers.s0
 
 
+def fill_own_paths(out, value, scenario=None, index=0):
+    """What a first-passage draw writes into `out`: `value` on the paths of its
+    scenario, or on every path."""
+    np.copyto(out, value, where=True if scenario is None else scenario == index)
+
+
 def record_starts(monkeypatch):
     """The start x0 of every first-passage draw made from here on, from an empty slot."""
     monkeypatch.setattr(mc, "_last_draw", None)
     starts, real = [], mc._first_passage_variance
 
-    def recording(rng, x0, nu, n):
+    def recording(rng, x0, nu, out, *own):
         starts.append(x0)
-        return real(rng, x0, nu, n)
+        real(rng, x0, nu, out, *own)
 
     monkeypatch.setattr(mc, "_first_passage_variance", recording)
     return starts
@@ -197,8 +204,8 @@ class TestDefaultSampling:
         model = SbtvParams(((0.3, 0.7), (0.8, 0.3)), 0.0, vols)
         starts = record_starts(monkeypatch)
         # every path defaults at once at v* = x0 / 100, so tau names its start
-        monkeypatch.setattr(mc, "_first_passage_variance",
-                            lambda rng, x0, nu, n: starts.append(x0) or np.full(n, x0 / 100))
+        monkeypatch.setattr(mc, "_first_passage_variance", lambda rng, x0, nu, out, *own: (
+            starts.append(x0), fill_own_paths(out, x0 / 100, *own)))
         paths = simulate_joint_paths(model, ers, SimulationConfig(n_paths=50_000, rng_seed=3))
         # one call per scenario, in any order, each with its scenario's one start
         assert all(np.ndim(x0) == 0 for x0 in starts)
@@ -219,9 +226,9 @@ class TestDefaultSampling:
         starts_of = -np.array([math.log(h) for h, _ in scenarios])
         calls = []
 
-        def recording(rng, x0, nu, n):  # every path defaults at v* = x0 / 100
+        def recording(rng, x0, nu, out, *own):  # every path defaults at v* = x0 / 100
             calls.append((rng.bit_generator.state, x0))
-            return np.full(n, x0 / 100)
+            fill_own_paths(out, x0 / 100, *own)
 
         monkeypatch.setattr(mc, "_first_passage_variance", recording)
         # below the first bucket end, so the bridge draws nothing
@@ -258,7 +265,7 @@ class TestDefaultSampling:
         assert model.vols.clock.inverse(v_maturity) > ers.maturity
         monkeypatch.setattr(mc, "_last_draw", None)  # keep the patched draw out of the slot
         monkeypatch.setattr(mc, "_first_passage_variance",
-                            lambda rng, x0, nu, n: np.full(n, v_maturity))
+                            lambda rng, x0, nu, out, *own: fill_own_paths(out, v_maturity, *own))
         paths = simulate_joint_paths(model, ers, SimulationConfig(n_paths=100, rng_seed=1))
         assert paths.tau.size == paths.n_paths == 100 and np.all(paths.tau == ers.maturity)
 
@@ -297,11 +304,35 @@ class TestExactSampler:
         # so AT1P's one barrier, and each SBTV scenario, draw their first
         # passages with scalar parameters
         x0, n = -math.log(0.4), 10_000
-        one = mc._first_passage_variance(np.random.default_rng(11), x0, nu, n)
+        one = np.empty(n)
+        mc._first_passage_variance(np.random.default_rng(11), x0, nu, one)
         per_path = first_passage_variance_per_path(np.random.default_rng(11), np.full(n, x0),
                                                    nu, n)
         assert np.array_equal(one, per_path)
 
+    @pytest.mark.parametrize("nu", [0.5, 0.0, -0.3])
+    def test_draws_a_chunk_at_a_time_into_its_own_paths(self, nu):
+        # the same variates as one whole draw, and the stream left in the same
+        # state, on either side of a chunk boundary; given scenarios, only the
+        # paths of its own are written; and no array near the buffer's size is
+        # allocated, so a helper thread's malloc arena never maps or returns pages
+        x0, chunk = -math.log(0.4), mc._DRAW_CHUNK
+        for n in (1, chunk, chunk + 1, 40 * chunk + 5):
+            oracle_rng = np.random.default_rng(11)
+            whole = first_passage_variance_per_path(oracle_rng, np.full(n, x0), nu, n)
+            scenario = np.random.default_rng(n).integers(0, 3, n, dtype=np.uint8)
+            for own in ((), (scenario, 1)):
+                rng, out = np.random.default_rng(11), np.full(n, -1.0)
+                tracemalloc.start()
+                try:
+                    mc._first_passage_variance(rng, x0, nu, out, *own)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 5 * 8 * chunk  # a few chunks' arrays, against 40 chunks
+                mine = scenario == 1 if own else np.ones(n, bool)
+                assert np.array_equal(out[mine], whole[mine]) and np.all(out[~mine] == -1.0)
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
     @pytest.mark.parametrize("k", [0, 1, 5_000])
     @pytest.mark.parametrize("per_path_x0", [False, True], ids=["one-x0", "per-path-x0"])
     @pytest.mark.parametrize("vols", [
@@ -479,13 +510,12 @@ class TestScenarioTwins:
         model = SbtvParams(scenarios, b, THREE_BUCKETS)
         caller, real, finished = threading.get_ident(), mc._first_passage_variance, []
 
-        def helper_sleeps(rng, x0, nu, n):
+        def helper_sleeps(rng, x0, nu, out, *own):
             on_helper = threading.get_ident() != caller
             if on_helper:
                 time.sleep(0.05)
-            v_star = real(rng, x0, nu, n)
+            real(rng, x0, nu, out, *own)
             finished.append(on_helper)
-            return v_star
 
         if helper_last:
             monkeypatch.setattr(mc, "_first_passage_variance", helper_sleeps)
