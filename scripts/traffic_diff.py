@@ -12,6 +12,14 @@ line, such as `diagnostics.step1.objective_bp2`; the entries of a list
 share one field, such as `parameters.sigmas[]`.  The relative change is
 |new - old| / |old|, and inf where old is 0 and new is not.
 
+Where both lines of a pair hold `result.fair_spread_bp` and
+`result.std_error_bp`, as the ERS traffic's do, the script also prints the
+largest change of the spread in joint standard errors,
+|X_new - X_old| / sqrt(SE_old^2 + SE_new^2), with the pair where it occurs,
+and how many pairs move by more than 2.  That is the scale on which two
+independent Monte Carlo draws of one cell should agree; a cell whose spread
+did not move reads 0, and one that moved with no standard error inf.
+
 The exit code is 0.  With --max-rel TOL it is 1 when a label is in one run
 only, an `error` or `warnings` differs, a numeric field is in one line of a
 pair only (left out, or turned into null or text), a list field changes
@@ -92,6 +100,30 @@ def compare(old: dict, new: dict) -> tuple[list[str], dict, bool]:
     return out, largest, mismatched
 
 
+def spread_and_se(line):
+    """(result.fair_spread_bp, result.std_error_bp) of a line, or None
+    unless both are numbers."""
+    result = line.get("result")
+    if not isinstance(result, dict):
+        return None
+    pair = result.get("fair_spread_bp"), result.get("std_error_bp")
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
+        return pair
+    return None
+
+
+def joint_se_gaps(old: dict, new: dict) -> list:
+    """(|X_new - X_old| / sqrt(SE_old^2 + SE_new^2), label) of each pair
+    whose lines both hold a spread and its standard error, in file order."""
+    gaps = []
+    for label in (label for label in old if label in new):
+        a, b = spread_and_se(old[label]), spread_and_se(new[label])
+        if a and b:
+            change, se = abs(b[0] - a[0]), math.hypot(a[1], b[1])
+            gaps.append((change / se if se else (math.inf if change else 0.0), label))
+    return gaps
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("old", help="the JSON lines of the reference run")
@@ -104,6 +136,11 @@ def main(argv=None) -> int:
     print(f"{len(old.keys() & new.keys())} paired lines, "
           f"{sum(old[k] == new[k] for k in old.keys() & new.keys())} identical")
     print("\n".join(out) if out else "no numeric field changes")
+    gaps = joint_se_gaps(old, new)
+    if gaps:
+        gap, at = max(gaps, key=lambda g: g[0])
+        print(f"result.fair_spread_bp in joint SE: max {gap:.3g} at {label_text(at)}; "
+              f"{sum(g > 2.0 for g, _ in gaps)} of {len(gaps)} pairs above 2")
     if args.max_rel is None:
         return 0
     over = sorted(field for field, (_, (rel, _)) in largest.items() if not rel <= args.max_rel)

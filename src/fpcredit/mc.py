@@ -7,21 +7,21 @@ and payout drifts cancel between V and the barrier, so in the variance clock
 v = int_0^t sigma^2 du, x is a Brownian motion with drift -nu, nu = 1/2 - B,
 started at x0 = log(V0 / H); default is its first passage to 0.
 
-The sampler is exact and uses no time grid:
+The sampler is exact, uses no time grid, and draws the defaulted paths
+only, so its time and memory follow the number of defaults:
 
-- The first-passage variance v* is inverse Gaussian for nu > 0 and Levy
-  for nu = 0.  For nu < 0 it is finite with probability exp(2 nu x0) and
-  then inverse Gaussian with drift |nu|.  The default time inverts the
-  cumulative-variance clock.  With barrier scenarios (SBTV), each scenario
-  draws v* for every path on its own copy of the firm stream, past the
-  first on a helper thread, and writes it into one shared buffer on that
-  scenario's paths only: exactly the draw with one start per path, on any
-  number of cores.
+- With V the variance at maturity, one multinomial draw counts the paths
+  that survive and, in each barrier scenario (AT1P has one), the paths that
+  default with x(V) below 0 and above it.  By the reflection principle x(V)
+  is normal on each piece, and each defaulted path takes it from one uniform.
+- Given x(V), x on [0, V] is a Brownian bridge, and Doob's time change makes
+  its first-passage variance v* one Wald draw, for every drift.  The default
+  time inverts the cumulative-variance clock.
 - Given v*, x on [0, v*] is a 3-d Bessel bridge from x0 to 0 whatever the
   drift (Williams' path decomposition).  It is drawn at the vol-bucket ends
-  before v* as the norm of a 3-d Brownian bridge, which gives the firm's
-  Brownian motion at default exactly, bucket by bucket.  At each bucket end
-  the bridge runs only on the paths that have not defaulted by then.
+  before v* by its radius alone, which gives the firm's Brownian motion at
+  default exactly, bucket by bucket.  At each bucket end the bridge runs
+  only on the paths that have not defaulted by then.
 - The equity at default then takes one Gaussian draw per defaulted path.
 
 Firm and equity variates come from separate child streams of the seed, and
@@ -40,17 +40,15 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import ndtri, ndtri_exp
 
 from .curves import DiscountCurve, PaymentSchedule, make_schedule
 from .errors import DegenerateInputError, DomainError, require_finite
-from .survival import At1pParams, HazardCurve, SbtvParams, survival
+from .survival import At1pParams, HazardCurve, SbtvParams, first_passage, survival
 
 
 def _require_integer(obj, *names):
@@ -91,10 +89,10 @@ class ErsContract:
         return 1.0 - self.recovery
 
 
-# A cold sampler call and the pricer peak at 9-89 bytes per path, more as
-# more paths default, the kept firm draw included, so this caps a run's
-# memory near 0.9 GB.  SBTV's first-passage draw holds 9 of them, the
-# scenario byte and v*, whatever the number of scenarios.
+# A cold sampler call and the pricer peak at 4-88 bytes per path, more as
+# more paths default, the kept firm draw included, so this caps a run's memory
+# near 0.9 GB.  The firm draw alone peaks at 4, 26 and 56 bytes per path at
+# 3.7%, 41% and 99% defaults, AT1P or SBTV (tracemalloc, 10^6 paths).
 MAX_PATHS = 10_000_000
 
 
@@ -176,108 +174,112 @@ def make_ers_contract(s0=20.0, equity_vol=0.20, dividend_yield=0.008, maturity=5
                        stock_count=stock_count)
 
 
-# Paths per chunk of a first-passage draw: 64 KiB of float64.  The arrays a
-# draw allocates are this small, so on a helper thread they never make its
-# malloc arena map fresh pages or give them back, and a draw makes the same
-# page faults in every call, whichever arena the new thread is given.
-_DRAW_CHUNK = 8192
+def _first_passage_variance(rng, x0, x_end, v_end):
+    """First time v* < v_end, in the variance clock, that x0 - nu*v + W(v)
+    reaches 0, on paths that reach it by v_end, given x_end, its value there.
 
-
-def _first_passage_variance(rng, x0, nu, out, scenario=None, index=0):
-    """First time, in the variance clock, that x0 - nu*v + W(v) reaches 0, on
-    out.size paths from the one start x0; +inf on paths that never reach it.
-    Written into `out`: on every path, or, given a scenario index per path,
-    only on the paths of scenario `index`.  The masked copy and the boolean
-    assignment write the selected elements only, so draws for different
-    scenarios may fill one `out` at once from different threads.
-
-    For nu != 0 each path takes one normal and one uniform, in path order
-    (numpy's wald is the Michael-Schucany-Haas sampler), and for nu < 0 one
-    more uniform per path after them; for nu = 0 one normal per path.  Every
-    path is drawn, written or not.  Which words of the stream a path
-    consumes never depends on x0, so calls with different starts from the
-    same stream state draw each path from the same variates, as one call
-    with a start per path would, and leave the stream in the same state.
-    Drawing in chunks of `_DRAW_CHUNK` paths changes no variate either.
+    Given its ends, x on [0, v_end] is a Brownian bridge whatever the drift,
+    and Doob's time change s = v v_end / (v_end - v) makes it
+    (x0 + (x_end / v_end) s + W(s)) (v_end - v) / v_end.  So, conditioned on
+    reaching 0, s ~ Wald(x0 v_end / |x_end|, x0^2) and v* = s v_end / (v_end + s).
+    s is drawn from a normal and a uniform per path (Michael, Schucany and
+    Haas), written for v* with no term that cancels as x_end -> 0: with
+    z = sqrt(v_end) |N|, root = sqrt(z^2 + 4 x0 |x_end|) and w = (z + root)/2,
+    v* = v_end / (1 + g^2), g = w / x0 with probability w / root (the smaller
+    root) and |x_end| / w otherwise.
     """
-    n = out.size
-    for lo in range(0, n, _DRAW_CHUNK):
-        size = min(_DRAW_CHUNK, n - lo)
-        if nu == 0:
-            v = x0 * x0 / rng.standard_normal(size) ** 2
-        else:
-            v = rng.wald(x0 / abs(nu), x0 * x0, size=size)
-        np.copyto(out[lo:lo + size], v,
-                  where=True if scenario is None else scenario[lo:lo + size] == index)
-    if nu < 0:  # finite with probability exp(2 nu x0)
-        p_hit = np.exp(2.0 * nu * x0)
-        for lo in range(0, n, _DRAW_CHUNK):
-            size = min(_DRAW_CHUNK, n - lo)
-            never = rng.random(size) >= p_hit
-            if scenario is not None:
-                never &= scenario[lo:lo + size] == index
-            out[lo:lo + size][never] = np.inf
-
-
-def _twin(rng):
-    """A new generator in the state `rng` is in: it draws what `rng` would draw next."""
-    twin = np.random.Generator(type(rng.bit_generator)())
-    twin.bit_generator.state = rng.bit_generator.state
-    return twin
+    n = x0.size
+    z = math.sqrt(v_end) * np.abs(rng.standard_normal(n))
+    b = np.abs(x_end)
+    root = np.sqrt(z * z + 4.0 * x0 * b)
+    w = 0.5 * (z + root)
+    del z  # each freed once used: at 41% defaults this step then peaks at 24 B/path, not 30
+    smaller = rng.random(n) * root < w  # the Wald draw's smaller root
+    del root
+    g = np.where(smaller, w / x0, b / w)
+    g *= g
+    g += 1.0
+    return np.divide(v_end, g, out=g)
 
 
 def _firm_bm_at_default(rng, v_star, x0, nu, knot_v, sigmas):
-    """The firm's calendar-time Brownian motion W1 at default, on paths with
-    v* <= knot_v[-1]; x0 is one start for every path, or one per path.
+    """The firm's calendar-time Brownian motion W1 at default, given each
+    defaulted path's start x0 and first-passage variance v* <= knot_v[-1].
 
     In the variance clock W1 runs as b(v) = x(v) - x0 + nu*v, and
     dW1 = db / sigma inside a vol bucket.  `knot_v` holds 0, the bucket-end
     variances and the maturity's; `sigmas` the vol of each piece between
-    them.  At the bucket ends before v*, x is the norm of a 3-d Brownian
-    bridge from (x0, 0, 0) to the origin on [0, v*]; at v* it is 0.
+    them.  Whatever the drift, x on [0, v*] is a 3-d Bessel bridge from x0
+    to 0 (Williams' path decomposition), the norm of a rotation-invariant 3-d
+    Brownian bridge, so its radius alone is Markov: from r at one bucket end
+    it is sqrt((shrink r + sd Z)^2 + 2 sd^2 E) at the next, Z normal and E a
+    unit exponential (the step along r, and the other two coordinates).
 
     The bridge runs on the live paths only, those with v* past the bucket
     end, and each path gets its W1 once, in the piece where it defaults:
-    the sum of its increments so far plus (b(v*) - b at the last bucket end)
-    / sigma.  One (m, 3) normal draw per bucket end, m the live paths, in
-    path order.
+    W1 at the last bucket end plus (b(v*) - b there) / sigma, with x(v*) = 0.
     """
-    b_end = nu * v_star - x0
-    w1 = b_end / sigmas[0]  # final on the paths that default in the first piece
+    w1 = nu * v_star - x0  # b(v*)
+    w1 /= sigmas[0]  # final on the paths that default in the first piece
     live = np.flatnonzero(knot_v[1] < v_star)
-    v, b_fin = v_star.take(live), b_end.take(live)
-    if np.ndim(x0):
-        x0 = x0.take(live)
-    y = np.zeros((3, live.size))
-    y[0] = x0
-    acc = b_prev = np.zeros(live.size)
+    v, r = v_star.take(live), x0.take(live)
+    acc = np.zeros(live.size)  # W1 at the last bucket end
     v_prev = 0.0
     last = knot_v.size - 2  # the bucket end before the maturity's
     for k in range(1, last + 1):
         v_k, sigma, sigma_next = knot_v[k], sigmas[k - 1], sigmas[k]
         shrink = (v - v_k) / (v - v_prev)
-        sd = np.sqrt((v_k - v_prev) * shrink)
-        z = rng.standard_normal((live.size, 3)).T
-        for i in range(3):  # row by row: sd broadcast over all of z at once is slower
-            y[i] *= shrink
-            y[i] += sd * z[i]
-        del z  # freed before the arrays below are made, or it sets the peak
-        # the norm, summed in the order np.linalg.norm(axis=1) sums a 3-column row
-        b_k = np.sqrt((y[0] * y[0] + y[1] * y[1]) + y[2] * y[2]) - x0 + nu * v_k
-        acc = acc + (b_k - b_prev) / sigma
+        var = (v_k - v_prev) * shrink
+        r_k = shrink * r + np.sqrt(var) * rng.standard_normal(live.size)
+        r_k = np.sqrt(r_k * r_k + 2.0 * var * rng.standard_exponential(live.size))
+        acc += (r_k - r + nu * (v_k - v_prev)) / sigma
+        r = r_k
         if k == last:  # every path still live defaults in the last piece
-            w1[live] = acc + (b_fin - b_k) / sigma_next
+            w1[live] = acc + (nu * (v - v_k) - r) / sigma_next
             break
         on = knot_v[k + 1] < v
         gone = np.flatnonzero(~on)  # the paths that default in the next piece
-        w1[live.take(gone)] = acc.take(gone) + (b_fin.take(gone) - b_k.take(gone)) / sigma_next
+        w1[live.take(gone)] = (acc.take(gone)
+                               + (nu * (v.take(gone) - v_k) - r.take(gone)) / sigma_next)
         keep = np.flatnonzero(on)
-        y = y.take(keep, axis=1)  # y[:, keep] would interleave the rows in memory
-        live, v, b_fin, acc, b_prev = (a.take(keep) for a in (live, v, b_fin, acc, b_k))
-        if np.ndim(x0):
-            x0 = x0.take(keep)
+        live, v, r, acc = (a.take(keep) for a in (live, v, r, acc))
         v_prev = v_k
     return w1
+
+
+def _default_ends(rng, counts, starts, below, above, nu, v_end):
+    """The start x0 and the value X_V at V = v_end of x = x0 - nu*v + W(v)
+    on each path that reaches 0 by V, by the reflection principle.
+
+    On that event X_V is N(x0 - nu V, V) below 0, of weight `below`, and
+    N(-x0 - nu V, V) above 0, of weight `above` = exp(2 nu x0) Phi(d2),
+    d2 = (-x0 - nu V) / sqrt(V).  `counts` holds the paths of each
+    scenario's two pieces, below first.  A path's uniform u gives its
+    quantile 1 - u in its piece (1 at the barrier), in place in the piece's
+    block: Phi((X_V - x0 + nu V) / sqrt(V)) = (1 - u) below, and
+    Phi((-x0 - nu V - X_V) / sqrt(V)) = (1 - u) Phi(d2) above, in logs.
+    """
+    x0 = np.repeat(np.repeat(starts, 2), counts)
+    x_end = np.subtract(1.0, rng.random(x0.size))
+    sd, lo = math.sqrt(v_end), 0
+    for start, w_below, w_above, (mid, hi) in zip(starts, below, above,
+                                                  np.cumsum(counts).reshape(-1, 2)):
+        x = x_end[lo:mid]
+        x *= w_below
+        ndtri(x, out=x)
+        x *= sd
+        x += start - nu * v_end
+        np.minimum(x, 0.0, out=x)  # 0, not +inf, where w_below rounds to 1
+        if hi > mid:
+            x = x_end[mid:hi]
+            np.log(x, out=x)
+            x += min(math.log(w_above) - 2.0 * nu * start, 0.0)  # log Phi(d2)
+            ndtri_exp(x, out=x)
+            x *= -sd
+            x -= start + nu * v_end
+            np.maximum(x, 0.0, out=x)  # 0, not -inf, where Phi(d2) rounds to 1
+        lo = hi
+    return x0, x_end
 
 
 def _equity_at_default(tau, shock, ers: ErsContract):
@@ -298,59 +300,42 @@ class _FirmDraw(NamedTuple):
 
 
 def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
-    """Draw scenarios, default times and both Brownian motions at default.
+    """Draw the defaulted paths, and only those: their default times and both
+    Brownian motions at default.
+
+    With V = clock(maturity), one multinomial draw counts the paths that
+    survive and each scenario's defaults in the two pieces of
+    `_default_ends`: `first_passage`'s third output at V weighs the piece
+    above 0, and the rest of the scenario's default probability the piece
+    below.  `_default_ends`, `_first_passage_variance` and
+    `_firm_bm_at_default` then draw X_V, v* and W1 on the k defaulted paths.
 
     Every firm variate comes from one child stream of the seed and every
     equity variate from another; nothing here depends on the correlation.
-    With more than one barrier scenario, every scenario draws v* for all
-    paths from its own start: the first on the firm stream, the others on
-    twins of it, copied after the scenario draw, on helper threads (numpy
-    releases the GIL while it draws).  They fill one v* buffer at once, each
-    scenario only on its own paths, and `_first_passage_variance` says why
-    that is exact whatever the threads' timing.
     """
     firm_rng, equity_rng = (np.random.default_rng(s)
                             for s in np.random.SeedSequence(seed).spawn(2))
-    starts = -np.array([math.log(h) for h, _ in model.scenarios])
-    nu = 0.5 - model.b
-    if starts.size == 1:  # drawing the one scenario would still consume variates
-        x0, v_star = starts[0], np.empty(n_paths)
-        _first_passage_variance(firm_rng, x0, nu, v_star)
-    else:
-        # Generator.choice(size=n_paths, p=...) without its checks and binary search:
-        # the same uniforms, each counted against the cdf normalised as numpy does
-        cdf = np.cumsum([p for _, p in model.scenarios])
-        cdf /= cdf[-1]
-        u = firm_rng.random(n_paths)
-        scenario = np.zeros(n_paths, np.min_scalar_type(cdf.size - 1))
-        for c in cdf[:-1]:
-            scenario += u >= c
-        del u
-        twins = [_twin(firm_rng) for _ in starts[1:]]
-        v_star = np.empty(n_paths)  # allocated once the uniforms are freed
-        with ThreadPoolExecutor(min(len(twins), os.cpu_count() or 1)) as pool:
-            helpers = pool.map(_first_passage_variance, twins, starts[1:], repeat(nu),
-                               repeat(v_star), repeat(scenario), range(1, starts.size))
-            _first_passage_variance(firm_rng, starts[0], nu, v_star, scenario, 0)
-            for _ in helpers:  # wait for every helper, and raise what any raised
-                pass
-
     vols, clock = model.vols, model.vols.clock
     knot_t = np.append(clock.knot_t[clock.knot_t < maturity], maturity)
     knot_v = clock(knot_t)
     sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
-    defaulted = np.flatnonzero(v_star <= knot_v[-1])
-    v_def = v_star.take(defaulted)
-    if starts.size > 1:
-        x0 = starts.take(scenario.take(defaulted))
-        del scenario
-    del v_star, defaulted  # freed before the bridge, where a draw with many defaults peaks
-    w1 = _firm_bm_at_default(firm_rng, v_def, x0, nu, knot_v, sigmas)
-    tau = np.minimum(clock.inverse(v_def), maturity)  # the round trip can overshoot
-    w2 = np.sqrt(tau) * equity_rng.standard_normal(v_def.size)
+    v_end, nu = knot_v[-1], 0.5 - model.b
+    log_h = np.array([math.log(h) for h, _ in model.scenarios])
+    q, _, above = first_passage(log_h, model.b, v_end)
+    below = np.maximum(1.0 - q - above, 0.0)  # round-off can take it below 0
+    probs = np.array([p for _, p in model.scenarios])[:, None]
+    q_total = survival(model, maturity)
+    counts = firm_rng.multinomial(
+        n_paths, [*(probs * np.column_stack((below, above))).ravel(), q_total])[:-1]
+    x0, x_end = _default_ends(firm_rng, counts, -log_h, below, above, nu, v_end)
+    v_star = _first_passage_variance(firm_rng, x0, x_end, v_end)
+    del x_end  # freed before the bridge, where a draw with many defaults peaks
+    w1 = _firm_bm_at_default(firm_rng, v_star, x0, nu, knot_v, sigmas)
+    tau = np.minimum(clock.inverse(v_star), maturity)  # the round trip can overshoot
+    w2 = np.sqrt(tau) * equity_rng.standard_normal(tau.size)
     for shared in (tau, w1, w2):
         shared.flags.writeable = False
-    return _FirmDraw(tau, w1, w2, 1.0 - survival(model, maturity))
+    return _FirmDraw(tau, w1, w2, 1.0 - q_total)
 
 
 _last_draw = None  # (key, _FirmDraw) of the last joint simulation
@@ -358,16 +343,16 @@ _last_draw = None  # (key, _FirmDraw) of the last joint simulation
 
 def simulate_joint_paths(model, ers: ErsContract, cfg: SimulationConfig) -> PathRecords:
     """Exact joint draw of the first-passage default time and the equity at
-    default.
+    default, on the paths that default.
 
-    With more than one barrier scenario, a scenario is drawn per path
-    first; AT1P, the one-scenario case, draws none.  The firm draw
-    (`_firm_draw`) does not depend on the correlation, and the last one is
-    kept: a call with the same model, maturity, path count and seed reuses
-    it, so default times are identical across correlations at a fixed seed
-    and only the equity at default is computed again.  `tau` is then shared
-    between the calls' records, and read-only; `discounted_s_tau` is each
-    call's own.
+    The firm draw (`_firm_draw`) counts the defaults of each barrier
+    scenario, then draws only those paths, from the law conditioned on
+    default; AT1P is the one-scenario case.  It does not depend on the
+    correlation, and the last one is kept: a call with the same model,
+    maturity, path count and seed reuses it, so default times are identical
+    across correlations at a fixed seed and only the equity at default is
+    computed again.  `tau` is then shared between the calls' records, and
+    read-only; `discounted_s_tau` is each call's own.
     """
     global _last_draw
     if not isinstance(model, (At1pParams, SbtvParams)):

@@ -97,12 +97,11 @@ def early_default_paths(ers: ErsContract, default_prob: float, n: int = 1_000) -
 
 
 def firm_bm_at_default_dense(rng, v_star, x0, nu, knot_v, sigmas):
-    """`mc._firm_bm_at_default` as it stood before it ran on the live paths
-    only: the bridge state is kept on every defaulted path, and each bucket
-    end adds 0 to the W1 of the paths that defaulted before it.  x0 is one
-    start per path.
-
-    The firm's calendar-time Brownian motion W1 at default.
+    """The firm's calendar-time Brownian motion W1 at default, from the 3-d
+    Brownian bridge itself: `mc._firm_bm_at_default` draws only its norm, on
+    the live paths only.  Here the bridge's three coordinates are kept on
+    every defaulted path, and each bucket end adds 0 to the W1 of the paths
+    that defaulted before it.  x0 is one start per path.
 
     In the variance clock W1 runs as b(v) = x(v) - x0 + nu*v, and
     dW1 = db / sigma inside a vol bucket.  `knot_v` holds 0, the bucket-end
@@ -127,45 +126,6 @@ def firm_bm_at_default_dense(rng, v_star, x0, nu, knot_v, sigmas):
         w1 += (b_k - b_prev) / sigma
         b_prev, v_prev = b_k, v_k
     return w1 + (b_end - b_prev) / sigmas[-1]
-
-
-def first_passage_variance_per_path(rng, x0, nu, n):
-    """`mc._first_passage_variance` as it stood when SBTV drew all its scenarios
-    in one call: numpy's samplers fed one start per path, x0 an array of n.
-
-    First time, in the variance clock, that x0 - nu*v + W(v) reaches 0; +inf on
-    paths that never reach it."""
-    if nu > 0:
-        return rng.wald(x0 / nu, x0 * x0, size=n)
-    if nu == 0:
-        return x0 * x0 / rng.standard_normal(n) ** 2
-    v_star = rng.wald(x0 / -nu, x0 * x0, size=n)
-    return np.where(rng.random(n) < np.exp(2.0 * nu * x0), v_star, np.inf)
-
-
-def firm_draw_per_path(model, maturity, n_paths, seed):
-    """(tau, w1, w2) of `mc._firm_draw` as it stood before it drew each barrier
-    scenario on its own copy of the firm stream: one first-passage draw with a
-    start per path, -log H of the path's scenario, then the dense bridge from
-    those starts on the defaulted paths."""
-    firm_rng, equity_rng = (np.random.default_rng(s)
-                            for s in np.random.SeedSequence(seed).spawn(2))
-    log_h = np.array([math.log(h) for h, _ in model.scenarios])
-    cdf = np.cumsum([p for _, p in model.scenarios])
-    cdf /= cdf[-1]
-    x0 = -log_h[(firm_rng.random(n_paths)[:, None] >= cdf[:-1]).sum(axis=1)]
-    nu = 0.5 - model.b
-    v_star = first_passage_variance_per_path(firm_rng, x0, nu, n_paths)
-    vols, clock = model.vols, model.vols.clock
-    knot_t = np.append(clock.knot_t[clock.knot_t < maturity], maturity)
-    knot_v = clock(knot_t)
-    sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
-    defaulted = v_star <= knot_v[-1]
-    v_def = v_star[defaulted]
-    w1 = firm_bm_at_default_dense(firm_rng, v_def, x0[defaulted], nu, knot_v, sigmas)
-    tau = np.minimum(clock.inverse(v_def), maturity)
-    w2 = np.sqrt(tau) * equity_rng.standard_normal(v_def.size)
-    return tau, w1, w2
 
 
 def trf_polish(residuals, jacobian, x0, lower, upper):

@@ -1,12 +1,11 @@
 import math
 import threading
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import ks_2samp, kstest, norm
 
 from fpcredit import (At1pParams, DegenerateInputError, DiscountCurve, DomainError,
                       HazardCurve, PathRecords, SbtvParams, SimulationConfig,
@@ -16,8 +15,7 @@ from fpcredit import (At1pParams, DegenerateInputError, DiscountCurve, DomainErr
 from fpcredit import bootstrap_intensity, mc
 from fpcredit.presets import STRIP_PRESETS, preset_strip
 from oracles import (early_default_paths, ers_npv_at_default_termwise,
-                     firm_bm_at_default_dense, firm_draw_per_path,
-                     first_passage_variance_per_path, fixed_point_by_breakpoints,
+                     firm_bm_at_default_dense, fixed_point_by_breakpoints,
                      npv_three_term, regression_control_variate)
 
 # three buckets and a flat tail: the 5y maturity lies past the last bucket
@@ -43,23 +41,26 @@ def equity_ratio(paths, ers):
     return np.exp(ers.dividend_yield * paths.tau) * paths.discounted_s_tau / ers.s0
 
 
-def fill_own_paths(out, value, scenario=None, index=0):
-    """What a first-passage draw writes into `out`: `value` on the paths of its
-    scenario, or on every path."""
-    np.copyto(out, value, where=True if scenario is None else scenario == index)
-
-
-def record_starts(monkeypatch):
-    """The start x0 of every first-passage draw made from here on, from an empty slot."""
+def record_passages(monkeypatch):
+    """(x0, x_end, v_end, v*) of every first-passage draw made from here on,
+    one x0, x_end and v* per defaulted path, from an empty slot."""
     monkeypatch.setattr(mc, "_last_draw", None)
-    starts, real = [], mc._first_passage_variance
+    calls, real = [], mc._first_passage_variance
 
-    def recording(rng, x0, nu, out, *own):
-        starts.append(x0)
-        real(rng, x0, nu, out, *own)
+    def recording(rng, x0, x_end, v_end):
+        v_star = real(rng, x0, x_end, v_end)
+        calls.append((x0.copy(), x_end.copy(), v_end, v_star.copy()))
+        return v_star
 
     monkeypatch.setattr(mc, "_first_passage_variance", recording)
-    return starts
+    return calls
+
+
+def bridge_knots(vols, maturity):
+    """knot_v and sigmas as `mc._firm_draw` builds them for `_firm_bm_at_default`."""
+    clock = vols.clock
+    knot_t = np.append(clock.knot_t[clock.knot_t < maturity], maturity)
+    return clock(knot_t), (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
 
 
 def survival_from(y, mu, v):
@@ -181,8 +182,13 @@ class TestDefaultSampling:
         assert abs(pd_mc - pd_cf) < 3.5 * se
         assert paths.default_prob_closed_form == pytest.approx(pd_cf)
 
-    def test_remote_barrier_produces_no_defaults(self, ers):
-        model = flat_at1p(h=1e-6, sigma=0.15)
+    @pytest.mark.parametrize("model", [
+        flat_at1p(h=1e-6, sigma=0.15),
+        SbtvParams(((1e-6, 0.5), (1e-5, 0.5)), 0.0, VolatilityTermStructure((30.0,), (0.15,)))],
+        ids=["at1p", "sbtv"])
+    def test_remote_barrier_produces_no_defaults(self, ers, model):
+        # the reflected weight is positive while the default probability
+        # rounds to 0: no negative piece weight and no warning
         paths = simulate_joint_paths(model, ers, SimulationConfig(n_paths=5_000, rng_seed=1))
         assert paths.n_paths == 5_000
         assert paths.tau.size == paths.discounted_s_tau.size == 0
@@ -199,61 +205,31 @@ class TestDefaultSampling:
         assert np.array_equal(taus[0], taus[1])
         assert np.array_equal(taus[0], taus[2])
 
-    def test_sbtv_scenario_frequencies(self, monkeypatch, ers):
-        vols = VolatilityTermStructure((30.0,), (0.2,))
-        model = SbtvParams(((0.3, 0.7), (0.8, 0.3)), 0.0, vols)
-        starts = record_starts(monkeypatch)
-        # every path defaults at once at v* = x0 / 100, so tau names its start
-        monkeypatch.setattr(mc, "_first_passage_variance", lambda rng, x0, nu, out, *own: (
-            starts.append(x0), fill_own_paths(out, x0 / 100, *own)))
-        paths = simulate_joint_paths(model, ers, SimulationConfig(n_paths=50_000, rng_seed=3))
-        # one call per scenario, in any order, each with its scenario's one start
-        assert all(np.ndim(x0) == 0 for x0 in starts)
-        assert sorted(starts) == sorted(-math.log(h) for h, _ in model.scenarios)
-        tau_low_h = vols.clock.inverse(-math.log(0.3) / 100)
-        assert paths.tau.size == 50_000 and set(np.unique(paths.tau)) == {
-            tau_low_h, vols.clock.inverse(-math.log(0.8) / 100)}
-        frac = np.mean(paths.tau == tau_low_h)
-        assert frac == pytest.approx(0.7, abs=3 * math.sqrt(0.7 * 0.3 / 50_000))
+    @pytest.mark.parametrize("b", [0.0, 0.5, 0.8], ids=["nu>0", "nu=0", "nu<0"])
+    @pytest.mark.parametrize("scenarios", [((0.4, 0.7), (0.73, 0.3)),
+                                           ((0.3, 0.2), (0.6, 0.5), (0.85, 0.3))],
+                             ids=["2-scenarios", "3-scenarios"])
+    def test_scenario_default_counts_are_multinomial(self, monkeypatch, scenarios, b):
+        # each scenario defaults on n p_i PD_i paths, within 3 SE, read off the
+        # starts the defaulted paths take into the first-passage draw
+        model = SbtvParams(scenarios, b, THREE_BUCKETS)
+        calls, n = record_passages(monkeypatch), 50_000
+        draw = mc._firm_draw(model, 5.0, n, 3)
+        [(x0, _, _, _)] = calls
+        assert x0.size == draw.tau.size
+        assert set(np.unique(x0)) <= {-math.log(h) for h, _ in scenarios}
+        for h, p in scenarios:
+            expected = p * (1.0 - at1p_survival(At1pParams(h, b, THREE_BUCKETS), 5.0))
+            se = math.sqrt(expected * (1.0 - expected) / n)
+            assert abs(np.count_nonzero(x0 == -math.log(h)) / n - expected) < 3 * se
 
-    @pytest.mark.parametrize("scenarios", [((0.4, 0.962), (0.73, 0.038)),
-                                           ((0.3, 0.2), (0.6, 0.5), (0.85, 0.3))])
-    def test_scenario_draw_is_generator_choice(self, monkeypatch, scenarios):
-        # the scenarios firm_rng.choice(k, size=n, p=...) draws, and every
-        # first-passage call, one per scenario, starts from the firm stream's
-        # state where choice leaves it
-        model = SbtvParams(scenarios, 0.0, THREE_BUCKETS)
-        starts_of = -np.array([math.log(h) for h, _ in scenarios])
-        calls = []
-
-        def recording(rng, x0, nu, out, *own):  # every path defaults at v* = x0 / 100
-            calls.append((rng.bit_generator.state, x0))
-            fill_own_paths(out, x0 / 100, *own)
-
-        monkeypatch.setattr(mc, "_first_passage_variance", recording)
-        # below the first bucket end, so the bridge draws nothing
-        assert starts_of.max() / 100 < THREE_BUCKETS.clock(THREE_BUCKETS.bucket_ends[0])
-        for seed in (1, 7, 4244, 20090916):
-            calls.clear()
-            draw = mc._firm_draw(model, 5.0, 20_000, seed)
-            firm_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-            chosen = firm_rng.choice(len(scenarios), size=20_000,
-                                     p=[p for _, p in scenarios])
-            assert sorted(x0 for _, x0 in calls) == sorted(starts_of)
-            assert all(np.ndim(x0) == 0 and x0.dtype == np.float64 for _, x0 in calls)
-            assert all(state == firm_rng.bit_generator.state for state, _ in calls)
-            tau = np.minimum(THREE_BUCKETS.clock.inverse(starts_of[chosen] / 100), 5.0)
-            assert np.array_equal(draw.tau, tau)
-
-    def test_one_scenario_sbtv_draws_the_at1p_paths(self, monkeypatch, ers):
+    def test_one_scenario_sbtv_draws_the_at1p_paths(self, ers):
         at1p = At1pParams(0.4, 0.0, THREE_BUCKETS)
         mix = SbtvParams(at1p.scenarios, 0.0, THREE_BUCKETS)
         cfg = SimulationConfig(n_paths=20_000, rng_seed=17)
-        starts = record_starts(monkeypatch)
         a = simulate_joint_paths(at1p, ers, cfg)
         b = simulate_joint_paths(mix, ers, cfg)
         assert a.tau.size > 0
-        assert len(starts) == 2 and all(np.ndim(x0) == 0 for x0 in starts)  # no scenario draw
         assert np.array_equal(a.tau, b.tau)
         assert np.array_equal(a.discounted_s_tau, b.discounted_s_tau)
 
@@ -264,10 +240,12 @@ class TestDefaultSampling:
         v_maturity = model.vols.clock(ers.maturity)
         assert model.vols.clock.inverse(v_maturity) > ers.maturity
         monkeypatch.setattr(mc, "_last_draw", None)  # keep the patched draw out of the slot
-        monkeypatch.setattr(mc, "_first_passage_variance",
-                            lambda rng, x0, nu, out, *own: fill_own_paths(out, v_maturity, *own))
+        ends = []
+        monkeypatch.setattr(mc, "_first_passage_variance", lambda rng, x0, x_end, v_end: (
+            ends.append(v_end), np.full(x0.size, v_end))[1])
         paths = simulate_joint_paths(model, ers, SimulationConfig(n_paths=100, rng_seed=1))
-        assert paths.tau.size == paths.n_paths == 100 and np.all(paths.tau == ers.maturity)
+        assert ends == [v_maturity]
+        assert paths.tau.size > 0 and np.all(paths.tau == ers.maturity)
 
     def test_equity_martingale_at_default(self):
         # at rho = 0 the equity is independent of the firm, so its
@@ -291,78 +269,73 @@ class TestDefaultSampling:
 
 
 class TestExactSampler:
-    def test_scalar_wald_parameters_draw_the_constant_array_variates(self):
-        # numpy's wald draws the same variates, byte for byte, from scalar
-        # parameters with size=n as from constant arrays of n parameters
-        n, mean, scale = 10_000, 1.8, 0.84
-        a = np.random.default_rng(7).wald(mean, scale, size=n)
-        b = np.random.default_rng(7).wald(np.full(n, mean), np.full(n, scale))
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("b", [-300.0, -1.0, 0.0, 0.5, 0.8, 2.0])
+    @pytest.mark.parametrize("h", [0.4, 0.9])
+    def test_first_passages_are_finite_and_below_the_maturity_variance(self, monkeypatch,
+                                                                       h, b):
+        # from nu = 300.5, where every path defaults and exp(2 nu x0) would
+        # overflow, to nu = -1.5: no warning, and every v* in (0, V)
+        calls = record_passages(monkeypatch)
+        draw = mc._firm_draw(At1pParams(h, b, THREE_BUCKETS), 5.0, 20_000, 43)
+        [(x0, x_end, v_end, v_star)] = calls
+        assert v_end == THREE_BUCKETS.clock(5.0) and v_star.size == draw.tau.size
+        assert np.isfinite(x_end).all() and np.all((0.0 < v_star) & (v_star < v_end))
+        if b == -300.0:
+            assert draw.tau.size == 20_000 and np.all(x_end < 0)
+        elif b <= 0.8:
+            assert 0 < draw.tau.size < 20_000 and np.any(x_end > 0) and np.any(x_end < 0)
 
-    @pytest.mark.parametrize("nu", [0.5, 0.0, -0.3])
-    def test_one_start_draws_as_one_start_per_path(self, nu):
-        # so AT1P's one barrier, and each SBTV scenario, draw their first
-        # passages with scalar parameters
-        x0, n = -math.log(0.4), 10_000
-        one = np.empty(n)
-        mc._first_passage_variance(np.random.default_rng(11), x0, nu, one)
-        per_path = first_passage_variance_per_path(np.random.default_rng(11), np.full(n, x0),
-                                                   nu, n)
-        assert np.array_equal(one, per_path)
+    @pytest.mark.parametrize("model", [
+        At1pParams(0.4, 0.0, THREE_BUCKETS),
+        At1pParams(0.4, 0.5, THREE_BUCKETS),
+        At1pParams(0.4, 0.8, THREE_BUCKETS),
+        SbtvParams(((0.3, 0.6), (0.7, 0.4)), 0.0, THREE_BUCKETS),
+        SbtvParams(((0.3, 0.2), (0.6, 0.5), (0.85, 0.3)), 0.3, THREE_BUCKETS),
+    ], ids=["b=0", "b=0.5", "b=0.8", "sbtv-2", "sbtv-3"])
+    def test_default_time_has_the_conditional_law(self, model):
+        # one-sample KS of the default times against (1 - Q(t)) / PD(T), for
+        # nu > 0, nu = 0 and nu < 0, and for barrier scenarios
+        pd = 1.0 - sbtv_survival(model, 5.0)
+        draw = mc._firm_draw(model, 5.0, 200_000, 47)
+        assert draw.tau.size > 10_000
+        assert kstest(draw.tau, lambda t: (1.0 - sbtv_survival(model, t)) / pd).pvalue > 1e-3
 
-    @pytest.mark.parametrize("nu", [0.5, 0.0, -0.3])
-    def test_draws_a_chunk_at_a_time_into_its_own_paths(self, nu):
-        # the same variates as one whole draw, and the stream left in the same
-        # state, on either side of a chunk boundary; given scenarios, only the
-        # paths of its own are written; and no array near the buffer's size is
-        # allocated, so a helper thread's malloc arena never maps or returns pages
-        x0, chunk = -math.log(0.4), mc._DRAW_CHUNK
-        for n in (1, chunk, chunk + 1, 40 * chunk + 5):
-            oracle_rng = np.random.default_rng(11)
-            whole = first_passage_variance_per_path(oracle_rng, np.full(n, x0), nu, n)
-            scenario = np.random.default_rng(n).integers(0, 3, n, dtype=np.uint8)
-            for own in ((), (scenario, 1)):
-                rng, out = np.random.default_rng(11), np.full(n, -1.0)
-                tracemalloc.start()
-                try:
-                    mc._first_passage_variance(rng, x0, nu, out, *own)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                assert peak < 5 * 8 * chunk  # a few chunks' arrays, against 40 chunks
-                mine = scenario == 1 if own else np.ones(n, bool)
-                assert np.array_equal(out[mine], whole[mine]) and np.all(out[~mine] == -1.0)
-                assert rng.bit_generator.state == oracle_rng.bit_generator.state
-    @pytest.mark.parametrize("k", [0, 1, 5_000])
-    @pytest.mark.parametrize("per_path_x0", [False, True], ids=["one-x0", "per-path-x0"])
-    @pytest.mark.parametrize("vols", [
-        VolatilityTermStructure((10.0,), (0.3,)),
-        VolatilityTermStructure((1.0, 3.0, 30.0), (0.35, 0.2, 0.3)),
-        VolatilityTermStructure((0.5, 1.0, 2.0, 3.5), (0.4, 0.25, 0.3, 0.45)),
-    ], ids=["no-bucket-end", "3-pieces", "5-pieces-tail"])
-    def test_bridge_on_the_live_paths_is_the_dense_bridge(self, vols, per_path_x0, k):
-        # the same W1 bit for bit, the sign of zero included, from the same
-        # variates: the stream ends in the same state
-        maturity, nu = 5.0, 0.5
-        clock = vols.clock  # the knots as _firm_draw builds them
-        knot_t = np.append(clock.knot_t[clock.knot_t < maturity], maturity)
-        knot_v = clock(knot_t)
-        sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
+    VOLS = [VolatilityTermStructure((10.0,), (0.3,)),
+            VolatilityTermStructure((1.0, 3.0, 30.0), (0.35, 0.2, 0.3)),
+            VolatilityTermStructure((0.5, 1.0, 2.0, 3.5), (0.4, 0.25, 0.3, 0.45))]
+    VOL_IDS = ["no-bucket-end", "3-pieces", "5-pieces-tail"]
+
+    @pytest.mark.parametrize("nu", [0.5, -0.3])
+    @pytest.mark.parametrize("vols", VOLS, ids=VOL_IDS)
+    def test_radial_bridge_has_the_dense_bridge_law(self, vols, nu):
+        # two-sample KS of W1 from the bridge's radius alone against W1 from
+        # the 3-d bridge's coordinates, on the same first passages and starts,
+        # some exactly at a knot
+        knot_v, sigmas = bridge_knots(vols, 5.0)
         rng = np.random.default_rng(19)
-        v_star = knot_v[-1] * (1.0 - rng.random(k))
-        v_star[1::97] = np.resize(knot_v[1:], v_star[1::97].size)  # exactly at a knot
-        x0 = (np.where(rng.random(k) < 0.4, -math.log(0.3), -math.log(0.6)) if per_path_x0
-              else -math.log(0.4))
-        if k > 1:
-            assert np.count_nonzero(v_star > knot_v[-2]) > 100
-            assert np.isin(knot_v[1:], v_star).all()
-        ours, dense = np.random.default_rng(23), np.random.default_rng(23)
-        w1 = mc._firm_bm_at_default(ours, v_star, x0, nu, knot_v, sigmas)
-        expected = firm_bm_at_default_dense(dense, v_star, np.broadcast_to(x0, k), nu,
-                                            knot_v, sigmas)
-        assert w1.dtype == expected.dtype and w1.shape == (k,)
-        assert w1.tobytes() == expected.tobytes()
-        assert ours.bit_generator.state == dense.bit_generator.state
+        v_star = knot_v[-1] * (1.0 - rng.random(20_000))
+        v_star[1::97] = np.resize(knot_v[1:], v_star[1::97].size)
+        x0 = np.where(rng.random(v_star.size) < 0.4, -math.log(0.3), -math.log(0.6))
+        w1 = mc._firm_bm_at_default(np.random.default_rng(23), v_star, x0, nu, knot_v, sigmas)
+        dense = firm_bm_at_default_dense(np.random.default_rng(29), v_star, x0, nu, knot_v,
+                                         sigmas)
+        assert w1.dtype == np.float64 and w1.shape == v_star.shape and np.isfinite(w1).all()
+        assert ks_2samp(w1, dense).pvalue > 1e-3
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("vols", VOLS, ids=VOL_IDS)
+    def test_radial_bridge_on_no_path_or_one(self, vols, k):
+        # a path that defaults before the first bucket end draws nothing, and
+        # its W1 is b(v*) / sigma; one that defaults in the last piece is finite
+        knot_v, sigmas = bridge_knots(vols, 5.0)
+        for v_star in (0.5 * knot_v[1], 0.5 * (knot_v[-2] + knot_v[-1])):
+            v_star, x0, rng = np.full(k, v_star), np.full(k, 0.9), np.random.default_rng(31)
+            state = rng.bit_generator.state
+            w1 = mc._firm_bm_at_default(rng, v_star, x0, 0.5, knot_v, sigmas)
+            assert w1.dtype == np.float64 and w1.shape == (k,) and np.isfinite(w1).all()
+            if k == 0 or v_star[0] < knot_v[1]:
+                assert rng.bit_generator.state == state
+                assert np.array_equal(w1, (0.5 * v_star - x0) / sigmas[0])
 
     @pytest.mark.parametrize("model, survival", [
         (At1pParams(0.4, 0.0, THREE_BUCKETS), at1p_survival),
@@ -496,38 +469,33 @@ class TestFirmDrawSlot:
         assert all(not a.flags.writeable for a in draw if isinstance(a, np.ndarray))
 
 
-class TestScenarioTwins:
-    """SBTV draws each barrier scenario's first passages on its own copy of the
-    firm stream, the extra ones on helper threads, and each path keeps its own
-    scenario's draw: the paths of one draw with a start per path, bit for bit."""
+class TestFirmDrawResources:
+    """The firm draw holds arrays on the defaulted paths only, and runs on the calling thread."""
 
-    @pytest.mark.parametrize("helper_last", [False, True], ids=["any-order", "helper-last"])
-    @pytest.mark.parametrize("b", [0.0, 0.5, 0.8], ids=["nu>0", "nu=0", "nu<0"])
-    @pytest.mark.parametrize("scenarios", [((0.4, 0.7), (0.73, 0.3)),
-                                           ((0.3, 0.2), (0.6, 0.5), (0.85, 0.3))],
-                             ids=["2-scenarios", "3-scenarios"])
-    def test_firm_draw_is_the_per_path_draw(self, monkeypatch, scenarios, b, helper_last):
-        model = SbtvParams(scenarios, b, THREE_BUCKETS)
-        caller, real, finished = threading.get_ident(), mc._first_passage_variance, []
+    @pytest.mark.parametrize("model", [
+        At1pParams(0.1, 0.0, VolatilityTermStructure((30.0,), (0.3,))),
+        SbtvParams(((0.08, 0.5), (0.12, 0.5)), 0.0, VolatilityTermStructure((30.0,), (0.3,)))],
+        ids=["at1p", "sbtv"])
+    def test_allocates_no_array_per_path(self, model):
+        # about 0.2% of 10^6 paths default: the draw's peak stays under a
+        # tenth of one float64 array over all paths
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            draw = mc._firm_draw(model, 5.0, n, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 1_000 < draw.tau.size < 5_000
+        assert peak < 8 * n / 10
 
-        def helper_sleeps(rng, x0, nu, out, *own):
-            on_helper = threading.get_ident() != caller
-            if on_helper:
-                time.sleep(0.05)
-            real(rng, x0, nu, out, *own)
-            finished.append(on_helper)
+    def test_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"the firm draw started a thread: {thread!r}")
 
-        if helper_last:
-            monkeypatch.setattr(mc, "_first_passage_variance", helper_sleeps)
-        for seed in (3, 4244, 20090916):
-            finished.clear()
-            draw = mc._firm_draw(model, 5.0, 20_000, seed)
-            expected = firm_draw_per_path(model, 5.0, 20_000, seed)
-            assert 0 < draw.tau.size < 20_000
-            for ours, theirs in zip(draw[:3], expected):
-                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
-            if helper_last:  # the caller's own scenario was drawn first
-                assert finished == [False] + [True] * (len(scenarios) - 1)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        model = SbtvParams(((0.3, 0.2), (0.6, 0.5), (0.85, 0.3)), 0.0, THREE_BUCKETS)
+        assert mc._firm_draw(model, 5.0, 20_000, 3).tau.size > 0
 
 
 class TestIntensityPaths:

@@ -131,3 +131,39 @@ def test_traffic_diff_max_rel_fails_a_mismatch_or_a_move_above_it(tmp_path):
     assert "only in OLD at preset=p seed=2 model=at1p rho=0.0: result.fair_spread_bp" in done.stdout
     assert "above 1e-14: result.delta_x_trace_bp[], result.fair_spread_bp" in run_script(
         "traffic_diff.py", [old, close, "--max-rel", "1e-14"]).stdout
+
+
+def test_traffic_diff_reports_spread_gaps_in_joint_standard_errors(tmp_path):
+    # |X_new - X_old| / sqrt(SE_old^2 + SE_new^2) over the pairs whose lines
+    # both hold a spread and its standard error; the exit code ignores it
+    def cell(rho, spread, se=None):
+        result = {"fair_spread_bp": spread}
+        if se is not None:
+            result["std_error_bp"] = se
+        return {"preset": "p", "seed": 1, "model": "at1p", "rho": rho, "result": result}
+
+    def write(name, lines):
+        path = tmp_path / name
+        path.write_text("".join(json.dumps(x) + "\n" for x in lines))
+        return str(path)
+
+    old = write("old.jsonl", [cell(-1.0, 0.0, 0.0), cell(0.0, 10.0, 0.3), cell(0.5, 20.0, 0.5),
+                              cell(1.0, 30.0), {"preset": "p", "seed": 1, "model": "sbtv",
+                                                "rho": 0.0, "error": "E"}])
+    new = write("new.jsonl", [cell(-1.0, 0.0, 0.0), cell(0.0, 10.5, 0.4), cell(0.5, 21.5, 0.5),
+                              cell(1.0, 99.0), {"preset": "p", "seed": 1, "model": "sbtv",
+                                                "rho": 0.0, "error": "E"}])
+    line = ("result.fair_spread_bp in joint SE: max 2.12 at preset=p seed=1 model=at1p rho=0.5; "
+            "1 of 3 pairs above 2")
+    for args in ([], ["--max-rel", "1e9"]):
+        done = run_script("traffic_diff.py", [old, new, *args])
+        assert done.returncode == 0, done.stdout
+        assert done.stdout.splitlines()[-1] == line
+    moved = write("moved.jsonl", [cell(-1.0, 0.1, 0.0), cell(0.0, 10.0, 0.3), cell(0.5, 20.0, 0.5)])
+    done = run_script("traffic_diff.py", [old, moved])
+    assert done.returncode == 0 and done.stdout.splitlines()[-1] == (
+        "result.fair_spread_bp in joint SE: max inf at preset=p seed=1 model=at1p rho=-1.0; "
+        "1 of 3 pairs above 2")
+    calibration = write("calibration.jsonl", [{"strip": "s", "model": "at1p",
+                                               "parameters": {"h": 0.4}}])
+    assert "joint SE" not in run_script("traffic_diff.py", [calibration, calibration]).stdout
