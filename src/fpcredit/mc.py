@@ -79,6 +79,9 @@ class ErsContract:
             raise DomainError("correlation must lie in [-1, 1]")
         if not 0 <= self.recovery < 1:
             raise DomainError("recovery must lie in [0, 1)")
+        if self.schedule.start != 0.0:  # the three-term NPV form telescopes from T_0 = 0
+            raise DomainError(f"only spot-starting ERS (T_0 = 0) are supported, got a "
+                              f"schedule starting at {self.schedule.start!r}")
 
     @property
     def maturity(self) -> float:
@@ -89,10 +92,10 @@ class ErsContract:
         return 1.0 - self.recovery
 
 
-# A cold sampler call and the pricer peak at 4-88 bytes per path, more as
-# more paths default, the kept firm draw included, so this caps a run's memory
-# near 0.9 GB.  The firm draw alone peaks at 4, 26 and 56 bytes per path at
-# 3.7%, 41% and 99% defaults, AT1P or SBTV (tracemalloc, 10^6 paths).
+# A cold sampler call and the pricer peak at 4, 33 and 78 bytes per path at
+# 3.7%, 41% and 97% defaults, the kept firm draw included, so this caps a
+# run's memory near 0.8 GB.  The firm draw alone peaks at 4, 26 and 55 bytes
+# per path there, AT1P or SBTV (tracemalloc, 10^6 paths).
 MAX_PATHS = 10_000_000
 
 
@@ -284,9 +287,14 @@ def _default_ends(rng, counts, starts, below, above, nu, v_end):
 
 def _equity_at_default(tau, shock, ers: ErsContract):
     """P(0,tau) S_tau given the value at tau of the Brownian motion driving the
-    equity: the discount factor cancels the rate drift, whatever the curve."""
+    equity, written over `shock`: the discount factor cancels the rate drift,
+    whatever the curve."""
     sig = ers.equity_vol
-    return ers.s0 * np.exp(sig * shock - (ers.dividend_yield + 0.5 * sig * sig) * tau)
+    shock *= sig
+    shock -= (ers.dividend_yield + 0.5 * sig * sig) * tau
+    np.exp(shock, out=shock)
+    shock *= ers.s0
+    return shock
 
 
 class _FirmDraw(NamedTuple):
@@ -307,8 +315,10 @@ def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
     survive and each scenario's defaults in the two pieces of
     `_default_ends`: `first_passage`'s third output at V weighs the piece
     above 0, and the rest of the scenario's default probability the piece
-    below.  `_default_ends`, `_first_passage_variance` and
-    `_firm_bm_at_default` then draw X_V, v* and W1 on the k defaulted paths.
+    below.  Its first output, mixed over the scenarios as `survival` mixes
+    it, is Q(T), the weight of the paths that survive.  `_default_ends`,
+    `_first_passage_variance` and `_firm_bm_at_default` then draw X_V, v*
+    and W1 on the k defaulted paths.
 
     Every firm variate comes from one child stream of the seed and every
     equity variate from another; nothing here depends on the correlation.
@@ -324,7 +334,7 @@ def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
     q, _, above = first_passage(log_h, model.b, v_end)
     below = np.maximum(1.0 - q - above, 0.0)  # round-off can take it below 0
     probs = np.array([p for _, p in model.scenarios])[:, None]
-    q_total = survival(model, maturity)
+    q_total = float(sum(p * q_i for (_, p), q_i in zip(model.scenarios, q)))
     counts = firm_rng.multinomial(
         n_paths, [*(probs * np.column_stack((below, above))).ravel(), q_total])[:-1]
     x0, x_end = _default_ends(firm_rng, counts, -log_h, below, above, nu, v_end)
@@ -364,8 +374,9 @@ def simulate_joint_paths(model, ers: ErsContract, cfg: SimulationConfig) -> Path
         _last_draw = None  # drop the old draw before making the new one
         slot = _last_draw = key, _firm_draw(*key)
     draw, rho = slot[1], ers.rho
-    discounted_s_tau = _equity_at_default(
-        draw.tau, rho * draw.w1 + math.sqrt(1.0 - rho * rho) * draw.w2, ers)
+    shock = np.multiply(rho, draw.w1)  # the call's own array, mapped in place
+    shock += math.sqrt(1.0 - rho * rho) * draw.w2
+    discounted_s_tau = _equity_at_default(draw.tau, shock, ers)
     return PathRecords(n_paths=cfg.n_paths, tau=draw.tau, discounted_s_tau=discounted_s_tau,
                        default_prob_closed_form=draw.default_prob_closed_form,
                        diagnostics={"seed": cfg.rng_seed})
@@ -404,10 +415,12 @@ def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract,
                        diagnostics={"seed": cfg.rng_seed, "model": "intensity"})
 
 
-def _npv_terms(tau, discounted_s_tau, ers: ErsContract, curve: DiscountCurve):
-    """(fixed, per_spread, annuity): the residual swap value at default,
-    P(0,tau) * NPV(tau), is fixed + per_spread * X at spread X, and
-    per_spread <= K*S0 * annuity exactly, both read off the same tail sums.
+def _npv_terms(tau, discounted_s_tau, ers: ErsContract, curve: DiscountCurve, rows=2):
+    """(block, annuity): block is one (rows, k) array over the k defaults, fixed
+    and per_spread in its first two rows and the others left for the caller's
+    work.  The residual swap value at default, P(0,tau) * NPV(tau), is
+    fixed + per_spread * X at spread X, and per_spread <= K*S0 * annuity
+    exactly, both read off the same tail sums.
 
     Three-term simplified form: the floating legs telescope against the
     final notional exchange and the dividend stream cancels against the
@@ -428,15 +441,22 @@ def _npv_terms(tau, discounted_s_tau, ers: ErsContract, curve: DiscountCurve):
     # tail annuities from T_1, ..., T_n, and 0 past the last payment date
     tails = np.append(np.cumsum(annuity_terms[::-1])[::-1], 0.0)
     ks0 = ers.stock_count * ers.s0
-    idx = sched.next_payment_index(tau) - 1  # T_{beta(tau)-1} is (T_0, T_1, ...)[idx]
-    # each table scaled before the gather: the same products, on n + 1 entries only
-    per_spread = (ks0 * tails).take(idx)
-    fixed = (ks0 * discounts).take(idx) - ers.stock_count * discounted_s_tau
-    return fixed, per_spread, float(tails[0])
+    idx = sched.next_payment_index(tau)
+    idx -= 1  # T_{beta(tau)-1} is (T_0, T_1, ...)[idx], and idx lies in [0, n]
+    block = np.empty((rows, tau.size))
+    fixed, per_spread = block[:2]
+    # each table scaled before the gather: the same products, on n + 1 entries
+    # only; "clip" never moves an index here, where "raise" would copy into `out`
+    np.multiply(ers.stock_count, discounted_s_tau, out=per_spread)  # until per_spread lands
+    (ks0 * discounts).take(idx, out=fixed, mode="clip")
+    fixed -= per_spread
+    (ks0 * tails).take(idx, out=per_spread, mode="clip")
+    return block, float(tails[0])
 
 
-def _cva_estimate(paths: PathRecords, payoff) -> CvaEstimate:
-    """Estimates of E[payoff] from its k values on the defaulted paths (0 on the others).
+def _cva_estimate(paths: PathRecords, payoff, work) -> CvaEstimate:
+    """Estimates of E[payoff] from its k values on the defaulted paths (0 on
+    the others), with `work`, k entries, for scratch.
 
     The control variate is the default indicator.  Its regression
     coefficient cov(payoff, 1{default}) / var(1{default}) is exactly the
@@ -450,9 +470,11 @@ def _cva_estimate(paths: PathRecords, payoff) -> CvaEstimate:
     if k == 0:
         return CvaEstimate(0.0, 0.0, 0.0, 0.0, low_statistics=True)
     beta = float(np.mean(payoff))
-    se = math.sqrt(float(np.sum((payoff - beta) ** 2)) / (n - 1)) / math.sqrt(n)
+    np.square(np.subtract(payoff, beta, out=work), out=work)
+    se = math.sqrt(float(np.sum(work)) / (n - 1)) / math.sqrt(n)
     m = beta * k / n
-    plain_ss = float(np.sum((payoff - m) ** 2)) + (n - k) * m * m
+    np.square(np.subtract(payoff, m, out=work), out=work)
+    plain_ss = float(np.sum(work)) + (n - k) * m * m
     return CvaEstimate(paths.default_prob_closed_form * beta, se, m,
                        math.sqrt(plain_ss / (n - 1)) / math.sqrt(n))
 
@@ -461,8 +483,12 @@ def ers_cva_term(paths: PathRecords, ers: ErsContract, curve: DiscountCurve,
                  spread: float) -> CvaEstimate:
     """Monte Carlo counterparty adjustment LGD * E[1{default} (P(0,tau) NPV(tau))^+],
     controlled by the default indicator."""
-    fixed, per_spread, _ = _npv_terms(paths.tau, paths.discounted_s_tau, ers, curve)
-    return _cva_estimate(paths, ers.lgd * np.maximum(fixed + per_spread * spread, 0.0))
+    (fixed, payoff), _ = _npv_terms(paths.tau, paths.discounted_s_tau, ers, curve)
+    payoff *= spread  # per_spread, then fixed + per_spread * spread
+    payoff += fixed
+    np.maximum(payoff, 0.0, out=payoff)
+    payoff *= ers.lgd
+    return _cva_estimate(paths, payoff, fixed)
 
 
 def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract,
@@ -472,24 +498,44 @@ def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract,
     X = f(X) = c * sum (fixed_i + per_spread_i*X)^+ over the n defaulted paths,
     c = P(default) * LGD / (n*K*S0*annuity); f is convex, piecewise linear and
     of slope below 1.  Newton's method on the active set {i : fixed_i +
-    per_spread_i*X > 0} starts at X = 0, and the set only grows until X stops
-    rising.  1 - slope is a sum of terms >= 0, 0 only on the one input with no
-    root: P(default) = 1, zero recovery and every default before T_1.
+    per_spread_i*X > 0} starts at X = 0.  With per_spread >= 0 each value
+    fixed_i + per_spread_i*X, rounded, does not fall as X rises, so the set
+    only grows, and a step that finds as many active paths as the last one
+    has the same set and would give the same X: it ends the solve.  1 - slope
+    is a sum of terms >= 0, 0 only on the one input with no root:
+    P(default) = 1, zero recovery and every default before T_1.
+
+    Every k-sized float array of the solve is a row of one block (fixed,
+    per_spread, slack, value and active, the last also the scratch of the
+    estimate), written in place.  This is for the allocator, not the
+    arithmetic: on the 41k defaults of a distressed 10^5-path cell the block
+    is 1.6 MB, above glibc's 128 kB mmap threshold, so the first call maps
+    it, and freeing it raises the mmap threshold to its size and the trim
+    threshold to twice that (mallopt(3)).  From then on the heap keeps its
+    pages between cells.  With some 30 separate 330 kB temporaries per call
+    instead, glibc grew the heap top and gave it back to the OS in every
+    call, and the next call faulted those pages in again.  Below about 16k
+    defaults the arrays sit under the threshold either way.
     """
-    fixed, per_spread, annuity = _npv_terms(paths.tau, paths.discounted_s_tau, ers, curve)
+    block, annuity = _npv_terms(paths.tau, paths.discounted_s_tau, ers, curve, rows=5)
+    fixed, per_spread, slack, value, active = block
     if annuity <= 1e-300:
         raise DegenerateInputError("zero premium annuity: fair ERS spread undefined")
     denom = ers.stock_count * ers.s0 * annuity
     n, w = max(fixed.size, 1), paths.default_prob_closed_form * ers.lgd  # X = 0 with no defaults
-    slack = denom - per_spread  # >= 0, see _npv_terms
-    x, trace = 0.0, []
+    np.subtract(denom, per_spread, out=slack)  # >= 0, see _npv_terms
+    x, trace, count = 0.0, [], None
     while True:
-        value = fixed + per_spread * x
+        np.multiply(per_spread, x, out=value)  # fixed + per_spread * x
+        value += fixed
         positive = value > 0
-        active = positive.astype(float)  # summed by einsum: `@` wakes OpenBLAS's threads
+        count, last = np.count_nonzero(positive), count
+        if count == last:
+            break  # the last step's set, so its x again
+        np.copyto(active, positive)  # summed by einsum: `@` wakes OpenBLAS's threads
         # n*denom * (1 - slope of f at x), as a sum of terms >= 0
         gap = (1.0 - w) * n * denom + w * (float(np.einsum("i,i", active, slack))
-                                            + (n - np.count_nonzero(positive)) * denom)
+                                            + (n - count) * denom)
         if gap == 0:
             raise DegenerateInputError("fair ERS spread undefined: the adjustment grows "
                                        "one-for-one with the spread")
@@ -499,8 +545,9 @@ def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract,
         trace.append((x_new - x) * 1e4)
         x = x_new
     trace.append(0.0)
-    payoff = ers.lgd * np.maximum(value, 0.0)
-    est = _cva_estimate(paths, payoff)
+    payoff = np.maximum(value, 0.0, out=value)
+    payoff *= ers.lgd
+    est = _cva_estimate(paths, payoff, active)
     pd_mc = payoff.size / paths.n_paths
     se_bp = est.std_error / denom * 1e4
     diag = {

@@ -6,7 +6,8 @@ import math
 import numpy as np
 from scipy.optimize import least_squares
 
-from fpcredit import DiscountCurve, DomainError, ErsContract, PathRecords, mc
+from fpcredit import (DegenerateInputError, DiscountCurve, DomainError, ErsContract,
+                      PathRecords, mc)
 from fpcredit.calibration import STEP1_TOL
 
 
@@ -15,9 +16,10 @@ def npv_three_term(tau, s_tau, ers: ErsContract, curve: DiscountCurve, spread: f
     fixed + per_spread * spread from `mc._npv_terms`, the three-term form the
     pricer uses, for a scalar or an array of defaults with the equity S_tau at
     each.  Not an oracle: the tests check it against `ers_npv_at_default_termwise`."""
-    fixed, per_spread, _ = mc._npv_terms(tau, curve.discount(tau) * s_tau, ers, curve)
+    taus = np.atleast_1d(tau)
+    (fixed, per_spread), _ = mc._npv_terms(taus, curve.discount(taus) * s_tau, ers, curve)
     out = fixed + per_spread * spread
-    return float(out) if np.isscalar(tau) else out
+    return float(out[0]) if np.isscalar(tau) else out
 
 
 def ers_npv_at_default_termwise(tau: float, s_tau: float, ers: ErsContract,
@@ -84,6 +86,59 @@ def fixed_point_by_breakpoints(fixed, per_spread, c):
     lo = np.maximum(np.concatenate(([-np.inf], ends)), 0.0)
     hi = np.concatenate((ends, [np.inf]))
     return x[(lo <= x) & (x <= hi)]
+
+
+def fair_spread_fresh_arrays(paths: PathRecords, ers: ErsContract, curve: DiscountCurve):
+    """`mc.ers_fair_spread_from_paths` as it ran with a fresh array for every
+    step: the same Newton solve on the active set, from X = 0 until X stops
+    rising, with no stop on an unchanged active count, then the controlled
+    estimate at the root.
+    A dict of the result's numbers and solver diagnostics, or the same
+    DegenerateInputError."""
+    tau, discounted_s_tau = paths.tau, paths.discounted_s_tau
+    sched = ers.schedule
+    discounts = curve.discount(np.append(sched.start, sched.dates))
+    tails = np.append(np.cumsum((discounts[1:] * sched.accruals)[::-1])[::-1], 0.0)
+    ks0 = ers.stock_count * ers.s0
+    idx = sched.next_payment_index(tau) - 1
+    per_spread = (ks0 * tails).take(idx)
+    fixed = (ks0 * discounts).take(idx) - ers.stock_count * discounted_s_tau
+    annuity = float(tails[0])
+    if annuity <= 1e-300:
+        raise DegenerateInputError("zero premium annuity: fair ERS spread undefined")
+    denom = ers.stock_count * ers.s0 * annuity
+    n, w = max(fixed.size, 1), paths.default_prob_closed_form * ers.lgd
+    slack = denom - per_spread
+    x, trace = 0.0, []
+    while True:
+        value = fixed + per_spread * x
+        positive = value > 0
+        active = positive.astype(float)
+        gap = (1.0 - w) * n * denom + w * (float(np.einsum("i,i", active, slack))
+                                            + (n - np.count_nonzero(positive)) * denom)
+        if gap == 0:
+            raise DegenerateInputError("fair ERS spread undefined: the adjustment grows "
+                                       "one-for-one with the spread")
+        x_new = w * float(np.einsum("i,i", active, fixed)) / gap
+        if not x_new > x:
+            break
+        trace.append((x_new - x) * 1e4)
+        x = x_new
+    trace.append(0.0)
+    payoff = ers.lgd * np.maximum(value, 0.0)
+    n, k = paths.n_paths, payoff.size
+    if k == 0:
+        cva, se, plain_se = 0.0, 0.0, 0.0
+    else:
+        beta = float(np.mean(payoff))
+        cva = paths.default_prob_closed_form * beta
+        se = math.sqrt(float(np.sum((payoff - beta) ** 2)) / (n - 1)) / math.sqrt(n)
+        m = beta * k / n
+        plain_ss = float(np.sum((payoff - m) ** 2)) + (n - k) * m * m
+        plain_se = math.sqrt(plain_ss / (n - 1)) / math.sqrt(n)
+    return {"fair_spread_bp": x * 1e4, "std_error_bp": se / denom * 1e4, "cva_value": cva,
+            "cva_std_error": se, "iterations": len(trace), "delta_x_trace_bp": trace,
+            "variance_reduction_factor": plain_se / se if se > 0 else 1.0}
 
 
 def early_default_paths(ers: ErsContract, default_prob: float, n: int = 1_000) -> PathRecords:

@@ -8,15 +8,16 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest, norm
 
 from fpcredit import (At1pParams, DegenerateInputError, DiscountCurve, DomainError,
-                      HazardCurve, PathRecords, SbtvParams, SimulationConfig,
+                      ErsContract, HazardCurve, PathRecords, SbtvParams, SimulationConfig,
                       VolatilityTermStructure, at1p_survival, ers_cva_term, ers_fair_spread,
-                      ers_fair_spread_from_paths, make_ers_contract, sbtv_survival,
-                      simulate_intensity_paths, simulate_joint_paths)
+                      ers_fair_spread_from_paths, make_ers_contract, make_schedule,
+                      sbtv_survival, simulate_intensity_paths, simulate_joint_paths)
 from fpcredit import bootstrap_intensity, mc
 from fpcredit.presets import STRIP_PRESETS, preset_strip
+from fpcredit.survival import survival
 from oracles import (early_default_paths, ers_npv_at_default_termwise,
-                     firm_bm_at_default_dense, fixed_point_by_breakpoints,
-                     npv_three_term, regression_control_variate)
+                     fair_spread_fresh_arrays, firm_bm_at_default_dense,
+                     fixed_point_by_breakpoints, npv_three_term, regression_control_variate)
 
 # three buckets and a flat tail: the 5y maturity lies past the last bucket
 THREE_BUCKETS = VolatilityTermStructure((1.0, 2.0, 4.0), (0.35, 0.25, 0.30))
@@ -102,6 +103,15 @@ class TestConfig:
     def test_contract_rejects_non_finite(self, name, value):
         with pytest.raises(DomainError):
             make_ers_contract(**{name: value})
+
+    @pytest.mark.parametrize("start", [1.0, -0.5], ids=["forward", "past"])
+    def test_contract_rejects_a_start_other_than_spot(self, start):
+        # the three-term NPV form holds for T_0 = 0 only: a forward start was
+        # priced with it anyway, and a past start failed on a discount time
+        schedule = make_schedule(start, start + 5.0, 2)
+        with pytest.raises(DomainError, match=f"spot-starting ERS.*starting at {start}$"):
+            ErsContract(s0=20.0, equity_vol=0.2, dividend_yield=0.008, schedule=schedule,
+                        recovery=0.4, rho=0.0)
 
     def test_contract_validation(self):
         with pytest.raises(DomainError):
@@ -469,6 +479,26 @@ class TestFirmDrawSlot:
         assert all(not a.flags.writeable for a in draw if isinstance(a, np.ndarray))
 
 
+class TestClosedFormDefaultProbability:
+    @pytest.mark.parametrize("kind", ["at1p", "sbtv"])
+    def test_is_one_minus_survival_bit_for_bit(self, lehman_calibrations, ers_calibrations,
+                                               kind):
+        # the draw mixes the kernel's survivals at V as survival() does: on four
+        # preset fits and a 3-scenario model with b = -0.7, at maturities on,
+        # between and past the vol knots
+        models = [ers_calibrations[kind],
+                  *(fits[kind][0] for fits in lehman_calibrations.values()),
+                  {"at1p": At1pParams(0.6, -0.7, THREE_BUCKETS),
+                   "sbtv": SbtvParams(((0.3, 0.2), (0.6, 0.5), (0.85, 0.3)), -0.7,
+                                      THREE_BUCKETS)}[kind]]
+        for model in models:
+            knots = model.vols.bucket_ends
+            mids = [0.5 * (a + b) for a, b in zip((0.0, *knots), knots)]
+            for maturity in sorted({*knots, *mids, 0.5, 12.0}):
+                draw = mc._firm_draw(model, maturity, 1_000, 3)
+                assert draw.default_prob_closed_form == 1.0 - survival(model, maturity), maturity
+
+
 class TestFirmDrawResources:
     """The firm draw holds arrays on the defaulted paths only, and runs on the calling thread."""
 
@@ -605,7 +635,7 @@ class TestResidualNpv:
         tau = np.concatenate((times, np.nextafter(times[1:], -np.inf),
                               np.nextafter(times[:-1], np.inf)))
         discounted_s_tau = np.random.default_rng(3).uniform(5.0, 30.0, tau.size)
-        fixed, per_spread, _ = mc._npv_terms(tau, discounted_s_tau, ers, curve)
+        (fixed, per_spread), _ = mc._npv_terms(tau, discounted_s_tau, ers, curve)
         ks0 = ers.stock_count * ers.s0
         for i, (t, s) in enumerate(zip(tau.tolist(), discounted_s_tau.tolist())):
             last = max(u for u in times.tolist() if u <= t)
@@ -677,7 +707,7 @@ class TestCvaAndFairSpread:
         # regression's statistics ignore path order
         n, k = paths.n_paths, paths.tau.size
         payoff = np.zeros(n)
-        fixed, per_spread, _ = mc._npv_terms(paths.tau, paths.discounted_s_tau, ers, curve)
+        (fixed, per_spread), _ = mc._npv_terms(paths.tau, paths.discounted_s_tau, ers, curve)
         payoff[:k] = ers.lgd * np.maximum(fixed + per_spread * spread, 0.0)
         value, std_error = regression_control_variate(payoff, np.arange(n) < k,
                                                       paths.default_prob_closed_form)
@@ -811,7 +841,7 @@ class TestCvaAndFairSpread:
 
     def test_fair_spread_is_the_breakpoint_root(self, curve, crisis_paths):
         _, ers, cfg, paths = crisis_paths
-        fixed, per_spread, annuity = mc._npv_terms(paths.tau, paths.discounted_s_tau, ers, curve)
+        (fixed, per_spread), annuity = mc._npv_terms(paths.tau, paths.discounted_s_tau, ers, curve)
         c = paths.default_prob_closed_form * ers.lgd / (fixed.size * ers.s0 * annuity)
         roots = fixed_point_by_breakpoints(fixed, per_spread, c)
         result = ers_fair_spread_from_paths(paths, ers, curve)
@@ -845,3 +875,73 @@ class TestCvaAndFairSpread:
         _, ers, cfg, paths = crisis_paths
         with pytest.raises(DegenerateInputError, match="annuity"):
             ers_fair_spread_from_paths(paths, ers, DiscountCurve(flat_rate=1e308))
+
+
+def solve_numbers(result):
+    """The numbers and solver diagnostics that `fair_spread_fresh_arrays` returns."""
+    d = result.diagnostics
+    return {"fair_spread_bp": result.fair_spread_bp, "std_error_bp": result.std_error_bp,
+            "cva_value": result.cva_value, "cva_std_error": result.cva_std_error,
+            "iterations": d["iterations"], "delta_x_trace_bp": d["delta_x_trace_bp"],
+            "variance_reduction_factor": d["variance_reduction_factor"]}
+
+
+def spread_records(n, k, seed, s_lo, s_hi, default_prob):
+    """k defaults on n paths, uniform in time up to 5y and in P(0,tau) S_tau."""
+    rng = np.random.default_rng(seed)
+    return PathRecords(n_paths=n, tau=rng.uniform(0.0, 5.0, k),
+                       discounted_s_tau=rng.uniform(s_lo, s_hi, k),
+                       default_prob_closed_form=default_prob)
+
+
+class TestSolveInOneBlock:
+    """The solve writes its work into one block, and gives what a fresh array at
+    every step gives, bit for bit."""
+
+    @pytest.mark.parametrize("args, recovery, settle", [
+        ((1_000, 0, 1, 5.0, 30.0, 0.01), 0.4, 1),  # no defaults
+        ((1_000, 1, 2, 5.0, 6.0, 0.001), 0.4, 2),  # one default, active at X = 0
+        ((2_000, 1_001, 3, 1.0, 5.0, 0.5), 0.4, 2),  # every path active at X = 0
+        ((10_000, 4_999, 11, 1.0, 60.0, 0.99), 0.0, 4)],  # the set grows over steps
+        ids=["k=0", "k=1", "all-active", "growing"])
+    def test_matches_the_solve_with_fresh_arrays(self, curve, args, recovery, settle):
+        ers, paths = make_ers_contract(rho=0.5, recovery=recovery), spread_records(*args)
+        result = ers_fair_spread_from_paths(paths, ers, curve)
+        assert solve_numbers(result) == fair_spread_fresh_arrays(paths, ers, curve)
+        assert result.diagnostics["iterations"] == settle
+
+    @pytest.mark.parametrize("model", ["at1p", "sbtv"])
+    def test_matches_the_solve_with_fresh_arrays_on_distressed_cells(
+            self, curve, lehman_calibrations, model):
+        fit = lehman_calibrations["lehman-2008-09-12"][model][0]
+        for rho in (0.0, 0.5):
+            ers = make_ers_contract(rho=rho)
+            paths = simulate_joint_paths(fit, ers, SimulationConfig(n_paths=100_000))
+            assert 0.35 < paths.tau.size / paths.n_paths < 0.47
+            result = ers_fair_spread_from_paths(paths, ers, curve)
+            assert solve_numbers(result) == fair_spread_fresh_arrays(paths, ers, curve)
+
+    def test_input_without_root_still_raises(self, curve):
+        ers = make_ers_contract(recovery=0.0)
+        paths = early_default_paths(ers, 1.0)
+        for solve in (ers_fair_spread_from_paths, fair_spread_fresh_arrays):
+            with pytest.raises(DegenerateInputError, match="one-for-one"):
+                solve(paths, ers, curve)
+
+    def test_leaves_the_records_as_they_were(self, curve, crisis_paths):
+        _, ers, cfg, drawn = crisis_paths
+        paths = PathRecords(n_paths=drawn.n_paths, tau=drawn.tau.copy(),
+                            discounted_s_tau=drawn.discounted_s_tau.copy(),
+                            default_prob_closed_form=drawn.default_prob_closed_form)
+        before = paths.tau.copy(), paths.discounted_s_tau.copy()
+        results = [ers_fair_spread_from_paths(paths, ers, curve) for _ in range(2)]
+        ers_cva_term(paths, ers, curve, 0.001)
+        assert solve_numbers(results[0]) == solve_numbers(results[1])
+        assert np.array_equal(paths.tau, before[0])
+        assert np.array_equal(paths.discounted_s_tau, before[1])
+        # the slot's draw is priced as it is, and stays read-only
+        hit = simulate_joint_paths(flat_at1p(sigma=0.3), ers, cfg)
+        ers_fair_spread_from_paths(hit, ers, curve)
+        draw = mc._last_draw[1]
+        assert hit.tau is draw.tau
+        assert all(not a.flags.writeable for a in draw if isinstance(a, np.ndarray))

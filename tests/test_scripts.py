@@ -59,6 +59,13 @@ def test_ers_traffic_prints_one_line_per_cell():
         assert anchor[0]["fair_spread_bp"] > 0 and all(r == anchor[0] for r in anchor)
 
 
+def test_ers_traffic_prints_the_same_bytes_on_a_rerun():
+    # the baseline that a change's "byte-identical ERS traffic" rests on
+    runs = [run_script("ers_traffic.py", ["--paths", "3000", "--seeds", "1"]) for _ in range(2)]
+    assert all(done.returncode == 0 for done in runs), runs[0].stderr
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+
+
 def test_traffic_diff_pairs_lines_and_reports_changes(tmp_path):
     # a small calibration run against a copy in reverse order (lines pair by their
     # labels) with one fit's survivals moved and another fit turned into an error
