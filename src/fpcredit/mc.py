@@ -8,7 +8,8 @@ v = int_0^t sigma^2 du, x is a Brownian motion with drift -nu, nu = 1/2 - B,
 started at x0 = log(V0 / H); default is its first passage to 0.
 
 The sampler is exact, uses no time grid, and draws the defaulted paths
-only, so its time and memory follow the number of defaults:
+only, so its time and memory follow the number of defaults.  Under the
+first-passage models (AT1P, SBTV):
 
 - With V the variance at maturity, one multinomial draw counts the paths
   that survive and, in each barrier scenario (AT1P has one), the paths that
@@ -22,18 +23,23 @@ only, so its time and memory follow the number of defaults:
   before v* by its radius alone, which gives the firm's Brownian motion at
   default exactly, bucket by bucket.  At each bucket end the bridge runs
   only on the paths that have not defaulted by then.
-- The equity at default then takes one Gaussian draw per defaulted path.
+
+Under the hazard model one binomial draw counts the defaults, and each takes
+its cumulative hazard at default from one uniform and its default time from
+the inverse of the hazard clock; there is no firm Brownian motion.  The
+equity at default then takes one Gaussian draw per defaulted path.
 
 Firm and equity variates come from separate child streams of the seed, and
-none of the draws above depends on the correlation.  The last such draw is
-kept in one module-level slot, keyed on the model, the maturity, the path
-count and the seed, so a correlation sweep that calls model by model draws
-each model once, and its paths pair across correlations by construction.
-Each call then only mixes the two Brownian motions and maps them to the
+none of the draws above depends on the correlation.  The last such draw, of
+any model, is kept in one module-level slot, keyed on the model, the
+maturity, the path count and the seed, so a correlation sweep that calls
+model by model draws each model once, and its paths pair across
+correlations by construction.  Each call then only mixes the two Brownian
+motions (under the hazard model the equity's alone) and maps them to the
 discounted equity at default P(0,tau) S_tau, which needs no curve; its
 records and the pricer hold both only on the defaulted paths, and do no
-work on the others.  The slot keeps 24 P(default) bytes per path until a
-call with another key replaces it.
+work on the others.  The slot keeps 24 P(default) bytes per path, 16 under
+the hazard model, until a call with another key replaces it.
 """
 
 from __future__ import annotations
@@ -299,83 +305,101 @@ def _equity_at_default(tau, shock, ers: ErsContract):
 
 class _FirmDraw(NamedTuple):
     """The correlation-free part of a joint path set, on the defaulted paths
-    only, as read-only arrays: 24 bytes per defaulted path."""
+    only, as read-only arrays: 24 bytes per defaulted path, 16 under the
+    hazard model."""
 
     tau: np.ndarray                # default time, on the defaulted paths
-    w1: np.ndarray                 # the firm's Brownian motion at default, likewise
+    w1: np.ndarray | None          # the firm's Brownian motion at default, likewise
     w2: np.ndarray                 # the equity's own Brownian motion at default, likewise
     default_prob_closed_form: float
 
 
 def _firm_draw(model, maturity, n_paths, seed) -> _FirmDraw:
-    """Draw the defaulted paths, and only those: their default times and both
+    """Draw the defaulted paths, and only those: their default times and the
     Brownian motions at default.
 
-    With V = clock(maturity), one multinomial draw counts the paths that
-    survive and each scenario's defaults in the two pieces of
-    `_default_ends`: `first_passage`'s third output at V weighs the piece
-    above 0, and the rest of the scenario's default probability the piece
-    below.  Its first output, mixed over the scenarios as `survival` mixes
-    it, is Q(T), the weight of the paths that survive.  `_default_ends`,
-    `_first_passage_variance` and `_firm_bm_at_default` then draw X_V, v*
-    and W1 on the k defaulted paths.
+    Under a first-passage model, with V = clock(maturity), one multinomial
+    draw counts the paths that survive and each scenario's defaults in the
+    two pieces of `_default_ends`: `first_passage`'s third output at V weighs
+    the piece above 0, and the rest of the scenario's default probability
+    the piece below.  Its first output, mixed over the scenarios as
+    `survival` mixes it, is Q(T), the weight of the paths that survive.
+    `_default_ends`, `_first_passage_variance` and `_firm_bm_at_default` then
+    draw X_V, v* and W1 on the k defaulted paths.
+
+    Under the hazard model, with PD = 1 - Q(T), one binomial draw counts the
+    k defaults.  Given default by T, the cumulative hazard at default C has
+    P(C <= c) = (1 - exp(-c)) / PD, so each path takes C = -log(1 - PD u)
+    from one uniform u, and tau from the hazard clock's inverse.  W1 is None:
+    default does not follow a firm Brownian motion.
 
     Every firm variate comes from one child stream of the seed and every
     equity variate from another; nothing here depends on the correlation.
     """
     firm_rng, equity_rng = (np.random.default_rng(s)
                             for s in np.random.SeedSequence(seed).spawn(2))
-    vols, clock = model.vols, model.vols.clock
-    knot_t = np.append(clock.knot_t[clock.knot_t < maturity], maturity)
-    knot_v = clock(knot_t)
-    sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
-    v_end, nu = knot_v[-1], 0.5 - model.b
-    log_h = np.array([math.log(h) for h, _ in model.scenarios])
-    q, _, above = first_passage(log_h, model.b, v_end)
-    below = np.maximum(1.0 - q - above, 0.0)  # round-off can take it below 0
-    probs = np.array([p for _, p in model.scenarios])[:, None]
-    q_total = float(sum(p * q_i for (_, p), q_i in zip(model.scenarios, q)))
-    counts = firm_rng.multinomial(
-        n_paths, [*(probs * np.column_stack((below, above))).ravel(), q_total])[:-1]
-    x0, x_end = _default_ends(firm_rng, counts, -log_h, below, above, nu, v_end)
-    v_star = _first_passage_variance(firm_rng, x0, x_end, v_end)
-    del x_end  # freed before the bridge, where a draw with many defaults peaks
-    w1 = _firm_bm_at_default(firm_rng, v_star, x0, nu, knot_v, sigmas)
-    tau = np.minimum(clock.inverse(v_star), maturity)  # the round trip can overshoot
+    if isinstance(model, HazardCurve):
+        pd, w1 = 1.0 - survival(model, maturity), None
+        u = firm_rng.random(firm_rng.binomial(n_paths, pd))
+        tau = model.clock.inverse(-np.log1p(-pd * u))
+    else:
+        vols, clock = model.vols, model.vols.clock
+        knot_t = np.append(clock.knot_t[clock.knot_t < maturity], maturity)
+        knot_v = clock(knot_t)
+        sigmas = (vols.sigmas + vols.sigmas[-1:])[:knot_t.size - 1]
+        v_end, nu = knot_v[-1], 0.5 - model.b
+        log_h = np.array([math.log(h) for h, _ in model.scenarios])
+        q, _, above = first_passage(log_h, model.b, v_end)
+        below = np.maximum(1.0 - q - above, 0.0)  # round-off can take it below 0
+        probs = np.array([p for _, p in model.scenarios])[:, None]
+        q_total = float(sum(p * q_i for (_, p), q_i in zip(model.scenarios, q)))
+        counts = firm_rng.multinomial(
+            n_paths, [*(probs * np.column_stack((below, above))).ravel(), q_total])[:-1]
+        x0, x_end = _default_ends(firm_rng, counts, -log_h, below, above, nu, v_end)
+        v_star = _first_passage_variance(firm_rng, x0, x_end, v_end)
+        del x_end  # freed before the bridge, where a draw with many defaults peaks
+        w1 = _firm_bm_at_default(firm_rng, v_star, x0, nu, knot_v, sigmas)
+        pd, tau = 1.0 - q_total, clock.inverse(v_star)
+    tau = np.minimum(tau, maturity)  # round-off can carry the clock's inverse past T
     w2 = np.sqrt(tau) * equity_rng.standard_normal(tau.size)
-    for shared in (tau, w1, w2):
+    for shared in (tau, w2) if w1 is None else (tau, w1, w2):
         shared.flags.writeable = False
-    return _FirmDraw(tau, w1, w2, 1.0 - q_total)
+    return _FirmDraw(tau, w1, w2, pd)
 
 
 _last_draw = None  # (key, _FirmDraw) of the last joint simulation
 
 
 def simulate_joint_paths(model, ers: ErsContract, cfg: SimulationConfig) -> PathRecords:
-    """Exact joint draw of the first-passage default time and the equity at
-    default, on the paths that default.
+    """Exact joint draw of the default time and the equity at default, on the
+    paths that default, under At1pParams, SbtvParams or HazardCurve.
 
-    The firm draw (`_firm_draw`) counts the defaults of each barrier
-    scenario, then draws only those paths, from the law conditioned on
-    default; AT1P is the one-scenario case.  It does not depend on the
-    correlation, and the last one is kept: a call with the same model,
-    maturity, path count and seed reuses it, so default times are identical
-    across correlations at a fixed seed and only the equity at default is
-    computed again.  `tau` is then shared between the calls' records, and
-    read-only; `discounted_s_tau` is each call's own.
+    The firm draw (`_firm_draw`) counts the defaults, then draws only those
+    paths, from the law conditioned on default: a first-passage model's
+    barrier scenarios (AT1P is the one-scenario case), or the hazard model's
+    cumulative hazard.  It does not depend on the correlation, and the last
+    one, of any model, is kept: a call with the same model, maturity, path
+    count and seed reuses it, so default times are identical across
+    correlations at a fixed seed and only the equity at default is computed
+    again.  `tau` is then shared between the calls' records, and read-only;
+    `discounted_s_tau` is each call's own.  The hazard model has no firm
+    Brownian motion, so its equity shock, and its records, are the same at
+    every correlation.
     """
     global _last_draw
-    if not isinstance(model, (At1pParams, SbtvParams)):
-        raise DomainError("joint simulation needs a first-passage model (use "
-                          "simulate_intensity_paths for the hazard model)")
+    if not isinstance(model, (At1pParams, SbtvParams, HazardCurve)):
+        raise DomainError(f"no joint simulation for {type(model).__name__}")
     key = (model, ers.maturity, cfg.n_paths, cfg.rng_seed)
     slot = _last_draw
     if slot is None or slot[0] != key:
         _last_draw = None  # drop the old draw before making the new one
         slot = _last_draw = key, _firm_draw(*key)
     draw, rho = slot[1], ers.rho
-    shock = np.multiply(rho, draw.w1)  # the call's own array, mapped in place
-    shock += math.sqrt(1.0 - rho * rho) * draw.w2
+    if draw.w1 is None:
+        shock = draw.w2.copy()  # the call's own array, mapped in place
+    else:
+        shock = np.multiply(rho, draw.w1)
+        shock += math.sqrt(1.0 - rho * rho) * draw.w2
     discounted_s_tau = _equity_at_default(draw.tau, shock, ers)
     return PathRecords(n_paths=cfg.n_paths, tau=draw.tau, discounted_s_tau=discounted_s_tau,
                        default_prob_closed_form=draw.default_prob_closed_form,
@@ -384,35 +408,11 @@ def simulate_joint_paths(model, ers: ErsContract, cfg: SimulationConfig) -> Path
 
 def simulate_intensity_paths(hazard: HazardCurve, ers: ErsContract,
                              cfg: SimulationConfig) -> PathRecords:
-    """Reduced-form cross-check: default time by inverse transform of the
-    piecewise-exponential survival, independent of the equity path.
-
-    Only the defaulted paths' equity value matters for the adjustment, and
-    under independence S_tau can be sampled exactly in one shot on them.  Each
-    path defaults where the clock c reaches its unit exponential draw -log u,
-    and only the draws up to bound = c(T (1 + 1e-9)) (1 + 1e-9), T the
-    maturity, are inverted: past that margin, in time and in the clock, no
-    rounding of the inverse comes back to T, so the defaulted paths are those
-    of inverting every draw.  The log is taken only of the uniforms with
-    u >= exp(-bound) (1 - 1e-9), and those are then held to -log u <= bound:
-    the log and the exp err by a few ulps, far below the 1e-9 margin, so no
-    uniform left out could have passed.  For a bound above about 745,
-    exp(-bound) is 0 and every uniform is kept.
-    """
-    rng = np.random.default_rng(cfg.rng_seed)
-    clock, maturity = hazard.clock, ers.maturity
-    bound = clock(maturity * (1.0 + 1e-9)) * (1.0 + 1e-9)
-    u = rng.random(cfg.n_paths)
-    level = -np.log(u[u >= math.exp(-bound) * (1.0 - 1e-9)])
-    del u
-    tau = clock.inverse(level[level <= bound])
-    tau = tau[tau <= maturity]
-    shock = np.sqrt(tau) * rng.standard_normal(tau.size)
-    discounted_s_tau = _equity_at_default(tau, shock, ers)
-    pd_closed = 1.0 - survival(hazard, ers.maturity)
-    return PathRecords(n_paths=cfg.n_paths, tau=tau, discounted_s_tau=discounted_s_tau,
-                       default_prob_closed_form=pd_closed,
-                       diagnostics={"seed": cfg.rng_seed, "model": "intensity"})
+    """`simulate_joint_paths` under the hazard model, which it checks for."""
+    if not isinstance(hazard, HazardCurve):
+        raise DomainError(f"intensity simulation needs a HazardCurve, "
+                          f"got {type(hazard).__name__}")
+    return simulate_joint_paths(hazard, ers, cfg)
 
 
 def _npv_terms(tau, discounted_s_tau, ers: ErsContract, curve: DiscountCurve, rows=2):
@@ -571,9 +571,5 @@ def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract,
 def ers_fair_spread(model, ers: ErsContract, curve: DiscountCurve,
                     cfg: SimulationConfig) -> ErsPricingResult:
     """Draw one path set under the credit model and solve it (ers_fair_spread_from_paths)."""
-    if isinstance(model, HazardCurve):
-        paths = simulate_intensity_paths(model, ers, cfg)
-    else:
-        paths = simulate_joint_paths(model, ers, cfg)
-    return ers_fair_spread_from_paths(paths, ers, curve)
+    return ers_fair_spread_from_paths(simulate_joint_paths(model, ers, cfg), ers, curve)
 

@@ -467,8 +467,9 @@ class TestPriceErsCommand:
 
     def test_sweep_draws_each_model_once_and_reports_each_cell_as_run_alone(
             self, capsys, outdir, monkeypatch):
-        # scripts/run_ers_table.py's sweep runs model by model, one firm draw per
-        # first-passage model, and prints and saves each cell as a cold run of it alone
+        # scripts/run_ers_table.py's sweep runs model by model, one draw per model,
+        # the hazard model's included, and prints and saves each cell as a cold
+        # run of it alone
         from fpcredit import mc
         draws, draw = [], mc._firm_draw
         monkeypatch.setattr(mc, "_firm_draw", lambda *key: draws.append(key) or draw(*key))
@@ -477,7 +478,7 @@ class TestPriceErsCommand:
         sweep = ("price-ers", "--preset", "ers-paper-2009-09-16", "--paths", "20000")
         code, out, _ = run(capsys, *sweep, "--models", ",".join(models),
                            f"--rho={','.join(rhos)}")
-        assert code == 0 and len(draws) == 2
+        assert code == 0 and len(draws) == 3
         results = json.loads((outdir / "ers_pricing.json").read_text())["results"]
         rows = []
         for rho in rhos:

@@ -12,8 +12,7 @@ from fpcredit import (At1pParams, DegenerateInputError, DiscountCurve, DomainErr
                       VolatilityTermStructure, at1p_survival, ers_cva_term, ers_fair_spread,
                       ers_fair_spread_from_paths, make_ers_contract, make_schedule,
                       sbtv_survival, simulate_intensity_paths, simulate_joint_paths)
-from fpcredit import bootstrap_intensity, mc
-from fpcredit.presets import STRIP_PRESETS, preset_strip
+from fpcredit import mc
 from fpcredit.survival import survival
 from oracles import (early_default_paths, ers_npv_at_default_termwise,
                      fair_spread_fresh_arrays, firm_bm_at_default_dense,
@@ -301,14 +300,21 @@ class TestExactSampler:
         At1pParams(0.4, 0.8, THREE_BUCKETS),
         SbtvParams(((0.3, 0.6), (0.7, 0.4)), 0.0, THREE_BUCKETS),
         SbtvParams(((0.3, 0.2), (0.6, 0.5), (0.85, 0.3)), 0.3, THREE_BUCKETS),
-    ], ids=["b=0", "b=0.5", "b=0.8", "sbtv-2", "sbtv-3"])
-    def test_default_time_has_the_conditional_law(self, model):
+        HazardCurve((2.0, 30.0), (0.05, 0.03)),
+        HazardCurve((1.0, 3.0, 5.0, 7.0), (0.23, 0.09, 0.05, 0.06)),  # 5y on a knot
+        HazardCurve((4.99, 5.0, 10.0), (1e-4, 10.0, 0.02)),  # a step up at maturity
+        "lehman-2008-09-12",  # the preset's intensity fit
+    ], ids=["b=0", "b=0.5", "b=0.8", "sbtv-2", "sbtv-3", "hazard", "hazard-knot-at-T",
+            "hazard-step-at-T", "hazard-lehman"])
+    def test_default_time_has_the_conditional_law(self, lehman_calibrations, model):
         # one-sample KS of the default times against (1 - Q(t)) / PD(T), for
-        # nu > 0, nu = 0 and nu < 0, and for barrier scenarios
-        pd = 1.0 - sbtv_survival(model, 5.0)
+        # nu > 0, nu = 0 and nu < 0, for barrier scenarios and for hazard curves
+        if isinstance(model, str):
+            model = lehman_calibrations[model]["intensity"][0]
+        pd = 1.0 - survival(model, 5.0)
         draw = mc._firm_draw(model, 5.0, 200_000, 47)
-        assert draw.tau.size > 10_000
-        assert kstest(draw.tau, lambda t: (1.0 - sbtv_survival(model, t)) / pd).pvalue > 1e-3
+        assert draw.tau.size > 10_000 and draw.tau.max() <= 5.0
+        assert kstest(draw.tau, lambda t: (1.0 - survival(model, t)) / pd).pvalue > 1e-3
 
     VOLS = [VolatilityTermStructure((10.0,), (0.3,)),
             VolatilityTermStructure((1.0, 3.0, 30.0), (0.35, 0.2, 0.3)),
@@ -403,6 +409,7 @@ class TestFirmDrawSlot:
     maturity, the path count and the seed."""
 
     MODEL = SbtvParams(((0.3, 0.4), (0.6, 0.6)), 0.0, THREE_BUCKETS)
+    HAZARD = HazardCurve((2.0, 30.0), (0.05, 0.03))
     CFG = SimulationConfig(n_paths=20_000, rng_seed=13)
 
     @pytest.fixture
@@ -478,6 +485,33 @@ class TestFirmDrawSlot:
         assert sum(a.nbytes for a in draw if isinstance(a, np.ndarray)) == 24 * k
         assert all(not a.flags.writeable for a in draw if isinstance(a, np.ndarray))
 
+    def test_a_hazard_draw_is_reused_across_correlations(self, draws):
+        # no firm Brownian motion: the slot holds tau and w2 only, and every
+        # correlation maps the same equity shock
+        a = simulate_joint_paths(self.HAZARD, make_ers_contract(rho=-0.5), self.CFG)
+        b = simulate_joint_paths(self.HAZARD, make_ers_contract(rho=0.9), self.CFG)
+        assert len(draws) == 1 and 0 < a.tau.size < self.CFG.n_paths
+        assert b.tau is a.tau
+        assert np.array_equal(a.discounted_s_tau, b.discounted_s_tau)
+        assert not np.shares_memory(a.discounted_s_tau, b.discounted_s_tau)
+        draw = mc._last_draw[1]
+        assert draw.w1 is None and draw.tau.nbytes + draw.w2.nbytes == 16 * a.tau.size
+        assert not (draw.tau.flags.writeable or draw.w2.flags.writeable)
+
+    def test_a_hazard_draw_between_leaves_a_first_passage_price_cold(self, draws):
+        ers, curve = make_ers_contract(rho=0.5), DiscountCurve(flat_rate=0.03)
+        cold = ers_fair_spread(flat_at1p(), ers, curve, self.CFG).as_dict()
+        assert ers_fair_spread(self.HAZARD, ers, curve, self.CFG).fair_spread_bp > 0
+        assert ers_fair_spread(flat_at1p(), ers, curve, self.CFG).as_dict() == cold
+        assert [type(key[0]) for key in draws] == [At1pParams, HazardCurve, At1pParams]
+
+    @pytest.mark.parametrize("model", [None, "at1p", THREE_BUCKETS],
+                             ids=["none", "name", "vols"])
+    def test_rejects_what_is_not_a_model(self, draws, model):
+        with pytest.raises(DomainError, match="^no joint simulation for "):
+            simulate_joint_paths(model, make_ers_contract(rho=0.0), self.CFG)
+        assert draws == []
+
 
 class TestClosedFormDefaultProbability:
     @pytest.mark.parametrize("kind", ["at1p", "sbtv"])
@@ -504,8 +538,9 @@ class TestFirmDrawResources:
 
     @pytest.mark.parametrize("model", [
         At1pParams(0.1, 0.0, VolatilityTermStructure((30.0,), (0.3,))),
-        SbtvParams(((0.08, 0.5), (0.12, 0.5)), 0.0, VolatilityTermStructure((30.0,), (0.3,)))],
-        ids=["at1p", "sbtv"])
+        SbtvParams(((0.08, 0.5), (0.12, 0.5)), 0.0, VolatilityTermStructure((30.0,), (0.3,))),
+        HazardCurve((30.0,), (4e-4,))],
+        ids=["at1p", "sbtv", "hazard"])
     def test_allocates_no_array_per_path(self, model):
         # about 0.2% of 10^6 paths default: the draw's peak stays under a
         # tenth of one float64 array over all paths
@@ -537,72 +572,35 @@ class TestIntensityPaths:
         se = math.sqrt(pd_cf * (1 - pd_cf) / cfg.n_paths)
         assert abs(paths.tau.size / paths.n_paths - pd_cf) < 3.5 * se
 
-    @pytest.mark.parametrize("hazard", [
-        HazardCurve((2.0, 30.0), (0.05, 0.03)),
-        HazardCurve((1.0, 3.0, 5.0, 7.0), (0.23, 0.09, 0.05, 0.06)),  # 5y on a knot
-        HazardCurve((4.99, 5.0, 10.0), (1e-4, 10.0, 0.02)),  # a step up at maturity
-        HazardCurve((5.0, 10.0), (1e-4, 10.0)),
-        *STRIP_PRESETS,  # the preset's intensity fit
-        HazardCurve((30.0,), (0.0,)),
-        HazardCurve((30.0,), (200.0,))])  # exp(-c(T)) underflows to 0
-    def test_records_equal_inverting_every_draw(self, curve, ers, hazard):
-        # the sampler logs and inverts only the uniforms that can default
-        if isinstance(hazard, str):
-            hazard = bootstrap_intensity(preset_strip(hazard), curve)[0]
-        for seed in (1, 9, 4244):
-            cfg = SimulationConfig(n_paths=20_000, rng_seed=seed)
-            paths = simulate_intensity_paths(hazard, ers, cfg)
-            rng = np.random.default_rng(seed)
-            tau = hazard.clock.inverse(-np.log(rng.random(cfg.n_paths)))
-            defaulted = tau <= ers.maturity
-            tau = tau[defaulted]
-            discounted_s_tau = mc._equity_at_default(
-                tau, np.sqrt(tau) * rng.standard_normal(tau.size), ers)
-            if hazard.lambdas == (0.0,):
-                assert not defaulted.any()
-            elif hazard.lambdas == (200.0,):
-                assert math.exp(-hazard.clock(ers.maturity)) == 0.0 and defaulted.all()
-            else:
-                assert defaulted.any() and not defaulted.all()
-            assert paths.n_paths == cfg.n_paths and paths.tau.size == np.count_nonzero(defaulted)
-            assert np.array_equal(paths.tau, tau)
-            assert np.array_equal(paths.discounted_s_tau, discounted_s_tau)
+    @pytest.mark.parametrize("rate", [0.0, 200.0])
+    def test_no_path_or_every_path_defaults_at_the_extremes(self, rate):
+        # at 200 the survival exp(-1000) underflows to 0, so PD rounds to 1
+        hazard = HazardCurve((30.0,), (rate,))
+        draw = mc._firm_draw(hazard, 5.0, 20_000, 9)
+        assert draw.default_prob_closed_form == (1.0 if rate else 0.0)
+        assert draw.tau.size == draw.w2.size == (20_000 if rate else 0)
+        assert np.isfinite(draw.tau).all() and np.all((0.0 <= draw.tau) & (draw.tau <= 5.0))
+        assert np.isfinite(draw.w2).all()
 
-    @pytest.mark.parametrize("hazard", [
-        HazardCurve((1.0, 3.0, 5.0, 7.0), (0.23, 0.09, 0.05, 0.06)),
-        HazardCurve((0.7, 5.7), (0.4, 0.25)),
-        # a step up at maturity: up to ~2e4 ulps past the clock there invert to 5.0
-        HazardCurve((5.0, 10.0), (1e-4, 10.0)),
-        HazardCurve((4.9, 10.0), (1e-4, 10.0))])
-    def test_draws_at_the_maturity_clock_default_as_when_every_draw_is_inverted(
-            self, monkeypatch, ers, hazard):
-        # exponential draws from 1e7 ulps below the clock at maturity to 1e7 above,
-        # densest near it, where the inverse rounds either way
-        c = hazard.clock(ers.maturity)
-        far = np.logspace(3.0, 7.0, 400)
-        ulps = np.concatenate((-far[::-1], np.arange(-1000, 1001), far))
-        exposure = c + ulps * np.spacing(c)
-        real_rng = np.random.default_rng
+    def test_default_at_the_maturity_hazard_stays_at_maturity(self, monkeypatch, ers):
+        # the clock's inverse takes the cumulative hazard at 5y, and a few ulps
+        # past it, where -log(1 - PD u) can round to, to just past 5
+        hazard = HazardCurve((0.7, 5.7), (0.4, 0.25))
+        c = hazard.clock(ers.maturity) + np.arange(4) * np.spacing(hazard.clock(ers.maturity))
+        assert np.all(hazard.clock.inverse(c[1:]) > ers.maturity)
+        monkeypatch.setattr(mc, "_last_draw", None)  # keep the patched draw out of the slot
+        monkeypatch.setattr(np, "log1p", lambda x: -np.resize(c, x.size))
+        paths = simulate_joint_paths(hazard, ers, SimulationConfig(n_paths=100, rng_seed=1))
+        assert paths.tau.size > 0 and np.all(paths.tau == ers.maturity)
 
-        class Draws:
-            def __init__(self, seed):
-                self.normals = real_rng(seed)
-
-            def random(self, n):
-                return np.exp(-exposure)
-
-            def standard_normal(self, n):
-                return self.normals.standard_normal(n)
-
-        monkeypatch.setattr(np.random, "default_rng", Draws)
-        paths = simulate_intensity_paths(
-            hazard, ers, SimulationConfig(n_paths=exposure.size, rng_seed=3))
-        tau = hazard.clock.inverse(-np.log(np.exp(-exposure)))
-        # the exposures increase and the inverse is monotone, so the paths that
-        # default are a prefix, and their count fixes them
-        assert paths.tau.size == np.count_nonzero(tau <= ers.maturity)
-        assert np.array_equal(paths.tau, tau[:paths.tau.size])
-        assert 0 < paths.tau.size < exposure.size == paths.n_paths
+    def test_is_the_joint_simulation_of_a_hazard_curve(self, ers):
+        cfg = SimulationConfig(n_paths=5_000, rng_seed=9)
+        hazard = HazardCurve((2.0, 30.0), (0.05, 0.03))
+        a, b = simulate_intensity_paths(hazard, ers, cfg), simulate_joint_paths(hazard, ers, cfg)
+        assert a.tau.size > 0 and a.tau is b.tau
+        assert np.array_equal(a.discounted_s_tau, b.discounted_s_tau)
+        with pytest.raises(DomainError, match="needs a HazardCurve, got At1pParams"):
+            simulate_intensity_paths(flat_at1p(), ers, cfg)
 
     def test_zero_hazard_gives_zero_spread(self, curve, ers):
         hazard = HazardCurve((30.0,), (0.0,))
