@@ -503,7 +503,10 @@ def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract,
     only grows, and a step that finds as many active paths as the last one
     has the same set and would give the same X: it ends the solve.  1 - slope
     is a sum of terms >= 0, 0 only on the one input with no root:
-    P(default) = 1, zero recovery and every default before T_1.
+    P(default) = 1, zero recovery and every default before T_1.  The
+    spread's standard error is the root's, SE(f) / (1 - slope): the last
+    step's n*K*S0*annuity * (1 - slope) on the final active set divides n
+    times the adjustment's standard error.
 
     Every k-sized float array of the solve is a row of one block (fixed,
     per_spread, slack, value and active, the last also the scratch of the
@@ -549,7 +552,7 @@ def ers_fair_spread_from_paths(paths: PathRecords, ers: ErsContract,
     payoff *= ers.lgd
     est = _cva_estimate(paths, payoff, active)
     pd_mc = payoff.size / paths.n_paths
-    se_bp = est.std_error / denom * 1e4
+    se_bp = est.std_error * n / gap * 1e4  # SE(f) / (1 - slope of f at x), see the docstring
     diag = {
         "iterations": len(trace),
         "delta_x_trace_bp": trace,

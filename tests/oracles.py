@@ -125,18 +125,23 @@ def fair_spread_fresh_arrays(paths: PathRecords, ers: ErsContract, curve: Discou
         trace.append((x_new - x) * 1e4)
         x = x_new
     trace.append(0.0)
+    # n*denom * (1 - slope of f at the root), taken on the active set there:
+    # the root's standard error is n times the adjustment's over it
+    positive = value > 0
+    root_gap = (1.0 - w) * n * denom + w * (float(np.einsum("i,i", positive.astype(float), slack))
+                                            + (n - np.count_nonzero(positive)) * denom)
     payoff = ers.lgd * np.maximum(value, 0.0)
-    n, k = paths.n_paths, payoff.size
+    n_paths, k = paths.n_paths, payoff.size
     if k == 0:
         cva, se, plain_se = 0.0, 0.0, 0.0
     else:
         beta = float(np.mean(payoff))
         cva = paths.default_prob_closed_form * beta
-        se = math.sqrt(float(np.sum((payoff - beta) ** 2)) / (n - 1)) / math.sqrt(n)
-        m = beta * k / n
-        plain_ss = float(np.sum((payoff - m) ** 2)) + (n - k) * m * m
-        plain_se = math.sqrt(plain_ss / (n - 1)) / math.sqrt(n)
-    return {"fair_spread_bp": x * 1e4, "std_error_bp": se / denom * 1e4, "cva_value": cva,
+        se = math.sqrt(float(np.sum((payoff - beta) ** 2)) / (n_paths - 1)) / math.sqrt(n_paths)
+        m = beta * k / n_paths
+        plain_ss = float(np.sum((payoff - m) ** 2)) + (n_paths - k) * m * m
+        plain_se = math.sqrt(plain_ss / (n_paths - 1)) / math.sqrt(n_paths)
+    return {"fair_spread_bp": x * 1e4, "std_error_bp": se * n / root_gap * 1e4, "cva_value": cva,
             "cva_std_error": se, "iterations": len(trace), "delta_x_trace_bp": trace,
             "variance_reduction_factor": plain_se / se if se > 0 else 1.0}
 

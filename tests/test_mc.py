@@ -875,6 +875,43 @@ class TestCvaAndFairSpread:
             ers_fair_spread_from_paths(paths, ers, DiscountCurve(flat_rate=1e308))
 
 
+class TestSpreadStandardError:
+    """The spread solves X = f(X), f = adjustment / (K*S0*annuity), so its
+    standard error is SE(f) / (1 - f'(X))."""
+
+    @staticmethod
+    def assert_is_the_roots(paths, ers, curve):
+        # f' from a finite difference of the adjustment: f is piecewise linear,
+        # and no breakpoint of these cells falls within h of the root
+        result = ers_fair_spread_from_paths(paths, ers, curve)
+        x, h = result.fair_spread_bp * 1e-4, 1e-7
+        denom = ers.stock_count * ers.s0 * result.diagnostics["annuity"]
+        slope = (ers_cva_term(paths, ers, curve, x + h).value
+                 - ers_cva_term(paths, ers, curve, x).value) / (h * denom)
+        assert 0.0 < slope < 1.0
+        assert result.std_error_bp == pytest.approx(
+            result.cva_std_error / denom / (1.0 - slope) * 1e4, rel=1e-9, abs=0)
+        return slope
+
+    @pytest.mark.parametrize("model", ["at1p", "sbtv"])
+    def test_on_distressed_cells(self, curve, lehman_calibrations, model):
+        # about 41% of the paths default, and f' is 0.1 to 0.2
+        fit = lehman_calibrations["lehman-2008-09-12"][model][0]
+        for rho in (0.0, 0.5):
+            ers = make_ers_contract(rho=rho)
+            paths = simulate_joint_paths(fit, ers, SimulationConfig(n_paths=100_000))
+            assert 0.35 < paths.tau.size / paths.n_paths < 0.47
+            assert self.assert_is_the_roots(paths, ers, curve) > 0.05
+
+    def test_on_a_calm_cell(self, curve, ers_calibrations):
+        # about 3.7% of the paths default, and f' is small but not 0
+        ers = make_ers_contract(rho=0.0)
+        paths = simulate_joint_paths(ers_calibrations["at1p"], ers,
+                                     SimulationConfig(n_paths=100_000))
+        assert 0.03 < paths.tau.size / paths.n_paths < 0.045
+        self.assert_is_the_roots(paths, ers, curve)
+
+
 def solve_numbers(result):
     """The numbers and solver diagnostics that `fair_spread_fresh_arrays` returns."""
     d = result.diagnostics
