@@ -5,12 +5,15 @@
 
 Lines are paired by their label fields (strip, convention and model, or
 preset, seed, model and rho).  The script prints the labels found in one
-run only, then each pair whose `error` or `warnings` differ, then, for each
-numeric field, the largest absolute and the largest relative change over
-all pairs, with the pair where each occurs.  A field is a path into the
-line, such as `diagnostics.step1.objective_bp2`; the entries of a list
-share one field, such as `parameters.sigmas[]`.  The relative change is
-|new - old| / |old|, and inf where old is 0 and new is not.
+run only, then each pair whose `error` or `warnings` differ, the fields
+of a pair found in one line only, and each bool, text or null entry that
+differs between the lines of a pair (a number turned into null or text
+included).  Then, for each numeric field, it prints the largest absolute
+and the largest relative change over all pairs, with the pair where each
+occurs.  A field is a path into the line, such as
+`diagnostics.step1.objective_bp2`; the entries of a list share one field,
+such as `parameters.sigmas[]`.  The relative change is |new - old| / |old|,
+and inf where old is 0 and new is not.
 
 Where both lines of a pair hold `result.fair_spread_bp` and
 `result.std_error_bp`, as the ERS traffic's do, the script also prints the
@@ -21,9 +24,9 @@ independent Monte Carlo draws of one cell should agree; a cell whose spread
 did not move reads 0, and one that moved with no standard error inf.
 
 The exit code is 0.  With --max-rel TOL it is 1 when a label is in one run
-only, an `error` or `warnings` differs, a numeric field is in one line of a
-pair only (left out, or turned into null or text), a list field changes
-length, or an entry's relative change exceeds TOL.
+only, an `error` or `warnings` differs, a field is in one line of a pair
+only, a list field changes length, a bool, text or null entry differs, or
+a number's relative change exceeds TOL.
 """
 
 import argparse
@@ -40,16 +43,20 @@ def read_run(path) -> dict:
     return {tuple((k, line[k]) for k in LABELS if k in line): line for line in lines}
 
 
-def numbers(value, path=""):
-    """(field, number) for every number in a line, bools left out."""
+def leaves(value, path=""):
+    """(field, entry) for every number, bool, text or null in a line."""
     if isinstance(value, dict):
         for key, item in value.items():
-            yield from numbers(item, f"{path}.{key}" if path else key)
+            yield from leaves(item, f"{path}.{key}" if path else key)
     elif isinstance(value, list):
         for item in value:
-            yield from numbers(item, f"{path}[]")
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        yield path, float(value)
+            yield from leaves(item, f"{path}[]")
+    else:
+        yield path, value
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def label_text(label) -> str:
@@ -58,8 +65,8 @@ def label_text(label) -> str:
 
 def compare(old: dict, new: dict) -> tuple[list[str], dict, bool]:
     """(report lines, {field: [(abs change, label), (rel change, label)]}, and
-    whether a label, an error, warnings, a field's presence or a list's length
-    differs)."""
+    whether a label, an error, warnings, a field's presence, a list's length
+    or a bool, text or null entry differs)."""
     out = [f"only in {side}: {label_text(label)}"
            for side, ours, theirs in (("OLD", old, new), ("NEW", new, old))
            for label in ours if label not in theirs]
@@ -72,17 +79,23 @@ def compare(old: dict, new: dict) -> tuple[list[str], dict, bool]:
                            f"{a.get(key)!r} -> {b.get(key)!r}")
         fields_a, fields_b = {}, {}
         for fields, line in ((fields_a, a), (fields_b, b)):
-            for field, x in numbers(line):
+            for field, x in leaves({k: v for k, v in line.items()
+                                    if k not in ("error", "warnings")}):
                 fields.setdefault(field, []).append(x)
         for side, ours, theirs in (("OLD", fields_a, fields_b), ("NEW", fields_b, fields_a)):
             alone = sorted(ours.keys() - theirs.keys())
             if alone:
                 out.append(f"only in {side} at {label_text(label)}: {', '.join(alone)}")
-        for field in fields_a.keys() & fields_b.keys():
+        for field in sorted(fields_a.keys() & fields_b.keys()):
             if len(fields_a[field]) != len(fields_b[field]):
                 out.append(f"{field} changes length at {label_text(label)}")
                 continue
             for x, y in zip(fields_a[field], fields_b[field]):
+                if not (is_number(x) and is_number(y)):
+                    if type(x) is not type(y) or x != y:
+                        out.append(f"{field} differs at {label_text(label)}: {x!r} -> {y!r}")
+                    continue
+                x, y = float(x), float(y)
                 change = abs(y - x)
                 if math.isnan(change):
                     change = 0.0 if math.isnan(x) and math.isnan(y) else math.inf

@@ -140,6 +140,29 @@ def test_traffic_diff_max_rel_fails_a_mismatch_or_a_move_above_it(tmp_path):
         "traffic_diff.py", [old, close, "--max-rel", "1e-14"]).stdout
 
 
+def test_traffic_diff_reports_bool_and_text_changes(tmp_path):
+    # a flipped bool and a dropped text field change no number, yet fail --max-rel 0
+    def cell(name, low_statistics, **diagnostics):
+        return {"preset": "p", "seed": 1, "model": name, "rho": 0.0,
+                "result": {"fair_spread_bp": 4.7, "exact": None,
+                           "diagnostics": {"low_statistics": low_statistics, **diagnostics}}}
+
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_text("".join(json.dumps(x) + "\n" for x in (
+        cell("at1p", False), cell("intensity", False, model="intensity"))))
+    new.write_text("".join(json.dumps(x) + "\n" for x in (
+        cell("at1p", True), cell("intensity", False))))
+    assert run_script("traffic_diff.py", [str(old), str(old), "--max-rel", "0"]).returncode == 0
+    for args, code in (([], 0), (["--max-rel", "0"], 1)):
+        done = run_script("traffic_diff.py", [str(old), str(new), *args])
+        assert done.returncode == code, done.stdout
+        assert done.stdout.splitlines() == [
+            "2 paired lines, 0 identical",
+            "result.diagnostics.low_statistics differs at preset=p seed=1 model=at1p rho=0.0: "
+            "False -> True",
+            "only in OLD at preset=p seed=1 model=intensity rho=0.0: result.diagnostics.model"]
+
+
 def test_traffic_diff_reports_spread_gaps_in_joint_standard_errors(tmp_path):
     # |X_new - X_old| / sqrt(SE_old^2 + SE_new^2) over the pairs whose lines
     # both hold a spread and its standard error; the exit code ignores it
